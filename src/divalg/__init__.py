@@ -14,7 +14,6 @@ from .errors import (
     DecomposableModuleError,
     DegenerateMonadError,
     DivalgError,
-    PowerIterationError,
     StructuralError,
     ZeroObjectError,
 )
@@ -132,5 +131,4 @@ __all__ = [
     "DecomposableModuleError",
     "DegenerateMonadError",
     "BudgetExceededError",
-    "PowerIterationError",
 ]

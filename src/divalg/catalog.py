@@ -12,16 +12,16 @@ Names accepted by :func:`builtin_ring`:
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CatalogError
-from .nimreps import regular_nimrep
 from .rings import FusionRing, validate_ring
 
-__all__ = ["CatalogEntry", "builtin_ring", "entries", "regular_nimrep"]
+__all__ = ["CatalogEntry", "builtin_ring", "entries"]
 
 VEC_CYCLIC_MAX = 12
 MATRIX_MULTIFUSION_MAX = 3
@@ -99,54 +99,50 @@ def _matrix_multifusion(n: int) -> FusionRing:
     return FusionRing(labels=labels, unit=unit, dual=dual, fusion=fusion)
 
 
+# name -> (builder, note), in catalog listing order
+_REGISTRY = {
+    "fib": (_fib, "rank-2 ring with tau (x) tau = 1 + tau"),
+    "ising": (_ising, "rank-3 self-dual ring with sigma (x) sigma = 1 + eps"),
+    "rep_s3": (_rep_s3, "character ring of the symmetric group on 3 letters"),
+    **{
+        f"vec_cyclic({n})": (functools.partial(_vec_cyclic, n), f"group ring of Z/{n}")
+        for n in range(1, VEC_CYCLIC_MAX + 1)
+    },
+    **{
+        f"matrix_multifusion({n})": (
+            functools.partial(_matrix_multifusion, n),
+            f"{n}x{n} matrix-unit ring; the unit decomposes into {n} simples",
+        )
+        for n in range(1, MATRIX_MULTIFUSION_MAX + 1)
+    },
+}
+
 _PARAM_RE = re.compile(r"^(?P<family>[a-z_0-9]+)\((?P<param>-?\d+)\)$")
+
+
+@functools.cache
+def _validated(name: str) -> FusionRing:
+    # builtins are immutable, so each is built and validated once per process
+    ring = _REGISTRY[name][0]()
+    report = validate_ring(ring)
+    if not report.passed:
+        raise AssertionError(f"builtin ring {name} fails validation: {report.violations[:3]}")
+    return ring
 
 
 def builtin_ring(name: str) -> FusionRing:
     """Return a validated builtin ring by name, e.g. 'fib' or 'vec_cyclic(3)'."""
     base = name.strip()
-    if base == "fib":
-        return _fib()
-    if base == "ising":
-        return _ising()
-    if base == "rep_s3":
-        return _rep_s3()
     match = _PARAM_RE.match(base)
-    if match:
-        family = match.group("family")
-        n = int(match.group("param"))
-        if family == "vec_cyclic":
-            if not 1 <= n <= VEC_CYCLIC_MAX:
-                raise CatalogError(f"vec_cyclic parameter must be in 1..{VEC_CYCLIC_MAX}, got {n}")
-            return _vec_cyclic(n)
-        if family == "matrix_multifusion":
-            if not 1 <= n <= MATRIX_MULTIFUSION_MAX:
-                raise CatalogError(
-                    f"matrix_multifusion parameter must be in 1..{MATRIX_MULTIFUSION_MAX}, got {n}"
-                )
-            return _matrix_multifusion(n)
-    raise CatalogError(f"unknown builtin ring {name!r}")
+    if match:  # 'vec_cyclic(03)' names the same ring as 'vec_cyclic(3)'
+        base = f"{match.group('family')}({int(match.group('param'))})"
+    if base not in _REGISTRY:
+        raise CatalogError(f"unknown builtin ring {name!r}; `divalg catalog list` names them all")
+    return _validated(base)
 
 
 def entries() -> tuple[CatalogEntry, ...]:
     """Every builtin ring at every supported parameter, all validated."""
-    items = [
-        CatalogEntry("fib", _fib(), "rank-2 ring with tau (x) tau = 1 + tau"),
-        CatalogEntry("ising", _ising(), "rank-3 self-dual ring with sigma (x) sigma = 1 + eps"),
-        CatalogEntry("rep_s3", _rep_s3(), "character ring of the symmetric group on 3 letters"),
-    ]
-    for n in range(1, VEC_CYCLIC_MAX + 1):
-        items.append(CatalogEntry(f"vec_cyclic({n})", _vec_cyclic(n), f"group ring of Z/{n}"))
-    for n in range(1, MATRIX_MULTIFUSION_MAX + 1):
-        items.append(
-            CatalogEntry(
-                f"matrix_multifusion({n})",
-                _matrix_multifusion(n),
-                f"{n}x{n} matrix-unit ring; the unit decomposes into {n} simples",
-            )
-        )
-    for entry in items:
-        report = validate_ring(entry.ring)
-        if not report.passed:
-            raise AssertionError(f"builtin ring {entry.name} fails validation: {report.violations[:3]}")
-    return tuple(items)
+    return tuple(
+        CatalogEntry(name, _validated(name), note) for name, (_, note) in _REGISTRY.items()
+    )

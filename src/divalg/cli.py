@@ -21,16 +21,7 @@ import numpy as np
 
 from . import __version__
 from . import catalog, monads, nimreps, rings
-from .errors import (
-    BudgetExceededError,
-    CatalogError,
-    DecomposableModuleError,
-    DegenerateMonadError,
-    DivalgError,
-    PowerIterationError,
-    StructuralError,
-    ZeroObjectError,
-)
+from .errors import BudgetExceededError, DecomposableModuleError, DivalgError, StructuralError
 
 __all__ = ["RunReport", "export_report", "run", "main"]
 
@@ -46,10 +37,8 @@ class RunReport:
     inputs: dict
     payload: dict
     version: str
-    elapsed_seconds: float
 
     def body(self) -> dict:
-        # elapsed time is deliberately left out so repeated runs are byte-identical
         return {
             "command": list(self.command),
             "inputs": self.inputs,
@@ -149,29 +138,16 @@ def _resolve_ring(args) -> tuple[rings.FusionRing, dict]:
     return rings.FusionRing.from_payload(payload), {"ring_file": path, "ring": digest}
 
 
-def _parse_object(ring: rings.FusionRing, text: str) -> np.ndarray:
-    # a catalog label wins over a comma-separated vector of the same spelling
-    if text in ring.labels:
-        return ring.vector(text)
+def _parse_object(text: str, labels: Sequence[str]) -> str | list[int]:
+    # a label wins over a comma-separated vector of the same spelling
+    if text in labels:
+        return text
     try:
-        components = [int(part.strip()) for part in text.split(",")]
+        return [int(part.strip()) for part in text.split(",")]
     except ValueError:
         raise StructuralError(
-            f"object {text!r} is neither a label of this ring nor a multiplicity vector"
+            f"object {text!r} is neither a label nor a multiplicity vector"
         ) from None
-    return ring.vector(components)
-
-
-def _parse_module_vector(nr: nimreps.NimRep, text: str) -> np.ndarray:
-    if text in nr.module_labels:
-        return nr.vector(text)
-    try:
-        components = [int(part.strip()) for part in text.split(",")]
-    except ValueError:
-        raise StructuralError(
-            f"module object {text!r} is neither a module label nor a multiplicity vector"
-        ) from None
-    return nr.vector(components)
 
 
 def _classification_payload(ring: rings.FusionRing, report: rings.ClassificationReport) -> dict:
@@ -198,7 +174,7 @@ def _cmd_ring_classify(args) -> tuple[dict, dict, int]:
     validation = rings.validate_ring(ring)
     if not validation.passed:
         return validation.to_payload(), inputs, EXIT_INVALID_DATA
-    obj = _parse_object(ring, args.object)
+    obj = ring.vector(_parse_object(args.object, ring.labels))
     report = rings.classify_internal_end(ring, obj, side=args.side)
     payload = _classification_payload(ring, report)
     if args.fpdim:
@@ -239,7 +215,7 @@ def _cmd_nimrep_classify(args) -> tuple[dict, dict, int]:
     nim_report = nimreps.validate_nimrep(ring, nr)
     if not nim_report.passed:
         return nim_report.to_payload(), inputs, EXIT_INVALID_DATA
-    mv = _parse_module_vector(nr, args.object)
+    mv = nr.vector(_parse_object(args.object, nr.module_labels))
     report = nimreps.classify_internal_end_nimrep(ring, nr, mv)
     payload = report.to_payload()
     payload["module_labels"] = list(nr.module_labels)
@@ -372,15 +348,12 @@ def run(argv: Sequence[str]) -> int:
     started = time.perf_counter()
     try:
         payload, inputs, code = args.func(args)
-    except (BudgetExceededError, PowerIterationError) as exc:
+    except BudgetExceededError as exc:
         print(f"divalg: budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except DecomposableModuleError as exc:
         print(f"divalg: unsuitable input data: {exc}", file=sys.stderr)
         return EXIT_INVALID_DATA
-    except (StructuralError, CatalogError, ZeroObjectError, DegenerateMonadError) as exc:
-        print(f"divalg: {exc}", file=sys.stderr)
-        return EXIT_STRUCTURAL
     except DivalgError as exc:
         print(f"divalg: {exc}", file=sys.stderr)
         return EXIT_STRUCTURAL
@@ -392,7 +365,6 @@ def run(argv: Sequence[str]) -> int:
             inputs=_jsonable(inputs),
             payload=_jsonable(payload),
             version=__version__,
-            elapsed_seconds=elapsed,
         )
         sys.stdout.write(export_report(report, format=args.format))
     print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)

@@ -44,7 +44,3 @@ class DegenerateMonadError(DivalgError):
 
 class BudgetExceededError(DivalgError):
     """An enumeration or table construction would exceed the configured budget."""
-
-
-class PowerIterationError(DivalgError):
-    """Power iteration failed to converge within the iteration cap."""

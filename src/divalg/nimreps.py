@@ -205,10 +205,8 @@ def _classify_module_object(ring: FusionRing, nr: NimRep, mv: np.ndarray) -> Cla
     return ClassificationReport(
         object_vector=tuple(int(v) for v in mv),
         algebra_form="internal_end_of_module",
-        simplistic_left=simple,
-        simplistic_right=simple,
-        essential_left=essential,
-        essential_right=essential,
+        simplistic=simple,
+        essential=essential,
         slot_witnesses=witnesses,
         unreachable_targets=unreachable,
     )

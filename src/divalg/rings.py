@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import PowerIterationError, StructuralError, ZeroObjectError
+from .errors import BudgetExceededError, StructuralError, ZeroObjectError
 
 __all__ = [
     "FusionRing",
@@ -170,30 +170,16 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Division-algebra verdicts for an internal End algebra.
-
-    The left and right flags are carried separately even though the direct
-    classifiers produce equal values for both sides.
-    """
+    """Division-algebra verdicts for an internal End algebra."""
 
     object_vector: tuple[int, ...]
     algebra_form: str
-    simplistic_left: bool
-    simplistic_right: bool
-    essential_left: bool
-    essential_right: bool
+    simplistic: bool
+    essential: bool
     algebra_vector: Optional[tuple[int, ...]] = None
     inverse_witness: Optional[tuple[int, ...]] = None
     slot_witnesses: tuple[tuple[int, int], ...] = field(default=())
     unreachable_targets: tuple[tuple[int, ...], ...] = field(default=())
-
-    @property
-    def simplistic(self) -> bool:
-        return self.simplistic_left and self.simplistic_right
-
-    @property
-    def essential(self) -> bool:
-        return self.essential_left and self.essential_right
 
     def to_payload(self) -> dict:
         return {
@@ -201,11 +187,7 @@ class ClassificationReport:
             "algebra": None if self.algebra_vector is None else list(self.algebra_vector),
             "algebra_form": self.algebra_form,
             "simplistic": self.simplistic,
-            "simplistic_left": self.simplistic_left,
-            "simplistic_right": self.simplistic_right,
             "essential": self.essential,
-            "essential_left": self.essential_left,
-            "essential_right": self.essential_right,
             "witness": None if self.inverse_witness is None else list(self.inverse_witness),
             "slot_witnesses": [list(p) for p in self.slot_witnesses],
             "unreachable": [list(t) for t in self.unreachable_targets],
@@ -330,7 +312,7 @@ def _solve_inverse(ring: FusionRing, x: np.ndarray, side: str) -> Optional[np.nd
     for b in bounds:
         total *= b + 1
         if total > 1 << 20:
-            raise StructuralError("inverse search space too large for this ring")
+            raise BudgetExceededError("inverse search space too large for this ring")
     candidates = sorted(
         itertools.product(*(range(b + 1) for b in bounds)),
         key=lambda c: (sum(c), c),
@@ -358,56 +340,16 @@ def is_right_invertible(ring: FusionRing, x) -> Optional[np.ndarray]:
     return _solve_inverse(ring, vec, "right")
 
 
-def _strong_components(P: np.ndarray) -> list[list[int]]:
-    """Strongly connected components of the support digraph of P."""
-    n = P.shape[0]
-    closure = ((P > 0) | np.eye(n, dtype=bool)).astype(np.int64)
-    for _ in range(max(1, n.bit_length())):
-        closure = np.clip(closure @ closure, 0, 1)
-    groups: dict[int, list[int]] = {}
-    assigned: list[int] = []
-    for i in range(n):
-        for root in assigned:
-            if closure[root, i] and closure[i, root]:
-                groups[root].append(i)
-                break
-        else:
-            groups[i] = [i]
-            assigned.append(i)
-    return list(groups.values())
+def fp_dimension(ring: FusionRing, x) -> float:
+    """Perron eigenvalue of the multiplication matrix of x, from a dense eigensolver.
 
-
-def fp_dimension(ring: FusionRing, x, tol: float = 1e-9, max_iter: int = 10_000) -> float:
-    """Perron eigenvalue of the multiplication matrix of x, by power iteration.
-
-    Diagnostic output only; verdicts never depend on it.  The matrix of a
-    multifusion object can be reducible with nilpotent coupling between its
-    diagonal blocks, where plain iteration stalls, so the Perron root is
-    taken as the maximum over the strongly connected components; on each
-    component the iteration runs on the primitive matrix P + I and converges
-    geometrically.
+    Diagnostic output only; verdicts never depend on it.  The spectral radius
+    is the Perron root even where the matrix of a multifusion object is
+    reducible or nilpotent.
     """
     xv = _check_vector(ring, x)
     P = np.einsum("i,ijk->kj", xv, ring.fusion)
-    best = 0.0
-    for component in _strong_components(P):
-        block = P[np.ix_(component, component)].astype(float)
-        if len(component) == 1 and block[0, 0] == 0:
-            continue
-        Q = block + np.eye(len(component))
-        v = np.ones(len(component))
-        for _ in range(max_iter):
-            w = Q @ v
-            lam = float(v @ w) / float(v @ v)
-            v = w / w.max()
-            if np.abs(Q @ v - lam * v).max() <= tol * max(1.0, abs(lam)):
-                best = max(best, lam - 1.0)
-                break
-        else:
-            raise PowerIterationError(
-                f"no convergence to {tol} within {max_iter} iterations"
-            )
-    return best
+    return float(max(abs(np.linalg.eigvals(P))))
 
 
 def classify_internal_end(ring: FusionRing, x, side: str = "left") -> ClassificationReport:
@@ -437,10 +379,8 @@ def classify_internal_end(ring: FusionRing, x, side: str = "left") -> Classifica
     return ClassificationReport(
         object_vector=tuple(int(v) for v in vec),
         algebra_form=form,
-        simplistic_left=simple,
-        simplistic_right=simple,
-        essential_left=essential,
-        essential_right=essential,
+        simplistic=simple,
+        essential=essential,
         algebra_vector=tuple(int(v) for v in algebra),
         inverse_witness=None if witness is None else tuple(int(v) for v in witness),
         unreachable_targets=unreachable,

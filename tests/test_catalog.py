@@ -85,6 +85,13 @@ def test_builtin_ring_rejects_bad_names(name):
         d.builtin_ring(name)
 
 
+def test_each_builtin_is_built_once(catalog_entries):
+    fib = d.builtin_ring("fib")
+    assert d.builtin_ring(" fib ") is fib
+    assert catalog_entries[0].ring is fib
+    assert d.builtin_ring("vec_cyclic(03)") is d.builtin_ring("vec_cyclic(3)")
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
 def test_vec_cyclic_every_simple_invertible(n):
     ring = d.builtin_ring(f"vec_cyclic({n})")

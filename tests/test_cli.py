@@ -3,6 +3,8 @@ import json
 import divalg as d
 from divalg.cli import RunReport, export_report, run
 
+from util import vec_direct_sum
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -84,6 +86,17 @@ def test_unknown_builtin_exits_two(capsys):
 def test_zero_object_exits_two(capsys):
     code, _, err = run_cli(capsys, "ring", "classify", "--builtin", "fib", "--object", "0,0")
     assert code == 2
+
+
+def test_oversized_inverse_search_exits_three(capsys, tmp_path):
+    path = tmp_path / "sum21.json"
+    path.write_text(json.dumps(vec_direct_sum(21).to_payload()))
+    code, out, err = run_cli(
+        capsys, "ring", "classify", "--ring", str(path), "--object", ",".join(["1"] * 21)
+    )
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -269,7 +282,6 @@ def test_json_report_round_trips():
         inputs={"builtin": "fib"},
         payload={"passed": True, "violations": []},
         version=d.__version__,
-        elapsed_seconds=0.25,
     )
     text = export_report(report, format="json")
     assert json.loads(text) == report.body()

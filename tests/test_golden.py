@@ -1,0 +1,111 @@
+"""Pinned stdout of the CLI: every README example, the catalog and the builtin monads.
+
+Each entry maps a command line to the sha256 of its stdout.  Commands that read
+files run in a directory holding `fib.json` and `my_ring.json` (written by
+`catalog export`) and `module.json` (the regular NIM-rep of fib).  The Perron
+dimension printed by `--fpdim` is checked by value, since its last digits
+depend on the LAPACK build; the rest of that report is pinned.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+import divalg as d
+from divalg.cli import run
+
+GOLDEN = {
+    # README examples
+    "catalog list": "60ac759c946589e8a8ea60eb56b070b32da09c0f3fba8ab5808c7f8db680dcd4",
+    "catalog export --name fib --out fib.json": "f8970d4b9c772f1d748f77d7ba79894546e1631c0af30e6b37d94882a90e2193",
+    "ring validate --builtin ising": "924b874fca774ecd249ada0d7908188a96215e6d9be3c3e8e52bd24af816cb4d",
+    "ring validate my_ring.json": "1f307dbaf69653061c5cf18cafe757cc410896b630615e5960e30063de93d121",
+    "ring classify --builtin fib --object tau": "384d80c9687f5c67e4264cfebd054c0f65977cc833d9f9fc2ddeae3c14a3a65f",
+    "nimrep validate --ring fib.json --nimrep module.json --check-dual": "35be6dd97276ac9a88747712a23afacf490976239ac9017da11f31afde0269fc",
+    "nimrep classify --builtin fib --regular --object 0,1": "57fdc9476a359f6c5513f805aac525d00961f621c56d1082ede541a3253971a6",
+    "monad check maybe --max-size 7": "0a4dc169141e181484c31684f2b213cd0d8975cf1b17e839df2dacbed98104a6",
+    "monad check exception --marks 2 --max-size 4": "6328541166de7963c251d82d57f51e8a316e9d67223e18f07ed7e834b79016d5",
+    "monad check freevec2 --max-size 3": "d38bc1d3854bb189239811d787f45563f4e502b4d00e851923cbafe03e4ca06b",
+    "monad strength maybe --max-size 3": "fc9dedeb04f8b36183d0dbcd8c8fa80a333b5610e99698d7bf3ef758987ad840",
+    "--format markdown ring classify --builtin fib --object tau": "2aff98a12acca078a6d61c839c3a81fcedf312185d2fe6b5f724e4a604a808ee",
+    "--format markdown catalog list": "c852ada9bf885d4300bad92680a35478ff9b4328f4cc310df08d909fc8fb607c",
+    # every catalog entry
+    "ring validate --builtin fib": "7eecebdcea86dd41355108de4650106e13173a8d0bc2b9f8692969b768a7456b",
+    "ring validate --builtin rep_s3": "6b7eadd072d31e8eedd9322039c6ee506a638a977b957eddb369745e5fd8d462",
+    "ring validate --builtin vec_cyclic(1)": "ff39c0df232db6cbc91b87e1cbcd97ed500c43424ec62b24506fe3a7735cbda4",
+    "ring validate --builtin vec_cyclic(2)": "e89cf966bf9584143d103616ae9a4a48a68fb180223e1de1ad56bdb0e1a6f234",
+    "ring validate --builtin vec_cyclic(3)": "59ee0460524aae145ef36029a99d90bf0f65e4266d3d0f1d14ceece28367d53e",
+    "ring validate --builtin vec_cyclic(4)": "192ebd3584471963751b58200ab9e014f94cb61d950eaedb0f2eb274feabe914",
+    "ring validate --builtin vec_cyclic(5)": "160b4c0c61b75161920349edaebbdbaff2ece6ce823d4269cf33812ec8076b75",
+    "ring validate --builtin vec_cyclic(6)": "8b38501a90c3b8e7bc1939b9fcc07be6a6dc9d4acd15a49fc4ae8d20ca3a3854",
+    "ring validate --builtin vec_cyclic(7)": "dac7d4f1aee98bc8aca34d40c62bec6376926140d11630b1efca74335198a147",
+    "ring validate --builtin vec_cyclic(8)": "ab5db35432e0c7e2220903a1d63958e2e5e28d01cbd951f48322a36d212d49e9",
+    "ring validate --builtin vec_cyclic(9)": "f8c16868cc17229ebd44d5fa5b9f8e8b704530b6cca85e4a7a38f7cfa4794402",
+    "ring validate --builtin vec_cyclic(10)": "8acdabe0b3a7f30d7e38416acf0f54daac07bcdc245df44315d679cee7cd43c1",
+    "ring validate --builtin vec_cyclic(11)": "32bd490e31ced8c5628c75de5a6727ae154085ee6f4b2e5a9d9ab0cac3cfe5a0",
+    "ring validate --builtin vec_cyclic(12)": "5308bae09776b26e0f70c6729a5c2a21d25c3b3625324a0aa0c0359a41e47f64",
+    "ring validate --builtin matrix_multifusion(1)": "eff44d368151a2e69c975a3af187bb2ee27a72fa5ee7b5d91ba851da32745fb0",
+    "ring validate --builtin matrix_multifusion(2)": "8e8c8a6a3357c7c08b7dcac2c96c1e88f034f958cdab953224f4fc67953d5822",
+    "ring validate --builtin matrix_multifusion(3)": "3e9bc7f761af76063deae3a28f2daec89d661da17f76f1a897fca7f49dfcedc2",
+    # every builtin monad; freevec2 strength at size 3 exceeds the default budget
+    "monad check identity --max-size 7": "ed70cc470d90bcf034f83ba0be3c4d55e4430af435ef698768ebf8484a84230c",
+    "monad strength identity --max-size 3": "44adf98e90337db0bacf3eac5ce91ddde650d8a2b3dc3301485be323e1604325",
+    "monad strength exception --marks 2 --max-size 3": "9b2a048cc207b2e038b5c05c9e6937b9bc1206450bbb9711b2e8acd24afb3dae",
+    "monad strength freevec2 --max-size 2": "dca04bcd740af3d72bcd30d496bd9341ce86b245ceb8961c3d43f6d5441c1a1c",
+}
+
+FPDIM_COMMAND = "ring classify --builtin rep_s3 --object V --side right --fpdim"
+FPDIM_REST = "bf4309ca92bd57b50fd5b8d91e968802641f8ca3a4fbca605ff874c106ffc801"
+
+# `ring classify --side left`, `--side right` and `nimrep classify --regular` on
+# every label of every catalog entry, hashed as "<exit code>\n<stdout>" in order
+CLASSIFY_SWEEP = "8eee27799dec8d8e21389a618dc4582269427a0776f5dad35744514b5edb8023"
+
+
+def run_quiet(capsys, argv):
+    code = run(argv)
+    return code, capsys.readouterr().out
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.fixture()
+def fixture_dir(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for name, path in (("fib", "fib.json"), ("rep_s3", "my_ring.json")):
+        assert run_quiet(capsys, ["catalog", "export", "--name", name, "--out", path])[0] == 0
+    module = d.regular_nimrep(d.builtin_ring("fib")).to_payload()
+    (tmp_path / "module.json").write_text(json.dumps(module, sort_keys=True, indent=2) + "\n")
+    return tmp_path
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_stdout_digest(command, fixture_dir, capsys):
+    code, out = run_quiet(capsys, command.split())
+    assert code == 0
+    assert sha256(out) == GOLDEN[command]
+
+
+def test_fpdim_example(capsys):
+    code, out = run_quiet(capsys, FPDIM_COMMAND.split())
+    assert code == 0
+    report = json.loads(out)
+    assert abs(report["payload"].pop("fp_dimension") - 2.0) < 1e-12
+    assert sha256(json.dumps(report, sort_keys=True, indent=2) + "\n") == FPDIM_REST
+
+
+def test_classify_sweep_digest(capsys):
+    digest = hashlib.sha256()
+    for entry in d.entries():
+        for label in entry.ring.labels:
+            for argv in (
+                ["ring", "classify", "--builtin", entry.name, "--object", label, "--side", "left"],
+                ["ring", "classify", "--builtin", entry.name, "--object", label, "--side", "right"],
+                ["nimrep", "classify", "--builtin", entry.name, "--regular", "--object", label],
+            ):
+                code, out = run_quiet(capsys, argv)
+                digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == CLASSIFY_SWEEP

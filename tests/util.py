@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 
+import divalg as d
+
 
 def all_vectors(rank: int, max_total: int):
     """Every nonzero multiplicity vector with component sum <= max_total."""
@@ -37,3 +39,12 @@ def s3_character_fusion():
             for k in range(3):
                 fusion[i, j, k] = round((class_sizes * product * chars[k]).sum() / order)
     return fusion
+
+
+def vec_direct_sum(n: int):
+    """Direct sum of n copies of Vec: n orthogonal idempotent simples whose sum is the unit."""
+    fusion = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        fusion[i, i, i] = 1
+    labels = tuple(f"v{i}" for i in range(n))
+    return d.FusionRing(labels=labels, unit=[1] * n, dual=tuple(range(n)), fusion=fusion)
