@@ -138,6 +138,19 @@ def _resolve_ring(args) -> tuple[rings.FusionRing, dict]:
     return rings.FusionRing.from_payload(payload), {"ring_file": path, "ring": digest}
 
 
+def _resolve_valid_ring(args) -> tuple[rings.FusionRing, dict, Optional[dict]]:
+    """The ring, its inputs, and the violations of a ring file that fails validation.
+
+    Builtins are not validated again: the catalog validates each once per process.
+    """
+    ring, inputs = _resolve_ring(args)
+    if not args.builtin:
+        report = rings.validate_ring(ring)
+        if not report.passed:
+            return ring, inputs, report.to_payload()
+    return ring, inputs, None
+
+
 def _parse_object(text: str, labels: Sequence[str]) -> str | list[int]:
     # a label wins over a comma-separated vector of the same spelling
     if text in labels:
@@ -170,10 +183,9 @@ def _cmd_ring_validate(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_ring_classify(args) -> tuple[dict, dict, int]:
-    ring, inputs = _resolve_ring(args)
-    validation = rings.validate_ring(ring)
-    if not validation.passed:
-        return validation.to_payload(), inputs, EXIT_INVALID_DATA
+    ring, inputs, violations = _resolve_valid_ring(args)
+    if violations is not None:
+        return violations, inputs, EXIT_INVALID_DATA
     obj = ring.vector(_parse_object(args.object, ring.labels))
     report = rings.classify_internal_end(ring, obj, side=args.side)
     payload = _classification_payload(ring, report)
@@ -193,10 +205,9 @@ def _resolve_nimrep(args, ring: rings.FusionRing) -> tuple[nimreps.NimRep, dict]
 
 
 def _cmd_nimrep_validate(args) -> tuple[dict, dict, int]:
-    ring, inputs = _resolve_ring(args)
-    ring_report = rings.validate_ring(ring)
-    if not ring_report.passed:
-        return ring_report.to_payload(), inputs, EXIT_INVALID_DATA
+    ring, inputs, violations = _resolve_valid_ring(args)
+    if violations is not None:
+        return violations, inputs, EXIT_INVALID_DATA
     nr, nim_inputs = _resolve_nimrep(args, ring)
     inputs.update(nim_inputs)
     report = nimreps.validate_nimrep(ring, nr, check_dual=args.check_dual)
@@ -206,10 +217,9 @@ def _cmd_nimrep_validate(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_nimrep_classify(args) -> tuple[dict, dict, int]:
-    ring, inputs = _resolve_ring(args)
-    ring_report = rings.validate_ring(ring)
-    if not ring_report.passed:
-        return ring_report.to_payload(), inputs, EXIT_INVALID_DATA
+    ring, inputs, violations = _resolve_valid_ring(args)
+    if violations is not None:
+        return violations, inputs, EXIT_INVALID_DATA
     nr, nim_inputs = _resolve_nimrep(args, ring)
     inputs.update(nim_inputs)
     nim_report = nimreps.validate_nimrep(ring, nr)
@@ -234,8 +244,11 @@ def _cmd_catalog_export(args) -> tuple[Optional[dict], dict, int]:
     ring = catalog.builtin_ring(args.name)
     text = json.dumps(ring.to_payload(), sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise StructuralError(f"cannot write {args.out}: {exc}") from None
         return {"written": args.out, "ring": _ring_digest(ring)}, {"builtin": args.name}, EXIT_OK
     sys.stdout.write(text)
     return None, {}, EXIT_OK

@@ -345,19 +345,32 @@ class EmAlgebra:
         }
 
 
-def _transform_structure(monad: FiniteMonad, carrier: int, structure, perm) -> tuple[int, ...]:
-    t_perm = monad.t_mor(perm, carrier)
-    out = [0] * len(structure)
-    for p, val in enumerate(structure):
-        out[t_perm[p]] = perm[val]
+def _relabel(table, perm, moved) -> tuple[int, ...]:
+    """Carry a table D(Y) -> Y along perm; moved is the bijection perm induces on D(Y)."""
+    out = [0] * len(table)
+    for p, val in enumerate(table):
+        out[moved[p]] = perm[val]
     return tuple(out)
 
 
-def _canonical_structure(monad: FiniteMonad, carrier: int, structure) -> tuple[int, ...]:
-    return min(
-        _transform_structure(monad, carrier, structure, perm)
-        for perm in itertools.permutations(range(carrier))
-    ) if carrier else tuple(structure)
+def _isoclasses(tables, carrier: int, move) -> list[tuple[int, ...]]:
+    """The least table of each relabeling orbit met among tables, sorted; move(perm) is D(perm)."""
+    seen: set[tuple[int, ...]] = set()
+    found = []
+    for table in tables:
+        if table not in seen:
+            orbit = {_relabel(table, perm, move(perm)) for perm in itertools.permutations(range(carrier))}
+            seen |= orbit
+            found.append(min(orbit))
+    return sorted(found)
+
+
+def _isomorphism(carrier: int, a, b, move) -> Optional[tuple[int, ...]]:
+    """The first bijection of the carrier that relabels table a into table b."""
+    for perm in itertools.permutations(range(carrier)):
+        if _relabel(a, perm, move(perm)) == b:
+            return perm
+    return None
 
 
 def enumerate_em_algebras(
@@ -365,30 +378,28 @@ def enumerate_em_algebras(
 ) -> list[EmAlgebra]:
     """All structure maps satisfying both algebra axioms, one per isoclass.
 
-    Deduplication is up to carrier relabeling; the stored representative is
-    the lexicographically minimal structure table over all relabelings.
+    Deduplication is up to carrier relabeling: each isoclass's relabeling orbit
+    is enumerated once, so the carrier! cost is paid per isoclass rather than
+    per candidate.  The representative is the orbit's least structure table.
     """
     budget = _budget(budget)
     found: list[EmAlgebra] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
     for carrier in range(max_carrier + 1):
         tsize = monad.t_size(carrier)
         ttsize = monad.t_size(tsize)
         _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
         mu = monad.mu(carrier)
         eta = monad.eta(carrier)
+        structures = []
         for structure in monad.em_structure_candidates(carrier, budget):
             if any(structure[eta[x]] != x for x in range(carrier)):
                 continue
             t_structure = monad.t_mor(structure, carrier)
             if any(structure[t_structure[p]] != structure[mu[p]] for p in range(ttsize)):
                 continue
-            canon = _canonical_structure(monad, carrier, structure)
-            key = (carrier, canon)
-            if key not in seen:
-                seen.add(key)
-                found.append(EmAlgebra(monad.name, carrier, canon))
-    found.sort(key=lambda a: (a.carrier, a.structure))
+            structures.append(structure)
+        for canon in _isoclasses(structures, carrier, lambda perm: monad.t_mor(perm, carrier)):
+            found.append(EmAlgebra(monad.name, carrier, canon))
     return found
 
 
@@ -401,11 +412,7 @@ def em_isomorphic(monad: FiniteMonad, a: EmAlgebra, b: EmAlgebra) -> Optional[tu
     """A carrier bijection commuting with the structure maps, if one exists."""
     if a.carrier != b.carrier:
         return None
-    for perm in itertools.permutations(range(a.carrier)):
-        t_perm = monad.t_mor(perm, a.carrier)
-        if all(perm[a.structure[p]] == b.structure[t_perm[p]] for p in range(len(t_perm))):
-            return perm
-    return None
+    return _isomorphism(a.carrier, a.structure, b.structure, lambda perm: monad.t_mor(perm, a.carrier))
 
 
 @dataclass(frozen=True)
@@ -688,15 +695,6 @@ def _module_axioms_hold(algebra: MonoidAlgebra, carrier: int, action) -> bool:
     return lhs == rhs
 
 
-def _transform_action(algebra: MonoidAlgebra, carrier: int, action, perm) -> tuple[int, ...]:
-    amb = _ambient_of(algebra)
-    moved = amb.tensor_mor(perm, identity_table(algebra.carrier), carrier, algebra.carrier)
-    out = [0] * len(action)
-    for p, val in enumerate(action):
-        out[moved[p]] = perm[val]
-    return tuple(out)
-
-
 def enumerate_modules(
     algebra: MonoidAlgebra, max_carrier: int, budget: Optional[int] = None
 ) -> list[AlgebraModule]:
@@ -704,19 +702,16 @@ def enumerate_modules(
 
     This is the module-theoretic counterpart of the Eilenberg-Moore
     enumeration but runs entirely through the algebra's own tables, so the
-    two routes share no verdict logic.
+    two routes share no verdict logic, only the relabeling step that keeps the
+    least action table of each isoclass's orbit.
     """
     budget = _budget(budget)
     amb = _ambient_of(algebra)
     a = algebra.carrier
+    ident_a = identity_table(a)
     found: list[AlgebraModule] = []
-    seen: set[tuple[int, tuple[int, ...]]] = set()
     for carrier in range(max_carrier + 1):
         dom = amb.tensor(carrier, a)
-        if carrier == 0:
-            if dom == 0 and _module_axioms_hold(algebra, 0, ()):
-                found.append(AlgebraModule(0, ()))
-            continue
         unit_inc = amb.tensor_mor(identity_table(carrier), algebra.unit, carrier, a)
         template: list[int] = [-1] * dom
         consistent = True
@@ -730,22 +725,16 @@ def enumerate_modules(
             continue
         free = [p for p in range(dom) if template[p] == -1]
         _guard(carrier ** len(free), budget, f"module enumeration at carrier {carrier}")
+        actions = []
         for values in itertools.product(range(carrier), repeat=len(free)):
             action = template.copy()
             for p, v in zip(free, values):
                 action[p] = v
             action_t = tuple(action)
-            if not _module_axioms_hold(algebra, carrier, action_t):
-                continue
-            canon = min(
-                _transform_action(algebra, carrier, action_t, perm)
-                for perm in itertools.permutations(range(carrier))
-            )
-            key = (carrier, canon)
-            if key not in seen:
-                seen.add(key)
-                found.append(AlgebraModule(carrier, canon))
-    found.sort(key=lambda m: (m.carrier, m.action))
+            if _module_axioms_hold(algebra, carrier, action_t):
+                actions.append(action_t)
+        for canon in _isoclasses(actions, carrier, lambda perm: amb.tensor_mor(perm, ident_a, carrier, a)):
+            found.append(AlgebraModule(carrier, canon))
     return found
 
 
@@ -764,11 +753,9 @@ def module_isomorphic(
         return None
     amb = _ambient_of(algebra)
     ident_a = identity_table(algebra.carrier)
-    for perm in itertools.permutations(range(m1.carrier)):
-        moved = amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier)
-        if all(perm[m1.action[p]] == m2.action[moved[p]] for p in range(len(moved))):
-            return perm
-    return None
+    return _isomorphism(
+        m1.carrier, m1.action, m2.action, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier)
+    )
 
 
 def check_mon_ess_agreement(

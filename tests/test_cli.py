@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import divalg as d
 from divalg.cli import RunReport, export_report, run
 
@@ -68,6 +70,39 @@ def test_classify_on_broken_ring_exits_one(capsys, tmp_path):
     path.write_text(json.dumps(data))
     code, out, _ = run_cli(capsys, "ring", "classify", "--ring", str(path), "--object", "tau")
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["ring", "classify", "--object", "tau"],
+    ["nimrep", "validate", "--regular"],
+    ["nimrep", "classify", "--regular", "--object", "tau"],
+])
+def test_invalid_ring_file_exits_one(capsys, tmp_path, command):
+    data = d.builtin_ring("fib").to_payload()
+    data["fusion"][0][0][0] = 2
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    code, out, _ = run_cli(capsys, *command, "--ring", str(path))
+    assert code == 1
+    assert payload_of(out)["passed"] is False
+
+
+def test_builtin_ring_is_not_validated_again(capsys, monkeypatch):
+    d.builtin_ring("fib")
+    calls = []
+    validate = d.rings.validate_ring
+
+    def counting_validate(ring):
+        calls.append(ring)
+        return validate(ring)
+
+    monkeypatch.setattr(d.rings, "validate_ring", counting_validate)
+    code, _, _ = run_cli(capsys, "ring", "classify", "--builtin", "fib", "--object", "tau")
+    assert code == 0
+    assert calls == []
+    code, _, _ = run_cli(capsys, "ring", "validate", "--builtin", "fib")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):
@@ -210,6 +245,14 @@ def test_catalog_export_file_round_trip(capsys, tmp_path):
     code2, out2, _ = run_cli(capsys, "ring", "classify", "--ring", str(path), "--object", "g1")
     assert code2 == 0
     assert payload_of(out2)["essential"] is True
+
+
+def test_catalog_export_unwritable_path_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing" / "fib.json"
+    code, out, err = run_cli(capsys, "catalog", "export", "--name", "fib", "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert f"cannot write {path}" in err
 
 
 # ------------------------------------------------------------- monad verbs

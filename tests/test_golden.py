@@ -53,6 +53,11 @@ GOLDEN = {
     "monad strength identity --max-size 3": "44adf98e90337db0bacf3eac5ce91ddde650d8a2b3dc3301485be323e1604325",
     "monad strength exception --marks 2 --max-size 3": "9b2a048cc207b2e038b5c05c9e6937b9bc1206450bbb9711b2e8acd24afb3dae",
     "monad strength freevec2 --max-size 2": "dca04bcd740af3d72bcd30d496bd9341ce86b245ceb8961c3d43f6d5441c1a1c",
+    # the largest bounds of each builtin monad that the benchmark's em-ladder runs
+    "monad check maybe --max-size 8": "5ac2944cfe62c58e10a922ce682ac87cdd0012aa2390e3ada0157114bcec9716",
+    "monad check exception --marks 2 --max-size 7": "66b328a9a2234accf93372387fff033adb41c8dae6a080bb9bfea48c77bd8859",
+    "monad check exception --marks 3 --max-size 6": "78711adf490aaea4cf3486b4cb3e82ba5c68970a3b437138308ddcd9cdde76b9",
+    "monad check freevec2 --max-size 4": "9bba922ab99d2fecccdbe1359b2ef8f2be755fc66e1115f6043eb88dae89a428",
 }
 
 FPDIM_COMMAND = "ring classify --builtin rep_s3 --object V --side right --fpdim"

@@ -7,6 +7,71 @@ from divalg import monads as M
 from divalg.errors import BudgetExceededError, StructuralError
 
 
+# ------------------------------------------------- brute-force test oracles
+# EM structure tables T(Y) -> Y and module actions Y + A -> Y are function
+# tables D(Y) -> Y; a bijection perm of Y moves them along move(perm), the
+# bijection it induces on D(Y).  These oracles try every perm, unpruned.
+
+def em_move(monad, carrier):
+    return lambda perm: monad.t_mor(perm, carrier)
+
+
+def module_move(algebra, carrier):
+    # the algebras below all live on (FinSet, disjoint union): perm + id_A
+    return lambda perm: tuple(perm) + tuple(range(carrier, carrier + algebra.carrier))
+
+
+def commutes(perm, a, b, moved):
+    """The defining equation of an isomorphism a -> b: perm . a = b . move(perm)."""
+    return all(perm[a[p]] == b[moved[p]] for p in range(len(a)))
+
+
+def relabeled(table, perm, moved):
+    out = [None] * len(table)
+    for p, val in enumerate(table):
+        out[moved[p]] = perm[val]
+    return tuple(out)
+
+
+def brute_canonical(table, carrier, move):
+    return min(relabeled(table, perm, move(perm)) for perm in itertools.permutations(range(carrier)))
+
+
+def brute_isomorphic(a, b, carrier, move):
+    return any(commutes(perm, a, b, move(perm)) for perm in itertools.permutations(range(carrier)))
+
+
+def brute_is_module(algebra, carrier, action):
+    """Both right-module axioms on (FinSet, disjoint union), position by position."""
+    a = algebra.carrier
+    if any(action[y] != y for y in range(carrier)):
+        return False
+    # q indexes (Y + A) + A = Y + (A + A): act twice, or multiply in A and act once
+    for q in range(carrier + 2 * a):
+        twice = action[action[q]] if q < carrier + a else action[q - a]
+        once = action[q] if q < carrier else action[carrier + algebra.mult[q - carrier]]
+        if twice != once:
+            return False
+    return True
+
+
+def with_relabelings(tables, carrier, move):
+    """The tables plus two nontrivial relabelings of each, so isomorphic pairs are not all equal."""
+    perms = [tuple(reversed(range(carrier))), tuple(range(1, carrier)) + (0,)] if carrier > 1 else []
+    return tables + [relabeled(t, perm, move(perm)) for t in tables for perm in perms]
+
+
+def assert_isomorphism_matches_brute_force(isomorphic, groups, move):
+    """isomorphic(carrier, a, b) finds a witness exactly when the oracle does, and it commutes."""
+    for carrier, tables in groups.items():
+        carrier_move = move(carrier)
+        for a, b in itertools.product(with_relabelings(tables, carrier, carrier_move), repeat=2):
+            perm = isomorphic(carrier, a, b)
+            assert (perm is not None) == brute_isomorphic(a, b, carrier, carrier_move), (a, b)
+            if perm is not None:
+                assert commutes(perm, a, b, carrier_move(perm))
+
+
 @pytest.fixture(scope="module")
 def maybe():
     return d.maybe_monad()
@@ -136,13 +201,74 @@ def test_enumeration_matches_unpruned_brute_force(marks, bound):
                 if any(structure[t_structure[p]] != structure[mu[p]]
                        for p in range(len(mu))):
                     continue
-                seen.add(M._canonical_structure(monad, carrier, structure))
+                seen.add(brute_canonical(structure, carrier, em_move(monad, carrier)))
         expected.extend((carrier, s) for s in sorted(seen))
     got = [(a.carrier, a.structure) for a in d.enumerate_em_algebras(monad, bound)]
     assert got == expected
 
 
+def test_representative_does_not_depend_on_candidate_order():
+    # the naive generators meet each orbit's least table first; this one does not
+    class Reversed(d.CoproductException):
+        def em_structure_candidates(self, carrier, budget):
+            return reversed(list(super().em_structure_candidates(carrier, budget)))
+
+    got = [(a.carrier, a.structure) for a in d.enumerate_em_algebras(Reversed(2), 4)]
+    want = [(a.carrier, a.structure) for a in d.enumerate_em_algebras(d.CoproductException(2), 4)]
+    assert got == want
+
+
+@pytest.mark.parametrize("marks", [0, 1, 2])
+def test_module_enumeration_matches_unpruned_brute_force(marks):
+    """Oracle: filter every map Y + A -> Y by both module axioms, no pruning at all."""
+    algebra = d.algebra_from_strength(d.CoproductException(marks))
+    bound = 4
+    expected = []
+    for carrier in range(bound + 1):
+        seen = {
+            brute_canonical(action, carrier, module_move(algebra, carrier))
+            for action in itertools.product(range(carrier), repeat=carrier + algebra.carrier)
+            if brute_is_module(algebra, carrier, action)
+        }
+        expected.extend((carrier, s) for s in sorted(seen))
+    got = [(m.carrier, m.action) for m in d.enumerate_modules(algebra, bound)]
+    assert got == expected
+
+
 # ------------------------------------------------------------- isomorphism
+
+@pytest.mark.parametrize("name,marks,bound", [
+    ("maybe", None, 5), ("exception", 2, 5), ("exception", 3, 5), ("freevec2", None, 4),
+])
+def test_em_isomorphic_matches_brute_force(name, marks, bound):
+    monad = d.builtin_monad(name, marks=marks)
+    algebras = d.enumerate_em_algebras(monad, bound)
+    algebras += [d.free_algebra(monad, n) for n in range(bound + 1) if monad.t_size(n) <= bound]
+    groups = {}
+    for alg in algebras:
+        groups.setdefault(alg.carrier, []).append(alg.structure)
+
+    def isomorphic(carrier, a, b):
+        return d.em_isomorphic(monad, d.EmAlgebra(monad.name, carrier, a), d.EmAlgebra(monad.name, carrier, b))
+
+    assert_isomorphism_matches_brute_force(isomorphic, groups, lambda carrier: em_move(monad, carrier))
+
+
+@pytest.mark.parametrize("marks", [0, 1, 2])
+def test_module_isomorphic_matches_brute_force(marks):
+    algebra = d.algebra_from_strength(d.CoproductException(marks))
+    bound = 5
+    modules = d.enumerate_modules(algebra, bound)
+    modules += [d.free_module(algebra, n) for n in range(bound + 1 - marks)]
+    groups = {}
+    for module in modules:
+        groups.setdefault(module.carrier, []).append(module.action)
+
+    def isomorphic(carrier, a, b):
+        return d.module_isomorphic(algebra, d.AlgebraModule(carrier, a), d.AlgebraModule(carrier, b))
+
+    assert_isomorphism_matches_brute_force(isomorphic, groups, lambda carrier: module_move(algebra, carrier))
+
 
 def test_pointed_set_isomorphic_to_free(maybe):
     other_mark = d.EmAlgebra("maybe", 2, (0, 1, 0))
