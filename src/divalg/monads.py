@@ -353,24 +353,43 @@ def _relabel(table, perm, moved) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _isoclasses(tables, carrier: int, move) -> list[tuple[int, ...]]:
+def _orbit(table, carrier: int, move, budget: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """The relabeling orbit of table, each member mapped to a bijection of the carrier that produces it.
+
+    The orbit is closed breadth-first under the transposition (0 1) and the
+    cycle i -> i+1 mod carrier, which generate the symmetric group.  Since move
+    is a functor, relabeling a member reached by perm along gen gives the member
+    reached by gen . perm, so the work is proportional to the orbit, not carrier!.
+    """
+    start = tuple(table)
+    orbit = {start: identity_table(carrier)}
+    if carrier < 2:
+        return orbit
+    swap = (1, 0) + tuple(range(2, carrier))
+    cycle = tuple(range(1, carrier)) + (0,)
+    generators = [(gen, move(gen)) for gen in (swap, cycle)]
+    queue = [start]
+    for current in queue:
+        perm = orbit[current]
+        for gen, moved in generators:
+            image = _relabel(current, gen, moved)
+            if image not in orbit:
+                orbit[image] = compose(gen, perm)
+                _guard(len(orbit), budget, f"relabeling orbit at carrier {carrier}")
+                queue.append(image)
+    return orbit
+
+
+def _isoclasses(tables, carrier: int, move, budget: int) -> list[tuple[int, ...]]:
     """The least table of each relabeling orbit met among tables, sorted; move(perm) is D(perm)."""
     seen: set[tuple[int, ...]] = set()
     found = []
     for table in tables:
         if table not in seen:
-            orbit = {_relabel(table, perm, move(perm)) for perm in itertools.permutations(range(carrier))}
-            seen |= orbit
+            orbit = _orbit(table, carrier, move, budget)
+            seen.update(orbit)
             found.append(min(orbit))
     return sorted(found)
-
-
-def _isomorphism(carrier: int, a, b, move) -> Optional[tuple[int, ...]]:
-    """The first bijection of the carrier that relabels table a into table b."""
-    for perm in itertools.permutations(range(carrier)):
-        if _relabel(a, perm, move(perm)) == b:
-            return perm
-    return None
 
 
 def enumerate_em_algebras(
@@ -379,8 +398,10 @@ def enumerate_em_algebras(
     """All structure maps satisfying both algebra axioms, one per isoclass.
 
     Deduplication is up to carrier relabeling: each isoclass's relabeling orbit
-    is enumerated once, so the carrier! cost is paid per isoclass rather than
-    per candidate.  The representative is the orbit's least structure table.
+    is built once, from two generators of the symmetric group, so its cost is
+    proportional to the orbit's size rather than carrier!.  The representative
+    is the orbit's least structure table.  An orbit larger than the budget
+    raises BudgetExceededError.
     """
     budget = _budget(budget)
     found: list[EmAlgebra] = []
@@ -398,7 +419,7 @@ def enumerate_em_algebras(
             if any(structure[t_structure[p]] != structure[mu[p]] for p in range(ttsize)):
                 continue
             structures.append(structure)
-        for canon in _isoclasses(structures, carrier, lambda perm: monad.t_mor(perm, carrier)):
+        for canon in _isoclasses(structures, carrier, lambda perm: monad.t_mor(perm, carrier), budget):
             found.append(EmAlgebra(monad.name, carrier, canon))
     return found
 
@@ -409,10 +430,16 @@ def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
 
 
 def em_isomorphic(monad: FiniteMonad, a: EmAlgebra, b: EmAlgebra) -> Optional[tuple[int, ...]]:
-    """A carrier bijection commuting with the structure maps, if one exists."""
+    """A carrier bijection commuting with the structure maps, or None if there is none.
+
+    The witness is a bijection found in the relabeling orbit of a, not
+    necessarily the lexicographically first one.  An orbit larger than the
+    budget (DIVALG_BUDGET or the default) raises BudgetExceededError.
+    """
     if a.carrier != b.carrier:
         return None
-    return _isomorphism(a.carrier, a.structure, b.structure, lambda perm: monad.t_mor(perm, a.carrier))
+    orbit = _orbit(a.structure, a.carrier, lambda perm: monad.t_mor(perm, a.carrier), _budget(None))
+    return orbit.get(tuple(b.structure))
 
 
 @dataclass(frozen=True)
@@ -703,7 +730,8 @@ def enumerate_modules(
     This is the module-theoretic counterpart of the Eilenberg-Moore
     enumeration but runs entirely through the algebra's own tables, so the
     two routes share no verdict logic, only the relabeling step that keeps the
-    least action table of each isoclass's orbit.
+    least action table of each isoclass's orbit.  That orbit is built once per
+    isoclass, at a cost proportional to its size rather than carrier!.
     """
     budget = _budget(budget)
     amb = _ambient_of(algebra)
@@ -733,7 +761,7 @@ def enumerate_modules(
             action_t = tuple(action)
             if _module_axioms_hold(algebra, carrier, action_t):
                 actions.append(action_t)
-        for canon in _isoclasses(actions, carrier, lambda perm: amb.tensor_mor(perm, ident_a, carrier, a)):
+        for canon in _isoclasses(actions, carrier, lambda perm: amb.tensor_mor(perm, ident_a, carrier, a), budget):
             found.append(AlgebraModule(carrier, canon))
     return found
 
@@ -749,13 +777,20 @@ def free_module(algebra: MonoidAlgebra, n: int) -> AlgebraModule:
 def module_isomorphic(
     algebra: MonoidAlgebra, m1: AlgebraModule, m2: AlgebraModule
 ) -> Optional[tuple[int, ...]]:
+    """A carrier bijection perm with perm . m1 = m2 . (perm (x) id_A), or None if there is none.
+
+    The witness is a bijection found in the relabeling orbit of m1, not
+    necessarily the lexicographically first one.  An orbit larger than the
+    budget (DIVALG_BUDGET or the default) raises BudgetExceededError.
+    """
     if m1.carrier != m2.carrier:
         return None
     amb = _ambient_of(algebra)
     ident_a = identity_table(algebra.carrier)
-    return _isomorphism(
-        m1.carrier, m1.action, m2.action, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier)
+    orbit = _orbit(
+        m1.action, m1.carrier, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier), _budget(None)
     )
+    return orbit.get(tuple(m2.action))
 
 
 def check_mon_ess_agreement(

@@ -10,9 +10,8 @@ floating-point operation in this module is the diagnostic Perron eigenvalue.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -277,6 +276,24 @@ def _action_matrix(ring: FusionRing, x: np.ndarray, side: str) -> np.ndarray:
     return np.einsum("jik,j->ki", ring.fusion, x)
 
 
+def _candidates_by_total(bounds: list[int]) -> Iterator[tuple[int, ...]]:
+    """Every tuple c with 0 <= c_i <= bounds[i], by sum(c) and then lexicographically, one at a time."""
+    room = [0] * (len(bounds) + 1)  # room[i] is the largest sum of the coordinates from i on
+    for i in reversed(range(len(bounds))):
+        room[i] = room[i + 1] + bounds[i]
+
+    def fill(i: int, total: int) -> Iterator[tuple[int, ...]]:
+        if i == len(bounds):
+            yield ()
+            return
+        for c in range(max(0, total - room[i + 1]), min(bounds[i], total) + 1):
+            for tail in fill(i + 1, total - c):
+                yield (c,) + tail
+
+    for total in range(room[0] + 1):
+        yield from fill(0, total)
+
+
 def _solve_inverse(ring: FusionRing, x: np.ndarray, side: str) -> Optional[np.ndarray]:
     """Find nonnegative integer y with y(x)x = unit (side='left') or x(x)y = unit.
 
@@ -313,11 +330,7 @@ def _solve_inverse(ring: FusionRing, x: np.ndarray, side: str) -> Optional[np.nd
         total *= b + 1
         if total > 1 << 20:
             raise BudgetExceededError("inverse search space too large for this ring")
-    candidates = sorted(
-        itertools.product(*(range(b + 1) for b in bounds)),
-        key=lambda c: (sum(c), c),
-    )
-    for coeffs in candidates:
+    for coeffs in _candidates_by_total(bounds):
         if not any(coeffs):
             continue
         y = np.zeros(ring.rank, dtype=np.int64)

@@ -58,6 +58,10 @@ GOLDEN = {
     "monad check exception --marks 2 --max-size 7": "66b328a9a2234accf93372387fff033adb41c8dae6a080bb9bfea48c77bd8859",
     "monad check exception --marks 3 --max-size 6": "78711adf490aaea4cf3486b4cb3e82ba5c68970a3b437138308ddcd9cdde76b9",
     "monad check freevec2 --max-size 4": "9bba922ab99d2fecccdbe1359b2ef8f2be755fc66e1115f6043eb88dae89a428",
+    # bounds past the reach of a carrier! walk over every relabeling
+    "monad check maybe --max-size 10": "315233fa4a924ace9d9ecb3388441e04412646f8b3cd71f4e4d62e8828ab971a",
+    "monad check exception --marks 2 --max-size 9": "030b57289775f7f23f948474060f6fb347d0c6042cb5f87ccb3b4e74f04dacdc",
+    "monad check exception --marks 3 --max-size 8": "926aa14ec1574660cabaa5e3e57f22d2bee2db266cab1d8161bc19ab62d43057",
 }
 
 FPDIM_COMMAND = "ring classify --builtin rep_s3 --object V --side right --fpdim"

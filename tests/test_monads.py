@@ -235,6 +235,47 @@ def test_module_enumeration_matches_unpruned_brute_force(marks):
     assert got == expected
 
 
+# ---------------------------------------------------------- relabeling orbits
+
+# four distinct mark values at carrier 5: only the identity fixes it, so its orbit is all of S_5
+RIGID = (0, 1, 2, 3, 4, 0, 1, 2, 3)
+
+
+def _orbit_cases():
+    exc3 = d.CoproductException(3)
+    freevec = d.FreeVectorF2()
+    algebra = d.algebra_from_strength(d.CoproductException(2))
+    cases = [(a.carrier, a.structure, em_move(exc3, a.carrier)) for a in d.enumerate_em_algebras(exc3, 5)]
+    cases += [(a.carrier, a.structure, em_move(freevec, a.carrier)) for a in d.enumerate_em_algebras(freevec, 4)]
+    cases += [(m.carrier, m.action, module_move(algebra, m.carrier)) for m in d.enumerate_modules(algebra, 5)]
+    cases.append((5, RIGID, em_move(d.CoproductException(4), 5)))
+    return cases
+
+
+def test_orbit_is_every_relabeling_with_a_producing_bijection():
+    sizes = {}
+    for carrier, table, move in _orbit_cases():
+        orbit = M._orbit(table, carrier, move, M.DEFAULT_BUDGET)
+        perms = itertools.permutations(range(carrier))
+        assert set(orbit) == {relabeled(table, perm, move(perm)) for perm in perms}, table
+        for member, perm in orbit.items():
+            assert sorted(perm) == list(range(carrier))
+            assert relabeled(table, perm, move(perm)) == member
+        sizes[table] = len(orbit)
+    assert sizes[RIGID] == 120
+
+
+def test_orbit_past_the_budget_raises(monkeypatch):
+    # five distinct mark values at carrier 6: an orbit of 6! = 720 tables
+    monad = d.CoproductException(5)
+    a = d.EmAlgebra(monad.name, 6, (0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4))
+    b = d.EmAlgebra(monad.name, 6, (0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1))
+    assert d.em_isomorphic(monad, a, b) is not None
+    monkeypatch.setenv("DIVALG_BUDGET", "100")
+    with pytest.raises(BudgetExceededError):
+        d.em_isomorphic(monad, a, b)
+
+
 # ------------------------------------------------------------- isomorphism
 
 @pytest.mark.parametrize("name,marks,bound", [
@@ -307,13 +348,19 @@ def test_em_isomorphic_is_an_equivalence(maybe, exc2):
 
 # ------------------------------------------------------ adjunction verdicts
 
-@pytest.mark.parametrize("bound", [1, 2, 4, 6, 7])
+@pytest.mark.parametrize("bound", [1, 2, 4, 6, 7, 12])
 def test_maybe_is_adjunction_trivial_at_every_bound(maybe, bound):
     verdict = d.check_adjunction_trivial(maybe, bound)
     assert verdict.applicable
     assert verdict.trivial_up_to_bound is True
-    # every pointed set is matched to the free algebra on one element less
+    # one pointed set per carrier 1..bound, each matched to the free algebra on one element less
+    assert verdict.isoclass_count == bound
     assert all(alg.carrier - 1 == gen for alg, gen in verdict.free_witnesses)
+    for alg, gen in verdict.free_witnesses:
+        free = d.free_algebra(maybe, gen)
+        perm = d.em_isomorphic(maybe, alg, free)
+        assert sorted(perm) == list(range(alg.carrier))
+        assert commutes(perm, alg.structure, free.structure, maybe.t_mor(perm, alg.carrier))
 
 
 def test_identity_is_adjunction_trivial(identity):

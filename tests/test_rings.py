@@ -1,9 +1,12 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import divalg as d
+from divalg import rings as R
 from divalg.errors import BudgetExceededError, StructuralError, ZeroObjectError
 
 from util import vec_direct_sum
@@ -212,6 +215,25 @@ def test_oversized_inverse_search_exceeds_budget():
     assert d.validate_ring(ring).passed
     with pytest.raises(BudgetExceededError):
         d.is_left_invertible(ring, ring.unit)
+
+
+@pytest.mark.parametrize("bounds", [[], [1], [3], [2, 1, 3], [1, 1, 1, 1], [3, 2], [2, 2, 2]])
+def test_inverse_candidates_by_total_then_lexicographic(bounds):
+    want = sorted(itertools.product(*(range(b + 1) for b in bounds)), key=lambda c: (sum(c), c))
+    assert list(R._candidates_by_total(bounds)) == want
+
+
+def test_inverse_search_memory_stays_flat():
+    # the all-ones unit of 14 orthogonal idempotents is its own inverse, the last of 2**14 candidates
+    ring = vec_direct_sum(14)
+    tracemalloc.start()
+    try:
+        witness = d.is_left_invertible(ring, ring.unit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.tolist() == [1] * 14
+    assert peak < 1 << 20
 
 
 # ------------------------------------------------------------- fp dimension
