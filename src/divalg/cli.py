@@ -128,10 +128,12 @@ def _load_json(path: str) -> tuple[dict, str]:
 
 
 def _resolve_ring(args) -> tuple[rings.FusionRing, dict]:
-    if getattr(args, "builtin", None):
+    path = getattr(args, "ring", None) or getattr(args, "source", None)
+    if args.builtin:
+        if path:
+            raise StructuralError("give either --builtin or a ring file, not both")
         ring = catalog.builtin_ring(args.builtin)
         return ring, {"builtin": args.builtin, "ring": _ring_digest(ring)}
-    path = getattr(args, "ring", None) or getattr(args, "source", None)
     if not path:
         raise StructuralError("either --builtin or a ring file is required")
     payload, digest = _load_json(path)
@@ -195,7 +197,9 @@ def _cmd_ring_classify(args) -> tuple[dict, dict, int]:
 
 
 def _resolve_nimrep(args, ring: rings.FusionRing) -> tuple[nimreps.NimRep, dict]:
-    if getattr(args, "regular", False):
+    if args.regular:
+        if args.nimrep:
+            raise StructuralError("give either --nimrep FILE or --regular, not both")
         nr = nimreps.regular_nimrep(ring)
         return nr, {"nimrep": "regular"}
     if not args.nimrep:
@@ -252,6 +256,13 @@ def _cmd_catalog_export(args) -> tuple[Optional[dict], dict, int]:
         return {"written": args.out, "ring": _ring_digest(ring)}, {"builtin": args.name}, EXIT_OK
     sys.stdout.write(text)
     return None, {}, EXIT_OK
+
+
+def _max_size(text: str) -> int:
+    size = int(text)
+    if size < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {size}")
+    return size
 
 
 def _monad_from_args(args) -> monads.FiniteMonad:
@@ -337,13 +348,13 @@ def _build_parser() -> argparse.ArgumentParser:
     mc = mon_sub.add_parser("check", help="monad laws plus the adjunction-triviality verdict")
     mc.add_argument("name", choices=["maybe", "identity", "exception", "freevec2"])
     mc.add_argument("--marks", type=int, help="mark count for the exception monad")
-    mc.add_argument("--max-size", type=int, default=4, dest="max_size")
+    mc.add_argument("--max-size", type=_max_size, default=4, dest="max_size")
     mc.add_argument("--budget", type=int, default=None, help="table/candidate cap")
     mc.set_defaults(func=_cmd_monad_check)
     ms = mon_sub.add_parser("strength", help="left-strength axioms and the induced algebra")
     ms.add_argument("name", choices=["maybe", "identity", "exception", "freevec2"])
     ms.add_argument("--marks", type=int, help="mark count for the exception monad")
-    ms.add_argument("--max-size", type=int, default=3, dest="max_size")
+    ms.add_argument("--max-size", type=_max_size, default=3, dest="max_size")
     ms.add_argument("--budget", type=int, default=None, help="table/candidate cap")
     ms.set_defaults(func=_cmd_monad_strength)
 

@@ -68,6 +68,13 @@ def _guard(size: int, budget: int, what: str):
         raise BudgetExceededError(f"{what} needs {size} entries, budget is {budget}")
 
 
+def _mismatches(axiom: str, key: tuple[int, ...], lhs, rhs) -> list[Violation]:
+    """A Violation at key + (p,) for every position p where the tables lhs and rhs differ."""
+    if lhs == rhs:
+        return []
+    return [Violation(axiom, key + (p,), a, b) for p, (a, b) in enumerate(zip(lhs, rhs, strict=True)) if a != b]
+
+
 def identity_table(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
@@ -241,13 +248,9 @@ class FreeVectorF2(FiniteMonad):
         of its singleton values, so tables are generated from a zero element
         plus a symmetric pairwise sum table.  Candidates that fail the group
         laws are pruned here; survivors still get the full axiom check by the
-        enumerator.  Small carriers fall back to the naive generator.
+        enumerator.
         """
         tsize = 1 << carrier
-        naive = carrier ** (tsize - carrier) if carrier else 1
-        if carrier == 0 or naive <= 300_000:
-            yield from super().em_structure_candidates(carrier, budget)
-            return
         pairs = list(itertools.combinations(range(carrier), 2))
         count = carrier ** (len(pairs) + 1)
         _guard(count, budget, f"addition-law enumeration at carrier {carrier}")
@@ -314,19 +317,14 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
         unit_left = compose(mu_n, monad.t_mor(monad.eta(n), tn))
         unit_right = compose(mu_n, monad.eta(tn))
         ident = identity_table(tn)
-        for p in range(tn):
-            if unit_left[p] != ident[p]:
-                violations.append(Violation("monad_unit_left", (n, p), unit_left[p], ident[p]))
-            if unit_right[p] != ident[p]:
-                violations.append(Violation("monad_unit_right", (n, p), unit_right[p], ident[p]))
+        violations += _mismatches("monad_unit_left", (n,), unit_left, ident)
+        violations += _mismatches("monad_unit_right", (n,), unit_right, ident)
         ttn = monad.t_size(tn)
         if monad.t_size(ttn) > budget:
             continue
         lhs = compose(mu_n, monad.t_mor(mu_n, tn))
         rhs = compose(mu_n, monad.mu(tn))
-        for p in range(len(lhs)):
-            if lhs[p] != rhs[p]:
-                violations.append(Violation("monad_associativity", (n, p), lhs[p], rhs[p]))
+        violations += _mismatches("monad_associativity", (n,), lhs, rhs)
     return ValidationReport.from_violations(violations)
 
 
@@ -553,9 +551,7 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
     for x in sizes:
         # theta at the unit object must be the identity on T(x)
         table = monad.theta(amb.unit_size, x)
-        for p, val in enumerate(table):
-            if val != p:
-                violations.append(Violation("strength_ii", (x, p), val, p))
+        violations += _mismatches("strength_ii", (x,), table, identity_table(len(table)))
 
     for x in sizes:
         for y in sizes:
@@ -564,9 +560,7 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
 
             lhs = compose(monad.theta(x, y), amb.tensor_mor(identity_table(x), monad.eta(y), x, ty))
             rhs = monad.eta(amb.tensor(x, y))
-            for p in range(len(lhs)):
-                if lhs[p] != rhs[p]:
-                    violations.append(Violation("strength_iv", (x, y, p), lhs[p], rhs[p]))
+            violations += _mismatches("strength_iv", (x, y), lhs, rhs)
 
             _guard(monad.t_size(amb.tensor(x, ty)), budget, f"strength tables at sizes ({x}, {y})")
             _guard(monad.t_size(txy), budget, f"strength tables at sizes ({x}, {y})")
@@ -575,23 +569,18 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
                 monad.mu(amb.tensor(x, y)),
                 compose(monad.t_mor(monad.theta(x, y), txy), monad.theta(x, ty)),
             )
-            for p in range(len(lhs)):
-                if lhs[p] != rhs[p]:
-                    violations.append(Violation("strength_iii", (x, y, p), lhs[p], rhs[p]))
+            violations += _mismatches("strength_iii", (x, y), lhs, rhs)
 
     for x in sizes:
         for y in sizes:
             for z in sizes:
-                tz = monad.t_size(z)
                 tyz = monad.t_size(amb.tensor(y, z))
                 lhs = compose(
                     monad.theta(x, amb.tensor(y, z)),
                     amb.tensor_mor(identity_table(x), monad.theta(y, z), x, tyz),
                 )
                 rhs = monad.theta(amb.tensor(x, y), z)
-                for p in range(len(lhs)):
-                    if lhs[p] != rhs[p]:
-                        violations.append(Violation("strength_i", (x, y, z, p), lhs[p], rhs[p]))
+                violations += _mismatches("strength_i", (x, y, z), lhs, rhs)
 
     return ValidationReport.from_violations(violations)
 
@@ -840,7 +829,6 @@ def check_comparison_fully_faithful(
             tx, ty = monad.t_size(x), monad.t_size(y)
             _guard(ty ** tx, budget, f"morphism enumeration at sizes ({x}, {y})")
             mu_x, mu_y = monad.mu(x), monad.mu(y)
-            tty = monad.t_size(ty)
 
             def is_em_morphism(f: tuple[int, ...]) -> bool:
                 return compose(f, mu_x) == compose(mu_y, monad.t_mor(f, ty))

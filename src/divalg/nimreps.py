@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DecomposableModuleError, StructuralError, ZeroObjectError
+from .errors import DecomposableModuleError, StructuralError
 from .rings import (
     ClassificationReport,
     FusionRing,
@@ -20,6 +20,9 @@ from .rings import (
     Violation,
     _as_int_array,
     _freeze,
+    _record,
+    _require_nonzero,
+    _vector,
     classify_internal_end,
 )
 
@@ -62,18 +65,8 @@ class NimRep:
         return len(self.module_labels)
 
     def vector(self, data) -> np.ndarray:
-        if isinstance(data, str):
-            if data not in self.module_labels:
-                raise StructuralError(f"unknown module label {data!r}")
-            vec = np.zeros(self.module_rank, dtype=np.int64)
-            vec[self.module_labels.index(data)] = 1
-            return vec
-        vec = _as_int_array(data, "module vector")
-        if vec.shape != (self.module_rank,):
-            raise StructuralError(
-                f"module vector has shape {vec.shape}, expected ({self.module_rank},)"
-            )
-        return vec
+        """Coerce `data` (module label, index sequence, or vector) to a module vector."""
+        return _vector(data, self.module_labels, "module")
 
     def to_payload(self) -> dict:
         return {
@@ -115,31 +108,17 @@ def validate_nimrep(ring: FusionRing, nr: NimRep, check_dual: bool = False) -> V
     m = nr.module_rank
     violations: list[Violation] = []
 
-    unit_action = np.einsum("i,iab->ab", ring.unit, A)
-    eye = np.eye(m, dtype=np.int64)
-    for idx in np.argwhere(unit_action != eye):
-        key = tuple(int(v) for v in idx)
-        violations.append(Violation("unit_action", key, int(unit_action[key]), int(eye[key])))
+    _record(violations, "unit_action", np.einsum("i,iab->ab", ring.unit, A), np.eye(m, dtype=np.int64))
 
     for i in range(ring.rank):
         for j in range(ring.rank):
             lhs = A[i] @ A[j]
             rhs = np.einsum("k,kab->ab", ring.fusion[i, j], A)
-            for idx in np.argwhere(lhs != rhs):
-                a, b = (int(v) for v in idx)
-                violations.append(
-                    Violation("multiplicativity", (i, j, a, b), int(lhs[a, b]), int(rhs[a, b]))
-                )
+            _record(violations, "multiplicativity", lhs, rhs, (i, j))
 
     if check_dual:
         for i in range(ring.rank):
-            lhs = A[ring.dual[i]]
-            rhs = A[i].T
-            for idx in np.argwhere(lhs != rhs):
-                a, b = (int(v) for v in idx)
-                violations.append(
-                    Violation("dual_compatibility", (i, a, b), int(lhs[a, b]), int(rhs[a, b]))
-                )
+            _record(violations, "dual_compatibility", A[ring.dual[i]], A[i].T, (i,))
 
     return ValidationReport.from_violations(violations)
 
@@ -153,9 +132,7 @@ def act(ring: FusionRing, nr: NimRep, x, m) -> np.ndarray:
 
 
 def is_simple_module_object(m) -> bool:
-    vec = _as_int_array(m, "module vector")
-    if not vec.any():
-        raise ZeroObjectError("the zero module object is excluded here")
+    vec = _require_nonzero(_as_int_array(m, "module vector"))
     return int(vec.sum()) == 1
 
 
@@ -221,9 +198,7 @@ def classify_internal_end_nimrep(ring: FusionRing, nr: NimRep, m) -> Classificat
     unfounded.
     """
     _check_compatible(ring, nr)
-    mv = nr.vector(m)
-    if not mv.any():
-        raise ZeroObjectError("the zero module object is excluded here")
+    mv = _require_nonzero(nr.vector(m))
     components = module_components(nr)
     if len(components) > 1:
         raise DecomposableModuleError(
@@ -241,9 +216,7 @@ def cross_check_internal_end(ring: FusionRing, x) -> bool:
     so this runs the module core even when a decomposable unit makes the
     regular NIM-rep split into blocks.
     """
-    xv = ring.vector(x)
-    if not xv.any():
-        raise ZeroObjectError("the zero object is excluded here")
+    xv = _require_nonzero(ring.vector(x))
     direct = classify_internal_end(ring, xv, side="left")
     module = _classify_module_object(ring, regular_nimrep(ring), xv)
     return (

@@ -33,9 +33,6 @@ __all__ = [
     "classify_internal_end",
 ]
 
-ALGEBRA_FORMS = ("XtensorXdual", "dualXtensorX", "internal_end_of_module")
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -49,6 +46,18 @@ def _as_int_array(data, shape_name: str) -> np.ndarray:
     if arr.size and arr.min() < 0:
         raise StructuralError(f"{shape_name} has negative entries")
     return arr
+
+
+def _vector(data, labels: tuple[str, ...], what: str) -> np.ndarray:
+    """Coerce a label of `labels`, or a vector over them, to an int64 multiplicity vector."""
+    if isinstance(data, str):
+        if data not in labels:
+            raise StructuralError(f"unknown {what} label {data!r}")
+        data = [int(label == data) for label in labels]
+    vec = _as_int_array(data, f"{what} vector")
+    if vec.shape != (len(labels),):
+        raise StructuralError(f"{what} vector has shape {vec.shape}, expected ({len(labels)},)")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -94,16 +103,7 @@ class FusionRing:
 
     def vector(self, data) -> np.ndarray:
         """Coerce `data` (label, index sequence, or vector) to a multiplicity vector."""
-        if isinstance(data, str):
-            if data not in self.labels:
-                raise StructuralError(f"unknown object label {data!r}")
-            return self.basis(self.labels.index(data))
-        vec = _as_int_array(data, "object vector")
-        if vec.shape != (self.rank,):
-            raise StructuralError(
-                f"object vector has length {vec.shape}, expected ({self.rank},)"
-            )
-        return vec
+        return _vector(data, self.labels, "object")
 
     def describe(self, vec: np.ndarray) -> str:
         """Human-readable name of a multiplicity vector, e.g. '1 ⊔ tau'."""
@@ -193,13 +193,13 @@ class ClassificationReport:
         }
 
 
-def _check_vector(ring: FusionRing, x) -> np.ndarray:
-    vec = _as_int_array(x, "object vector")
-    if vec.shape != (ring.rank,):
-        raise StructuralError(
-            f"object vector has shape {vec.shape}, expected ({ring.rank},)"
-        )
-    return vec
+def _record(
+    violations: list[Violation], axiom: str, lhs: np.ndarray, rhs: np.ndarray, prefix: tuple[int, ...] = ()
+):
+    """Append a Violation for every entry where lhs and rhs differ, in row-major order."""
+    for idx in np.argwhere(lhs != rhs):
+        key = tuple(int(v) for v in idx)
+        violations.append(Violation(axiom, prefix + key, int(lhs[key]), int(rhs[key])))
 
 
 def _require_nonzero(vec: np.ndarray) -> np.ndarray:
@@ -212,45 +212,33 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
     """Check the five axiom families and itemize every violation."""
     N = ring.fusion
     unit = ring.unit
-    dual = list(ring.dual)
+    dual = np.asarray(ring.dual)
     r = ring.rank
     eye = np.eye(r, dtype=np.int64)
     violations: list[Violation] = []
-
-    def record(axiom: str, lhs: np.ndarray, rhs: np.ndarray):
-        for idx in np.argwhere(lhs != rhs):
-            key = tuple(int(v) for v in idx)
-            violations.append(Violation(axiom, key, int(lhs[tuple(idx)]), int(rhs[tuple(idx)])))
-
-    record("unit_left", np.einsum("i,ijk->jk", unit, N), eye)
-    record("unit_right", np.einsum("i,jik->jk", unit, N), eye)
-    record(
+    _record(violations, "unit_left", np.einsum("i,ijk->jk", unit, N), eye)
+    _record(violations, "unit_right", np.einsum("i,jik->jk", unit, N), eye)
+    _record(
+        violations,
         "associativity",
         np.einsum("ijm,mkl->ijkl", N, N),
         np.einsum("jkm,iml->ijkl", N, N),
     )
-    dual_target = np.zeros((r, r), dtype=np.int64)
-    for i in range(r):
-        dual_target[i, dual[i]] = 1
-    record("duality_pairing", np.einsum("ijk,k->ij", N, unit), dual_target)
-    for i in range(r):
-        if dual[dual[i]] != i:
-            violations.append(Violation("duality_involution", (i,), dual[dual[i]], i))
+    _record(violations, "duality_pairing", np.einsum("ijk,k->ij", N, unit), eye[dual])
+    _record(violations, "duality_involution", dual[dual], np.arange(r))
     support = {i for i in range(r) if unit[i]}
     if {dual[i] for i in support} != support:
         violations.append(Violation("duality_unit_support", (), 0, 1))
-    record("frobenius_left", N, N[dual, :, :].transpose(0, 2, 1))
-    record("frobenius_right", N, N[:, dual, :].transpose(2, 1, 0))
-    for i in range(r):
-        if not N[i].any():
-            violations.append(Violation("no_zero_fusion_matrix", (i,), 0, 1))
+    _record(violations, "frobenius_left", N, N[dual, :, :].transpose(0, 2, 1))
+    _record(violations, "frobenius_right", N, N[:, dual, :].transpose(2, 1, 0))
+    _record(violations, "no_zero_fusion_matrix", N.any(axis=(1, 2)), np.ones(r, dtype=bool))
     return ValidationReport.from_violations(violations)
 
 
 def tensor(ring: FusionRing, x, y) -> np.ndarray:
     """Bilinear extension of the fusion rules: (x (x) y)_k = sum x_i y_j N_ijk."""
-    xv = _check_vector(ring, x)
-    yv = _check_vector(ring, y)
+    xv = ring.vector(x)
+    yv = ring.vector(y)
     return np.einsum("i,j,ijk->k", xv, yv, ring.fusion)
 
 
@@ -260,12 +248,12 @@ def length(x) -> int:
 
 
 def is_simple(ring: FusionRing, x) -> bool:
-    vec = _require_nonzero(_check_vector(ring, x))
+    vec = _require_nonzero(ring.vector(x))
     return length(vec) == 1
 
 
 def dual_object(ring: FusionRing, x) -> np.ndarray:
-    vec = _check_vector(ring, x)
+    vec = ring.vector(x)
     return vec[list(ring.dual)]
 
 
@@ -343,13 +331,13 @@ def _solve_inverse(ring: FusionRing, x: np.ndarray, side: str) -> Optional[np.nd
 
 def is_left_invertible(ring: FusionRing, x) -> Optional[np.ndarray]:
     """Witness y with y (x) x = unit, or None if no inverse exists."""
-    vec = _require_nonzero(_check_vector(ring, x))
+    vec = _require_nonzero(ring.vector(x))
     return _solve_inverse(ring, vec, "left")
 
 
 def is_right_invertible(ring: FusionRing, x) -> Optional[np.ndarray]:
     """Witness y with x (x) y = unit, or None if no inverse exists."""
-    vec = _require_nonzero(_check_vector(ring, x))
+    vec = _require_nonzero(ring.vector(x))
     return _solve_inverse(ring, vec, "right")
 
 
@@ -360,7 +348,7 @@ def fp_dimension(ring: FusionRing, x) -> float:
     is the Perron root even where the matrix of a multifusion object is
     reducible or nilpotent.
     """
-    xv = _check_vector(ring, x)
+    xv = ring.vector(x)
     P = np.einsum("i,ijk->kj", xv, ring.fusion)
     return float(max(abs(np.linalg.eigvals(P))))
 
@@ -374,7 +362,7 @@ def classify_internal_end(ring: FusionRing, x, side: str = "left") -> Classifica
     """
     if side not in ("left", "right"):
         raise StructuralError(f"side must be 'left' or 'right', got {side!r}")
-    vec = _require_nonzero(_check_vector(ring, x))
+    vec = _require_nonzero(ring.vector(x))
     simple = length(vec) == 1
     if side == "left":
         algebra = tensor(ring, vec, dual_object(ring, vec))

@@ -105,6 +105,22 @@ def test_builtin_ring_is_not_validated_again(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", [
+    ["ring", "validate", "--builtin", "fib", "{missing}"],
+    ["ring", "classify", "--builtin", "fib", "--ring", "{missing}", "--object", "tau"],
+    ["nimrep", "validate", "--builtin", "fib", "--ring", "{missing}", "--regular"],
+    ["nimrep", "validate", "--builtin", "fib", "--regular", "--nimrep", "{missing}"],
+    ["nimrep", "classify", "--builtin", "fib", "--ring", "{missing}", "--regular", "--object", "tau"],
+    ["nimrep", "classify", "--builtin", "fib", "--regular", "--nimrep", "{missing}", "--object", "tau"],
+])
+def test_two_sources_for_one_input_exit_two(capsys, tmp_path, command):
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run_cli(capsys, *(arg.format(missing=missing) for arg in command))
+    assert code == 2
+    assert out == ""
+    assert "not both" in err
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -285,6 +301,17 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("DIVALG_BUDGET", "10")
     code, _, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "2")
     assert code == 3
+
+
+@pytest.mark.parametrize("command", [
+    ["monad", "check", "maybe", "--max-size", "-1"],
+    ["monad", "strength", "maybe", "--max-size", "-2"],
+])
+def test_negative_max_size_exits_two(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert code == 2
+    assert out == ""
+    assert "--max-size" in err
 
 
 def test_monad_strength_maybe(capsys):

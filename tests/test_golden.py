@@ -2,9 +2,11 @@
 
 Each entry maps a command line to the sha256 of its stdout.  Commands that read
 files run in a directory holding `fib.json` and `my_ring.json` (written by
-`catalog export`) and `module.json` (the regular NIM-rep of fib).  The Perron
-dimension printed by `--fpdim` is checked by value, since its last digits
-depend on the LAPACK build; the rest of that report is pinned.
+`catalog export`), `module.json` (the regular NIM-rep of fib), and
+`broken_ring.json` and `broken_nimrep.json`, whose violation lists pin the
+order in which the validators itemize them.  The Perron dimension printed by
+`--fpdim` is checked by value, since its last digits depend on the LAPACK
+build; the rest of that report is pinned.
 """
 
 import hashlib
@@ -64,6 +66,25 @@ GOLDEN = {
     "monad check exception --marks 3 --max-size 8": "926aa14ec1574660cabaa5e3e57f22d2bee2db266cab1d8161bc19ab62d43057",
 }
 
+# a rank-3 ring failing every axiom family, and a NIM-rep of fib failing all three laws
+BROKEN_RING = {
+    "labels": ["1", "a", "b"],
+    "unit": [1, 0, 0],
+    "dual": [1, 2, 0],
+    "fusion": [
+        [[1, 0, 0], [0, 1, 0], [0, 1, 1]],
+        [[0, 1, 0], [0, 0, 2], [1, 0, 0]],
+        [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+    ],
+}
+BROKEN_NIMREP = {"module_labels": ["a", "b"], "actions": [[[1, 0], [1, 1]], [[0, 2], [1, 1]]]}
+
+# commands that exit 1 with the itemized violations on stdout
+GOLDEN_VIOLATIONS = {
+    "ring validate broken_ring.json": "b9de81a270ecb0ee18ba6368482d83ca61ec0ce31e6515a4900ff5da1b239858",
+    "nimrep validate --ring fib.json --nimrep broken_nimrep.json --check-dual": "ef50830d7d2b85fbf827793452e8a31e2bcd2431bdc4cba9b33592e1a4d7220c",
+}
+
 FPDIM_COMMAND = "ring classify --builtin rep_s3 --object V --side right --fpdim"
 FPDIM_REST = "bf4309ca92bd57b50fd5b8d91e968802641f8ca3a4fbca605ff874c106ffc801"
 
@@ -87,7 +108,8 @@ def fixture_dir(tmp_path, monkeypatch, capsys):
     for name, path in (("fib", "fib.json"), ("rep_s3", "my_ring.json")):
         assert run_quiet(capsys, ["catalog", "export", "--name", name, "--out", path])[0] == 0
     module = d.regular_nimrep(d.builtin_ring("fib")).to_payload()
-    (tmp_path / "module.json").write_text(json.dumps(module, sort_keys=True, indent=2) + "\n")
+    for name, data in (("module", module), ("broken_ring", BROKEN_RING), ("broken_nimrep", BROKEN_NIMREP)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
     return tmp_path
 
 
@@ -96,6 +118,13 @@ def test_stdout_digest(command, fixture_dir, capsys):
     code, out = run_quiet(capsys, command.split())
     assert code == 0
     assert sha256(out) == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_VIOLATIONS))
+def test_violations_digest(command, fixture_dir, capsys):
+    code, out = run_quiet(capsys, command.split())
+    assert code == 1
+    assert sha256(out) == GOLDEN_VIOLATIONS[command]
 
 
 def test_fpdim_example(capsys):

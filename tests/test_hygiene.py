@@ -1,0 +1,79 @@
+"""Dead names in the package: module-level names nothing reads, and locals stored but never read.
+
+A name counts as read when it appears anywhere in `src/`, `tests/` or `bench/` as
+a loaded name, an attribute or an imported name.  Dunder names are exempt, since
+the interpreter reads them.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "divalg"
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def read_names(tree: ast.AST) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def module_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def own_stores(scope: ast.AST) -> set[str]:
+    """Names that scope's own body binds, leaving out those bound in nested scopes."""
+    stores = set()
+    pending = list(ast.iter_child_nodes(scope))
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stores.add(node.id)
+        if not isinstance(node, SCOPES):
+            pending.extend(ast.iter_child_nodes(node))
+    return stores
+
+
+def test_every_module_level_name_is_read_somewhere():
+    read = set()
+    for top in ("src", "tests", "bench"):
+        for path in (ROOT / top).rglob("*.py"):
+            read |= read_names(parse(path))
+    dead = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name in sorted(module_level_names(parse(path)) - read)
+    ]
+    assert dead == []
+
+
+def test_every_local_is_read():
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for scope in ast.walk(parse(path)):
+            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                unread = own_stores(scope) - read_names(scope) - {"_"}
+                dead += [f"{path.stem}.{scope.name}: {name}" for name in sorted(unread)]
+    assert dead == []

@@ -114,6 +114,46 @@ def test_broken_multiplication_is_reported():
     assert any(v.axiom.startswith("monad_") for v in report.violations)
 
 
+class SwapFold(d.CoproductException):
+    """mu with the two marks swapped in both copies of S, so both unit laws fail at every carrier."""
+
+    def mu(self, n):
+        return tuple(2 * n + 1 - v if p >= n and v >= n else v for p, v in enumerate(super().mu(n)))
+
+
+# validate_monad(SwapFold(2), 1) as (axiom, index, lhs, rhs), with the two unit
+# laws interleaved position by position
+SWAP_FOLD_INTERLEAVED = [
+    ("monad_unit_left", (0, 0), 1, 0),
+    ("monad_unit_right", (0, 0), 1, 0),
+    ("monad_unit_left", (0, 1), 0, 1),
+    ("monad_unit_right", (0, 1), 0, 1),
+    ("monad_associativity", (0, 0), 0, 1),
+    ("monad_associativity", (0, 1), 1, 0),
+    ("monad_associativity", (0, 4), 1, 0),
+    ("monad_associativity", (0, 5), 0, 1),
+    ("monad_unit_left", (1, 1), 2, 1),
+    ("monad_unit_right", (1, 1), 2, 1),
+    ("monad_unit_left", (1, 2), 1, 2),
+    ("monad_unit_right", (1, 2), 1, 2),
+    ("monad_associativity", (1, 1), 1, 2),
+    ("monad_associativity", (1, 2), 2, 1),
+    ("monad_associativity", (1, 5), 2, 1),
+    ("monad_associativity", (1, 6), 1, 2),
+]
+
+
+def as_tuples(report):
+    return [(v.axiom, v.index, v.lhs, v.rhs) for v in report.violations]
+
+
+def test_monad_violations_come_law_by_law_within_each_carrier():
+    law_order = ["monad_unit_left", "monad_unit_right", "monad_associativity"]
+    grouped = sorted(SWAP_FOLD_INTERLEAVED, key=lambda v: (v[1][0], law_order.index(v[0])))
+    assert grouped != SWAP_FOLD_INTERLEAVED
+    assert as_tuples(d.validate_monad(SwapFold(2), 1)) == grouped
+
+
 # ------------------------------------------------------------- EM algebras
 
 def test_maybe_algebras_are_pointed_sets(maybe):
@@ -144,19 +184,35 @@ def test_freevec_structured_enumeration_matches_at_carrier_four(freevec):
     assert d.em_isomorphic(freevec, four, d.free_algebra(freevec, 2)) is not None
 
 
-def test_freevec_raw_structure_count_at_carrier_four(freevec):
-    # labeled count oracle: one Klein law per identity choice, so four in total
-    mu = freevec.mu(4)
-    eta = freevec.eta(4)
+def em_algebras_among(monad, carrier, candidates):
+    """The candidate structure tables that satisfy both algebra axioms, sorted."""
+    mu = monad.mu(carrier)
+    eta = monad.eta(carrier)
     valid = []
-    for structure in freevec.em_structure_candidates(4, M.DEFAULT_BUDGET):
-        if any(structure[eta[x]] != x for x in range(4)):
+    for structure in candidates:
+        if any(structure[eta[x]] != x for x in range(carrier)):
             continue
-        t_structure = freevec.t_mor(structure, 4)
+        t_structure = monad.t_mor(structure, carrier)
         if all(structure[t_structure[p]] == structure[mu[p]] for p in range(len(mu))):
             valid.append(structure)
+    return sorted(valid)
+
+
+def test_freevec_raw_structure_count_at_carrier_four(freevec):
+    # labeled count oracle: one Klein law per identity choice, so four in total
+    valid = em_algebras_among(freevec, 4, freevec.em_structure_candidates(4, M.DEFAULT_BUDGET))
     assert len(valid) == 4
     assert len(set(valid)) == 4
+
+
+@pytest.mark.parametrize("carrier", range(4))
+def test_freevec_addition_laws_match_the_unit_axiom_generator(freevec, carrier):
+    budget = M.DEFAULT_BUDGET
+    addition_laws = freevec.em_structure_candidates(carrier, budget)
+    unit_axiom_only = d.FiniteMonad.em_structure_candidates(freevec, carrier, budget)
+    assert em_algebras_among(freevec, carrier, addition_laws) == em_algebras_among(
+        freevec, carrier, unit_axiom_only
+    )
 
 
 def test_enumeration_budget(freevec):
@@ -445,6 +501,40 @@ def test_broken_strength_is_reported():
     assert {v.axiom for v in report.violations} <= {
         "strength_i", "strength_ii", "strength_iii", "strength_iv",
     }
+
+
+class FirstLastSwap(d.CoproductException):
+    """theta with its first and last positions swapped, so all four strength axioms fail."""
+
+    def theta(self, x, y):
+        table = list(super().theta(x, y))
+        table[0], table[-1] = table[-1], table[0]
+        return tuple(table)
+
+
+def test_strength_violations_are_itemized_in_order():
+    assert as_tuples(d.check_strength(FirstLastSwap(1), 1)) == [
+        ("strength_ii", (1, 0), 1, 0),
+        ("strength_ii", (1, 1), 0, 1),
+        ("strength_iv", (0, 1, 0), 1, 0),
+        ("strength_iii", (0, 1, 2), 0, 1),
+        ("strength_iv", (1, 0, 0), 1, 0),
+        ("strength_iii", (1, 0, 2), 0, 1),
+        ("strength_iv", (1, 1, 0), 2, 0),
+        ("strength_iii", (1, 1, 3), 0, 2),
+        ("strength_i", (0, 0, 1, 0), 0, 1),
+        ("strength_i", (0, 0, 1, 1), 1, 0),
+        ("strength_i", (0, 1, 0, 0), 0, 1),
+        ("strength_i", (0, 1, 0, 1), 1, 0),
+        ("strength_i", (0, 1, 1, 0), 0, 2),
+        ("strength_i", (0, 1, 1, 2), 2, 0),
+        ("strength_i", (1, 0, 1, 1), 0, 1),
+        ("strength_i", (1, 0, 1, 2), 1, 0),
+        ("strength_i", (1, 1, 0, 1), 0, 1),
+        ("strength_i", (1, 1, 0, 2), 1, 0),
+        ("strength_i", (1, 1, 1, 1), 0, 1),
+        ("strength_i", (1, 1, 1, 3), 1, 0),
+    ]
 
 
 def test_missing_strength_raises():
