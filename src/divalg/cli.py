@@ -10,6 +10,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -62,7 +63,7 @@ def _jsonable(value):
 def _markdown_cell(value) -> str:
     if isinstance(value, str):
         return value
-    return json.dumps(_jsonable(value), sort_keys=True)
+    return json.dumps(value, sort_keys=True)
 
 
 def _is_record_list(value) -> bool:
@@ -76,22 +77,24 @@ def _is_record_list(value) -> bool:
 
 def export_report(report: RunReport, format: str = "json") -> str:
     """Deterministic rendering; the JSON form round-trips."""
+    body = _jsonable(report.body())
     if format == "json":
-        return json.dumps(_jsonable(report.body()), sort_keys=True, indent=2) + "\n"
+        return json.dumps(body, sort_keys=True, indent=2) + "\n"
     if format == "markdown":
+        payload = body["payload"]
         lines = [
             "# divalg report",
             "",
             f"command: `{' '.join(report.command)}`",
             "",
         ]
-        scalar_keys = [k for k in sorted(report.payload) if not _is_record_list(report.payload[k])]
+        scalar_keys = [k for k in sorted(payload) if not _is_record_list(payload[k])]
         if scalar_keys:
             lines += ["| key | value |", "| --- | --- |"]
-            lines += [f"| {k} | {_markdown_cell(report.payload[k])} |" for k in scalar_keys]
+            lines += [f"| {k} | {_markdown_cell(payload[k])} |" for k in scalar_keys]
             lines.append("")
-        for key in sorted(report.payload):
-            value = report.payload[key]
+        for key in sorted(payload):
+            value = payload[key]
             if not _is_record_list(value):
                 continue
             columns = sorted(value[0])
@@ -295,7 +298,9 @@ def _cmd_monad_strength(args) -> tuple[dict, dict, int]:
     return payload, {"monad": monad.name}, EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by every `run` in the process."""
     parser = argparse.ArgumentParser(
         prog="divalg",
         description="Division-algebra verdicts for fusion rings, NIM-reps, and finite monads.",
@@ -384,12 +389,7 @@ def run(argv: Sequence[str]) -> int:
     elapsed = time.perf_counter() - started
 
     if payload is not None:
-        report = RunReport(
-            command=tuple(argv),
-            inputs=_jsonable(inputs),
-            payload=_jsonable(payload),
-            version=__version__,
-        )
+        report = RunReport(command=tuple(argv), inputs=inputs, payload=payload, version=__version__)
         sys.stdout.write(export_report(report, format=args.format))
     print(f"elapsed_seconds={elapsed:.3f}", file=sys.stderr)
     return code

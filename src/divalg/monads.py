@@ -287,6 +287,8 @@ def identity_monad() -> CoproductException:
 
 
 def builtin_monad(name: str, marks: Optional[int] = None) -> FiniteMonad:
+    if marks is not None and name != "exception":
+        raise StructuralError(f"marks apply to the exception monad only, not to {name!r}")
     if name == "maybe":
         return maybe_monad()
     if name == "identity":

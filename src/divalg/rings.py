@@ -43,6 +43,8 @@ def _as_int_array(data, shape_name: str) -> np.ndarray:
         arr = np.asarray(data, dtype=np.int64)
     except (TypeError, ValueError) as exc:
         raise StructuralError(f"{shape_name} is not an integer array: {exc}") from None
+    except OverflowError:
+        raise StructuralError(f"{shape_name} has an entry outside the int64 range") from None
     if arr.size and arr.min() < 0:
         raise StructuralError(f"{shape_name} has negative entries")
     return arr

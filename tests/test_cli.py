@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import divalg as d
+from divalg import cli
 from divalg.cli import RunReport, export_report, run
 
 from util import vec_direct_sum
@@ -119,6 +124,21 @@ def test_two_sources_for_one_input_exit_two(capsys, tmp_path, command):
     assert code == 2
     assert out == ""
     assert "not both" in err
+
+
+def test_integer_past_int64_exits_two(capsys, tmp_path):
+    data = d.builtin_ring("fib").to_payload()
+    data["fusion"][1][1][1] = 2**64
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    for command in (
+        ["ring", "classify", "--builtin", "fib", "--object", "18446744073709551616,0"],
+        ["ring", "validate", str(path)],
+    ):
+        code, out, err = run_cli(capsys, *command)
+        assert code == 2
+        assert out == ""
+        assert "int64" in err
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):
@@ -314,6 +334,15 @@ def test_negative_max_size_exits_two(capsys, command):
     assert "--max-size" in err
 
 
+@pytest.mark.parametrize("verb", ["check", "strength"])
+@pytest.mark.parametrize("name", ["maybe", "identity", "freevec2"])
+def test_marks_on_a_monad_without_marks_exits_two(capsys, verb, name):
+    code, out, err = run_cli(capsys, "monad", verb, name, "--marks", "5", "--max-size", "2")
+    assert code == 2
+    assert out == ""
+    assert "marks" in err
+
+
 def test_monad_strength_maybe(capsys):
     code, out, _ = run_cli(capsys, "monad", "strength", "maybe", "--max-size", "3")
     assert code == 0
@@ -338,6 +367,34 @@ def test_reports_are_byte_identical(capsys):
     _, first, _ = run_cli(capsys, "ring", "classify", "--builtin", "fib", "--object", "tau")
     _, second, _ = run_cli(capsys, "ring", "classify", "--builtin", "fib", "--object", "tau")
     assert first == second
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def fresh_process_stdout(argv):
+    src = str(Path(d.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-m", "divalg", *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    return done.stdout
+
+
+FIB_TAU = ["ring", "classify", "--builtin", "fib", "--object", "tau"]
+
+
+@pytest.mark.parametrize("first, first_code", [
+    (["--format", "markdown", *FIB_TAU], 0),
+    ([*FIB_TAU, "--fpdim"], 0),
+    (["ring", "classify", "--builtin", "fib"], 2),
+    (["--help"], 0),
+])
+def test_no_option_leaks_into_the_next_run(capsys, first, first_code):
+    assert run_cli(capsys, *first)[0] == first_code
+    code, out, _ = run_cli(capsys, *FIB_TAU)
+    assert code == 0
+    assert out == fresh_process_stdout(FIB_TAU)
 
 
 def test_timing_goes_to_stderr_only(capsys):

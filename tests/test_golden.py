@@ -17,6 +17,8 @@ import pytest
 import divalg as d
 from divalg.cli import run
 
+from util import BROKEN_NIMREP
+
 GOLDEN = {
     # README examples
     "catalog list": "60ac759c946589e8a8ea60eb56b070b32da09c0f3fba8ab5808c7f8db680dcd4",
@@ -64,9 +66,28 @@ GOLDEN = {
     "monad check maybe --max-size 10": "315233fa4a924ace9d9ecb3388441e04412646f8b3cd71f4e4d62e8828ab971a",
     "monad check exception --marks 2 --max-size 9": "030b57289775f7f23f948474060f6fb347d0c6042cb5f87ccb3b4e74f04dacdc",
     "monad check exception --marks 3 --max-size 8": "926aa14ec1574660cabaa5e3e57f22d2bee2db266cab1d8161bc19ab62d43057",
+    # the regular NIM-rep of every catalog entry, all three module laws
+    "nimrep validate --builtin fib --regular --check-dual": "13a597b41b2abec3ce8fb8b24a38d13ca1c61c2355db4d7c1b9e1f69fbbf2c1b",
+    "nimrep validate --builtin ising --regular --check-dual": "0acff5c7c76d38b6511da0e8fc3920ffa000078019edb57f74ee2b5b6985d885",
+    "nimrep validate --builtin rep_s3 --regular --check-dual": "7f544ef433c95e6f8497cc8455110062447b6e65db22f27649f3b73c4888c2d2",
+    "nimrep validate --builtin vec_cyclic(1) --regular --check-dual": "b9da1b55bf4334b5776b19bd1d25d6509bbe31d0c58dc2a5c583d2e6f8ed2cef",
+    "nimrep validate --builtin vec_cyclic(2) --regular --check-dual": "3d21fdbc16ae0217fb6b24b7bfe945c0da4197752cafccc923aaaefab88c6ec3",
+    "nimrep validate --builtin vec_cyclic(3) --regular --check-dual": "e5c6fb106e5ae1c90d1ffea9ec9bc04f130880594e95a588cb9c17b3b33c3eca",
+    "nimrep validate --builtin vec_cyclic(4) --regular --check-dual": "0abca6f719ec950606158300019681c89ad751dbe18e1a19dff996e890e0006d",
+    "nimrep validate --builtin vec_cyclic(5) --regular --check-dual": "ab0497e1080ffebb66746dc7fe9879f6758efe4d60510a25444cc4317559f08d",
+    "nimrep validate --builtin vec_cyclic(6) --regular --check-dual": "5184ba4dc728d4fd8a3844b67661868b59a4b7814212b44796b23a88811e7b3e",
+    "nimrep validate --builtin vec_cyclic(7) --regular --check-dual": "4e8a8099aa54b7d95d223adab6b5207cdce6bb7409c6f5dbb5c37844c7e73675",
+    "nimrep validate --builtin vec_cyclic(8) --regular --check-dual": "e549bb79fc1c05ed8c42c959c8246f6e456bd74ae0b1d1dd264da399a2721fa1",
+    "nimrep validate --builtin vec_cyclic(9) --regular --check-dual": "60352f2f568dea4bbc65c8080620c5777e5f19f309d2f965f99aa4bd8478157d",
+    "nimrep validate --builtin vec_cyclic(10) --regular --check-dual": "082b6b49f8f7502c4a65caed36b169932cce58937cbd169c8dffbc9acd099af1",
+    "nimrep validate --builtin vec_cyclic(11) --regular --check-dual": "bb393d549116ee0c15a71309c69af5195031259cfaa5c52a76736fa3269ed1d4",
+    "nimrep validate --builtin vec_cyclic(12) --regular --check-dual": "d739cf89f229f46ff99292bf2226faa577da9375875da3bdc038fc7237e4eea3",
+    "nimrep validate --builtin matrix_multifusion(1) --regular --check-dual": "d6ae22e5089d45006dc9043cb421a2a622ed3ae7bcaa5b4981ac0207585cfe25",
+    "nimrep validate --builtin matrix_multifusion(2) --regular --check-dual": "4953fe735655f8fa9e6667f32281198566a51461ce025a409870c36fb299104f",
+    "nimrep validate --builtin matrix_multifusion(3) --regular --check-dual": "f6d9f250f545180704326db211fd88786b23cddc81a9ac69090c0302ca02fef3",
 }
 
-# a rank-3 ring failing every axiom family, and a NIM-rep of fib failing all three laws
+# a rank-3 ring failing every axiom family; BROKEN_NIMREP is a NIM-rep of fib failing all three laws
 BROKEN_RING = {
     "labels": ["1", "a", "b"],
     "unit": [1, 0, 0],
@@ -77,7 +98,6 @@ BROKEN_RING = {
         [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
     ],
 }
-BROKEN_NIMREP = {"module_labels": ["a", "b"], "actions": [[[1, 0], [1, 1]], [[0, 2], [1, 1]]]}
 
 # commands that exit 1 with the itemized violations on stdout
 GOLDEN_VIOLATIONS = {

@@ -688,6 +688,9 @@ def test_builtin_monad_factory():
         d.builtin_monad("exception")
     with pytest.raises(StructuralError):
         d.builtin_monad("state")
+    for name in ("maybe", "identity", "freevec2"):
+        with pytest.raises(StructuralError):
+            d.builtin_monad(name, marks=1)
 
 
 def test_negative_marks_rejected():

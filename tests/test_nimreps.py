@@ -6,7 +6,7 @@ import pytest
 import divalg as d
 from divalg.errors import DecomposableModuleError, StructuralError, ZeroObjectError
 
-from util import all_vectors
+from util import BROKEN_NIMREP, all_vectors
 
 
 def _fib_nimrep(m_tau):
@@ -55,6 +55,68 @@ def test_dimension_mismatch_is_structural(fib):
     nr = d.NimRep(module_labels=("m",), actions=[[[1]]])
     with pytest.raises(StructuralError):
         d.validate_nimrep(fib, nr)
+
+
+# ------------------------------------------- per-row check against per-pair
+
+def _per_pair_violations(ring, nr, check_dual):
+    """The module laws checked one (i, j) pair and one entry at a time: the oracle of the per-row check."""
+    A = nr.actions
+    m = nr.module_rank
+    out = []
+
+    def record(axiom, lhs, rhs, prefix):
+        for a in range(m):
+            for b in range(m):
+                if lhs[a, b] != rhs[a, b]:
+                    out.append(d.Violation(axiom, prefix + (a, b), int(lhs[a, b]), int(rhs[a, b])))
+
+    record("unit_action", np.einsum("i,iab->ab", ring.unit, A), np.eye(m, dtype=np.int64), ())
+    for i in range(ring.rank):
+        for j in range(ring.rank):
+            rhs = np.einsum("k,kab->ab", ring.fusion[i, j], A)
+            record("multiplicativity", A[i] @ A[j], rhs, (i, j))
+    if check_dual:
+        for i in range(ring.rank):
+            record("dual_compatibility", A[ring.dual[i]], A[i].T, (i,))
+    return out
+
+
+def _perturbed_nimreps(ring, rng):
+    """Seeded NIM-reps that break the module laws: the regular one with entries
+    moved by one, and random actions on modules of rank 1 to 3."""
+    regular = d.regular_nimrep(ring)
+    for _ in range(3):
+        actions = regular.actions.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            i, a, b = (int(rng.integers(n)) for n in actions.shape)
+            actions[i, a, b] += 1 if actions[i, a, b] == 0 else int(rng.choice([-1, 1]))
+        yield d.NimRep(module_labels=regular.module_labels, actions=actions)
+    for m in (1, 2, 3):
+        actions = rng.integers(0, 3, size=(ring.rank, m, m))
+        yield d.NimRep(module_labels=tuple(f"s{a}" for a in range(m)), actions=actions)
+
+
+@pytest.mark.parametrize("check_dual", [False, True])
+def test_per_row_check_matches_per_pair_oracle(catalog_entries, check_dual):
+    rng = np.random.default_rng(6)
+    for entry in catalog_entries:
+        ring = entry.ring
+        compared = 0
+        for nr in (d.regular_nimrep(ring), *_perturbed_nimreps(ring, rng)):
+            expected = _per_pair_violations(ring, nr, check_dual)
+            report = d.validate_nimrep(ring, nr, check_dual=check_dual)
+            assert list(report.violations) == expected, entry.name
+            compared += len(expected)
+        assert compared > 0, entry.name
+
+
+@pytest.mark.parametrize("check_dual", [False, True])
+def test_per_row_check_matches_per_pair_oracle_on_broken_nimrep(fib, check_dual):
+    nr = d.NimRep.from_payload(BROKEN_NIMREP)
+    expected = _per_pair_violations(fib, nr, check_dual)
+    assert {v.axiom for v in expected} >= {"unit_action", "multiplicativity"}
+    assert list(d.validate_nimrep(fib, nr, check_dual=check_dual).violations) == expected
 
 
 # ------------------------------------------------------------------- acting

@@ -85,6 +85,8 @@ def test_passed_iff_no_violations(fib, rep_s3):
         dict(labels=("1", "x"), unit=[1, 0], dual=(0, 0), fusion=np.zeros((2, 2, 2), int)),
         dict(labels=("1", "1"), unit=[1, 0], dual=(0, 1), fusion=np.zeros((2, 2, 2), int)),
         dict(labels=("1", "x"), unit=[1, -1], dual=(0, 1), fusion=np.zeros((2, 2, 2), int)),
+        # an entry past int64, as a ring file can hold
+        dict(labels=("1",), unit=[1], dual=(0,), fusion=[[[2**64]]]),
     ],
 )
 def test_structural_errors_raise(kwargs):

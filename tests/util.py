@@ -6,6 +6,9 @@ import numpy as np
 
 import divalg as d
 
+# a NIM-rep of fib failing all three module laws (unit action, multiplicativity, dual compatibility)
+BROKEN_NIMREP = {"module_labels": ["a", "b"], "actions": [[[1, 0], [1, 1]], [[0, 2], [1, 1]]]}
+
 
 def all_vectors(rank: int, max_total: int):
     """Every nonzero multiplicity vector with component sum <= max_total."""
