@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from . import catalog, monads, nimreps, rings
 from .errors import BudgetExceededError, DecomposableModuleError, DivalgError, StructuralError
@@ -48,18 +46,6 @@ class RunReport:
         }
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    return value
-
-
 def _markdown_cell(value) -> str:
     if isinstance(value, str):
         return value
@@ -77,7 +63,7 @@ def _is_record_list(value) -> bool:
 
 def export_report(report: RunReport, format: str = "json") -> str:
     """Deterministic rendering; the JSON form round-trips."""
-    body = _jsonable(report.body())
+    body = report.body()
     if format == "json":
         return json.dumps(body, sort_keys=True, indent=2) + "\n"
     if format == "markdown":
@@ -170,11 +156,11 @@ def _parse_object(text: str, labels: Sequence[str]) -> str | list[int]:
 
 def _classification_payload(ring: rings.FusionRing, report: rings.ClassificationReport) -> dict:
     payload = report.to_payload()
-    payload["object_label"] = ring.describe(np.asarray(report.object_vector))
+    payload["object_label"] = ring.describe(report.object_vector)
     if report.algebra_vector is not None:
-        payload["algebra_label"] = ring.describe(np.asarray(report.algebra_vector))
+        payload["algebra_label"] = ring.describe(report.algebra_vector)
     if report.inverse_witness is not None:
-        payload["witness_label"] = ring.describe(np.asarray(report.inverse_witness))
+        payload["witness_label"] = ring.describe(report.inverse_witness)
     return payload
 
 
@@ -261,11 +247,11 @@ def _cmd_catalog_export(args) -> tuple[Optional[dict], dict, int]:
     return None, {}, EXIT_OK
 
 
-def _max_size(text: str) -> int:
-    size = int(text)
-    if size < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {size}")
-    return size
+def _nonnegative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
 
 
 def _monad_from_args(args) -> monads.FiniteMonad:
@@ -353,14 +339,14 @@ def _build_parser() -> argparse.ArgumentParser:
     mc = mon_sub.add_parser("check", help="monad laws plus the adjunction-triviality verdict")
     mc.add_argument("name", choices=["maybe", "identity", "exception", "freevec2"])
     mc.add_argument("--marks", type=int, help="mark count for the exception monad")
-    mc.add_argument("--max-size", type=_max_size, default=4, dest="max_size")
-    mc.add_argument("--budget", type=int, default=None, help="table/candidate cap")
+    mc.add_argument("--max-size", type=_nonnegative, default=4, dest="max_size")
+    mc.add_argument("--budget", type=_nonnegative, default=None, help="table/candidate cap")
     mc.set_defaults(func=_cmd_monad_check)
     ms = mon_sub.add_parser("strength", help="left-strength axioms and the induced algebra")
     ms.add_argument("name", choices=["maybe", "identity", "exception", "freevec2"])
     ms.add_argument("--marks", type=int, help="mark count for the exception monad")
-    ms.add_argument("--max-size", type=_max_size, default=3, dest="max_size")
-    ms.add_argument("--budget", type=int, default=None, help="table/candidate cap")
+    ms.add_argument("--max-size", type=_nonnegative, default=3, dest="max_size")
+    ms.add_argument("--budget", type=_nonnegative, default=None, help="table/candidate cap")
     ms.set_defaults(func=_cmd_monad_strength)
 
     return parser

@@ -58,9 +58,12 @@ BOUNDED_NOTE = "verdict quantifies over algebras with carrier size <= bound only
 
 
 def _budget(value: Optional[int]) -> int:
-    if value is not None:
-        return int(value)
-    return int(os.environ.get("DIVALG_BUDGET", str(DEFAULT_BUDGET)))
+    """The budget: `value`, else DIVALG_BUDGET, else the default; a nonnegative integer."""
+    if value is None:
+        value = os.environ.get("DIVALG_BUDGET", str(DEFAULT_BUDGET))
+    if isinstance(value, bool) or not str(value).strip().isdecimal():
+        raise StructuralError(f"budget must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 def _guard(size: int, budget: int, what: str):

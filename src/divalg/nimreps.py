@@ -141,28 +141,20 @@ def is_simple_module_object(m) -> bool:
 
 
 def module_components(nr: NimRep) -> list[list[int]]:
-    """Blocks of the module basis under all actions (union-find on nonzero entries)."""
-    m = nr.module_rank
-    parent = list(range(m))
+    """Blocks of the module basis under all actions, sorted, by transitive closure.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for mat in nr.actions:
-        for a, b in np.argwhere(mat):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for a in range(m):
-        groups.setdefault(find(a), []).append(a)
-    return sorted(groups.values())
+    Slots are linked by a nonzero entry of any action, either way round; the
+    reflexive link matrix is squared until it stops changing (at most
+    ceil(log2 m) products), and its distinct rows are the blocks.
+    """
+    linked = nr.actions.any(axis=0)
+    reach = (linked | linked.T | np.eye(nr.module_rank, dtype=bool)).astype(np.int64)
+    while not np.array_equal(square := (reach @ reach > 0).astype(np.int64), reach):
+        reach = square
+    return [list(block) for block in sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})]
 
 
-def _classify_module_object(ring: FusionRing, nr: NimRep, mv: np.ndarray) -> ClassificationReport:
+def _classify_module_object(nr: NimRep, mv: np.ndarray) -> ClassificationReport:
     """Verdicts for the internal End of a module object, slot-coverage rule.
 
     A unit module vector e_k has length one, and acting by any object is a sum
@@ -172,11 +164,9 @@ def _classify_module_object(ring: FusionRing, nr: NimRep, mv: np.ndarray) -> Cla
     """
     simple = int(mv.sum()) == 1
     covered: dict[int, int] = {}
-    for i in range(ring.rank):
-        image = nr.actions[i] @ mv
+    for i, image in enumerate(nr.actions @ mv):
         if image.sum() == 1:
-            k = int(image.argmax())
-            covered.setdefault(k, i)
+            covered.setdefault(int(image.argmax()), i)
     missing = [k for k in range(nr.module_rank) if k not in covered]
     essential = not missing
     unreachable = tuple(
@@ -209,7 +199,7 @@ def classify_internal_end_nimrep(ring: FusionRing, nr: NimRep, m) -> Classificat
             f"module basis splits into blocks {components}; classification needs an "
             "indecomposable module"
         )
-    return _classify_module_object(ring, nr, mv)
+    return _classify_module_object(nr, mv)
 
 
 def cross_check_internal_end(ring: FusionRing, x) -> bool:
@@ -222,7 +212,7 @@ def cross_check_internal_end(ring: FusionRing, x) -> bool:
     """
     xv = _require_nonzero(ring.vector(x))
     direct = classify_internal_end(ring, xv, side="left")
-    module = _classify_module_object(ring, regular_nimrep(ring), xv)
+    module = _classify_module_object(regular_nimrep(ring), xv)
     return (
         direct.simplistic == module.simplistic
         and direct.essential == module.essential

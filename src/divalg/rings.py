@@ -10,6 +10,7 @@ floating-point operation in this module is the diagnostic Perron eigenvalue.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
@@ -39,10 +40,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_int_array(data, shape_name: str) -> np.ndarray:
+    # object dtype keeps each entry's own type, so 1.7, True and "1" are rejected, never cast
+    arr = np.asarray(data, dtype=None if isinstance(data, np.ndarray) else object)
+    if arr.dtype.kind not in "iu" and not all(
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat
+    ):
+        raise StructuralError(f"{shape_name} has an entry that is not an integer")
     try:
-        arr = np.asarray(data, dtype=np.int64)
-    except (TypeError, ValueError) as exc:
-        raise StructuralError(f"{shape_name} is not an integer array: {exc}") from None
+        arr = arr.astype(np.int64, copy=False)
     except OverflowError:
         raise StructuralError(f"{shape_name} has an entry outside the int64 range") from None
     if arr.size and arr.min() < 0:
@@ -80,18 +85,18 @@ class FusionRing:
             raise StructuralError("labels must be distinct")
         unit = _as_int_array(self.unit, "unit")
         fusion = _as_int_array(self.fusion, "fusion")
-        dual = tuple(int(d) for d in self.dual)
+        dual = _as_int_array(self.dual, "dual").tolist()
         if unit.shape != (rank,):
             raise StructuralError(f"unit has shape {unit.shape}, expected ({rank},)")
         if fusion.shape != (rank, rank, rank):
             raise StructuralError(
                 f"fusion tensor has shape {fusion.shape}, expected ({rank}, {rank}, {rank})"
             )
-        if sorted(dual) != list(range(rank)):
+        if not isinstance(dual, list) or sorted(dual) != list(range(rank)):
             raise StructuralError("dual is not a permutation of the basis")
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unit", _freeze(unit))
-        object.__setattr__(self, "dual", dual)
+        object.__setattr__(self, "dual", tuple(dual))
         object.__setattr__(self, "fusion", _freeze(fusion))
 
     @property
@@ -107,7 +112,7 @@ class FusionRing:
         """Coerce `data` (label, index sequence, or vector) to a multiplicity vector."""
         return _vector(data, self.labels, "object")
 
-    def describe(self, vec: np.ndarray) -> str:
+    def describe(self, vec: Iterable[int]) -> str:
         """Human-readable name of a multiplicity vector, e.g. '1 ⊔ tau'."""
         parts = []
         for i, mult in enumerate(vec):
@@ -136,7 +141,7 @@ class FusionRing:
         return cls(
             labels=tuple(payload["labels"]),
             unit=payload["unit"],
-            dual=tuple(payload["dual"]),
+            dual=payload["dual"],
             fusion=payload["fusion"],
         )
 
@@ -240,8 +245,7 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
 def tensor(ring: FusionRing, x, y) -> np.ndarray:
     """Bilinear extension of the fusion rules: (x (x) y)_k = sum x_i y_j N_ijk."""
     xv = ring.vector(x)
-    yv = ring.vector(y)
-    return np.einsum("i,j,ijk->k", xv, yv, ring.fusion)
+    return _action_matrix(ring, ring.vector(y), "left") @ xv
 
 
 def length(x) -> int:
@@ -260,7 +264,7 @@ def dual_object(ring: FusionRing, x) -> np.ndarray:
 
 
 def _action_matrix(ring: FusionRing, x: np.ndarray, side: str) -> np.ndarray:
-    # column i = candidate basis object e_i tensored against x on the given side
+    # column i = e_i tensored against x on the given side; the one object-vector contraction here
     if side == "left":
         return np.einsum("ijk,j->ki", ring.fusion, x)
     return np.einsum("jik,j->ki", ring.fusion, x)
@@ -287,45 +291,28 @@ def _candidates_by_total(bounds: list[int]) -> Iterator[tuple[int, ...]]:
 def _solve_inverse(ring: FusionRing, x: np.ndarray, side: str) -> Optional[np.ndarray]:
     """Find nonnegative integer y with y(x)x = unit (side='left') or x(x)y = unit.
 
-    With a simple unit the length inequality forces both x and any witness to
-    be simple, so only basis candidates are tried.  With a decomposable unit
-    the inequality is unavailable (basis products may vanish) and witnesses
-    can be non-simple, e.g. the unit of a matrix-unit ring is its own inverse;
-    there the search enumerates the finitely many candidates allowed by the
-    componentwise bound y_i * R_ki <= unit_k.
+    One search serves every unit: y runs over the vectors allowed by the
+    componentwise bound y_i * R_ki <= unit_k, R_ki = (e_i tensored against x)_k,
+    by total and then lexicographically.  Witnesses can be non-simple, e.g. a
+    decomposable unit is its own inverse.  A simple unit needs no basis lookup:
+    by the duality pairing N_{i,x}^1 = delta_{i,x*} only the column of x* fits
+    under it when x is simple, and none does otherwise, so at most one
+    candidate is tried.
     """
     unit = ring.unit
-    if int(unit.sum()) == 1:
-        if int(x.sum()) > 1:
-            return None
-        matrix = _action_matrix(ring, x, side)
-        for i in range(ring.rank):
-            if np.array_equal(matrix[:, i], unit):
-                return ring.basis(i)
-        return None
-
     matrix = _action_matrix(ring, x, side)
-    bounds: list[int] = []
-    columns: list[int] = []
-    for i in range(ring.rank):
-        col = matrix[:, i]
-        if not col.any():
-            continue
-        cap = int(min(unit[k] // col[k] for k in range(ring.rank) if col[k]))
-        if cap > 0:
-            columns.append(i)
-            bounds.append(cap)
-    total = 1
-    for b in bounds:
-        total *= b + 1
-        if total > 1 << 20:
-            raise BudgetExceededError("inverse search space too large for this ring")
+    fits = matrix > 0
+    quotients = unit[:, None] // np.maximum(matrix, 1)
+    caps = quotients.min(axis=0, where=fits, initial=np.iinfo(np.int64).max)
+    columns = np.flatnonzero(fits.any(axis=0) & (caps > 0))
+    bounds = caps[columns].tolist()
+    if math.prod(b + 1 for b in bounds) > 1 << 20:
+        raise BudgetExceededError("inverse search space too large for this ring")
     for coeffs in _candidates_by_total(bounds):
         if not any(coeffs):
             continue
         y = np.zeros(ring.rank, dtype=np.int64)
-        for i, c in zip(columns, coeffs):
-            y[i] = c
+        y[columns] = coeffs
         if np.array_equal(matrix @ y, unit):
             return y
     return None
@@ -350,8 +337,7 @@ def fp_dimension(ring: FusionRing, x) -> float:
     is the Perron root even where the matrix of a multifusion object is
     reducible or nilpotent.
     """
-    xv = ring.vector(x)
-    P = np.einsum("i,ijk->kj", xv, ring.fusion)
+    P = _action_matrix(ring, ring.vector(x), "right")
     return float(max(abs(np.linalg.eigvals(P))))
 
 
@@ -368,12 +354,11 @@ def classify_internal_end(ring: FusionRing, x, side: str = "left") -> Classifica
     simple = length(vec) == 1
     if side == "left":
         algebra = tensor(ring, vec, dual_object(ring, vec))
-        witness = _solve_inverse(ring, vec, "left")
         form = "XtensorXdual"
     else:
         algebra = tensor(ring, dual_object(ring, vec), vec)
-        witness = _solve_inverse(ring, vec, "right")
         form = "dualXtensorX"
+    witness = _solve_inverse(ring, vec, side)
     essential = witness is not None
     unreachable: tuple[tuple[int, ...], ...] = ()
     if not essential:

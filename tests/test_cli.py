@@ -141,6 +141,34 @@ def test_integer_past_int64_exits_two(capsys, tmp_path):
         assert "int64" in err
 
 
+@pytest.mark.parametrize("entry", [1.7, 1.0, True, "1"])
+def test_non_integer_ring_entry_exits_two(capsys, tmp_path, entry):
+    # a cast would truncate 1.7 to 1 and pass a verdict on a different ring
+    data = d.builtin_ring("fib").to_payload()
+    data["fusion"][1][1][1] = entry
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "ring", "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
+
+
+@pytest.mark.parametrize("entry", [0.5, False, "0"])
+def test_non_integer_nimrep_entry_exits_two(capsys, tmp_path, entry):
+    ring = d.builtin_ring("fib")
+    data = d.regular_nimrep(ring).to_payload()
+    data["actions"][1][0][0] = entry
+    path = tmp_path / "nimrep.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(
+        capsys, "nimrep", "classify", "--builtin", "fib", "--nimrep", str(path), "--object", "0,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")
@@ -321,6 +349,29 @@ def test_budget_env_var(capsys, monkeypatch):
     monkeypatch.setenv("DIVALG_BUDGET", "10")
     code, _, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "2")
     assert code == 3
+
+
+def test_zero_budget_exits_three(capsys):
+    code, out, err = run_cli(capsys, "monad", "check", "maybe", "--max-size", "2", "--budget", "0")
+    assert code == 3
+    assert "budget is 0" in err
+
+
+@pytest.mark.parametrize("verb", ["check", "strength"])
+def test_negative_budget_option_exits_two(capsys, verb):
+    code, out, err = run_cli(capsys, "monad", verb, "maybe", "--max-size", "2", "--budget", "-1")
+    assert code == 2
+    assert out == ""
+    assert "--budget" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
+def test_bad_budget_env_var_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("DIVALG_BUDGET", value)
+    code, out, err = run_cli(capsys, "monad", "check", "maybe", "--max-size", "2")
+    assert code == 2
+    assert out == ""
+    assert "nonnegative integer" in err
 
 
 @pytest.mark.parametrize("command", [

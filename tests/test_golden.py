@@ -5,8 +5,9 @@ files run in a directory holding `fib.json` and `my_ring.json` (written by
 `catalog export`), `module.json` (the regular NIM-rep of fib), and
 `broken_ring.json` and `broken_nimrep.json`, whose violation lists pin the
 order in which the validators itemize them.  The Perron dimension printed by
-`--fpdim` is checked by value, since its last digits depend on the LAPACK
-build; the rest of that report is pinned.
+`--fpdim` is checked by value, or rounded to nine digits in the composite
+sweep, since its last digits depend on the LAPACK build; the rest of those
+reports is pinned.
 """
 
 import hashlib
@@ -112,6 +113,30 @@ FPDIM_REST = "bf4309ca92bd57b50fd5b8d91e968802641f8ca3a4fbca605ff874c106ffc801"
 # every label of every catalog entry, hashed as "<exit code>\n<stdout>" in order
 CLASSIFY_SWEEP = "8eee27799dec8d8e21389a618dc4582269427a0776f5dad35744514b5edb8023"
 
+# `ring classify --fpdim` on both sides, then `nimrep classify --regular`, on the unit
+# vector and then the all-ones vector of each catalog entry, hashed as
+# "<exit code>\n<stdout>" in order with the Perron dimension rounded to nine digits
+COMPOSITE_SWEEPS = {
+    "fib": "47e42b8c68e013f0a7af6f20add6c8c207ee78b76454edc1a9e3273cdaafb679",
+    "ising": "1f3d12b364c44f9ee112b59969eef5e0460aa42f893f58b2fae073f83e15ac94",
+    "rep_s3": "b416d94e93fc6aba409795a015f663df04d88016471f9369f95245a08db142e5",
+    "vec_cyclic(1)": "9940002345cad1b6f7996e31ba8a4b4a22d05f47d48c74f67af796528ac1066a",
+    "vec_cyclic(2)": "694467c7aa8e410e15052faab3650759a40f1128636dd98ccb96c47eec08f99f",
+    "vec_cyclic(3)": "d042e8bd1de8cf041feca7866a14f4def500911755b92376809fad9a6f21ab78",
+    "vec_cyclic(4)": "1e8681ab187cca1165ccac028779c5d3a3ab2810ba5c463c35d7ee896463340e",
+    "vec_cyclic(5)": "863163c09cbefdf74e881554d191c51a572a371b50f65650bc65b9a300a3dcb5",
+    "vec_cyclic(6)": "d8891f727f2a192decfed0a93b80593dec05cadbc23626f898ad05223f074f28",
+    "vec_cyclic(7)": "65ed6ca7f22189e2f8e60e7202b75256c4856fb08c6b553ab782519909505092",
+    "vec_cyclic(8)": "025b9dcb0921c74c2f1f5fe8ee79b9686b14a46ff6ee49dc916ecde613fe7bec",
+    "vec_cyclic(9)": "b4479b963e4c57beeba371b764d0b14cf163bf3cb6816fc6a25a8d44df024edc",
+    "vec_cyclic(10)": "eabe8d1f57cc21942a77c8fca770585ad032dcf4d92eceb905445c7ff51b7238",
+    "vec_cyclic(11)": "70508e0a217599ee2706bfbcec10b8de6cd05fc0f8d15ebce734f8cba46d94fc",
+    "vec_cyclic(12)": "7e1eb2ae6f03df32c526a712f95094ef5369908e38deb5e2d92e969eb8233423",
+    "matrix_multifusion(1)": "1435141e3a55c1bedc4c4aa6304a820c0ddf1fa8de4afcf20628f2d14c89821f",
+    "matrix_multifusion(2)": "ee1f2e86c9b78d3c8d4724e1c6f3ea880b28bcf8593318a7e5b7976cc2176993",
+    "matrix_multifusion(3)": "a5a62a266806a10125cfbd2f59381ae872120b9c98dfea9d046395f76689ef9f",
+}
+
 
 def run_quiet(capsys, argv):
     code = run(argv)
@@ -167,3 +192,28 @@ def test_classify_sweep_digest(capsys):
                 code, out = run_quiet(capsys, argv)
                 digest.update(f"{code}\n{out}".encode())
     assert digest.hexdigest() == CLASSIFY_SWEEP
+
+
+def _rounded_fpdim(out: str) -> str:
+    """The report with its Perron dimension rounded to nine digits, re-dumped as the CLI dumps it."""
+    report = json.loads(out)
+    report["payload"]["fp_dimension"] = round(report["payload"]["fp_dimension"], 9)
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def test_composite_objects_digest(capsys):
+    # the unit and the all-ones vector of every catalog entry reach the decomposable-unit
+    # inverse search and fp_dimension on composites, which the label sweep above does not
+    digests = {}
+    for entry in d.entries():
+        digest = hashlib.sha256()
+        for obj in (entry.ring.unit, [1] * entry.ring.rank):
+            text = ",".join(str(int(v)) for v in obj)
+            for side in ("left", "right"):
+                argv = ["ring", "classify", "--builtin", entry.name, "--object", text, "--side", side, "--fpdim"]
+                code, out = run_quiet(capsys, argv)
+                digest.update(f"{code}\n{_rounded_fpdim(out)}".encode())
+            code, out = run_quiet(capsys, ["nimrep", "classify", "--builtin", entry.name, "--regular", "--object", text])
+            digest.update(f"{code}\n{out}".encode())
+        digests[entry.name] = digest.hexdigest()
+    assert digests == COMPOSITE_SWEEPS

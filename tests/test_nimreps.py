@@ -150,6 +150,41 @@ def test_matrix_multifusion_regular_splits(mm2):
     assert d.module_components(d.regular_nimrep(mm2)) == [[0, 2], [1, 3]]
 
 
+def _union_find_components(nr):
+    """The block search as a union-find over nonzero action entries, kept as an oracle."""
+    parent = list(range(nr.module_rank))
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for mat in nr.actions:
+        for a, b in np.argwhere(mat):
+            parent[find(int(a))] = find(int(b))
+    groups = {}
+    for a in range(nr.module_rank):
+        groups.setdefault(find(a), []).append(a)
+    return sorted(groups.values())
+
+
+def test_closure_blocks_match_union_find_on_regular_nimreps(catalog_entries):
+    for entry in catalog_entries:
+        nr = d.regular_nimrep(entry.ring)
+        assert d.module_components(nr) == _union_find_components(nr), entry.name
+
+
+def test_closure_blocks_match_union_find_on_random_actions():
+    # sparse 0/1 actions leave isolated slots and several blocks; density 0 gives all-zero actions
+    rng = np.random.default_rng(5)
+    for m in range(1, 9):
+        for density in (0.0, 0.05, 0.15, 0.3, 0.6):
+            for _ in range(6):
+                actions = (rng.random((int(rng.integers(1, 4)), m, m)) < density).astype(np.int64)
+                nr = d.NimRep(module_labels=tuple(f"s{a}" for a in range(m)), actions=actions)
+                assert d.module_components(nr) == _union_find_components(nr), actions.tolist()
+
+
 # ----------------------------------------------------------- classification
 
 def test_classify_tau_slot(fib):

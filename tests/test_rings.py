@@ -9,7 +9,7 @@ import divalg as d
 from divalg import rings as R
 from divalg.errors import BudgetExceededError, StructuralError, ZeroObjectError
 
-from util import vec_direct_sum
+from util import relabeled, vec_direct_sum
 
 
 def _mutated(ring, index, value):
@@ -87,6 +87,13 @@ def test_passed_iff_no_violations(fib, rep_s3):
         dict(labels=("1", "x"), unit=[1, -1], dual=(0, 1), fusion=np.zeros((2, 2, 2), int)),
         # an entry past int64, as a ring file can hold
         dict(labels=("1",), unit=[1], dual=(0,), fusion=[[[2**64]]]),
+        # float, bool and string entries are rejected, not cast to 1
+        dict(labels=("1", "x"), unit=[1.0, 0], dual=(0, 1), fusion=np.zeros((2, 2, 2), int)),
+        dict(labels=("1",), unit=[1], dual=(0,), fusion=[[[True]]]),
+        dict(labels=("1",), unit=["1"], dual=(0,), fusion=[[[1]]]),
+        dict(labels=("1",), unit=[1], dual=(0,), fusion=np.ones((1, 1, 1))),
+        dict(labels=("1", "x"), unit=[1, 0], dual=(0, 1.0), fusion=np.zeros((2, 2, 2), int)),
+        dict(labels=("1", "x"), unit=[1, 0], dual="01", fusion=np.zeros((2, 2, 2), int)),
     ],
 )
 def test_structural_errors_raise(kwargs):
@@ -236,6 +243,68 @@ def test_inverse_search_memory_stays_flat():
         tracemalloc.stop()
     assert witness.tolist() == [1] * 14
     assert peak < 1 << 20
+
+
+def _two_branch_inverse(ring, x, side):
+    """The inverse search with its former basis lookup for a simple unit, kept as an oracle."""
+    unit = ring.unit
+    spec = "ijk,j->ki" if side == "left" else "jik,j->ki"
+    matrix = np.einsum(spec, ring.fusion, x)
+    if int(unit.sum()) == 1:
+        if int(x.sum()) > 1:
+            return None
+        for i in range(ring.rank):
+            if np.array_equal(matrix[:, i], unit):
+                return ring.basis(i)
+        return None
+    bounds, columns = [], []
+    for i in range(ring.rank):
+        col = matrix[:, i]
+        if not col.any():
+            continue
+        cap = int(min(unit[k] // col[k] for k in range(ring.rank) if col[k]))
+        if cap > 0:
+            columns.append(i)
+            bounds.append(cap)
+    for coeffs in sorted(itertools.product(*(range(b + 1) for b in bounds)), key=lambda c: (sum(c), c)):
+        y = np.zeros(ring.rank, dtype=np.int64)
+        y[columns] = coeffs
+        if any(coeffs) and np.array_equal(matrix @ y, unit):
+            return y
+    return None
+
+
+def _inverse_oracle_rings(catalog_entries):
+    rng = np.random.default_rng(2024)
+    out = [e.ring for e in catalog_entries] + [vec_direct_sum(n) for n in range(1, 9)]
+    for name in ("matrix_multifusion(2)", "matrix_multifusion(3)"):
+        ring = d.builtin_ring(name)
+        out += [relabeled(ring, rng.permutation(ring.rank)) for _ in range(3)]
+    return out
+
+
+def _inverse_oracle_objects(ring, rng):
+    """Every basis object, every nonzero vector with entries <= 2 up to rank 4, seeded composites above."""
+    objs = [ring.basis(i) for i in range(ring.rank)] + [ring.unit, np.ones(ring.rank, dtype=np.int64)]
+    if ring.rank <= 4:
+        objs += [np.array(v) for v in itertools.product(range(3), repeat=ring.rank) if any(v)]
+    else:
+        objs += [v for v in rng.integers(0, 3, size=(24, ring.rank)) if v.any()]
+        objs += [v for v in rng.integers(0, 2, size=(24, ring.rank)) if v.any()]
+    return objs
+
+
+def test_one_search_matches_the_two_branch_oracle(catalog_entries):
+    rng = np.random.default_rng(7)
+    for ring in _inverse_oracle_rings(catalog_entries):
+        assert d.validate_ring(ring).passed
+        for x in _inverse_oracle_objects(ring, rng):
+            for side, public in (("left", d.is_left_invertible), ("right", d.is_right_invertible)):
+                want = _two_branch_inverse(ring, x, side)
+                got = public(ring, x)
+                assert (got is None) == (want is None), (ring.labels, x, side)
+                if got is not None:
+                    assert got.tolist() == want.tolist(), (ring.labels, x, side)
 
 
 # ------------------------------------------------------------- fp dimension

@@ -44,6 +44,17 @@ def s3_character_fusion():
     return fusion
 
 
+def relabeled(ring, perm):
+    """The ring with new basis position q holding old basis object perm[q]."""
+    inverse = np.argsort(perm)
+    return d.FusionRing(
+        labels=tuple(ring.labels[p] for p in perm),
+        unit=ring.unit[perm],
+        dual=tuple(int(inverse[ring.dual[p]]) for p in perm),
+        fusion=ring.fusion[np.ix_(perm, perm, perm)],
+    )
+
+
 def vec_direct_sum(n: int):
     """Direct sum of n copies of Vec: n orthogonal idempotent simples whose sum is the unit."""
     fusion = np.zeros((n, n, n), dtype=np.int64)
