@@ -5,6 +5,16 @@ bad shapes, unknown names, zero objects) are distinct from axiom failures
 in otherwise well-formed data, which are distinct from blown search budgets.
 """
 
+__all__ = [
+    "DivalgError",
+    "StructuralError",
+    "ZeroObjectError",
+    "CatalogError",
+    "DecomposableModuleError",
+    "DegenerateMonadError",
+    "BudgetExceededError",
+]
+
 
 class DivalgError(Exception):
     """Base class for all toolkit errors."""

@@ -128,7 +128,6 @@ class FiniteMonad:
 
     name: str
     ambient = DisjointUnion
-    has_strength = False
 
     def t_size(self, n: int) -> int:
         raise NotImplementedError
@@ -176,7 +175,6 @@ class CoproductException(FiniteMonad):
     """
 
     ambient = DisjointUnion
-    has_strength = True
 
     def __init__(self, marks: int, name: Optional[str] = None):
         if marks < 0:
@@ -211,7 +209,6 @@ class FreeVectorF2(FiniteMonad):
     """
 
     ambient = CartesianProduct
-    has_strength = True
     name = "freevec2"
 
     def t_size(self, n: int) -> int:
@@ -481,16 +478,7 @@ class AdjunctionVerdict:
 
 
 def _generator_sizes(size_fn, target: int, cap: int) -> list[int]:
-    out = []
-    n = 0
-    while n <= cap:
-        size = size_fn(n)
-        if size > target:
-            break
-        if size == target:
-            out.append(n)
-        n += 1
-    return out
+    return [n for n in range(cap + 1) if size_fn(n) == target]
 
 
 STAR_PROBE_EXTRA = 2
@@ -546,8 +534,6 @@ def check_adjunction_trivial(
 
 def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = None) -> ValidationReport:
     """Pointwise check of the four left-strength axioms on sizes <= max_size."""
-    if not monad.has_strength:
-        raise StructuralError(f"monad {monad.name} provides no strength")
     budget = _budget(budget)
     amb = monad.ambient
     violations: list[Violation] = []
@@ -620,8 +606,6 @@ def is_very_strong(monad: FiniteMonad, max_size: int) -> StrengthIsoVerdict:
     On failure the witness is a cardinality mismatch between X (x) T(Y) and
     T(X (x) Y), or a same-size component that is not bijective.
     """
-    if not monad.has_strength:
-        raise StructuralError(f"monad {monad.name} provides no strength")
     amb = monad.ambient
     for x in range(max_size + 1):
         for y in range(max_size + 1):
@@ -640,7 +624,7 @@ class MonoidAlgebra:
     """An algebra object in the ambient monoidal category, as explicit tables."""
 
     name: str
-    ambient_kind: str
+    ambient: type
     carrier: int
     mult: tuple[int, ...]
     unit: tuple[int, ...]
@@ -648,15 +632,11 @@ class MonoidAlgebra:
     def to_payload(self) -> dict:
         return {
             "name": self.name,
-            "ambient": self.ambient_kind,
+            "ambient": self.ambient.kind,
             "carrier": self.carrier,
             "mult": list(self.mult),
             "unit": list(self.unit),
         }
-
-
-def _ambient_of(algebra: MonoidAlgebra):
-    return DisjointUnion if algebra.ambient_kind == DisjointUnion.kind else CartesianProduct
 
 
 def algebra_from_strength(monad: FiniteMonad) -> MonoidAlgebra:
@@ -666,8 +646,6 @@ def algebra_from_strength(monad: FiniteMonad) -> MonoidAlgebra:
     (T(unit), unit); the unit map is eta at the unit object.  Associativity
     and unitality are verified pointwise before returning.
     """
-    if not monad.has_strength:
-        raise StructuralError(f"monad {monad.name} provides no strength")
     amb = monad.ambient
     one = amb.unit_size
     carrier = monad.t_size(one)
@@ -685,7 +663,7 @@ def algebra_from_strength(monad: FiniteMonad) -> MonoidAlgebra:
         raise StructuralError(f"strength of {monad.name} induces a non-unital product")
     return MonoidAlgebra(
         name=f"T(1) of {monad.name}",
-        ambient_kind=amb.kind,
+        ambient=amb,
         carrier=carrier,
         mult=mult,
         unit=unit,
@@ -704,7 +682,7 @@ class AlgebraModule:
 
 
 def _module_axioms_hold(algebra: MonoidAlgebra, carrier: int, action) -> bool:
-    amb = _ambient_of(algebra)
+    amb = algebra.ambient
     a = algebra.carrier
     ident_y = identity_table(carrier)
     ident_a = identity_table(a)
@@ -728,7 +706,7 @@ def enumerate_modules(
     isoclass, at a cost proportional to its size rather than carrier!.
     """
     budget = _budget(budget)
-    amb = _ambient_of(algebra)
+    amb = algebra.ambient
     a = algebra.carrier
     ident_a = identity_table(a)
     found: list[AlgebraModule] = []
@@ -762,7 +740,7 @@ def enumerate_modules(
 
 def free_module(algebra: MonoidAlgebra, n: int) -> AlgebraModule:
     """Free right module on an n-element set: carrier n (x) A, action id (x) mult."""
-    amb = _ambient_of(algebra)
+    amb = algebra.ambient
     carrier = amb.tensor(n, algebra.carrier)
     action = amb.tensor_mor(identity_table(n), algebra.mult, n, algebra.carrier)
     return AlgebraModule(carrier, tuple(action))
@@ -779,7 +757,7 @@ def module_isomorphic(
     """
     if m1.carrier != m2.carrier:
         return None
-    amb = _ambient_of(algebra)
+    amb = algebra.ambient
     ident_a = identity_table(algebra.carrier)
     orbit = _orbit(
         m1.action, m1.carrier, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier), _budget(None)
@@ -807,7 +785,7 @@ def check_mon_ess_agreement(
         )
     algebra = algebra_from_strength(monad)
     modules = enumerate_modules(algebra, max_carrier, budget)
-    amb = _ambient_of(algebra)
+    amb = algebra.ambient
     essential = True
     for module in modules:
         sizes = _generator_sizes(lambda n: amb.tensor(n, algebra.carrier), module.carrier, module.carrier + 1)

@@ -20,8 +20,10 @@ from .rings import (
     Violation,
     _as_int_array,
     _freeze,
+    _labels,
     _record,
     _require_nonzero,
+    _row_products,
     _vector,
     classify_internal_end,
 )
@@ -81,7 +83,7 @@ class NimRep:
         missing = {"module_labels", "actions"} - set(payload)
         if missing:
             raise StructuralError(f"NIM-rep data missing fields: {sorted(missing)}")
-        return cls(module_labels=tuple(payload["module_labels"]), actions=payload["actions"])
+        return cls(module_labels=_labels(payload, "module_labels"), actions=payload["actions"])
 
 
 def regular_nimrep(ring: FusionRing) -> NimRep:
@@ -116,9 +118,7 @@ def validate_nimrep(ring: FusionRing, nr: NimRep, check_dual: bool = False) -> V
 
     _record(violations, "unit_action", np.einsum("i,iab->ab", ring.unit, A), np.eye(m, dtype=np.int64))
 
-    for i in range(ring.rank):
-        lhs = np.einsum("ab,jbc->jac", A[i], A)
-        rhs = np.einsum("jk,kab->jab", ring.fusion[i], A)
+    for i, lhs, rhs in _row_products(ring.fusion, A):
         _record(violations, "multiplicativity", lhs, rhs, (i,))
 
     if check_dual:

@@ -169,6 +169,31 @@ def test_non_integer_nimrep_entry_exits_two(capsys, tmp_path, entry):
     assert "not an integer" in err
 
 
+@pytest.mark.parametrize("labels", [5, None, "ab", [1, 2], ["1", 2]])
+def test_ring_labels_not_an_array_of_strings_exit_two(capsys, tmp_path, labels):
+    # "ab" would split into two labels and [1, 2] would be cast to strings
+    data = d.builtin_ring("fib").to_payload()
+    data["labels"] = labels
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "ring", "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert "array of strings" in err
+
+
+@pytest.mark.parametrize("labels", [7, None, "ab", [1, 2], ["a", 2]])
+def test_module_labels_not_an_array_of_strings_exit_two(capsys, tmp_path, labels):
+    data = d.regular_nimrep(d.builtin_ring("fib")).to_payload()
+    data["module_labels"] = labels
+    path = tmp_path / "nimrep.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "nimrep", "validate", "--builtin", "fib", "--nimrep", str(path))
+    assert code == 2
+    assert out == ""
+    assert "array of strings" in err
+
+
 def test_malformed_json_exits_two(capsys, tmp_path):
     path = tmp_path / "garbage.json"
     path.write_text("{not json")

@@ -1,12 +1,19 @@
-"""Dead names in the package: module-level names nothing reads, and locals stored but never read.
+"""Package hygiene: dead names, and one public-API list.
 
-A name counts as read when it appears anywhere in `src/`, `tests/` or `bench/` as
-a loaded name, an attribute or an imported name.  Dunder names are exempt, since
-the interpreter reads them.
+Dead names are module-level names nothing reads, and locals stored but never
+read.  A name counts as read when it appears anywhere in `src/`, `tests/` or
+`bench/` as a loaded name, an attribute or an imported name.  Dunder names are
+exempt, since the interpreter reads them.
+
+The package's `__all__` is assembled from the layer modules' own lists, so
+each public name is written once, in the module that defines it.
 """
 
 import ast
 from pathlib import Path
+
+import divalg
+from divalg import catalog, errors, monads, nimreps, rings
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "divalg"
@@ -77,3 +84,32 @@ def test_every_local_is_read():
                 unread = own_stores(scope) - read_names(scope) - {"_"}
                 dead += [f"{path.stem}.{scope.name}: {name}" for name in sorted(unread)]
     assert dead == []
+
+
+# every name the package exported while its `__all__` was written out by hand
+PUBLIC_API = {
+    "__version__",
+    "CatalogEntry", "builtin_ring", "entries",
+    "DivalgError", "StructuralError", "ZeroObjectError", "CatalogError",
+    "DecomposableModuleError", "DegenerateMonadError", "BudgetExceededError",
+    "FiniteMonad", "CoproductException", "FreeVectorF2", "maybe_monad", "identity_monad",
+    "builtin_monad", "EmAlgebra", "AdjunctionVerdict", "StrengthIsoVerdict", "MonoidAlgebra",
+    "AlgebraModule", "validate_monad", "enumerate_em_algebras", "free_algebra", "em_isomorphic",
+    "check_adjunction_trivial", "check_strength", "is_very_strong", "algebra_from_strength",
+    "enumerate_modules", "free_module", "module_isomorphic", "check_mon_ess_agreement",
+    "check_comparison_fully_faithful",
+    "NimRep", "regular_nimrep", "validate_nimrep", "act", "is_simple_module_object",
+    "module_components", "classify_internal_end_nimrep", "cross_check_internal_end",
+    "FusionRing", "ValidationReport", "Violation", "ClassificationReport", "validate_ring",
+    "tensor", "length", "is_simple", "dual_object", "is_left_invertible", "is_right_invertible",
+    "fp_dimension", "classify_internal_end",
+}
+
+
+def test_public_api_is_the_module_lists():
+    layers = (catalog, errors, monads, nimreps, rings)
+    assert divalg.__all__ == ["__version__", *(name for layer in layers for name in layer.__all__)]
+    assert len(set(divalg.__all__)) == len(divalg.__all__)
+    for name in divalg.__all__:
+        assert hasattr(divalg, name), name
+    assert set(divalg.__all__) == PUBLIC_API | {"DisjointUnion", "CartesianProduct"}

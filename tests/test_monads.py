@@ -557,6 +557,8 @@ def test_missing_strength_raises():
         d.check_strength(Bare(), 2)
     with pytest.raises(StructuralError):
         d.is_very_strong(Bare(), 2)
+    with pytest.raises(StructuralError):
+        d.algebra_from_strength(Bare())
 
 
 def test_maybe_is_very_strong(maybe, identity, exc2):
@@ -606,6 +608,13 @@ def test_freevec_unit_algebra_is_f2_multiplication(freevec):
     assert algebra.carrier == 2
     assert algebra.mult == (0, 0, 0, 1)
     assert algebra.unit == (1,)
+
+
+def test_unit_algebra_carries_the_monad_ambient(maybe, freevec):
+    for monad in (maybe, freevec):
+        algebra = d.algebra_from_strength(monad)
+        assert algebra.ambient is monad.ambient
+        assert algebra.to_payload()["ambient"] == monad.ambient.kind
 
 
 # ------------------------------------------------------- modules over T(1)

@@ -101,6 +101,67 @@ def test_structural_errors_raise(kwargs):
         d.FusionRing(**kwargs)
 
 
+# -------------------------------------- per-row associativity against rank⁴
+
+def _rank4_associativity(ring):
+    """Both bracketings as full rank⁴ tensors, one violation per differing entry: the oracle of the per-row check."""
+    N = ring.fusion
+    lhs = np.einsum("ijm,mkl->ijkl", N, N)
+    rhs = np.einsum("jkm,iml->ijkl", N, N)
+    return [
+        d.Violation("associativity", tuple(int(v) for v in idx), int(lhs[tuple(idx)]), int(rhs[tuple(idx)]))
+        for idx in np.argwhere(lhs != rhs)
+    ]
+
+
+def _perturbed_rings(ring, rng):
+    """Twelve seeded copies of the ring with one to three fusion entries moved by one."""
+    for _ in range(12):
+        fusion = ring.fusion.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            idx = tuple(int(rng.integers(ring.rank)) for _ in range(3))
+            fusion[idx] += 1 if fusion[idx] == 0 else int(rng.choice([-1, 1]))
+        yield d.FusionRing(labels=ring.labels, unit=ring.unit, dual=ring.dual, fusion=fusion)
+
+
+def test_per_row_associativity_matches_rank4_oracle(catalog_entries):
+    rng = np.random.default_rng(8)
+    names = {entry.name for entry in catalog_entries}
+    assert {"rep_s3", "matrix_multifusion(2)", "matrix_multifusion(3)"} <= names
+    for entry in catalog_entries:
+        compared = 0
+        for ring in (entry.ring, *_perturbed_rings(entry.ring, rng)):
+            expected = _rank4_associativity(ring)
+            report = d.validate_ring(ring)
+            assert [v for v in report.violations if v.axiom == "associativity"] == expected, entry.name
+            compared += len(expected)
+        # a rank-1 ring is associative whatever its one entry
+        assert compared > 0 or entry.ring.rank == 1, entry.name
+
+
+def _cyclic_ring(n):
+    """Group ring of Z/n at any rank, past the catalog's cap."""
+    fusion = np.zeros((n, n, n), dtype=np.int64)
+    for i in range(n):
+        fusion[i, np.arange(n), (i + np.arange(n)) % n] = 1
+    dual = tuple((-i) % n for i in range(n))
+    return d.FusionRing(labels=tuple(f"g{i}" for i in range(n)), unit=np.eye(n, dtype=np.int64)[0],
+                        dual=dual, fusion=fusion)
+
+
+def test_validate_ring_memory_is_not_rank4():
+    # the rank⁴ contraction held two 40**4 int64 tensors (41 MB); one row holds 40**3 (0.5 MB)
+    ring = _cyclic_ring(40)
+    tracemalloc.start()
+    try:
+        report = d.validate_ring(ring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < 5 << 20
+
+
 # ------------------------------------------------------------------- tensor
 
 def test_tau_squared(fib):
