@@ -104,6 +104,12 @@ def _ring_digest(ring: rings.FusionRing) -> str:
     return _digest(json.dumps(ring.to_payload(), sort_keys=True).encode())
 
 
+@functools.cache
+def _builtin_digest(name: str) -> str:
+    """The digest of a builtin ring, computed once per name and process: builtins never change."""
+    return _ring_digest(catalog.builtin_ring(name))
+
+
 def _load_json(path: str) -> tuple[dict, str]:
     try:
         with open(path, "rb") as handle:
@@ -122,7 +128,7 @@ def _resolve_ring(args) -> tuple[rings.FusionRing, dict]:
         if path:
             raise StructuralError("give either --builtin or a ring file, not both")
         ring = catalog.builtin_ring(args.builtin)
-        return ring, {"builtin": args.builtin, "ring": _ring_digest(ring)}
+        return ring, {"builtin": args.builtin, "ring": _builtin_digest(args.builtin)}
     if not path:
         raise StructuralError("either --builtin or a ring file is required")
     payload, digest = _load_json(path)
@@ -242,7 +248,7 @@ def _cmd_catalog_export(args) -> tuple[Optional[dict], dict, int]:
                 handle.write(text)
         except OSError as exc:
             raise StructuralError(f"cannot write {args.out}: {exc}") from None
-        return {"written": args.out, "ring": _ring_digest(ring)}, {"builtin": args.name}, EXIT_OK
+        return {"written": args.out, "ring": _builtin_digest(args.name)}, {"builtin": args.name}, EXIT_OK
     sys.stdout.write(text)
     return None, {}, EXIT_OK
 

@@ -11,6 +11,7 @@ bound; table and candidate sizes are held under a configurable budget.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass
@@ -69,6 +70,27 @@ def _budget(value: Optional[int]) -> int:
 def _guard(size: int, budget: int, what: str):
     if size > budget:
         raise BudgetExceededError(f"{what} needs {size} entries, budget is {budget}")
+
+
+def _table_size(monad: FiniteMonad, n: int, budget: int) -> int:
+    """|T(n)|, or n itself when n is past the budget.
+
+    Every n given here is a size |T(m)|, and for a lawful monad
+    |T(T(m))| >= |T(m)| since mu splits eta at T(m), so T(n) is then past the
+    budget too; sizing it could take a number of 2^n bits (freevec2).
+    """
+    return n if n > budget else monad.t_size(n)
+
+
+def _fillings(template: list[int], carrier: int, budget: int, what: str) -> Iterator[tuple[int, ...]]:
+    """Every table that agrees with template off its -1 entries and takes values below carrier there."""
+    free = [p for p, v in enumerate(template) if v == -1]
+    _guard(carrier ** len(free), budget, what)
+    for values in itertools.product(range(carrier), repeat=len(free)):
+        table = template.copy()
+        for p, v in zip(free, values):
+            table[p] = v
+        yield tuple(table)
 
 
 def _mismatches(axiom: str, key: tuple[int, ...], lhs, rhs) -> list[Violation]:
@@ -157,14 +179,7 @@ class FiniteMonad:
             if template[eta[x]] not in (-1, x):
                 return
             template[eta[x]] = x
-        free = [p for p in range(tsize) if template[p] == -1]
-        count = carrier ** len(free)
-        _guard(count, budget, f"structure-map enumeration at carrier {carrier}")
-        for values in itertools.product(range(carrier), repeat=len(free)):
-            table = template.copy()
-            for p, v in zip(free, values):
-                table[p] = v
-            yield tuple(table)
+        yield from _fillings(template, carrier, budget, f"structure-map enumeration at carrier {carrier}")
 
 
 class CoproductException(FiniteMonad):
@@ -215,22 +230,21 @@ class FreeVectorF2(FiniteMonad):
         return 1 << n
 
     def t_mor(self, f, dst: int) -> tuple[int, ...]:
-        src = len(f)
-        out = [0] * (1 << src)
-        for mask in range(1, 1 << src):
-            low_bit = mask & -mask
-            out[mask] = out[mask ^ low_bit] ^ (1 << f[low_bit.bit_length() - 1])
+        # doubling: the masks that contain x are those without it, with bit f[x] flipped
+        out = [0]
+        for v in f:
+            bit = 1 << v
+            out += [m ^ bit for m in out]
         return tuple(out)
 
     def eta(self, n: int) -> tuple[int, ...]:
         return tuple(1 << x for x in range(n))
 
     def mu(self, n: int) -> tuple[int, ...]:
-        tsize = 1 << n
-        out = [0] * (1 << tsize)
-        for mask in range(1, 1 << tsize):
-            low_bit = mask & -mask
-            out[mask] = out[mask ^ low_bit] ^ (low_bit.bit_length() - 1)
+        # a set of masks folds to their XOR; doubling over the masks of T(n) in order
+        out = [0]
+        for mask in range(1 << n):
+            out += [m ^ mask for m in out]
         return tuple(out)
 
     def theta(self, x: int, y: int) -> tuple[int, ...]:
@@ -242,40 +256,77 @@ class FreeVectorF2(FiniteMonad):
         return tuple(out)
 
     def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
-        """Structure tables via candidate addition laws.
+        """Structure tables from the F2-vector-space laws on the carrier.
 
         The second algebra axiom forces a structure map to be the sum-over-F2
-        of its singleton values, so tables are generated from a zero element
-        plus a symmetric pairwise sum table.  Candidates that fail the group
-        laws are pruned here; survivors still get the full axiom check by the
-        enumerator.
+        of its singleton values, so a table is a zero plus an addition law;
+        `_addition_laws` finds those by backtracking, within the budget.
+        Survivors still get the full axiom check by the enumerator.
         """
-        tsize = 1 << carrier
-        pairs = list(itertools.combinations(range(carrier), 2))
-        count = carrier ** (len(pairs) + 1)
-        _guard(count, budget, f"addition-law enumeration at carrier {carrier}")
-        for zero in range(carrier):
-            for values in itertools.product(range(carrier), repeat=len(pairs)):
-                add = [[zero] * carrier for _ in range(carrier)]
-                for (a, b), v in zip(pairs, values):
-                    add[a][b] = v
-                    add[b][a] = v
-                if any(add[zero][x] != x for x in range(carrier)):
-                    continue
-                if any(
-                    add[add[a][b]][c] != add[a][add[b][c]]
-                    for a in range(carrier)
-                    for b in range(carrier)
-                    for c in range(carrier)
-                ):
-                    continue
-                table = [zero] * tsize
-                for mask in range(1, tsize):
-                    low_bit = mask & -mask
-                    low = low_bit.bit_length() - 1
-                    rest = mask ^ low_bit
-                    table[mask] = low if rest == 0 else add[table[rest]][low]
-                yield tuple(table)
+        for zero, add in _addition_laws(carrier, budget):
+            table = [zero]
+            for x in range(carrier):
+                table += [add[s][x] for s in table]
+            yield tuple(table)
+
+
+def _addition_laws(carrier: int, budget: int) -> list[tuple[int, list[list[int]]]]:
+    """Every (zero, add) on range(carrier) with x + x = zero that is an associative law.
+
+    add is a symmetric Latin square with the constant diagonal zero, that is a
+    one-factorization of the complete graph K_carrier (W. D. Wallis,
+    One-Factorizations, 1997), so there is none at an odd carrier above 1.
+    For each zero the search fixes its row and column to the identity and
+    fills the pairs a < b in order with the values still free in rows a and b,
+    least first, so every row stays a permutation; a complete square is kept
+    when it is associative.  Every value placed counts against the budget.
+    Laws come zero by zero, each zero's in lexicographic order of its pairs.
+    """
+    full = (1 << carrier) - 1
+    what = f"addition-law search at carrier {carrier}"
+    nodes = 0
+    laws: list[tuple[int, list[list[int]]]] = []
+    for zero in range(carrier):
+        add = [[zero] * carrier for _ in range(carrier)]
+        used = [(1 << x) | (1 << zero) for x in range(carrier)]  # values taken in row x, as bits
+        used[zero] = full
+        for x in range(carrier):
+            add[zero][x] = add[x][zero] = x
+        pairs = [(a, b) for a, b in itertools.combinations(range(carrier), 2) if zero not in (a, b)]
+        # depth-first over pairs: untried[i] holds the values left to try at pairs[i], placed[i] the one placed
+        untried = [full & ~(used[a] | used[b]) for a, b in pairs[:1]]
+        placed: list[int] = []
+        if not pairs and _is_associative(add):
+            laws.append((zero, add))
+        while untried:
+            i = len(untried) - 1
+            a, b = pairs[i]
+            if len(placed) > i:
+                bit = placed.pop()
+                used[a] ^= bit
+                used[b] ^= bit
+            if not untried[i]:
+                untried.pop()
+                continue
+            bit = untried[i] & -untried[i]
+            untried[i] ^= bit
+            nodes += 1
+            _guard(nodes, budget, what)
+            add[a][b] = add[b][a] = bit.bit_length() - 1
+            used[a] |= bit
+            used[b] |= bit
+            placed.append(bit)
+            if i + 1 < len(pairs):
+                c, d = pairs[i + 1]
+                untried.append(full & ~(used[c] | used[d]))
+            elif _is_associative(add):
+                laws.append((zero, [row.copy() for row in add]))
+    return laws
+
+
+def _is_associative(add: list[list[int]]) -> bool:
+    elements = range(len(add))
+    return all(add[add[x][y]][z] == add[x][add[y][z]] for x in elements for y in elements for z in elements)
 
 
 def maybe_monad() -> CoproductException:
@@ -313,7 +364,8 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
     violations: list[Violation] = []
     for n in range(max_size + 1):
         tn = monad.t_size(n)
-        if monad.t_size(tn) > budget:
+        ttn = _table_size(monad, tn, budget)
+        if ttn > budget:
             continue
         mu_n = monad.mu(n)
         unit_left = compose(mu_n, monad.t_mor(monad.eta(n), tn))
@@ -321,8 +373,7 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
         ident = identity_table(tn)
         violations += _mismatches("monad_unit_left", (n,), unit_left, ident)
         violations += _mismatches("monad_unit_right", (n,), unit_right, ident)
-        ttn = monad.t_size(tn)
-        if monad.t_size(ttn) > budget:
+        if _table_size(monad, ttn, budget) > budget:
             continue
         lhs = compose(mu_n, monad.t_mor(mu_n, tn))
         rhs = compose(mu_n, monad.mu(tn))
@@ -380,12 +431,16 @@ def _orbit(table, carrier: int, move, budget: int) -> dict[tuple[int, ...], tupl
     return orbit
 
 
-def _isoclasses(tables, carrier: int, move, budget: int) -> list[tuple[int, ...]]:
-    """The least table of each relabeling orbit met among tables, sorted; move(perm) is D(perm)."""
+def _isoclasses(tables, carrier: int, move, budget: int, accept) -> list[tuple[int, ...]]:
+    """The least table of each relabeling orbit met among the accepted tables, sorted; move(perm) is D(perm).
+
+    accept(table) is only asked about tables outside the orbits found so far:
+    a relabeling of an accepted table can only add its isoclass again.
+    """
     seen: set[tuple[int, ...]] = set()
     found = []
     for table in tables:
-        if table not in seen:
+        if table not in seen and accept(table):
             orbit = _orbit(table, carrier, move, budget)
             seen.update(orbit)
             found.append(min(orbit))
@@ -400,26 +455,28 @@ def enumerate_em_algebras(
     Deduplication is up to carrier relabeling: each isoclass's relabeling orbit
     is built once, from two generators of the symmetric group, so its cost is
     proportional to the orbit's size rather than carrier!.  The representative
-    is the orbit's least structure table.  An orbit larger than the budget
+    is the orbit's least structure table.  A candidate in the orbit of an
+    algebra already found is skipped before its T(T(Y)) table is built, since
+    it could only add that algebra again.  An orbit larger than the budget
     raises BudgetExceededError.
     """
     budget = _budget(budget)
     found: list[EmAlgebra] = []
     for carrier in range(max_carrier + 1):
         tsize = monad.t_size(carrier)
-        ttsize = monad.t_size(tsize)
+        ttsize = _table_size(monad, tsize, budget)
         _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
         mu = monad.mu(carrier)
         eta = monad.eta(carrier)
-        structures = []
-        for structure in monad.em_structure_candidates(carrier, budget):
+
+        def is_algebra(structure) -> bool:
             if any(structure[eta[x]] != x for x in range(carrier)):
-                continue
+                return False
             t_structure = monad.t_mor(structure, carrier)
-            if any(structure[t_structure[p]] != structure[mu[p]] for p in range(ttsize)):
-                continue
-            structures.append(structure)
-        for canon in _isoclasses(structures, carrier, lambda perm: monad.t_mor(perm, carrier), budget):
+            return all(structure[t_structure[p]] == structure[mu[p]] for p in range(ttsize))
+
+        candidates = monad.em_structure_candidates(carrier, budget)
+        for canon in _isoclasses(candidates, carrier, lambda perm: monad.t_mor(perm, carrier), budget, is_algebra):
             found.append(EmAlgebra(monad.name, carrier, canon))
     return found
 
@@ -533,31 +590,41 @@ def check_adjunction_trivial(
 
 
 def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = None) -> ValidationReport:
-    """Pointwise check of the four left-strength axioms on sizes <= max_size."""
+    """Pointwise check of the four left-strength axioms on sizes <= max_size.
+
+    Every table is held to the budget before it is built.
+    """
     budget = _budget(budget)
     amb = monad.ambient
     violations: list[Violation] = []
     sizes = range(max_size + 1)
 
+    def guard(key: tuple[int, ...], *table_sizes: int):
+        for size in table_sizes:
+            _guard(size, budget, f"strength tables at sizes ({', '.join(map(str, key))})")
+
     for x in sizes:
         # theta at the unit object must be the identity on T(x)
+        guard((x,), amb.tensor(amb.unit_size, monad.t_size(x)))
         table = monad.theta(amb.unit_size, x)
         violations += _mismatches("strength_ii", (x,), table, identity_table(len(table)))
 
     for x in sizes:
         for y in sizes:
             ty = monad.t_size(y)
-            txy = monad.t_size(amb.tensor(x, y))
-
+            xy = amb.tensor(x, y)
+            guard((x, y), amb.tensor(x, ty), xy)
             lhs = compose(monad.theta(x, y), amb.tensor_mor(identity_table(x), monad.eta(y), x, ty))
-            rhs = monad.eta(amb.tensor(x, y))
+            rhs = monad.eta(xy)
             violations += _mismatches("strength_iv", (x, y), lhs, rhs)
 
-            _guard(monad.t_size(amb.tensor(x, ty)), budget, f"strength tables at sizes ({x}, {y})")
-            _guard(monad.t_size(txy), budget, f"strength tables at sizes ({x}, {y})")
+            tty = _table_size(monad, ty, budget)
+            txy = monad.t_size(xy)
+            guard((x, y), tty, amb.tensor(x, tty), _table_size(monad, txy, budget))
+            guard((x, y), monad.t_size(amb.tensor(x, ty)))
             lhs = compose(monad.theta(x, y), amb.tensor_mor(identity_table(x), monad.mu(y), x, ty))
             rhs = compose(
-                monad.mu(amb.tensor(x, y)),
+                monad.mu(xy),
                 compose(monad.t_mor(monad.theta(x, y), txy), monad.theta(x, ty)),
             )
             violations += _mismatches("strength_iii", (x, y), lhs, rhs)
@@ -565,7 +632,9 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
     for x in sizes:
         for y in sizes:
             for z in sizes:
+                tz = monad.t_size(z)
                 tyz = monad.t_size(amb.tensor(y, z))
+                guard((x, y, z), amb.tensor(x, tyz), amb.tensor(y, tz), amb.tensor(amb.tensor(x, y), tz))
                 lhs = compose(
                     monad.theta(x, amb.tensor(y, z)),
                     amb.tensor_mor(identity_table(x), monad.theta(y, z), x, tyz),
@@ -723,17 +792,11 @@ def enumerate_modules(
             template[pos] = y
         if not consistent:
             continue
-        free = [p for p in range(dom) if template[p] == -1]
-        _guard(carrier ** len(free), budget, f"module enumeration at carrier {carrier}")
-        actions = []
-        for values in itertools.product(range(carrier), repeat=len(free)):
-            action = template.copy()
-            for p, v in zip(free, values):
-                action[p] = v
-            action_t = tuple(action)
-            if _module_axioms_hold(algebra, carrier, action_t):
-                actions.append(action_t)
-        for canon in _isoclasses(actions, carrier, lambda perm: amb.tensor_mor(perm, ident_a, carrier, a), budget):
+        actions = _fillings(template, carrier, budget, f"module enumeration at carrier {carrier}")
+        is_module = functools.partial(_module_axioms_hold, algebra, carrier)
+        for canon in _isoclasses(
+            actions, carrier, lambda perm: amb.tensor_mor(perm, ident_a, carrier, a), budget, is_module
+        ):
             found.append(AlgebraModule(carrier, canon))
     return found
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -336,6 +337,30 @@ def test_catalog_export_file_round_trip(capsys, tmp_path):
     assert payload_of(out2)["essential"] is True
 
 
+def test_builtin_digest_is_the_digest_of_the_exported_ring(capsys, tmp_path):
+    for entry in d.entries():
+        path = tmp_path / "ring.json"
+        code, out, _ = run_cli(capsys, "catalog", "export", "--name", entry.name, "--out", str(path))
+        assert code == 0
+        read_back = d.FusionRing.from_payload(json.loads(path.read_text()))
+        assert payload_of(out)["ring"] == cli._builtin_digest(entry.name) == cli._ring_digest(read_back)
+        code, out, _ = run_cli(capsys, "ring", "validate", "--builtin", entry.name)
+        assert json.loads(out)["inputs"]["ring"] == cli._builtin_digest(entry.name)
+
+
+def test_builtin_digest_is_computed_once_per_name(capsys, monkeypatch):
+    digests = []
+    monkeypatch.setattr(cli, "_ring_digest", lambda ring: digests.append(ring) or "sha256:stub")
+    cli._builtin_digest.cache_clear()
+    try:
+        for _ in range(3):
+            run_cli(capsys, "ring", "classify", "--builtin", "rep_s3", "--object", "V")
+            run_cli(capsys, "nimrep", "classify", "--builtin", "rep_s3", "--regular", "--object", "sgn")
+    finally:
+        cli._builtin_digest.cache_clear()
+    assert len(digests) == 1 and digests[0] is d.builtin_ring("rep_s3")
+
+
 def test_catalog_export_unwritable_path_exits_two(capsys, tmp_path):
     path = tmp_path / "missing" / "fib.json"
     code, out, err = run_cli(capsys, "catalog", "export", "--name", "fib", "--out", str(path))
@@ -368,6 +393,32 @@ def test_monad_check_budget_exit(capsys):
     code, _, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "5")
     assert code == 3
     assert "budget" in err
+
+
+def test_monad_check_far_past_the_budget_sizes_no_huge_table(capsys):
+    # freevec2 at bound 29 used to size T(T(29)) as the number 2^(2^29) just to compare it
+    peaks, errors = [], []
+    for bound in ("5", "60"):
+        tracemalloc.start()
+        code, out, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", bound)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+        assert (code, out) == (3, "")
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert "algebra axiom tables at carrier 5" in errors[0]
+    assert peaks[1] < peaks[0] + 2**20
+
+
+@pytest.mark.parametrize("argv,where", [
+    (["--max-size", "16", "--budget", "100"], "strength tables at sizes (7)"),
+    (["--max-size", "5"], "strength tables at sizes (0, 5)"),
+    (["--max-size", "3"], "strength tables at sizes (2, 3)"),
+])
+def test_monad_strength_guards_every_table(capsys, argv, where):
+    code, out, err = run_cli(capsys, "monad", "strength", "freevec2", *argv)
+    assert (code, out) == (3, "")
+    assert f"budget exceeded: {where} needs" in err
 
 
 def test_budget_env_var(capsys, monkeypatch):

@@ -101,14 +101,17 @@ def test_monad_laws(maybe, identity, exc2, freevec):
     assert d.validate_monad(freevec, 2).passed
 
 
-def test_broken_multiplication_is_reported():
-    class BadFold(d.CoproductException):
-        def mu(self, n):
-            table = list(super().mu(n))
-            if n == 0 and self.marks == 2:
-                table[-1] = 0
-            return tuple(table)
+class BadFold(d.CoproductException):
+    """mu with its last entry folded to 0 at carrier 0 for two marks."""
 
+    def mu(self, n):
+        table = list(super().mu(n))
+        if n == 0 and self.marks == 2:
+            table[-1] = 0
+        return tuple(table)
+
+
+def test_broken_multiplication_is_reported():
     report = d.validate_monad(BadFold(2), 2)
     assert not report.passed
     assert any(v.axiom.startswith("monad_") for v in report.violations)
@@ -213,6 +216,134 @@ def test_freevec_addition_laws_match_the_unit_axiom_generator(freevec, carrier):
     assert em_algebras_among(freevec, carrier, addition_laws) == em_algebras_among(
         freevec, carrier, unit_axiom_only
     )
+
+
+# FreeVectorF2.em_structure_candidates(4, ...) of the product generator it replaced
+# (carrier^(C(4,2)+1) raw addition tables), in that generator's order
+FREEVEC_CARRIER_FOUR = [
+    (0, 0, 1, 1, 2, 2, 3, 3, 3, 3, 2, 2, 1, 1, 0, 0),
+    (1, 0, 1, 0, 2, 3, 2, 3, 3, 2, 3, 2, 0, 1, 0, 1),
+    (2, 0, 1, 3, 2, 0, 1, 3, 3, 1, 0, 2, 3, 1, 0, 2),
+    (3, 0, 1, 2, 2, 1, 0, 3, 3, 0, 1, 2, 2, 1, 0, 3),
+]
+
+
+def test_freevec_candidates_at_carrier_four_match_the_product_generator(freevec):
+    assert list(freevec.em_structure_candidates(4, M.DEFAULT_BUDGET)) == FREEVEC_CARRIER_FOUR
+
+
+def is_f2_sum_table(table, carrier):
+    """table is the F2-sum over subsets of an elementary abelian 2-group law on range(carrier)."""
+    zero = table[0]
+
+    def add(a, b):
+        return zero if a == b else table[(1 << a) | (1 << b)]
+
+    elements = range(carrier)
+    group = (
+        all(table[1 << x] == x and add(zero, x) == x for x in elements)
+        and all(add(a, b) == add(b, a) for a in elements for b in elements)
+        and all(add(add(a, b), c) == add(a, add(b, c)) for a in elements for b in elements for c in elements)
+    )
+    sums = all(
+        table[mask] == add(table[mask & (mask - 1)], (mask & -mask).bit_length() - 1)
+        for mask in range(1, 1 << carrier)
+    )
+    return group and sums
+
+
+@pytest.mark.parametrize("carrier", [5, 6, 7])
+def test_freevec_has_no_candidates_at_carriers_five_to_seven(freevec, carrier):
+    assert list(freevec.em_structure_candidates(carrier, M.DEFAULT_BUDGET)) == []
+
+
+def test_freevec_candidates_at_carrier_eight_are_the_vector_space_laws(freevec):
+    # labeled F2^3 structures on 8 points: 8! / |GL(3, 2)| = 40320 / 168
+    tables = list(freevec.em_structure_candidates(8, M.DEFAULT_BUDGET))
+    assert len(tables) == len(set(tables)) == 240
+    assert all(is_f2_sum_table(t, 8) for t in tables)
+
+
+def test_addition_law_search_charges_every_node(freevec, monkeypatch):
+    # the carrier-6 search places 498 values and completes no associative square
+    monkeypatch.setenv("DIVALG_BUDGET", "498")
+    assert list(freevec.em_structure_candidates(6, M._budget(None))) == []
+    monkeypatch.setenv("DIVALG_BUDGET", "497")
+    with pytest.raises(BudgetExceededError, match="addition-law search at carrier 6"):
+        list(freevec.em_structure_candidates(6, M._budget(None)))
+
+
+def filter_then_dedupe(monad, bound):
+    """The EM enumeration that checks every candidate and then drops relabelings."""
+    found = []
+    for carrier in range(bound + 1):
+        candidates = monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET)
+        valid = em_algebras_among(monad, carrier, candidates)
+        canon = M._isoclasses(valid, carrier, em_move(monad, carrier), M.DEFAULT_BUDGET, lambda table: True)
+        found += [(carrier, s) for s in canon]
+    return found
+
+
+@pytest.mark.parametrize("monad,bound", [
+    (d.maybe_monad(), 8),
+    (d.identity_monad(), 6),
+    (d.CoproductException(2), 7),
+    (d.CoproductException(3), 6),
+    (d.FreeVectorF2(), 4),
+    (BadFold(2), 4),
+    (SwapFold(2), 4),
+], ids=["maybe", "identity", "exception2", "exception3", "freevec2", "bad_fold", "swap_fold"])
+def test_orbit_skip_matches_filter_then_dedupe(monad, bound):
+    got = [(a.carrier, a.structure) for a in d.enumerate_em_algebras(monad, bound)]
+    assert got == filter_then_dedupe(monad, bound)
+
+
+def test_axiom_table_is_built_once_per_orbit():
+    class Counting(d.FreeVectorF2):
+        structures = 0
+
+        def t_mor(self, f, dst):
+            if dst == 4 and len(f) == 16:
+                Counting.structures += 1
+            return super().t_mor(f, dst)
+
+    counting = Counting()
+    # the four carrier-4 candidates form one relabeling orbit
+    got = d.enumerate_em_algebras(counting, 4)
+    assert Counting.structures == 1
+    assert got == d.enumerate_em_algebras(d.FreeVectorF2(), 4)
+
+
+def low_bit_t_mor(f):
+    """T(f) for freevec2 by the low-bit recurrence: a mask's image is its image without its low bit, plus one."""
+    out = [0] * (1 << len(f))
+    for mask in range(1, 1 << len(f)):
+        low_bit = mask & -mask
+        out[mask] = out[mask ^ low_bit] ^ (1 << f[low_bit.bit_length() - 1])
+    return tuple(out)
+
+
+def low_bit_mu(n):
+    out = [0] * (1 << (1 << n))
+    for mask in range(1, len(out)):
+        low_bit = mask & -mask
+        out[mask] = out[mask ^ low_bit] ^ (low_bit.bit_length() - 1)
+    return tuple(out)
+
+
+# images straddling 2^63, so T(f) holds entries past int64
+WIDE_IMAGES = (0, 1, 2, 62, 63, 64, 70)
+
+
+@pytest.mark.parametrize("src", range(6))
+def test_doubling_t_mor_matches_low_bit_loop(freevec, src):
+    for f in itertools.product(WIDE_IMAGES, repeat=src):
+        assert freevec.t_mor(f, 71) == low_bit_t_mor(f)
+
+
+def test_doubling_mu_matches_low_bit_loop(freevec):
+    for n in range(5):
+        assert freevec.mu(n) == low_bit_mu(n)
 
 
 def test_enumeration_budget(freevec):
