@@ -5,8 +5,10 @@ positions, so both ambient monoidal structures are strict: disjoint union
 concatenates blocks (right block offset by the left size) and cartesian
 product uses row-major indexing.  Every monad supplies its object map,
 morphism map, multiplication and unit as explicit tables, plus an optional
-left strength table.  All verdicts quantify over carriers up to a stated
-bound; table and candidate sizes are held under a configurable budget.
+left strength table, and may compute single entries of mu and T(f) without
+their tables.  All verdicts quantify over carriers up to a stated bound;
+table sizes, points evaluated and search nodes are held under a configurable
+budget.
 """
 
 from __future__ import annotations
@@ -82,6 +84,30 @@ def _table_size(monad: FiniteMonad, n: int, budget: int) -> int:
     return n if n > budget else monad.t_size(n)
 
 
+def _mu_reader(monad: FiniteMonad, n: int, budget: int, guard):
+    """p -> mu(n)[p]: the monad's point evaluator, or one mu(n) table, passed to guard by size before it is built."""
+    if type(monad).mu_at is not FiniteMonad.mu_at:
+        return functools.partial(monad.mu_at, n)
+    guard(_table_size(monad, monad.t_size(n), budget))
+    return monad.mu(n).__getitem__
+
+
+def _t_mor_reader(monad: FiniteMonad, f, dst: int, budget: int, guard):
+    """p -> t_mor(f, dst)[p]: the monad's point evaluator, or one t_mor(f, dst) table, guarded like _mu_reader."""
+    if type(monad).t_mor_at is not FiniteMonad.t_mor_at:
+        return functools.partial(monad.t_mor_at, f, dst)
+    guard(_table_size(monad, len(f), budget))
+    return monad.t_mor(f, dst).__getitem__
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _fillings(template: list[int], carrier: int, budget: int, what: str) -> Iterator[tuple[int, ...]]:
     """Every table that agrees with template off its -1 entries and takes values below carrier there."""
     free = [p for p, v in enumerate(template) if v == -1]
@@ -146,10 +172,24 @@ class CartesianProduct:
 
 
 class FiniteMonad:
-    """Base class: a monad on finite ordinals given by explicit tables."""
+    """Base class: a monad on finite ordinals given by explicit tables.
+
+    mu_at and t_mor_at give single entries of the mu and t_mor tables.  Here
+    they read the whole table, so the checks build such a table once and read
+    it instead of calling them; a subclass that computes an entry directly
+    overrides them.  A subclass that redefines mu or t_mor without its point
+    twin gets this table default back, so its own table is what gets checked.
+    """
 
     name: str
     ambient = DisjointUnion
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "mu" in vars(cls) and "mu_at" not in vars(cls):
+            cls.mu_at = FiniteMonad.mu_at
+        if "t_mor" in vars(cls) and "t_mor_at" not in vars(cls):
+            cls.t_mor_at = FiniteMonad.t_mor_at
 
     def t_size(self, n: int) -> int:
         raise NotImplementedError
@@ -157,11 +197,19 @@ class FiniteMonad:
     def t_mor(self, f, dst: int) -> tuple[int, ...]:
         raise NotImplementedError
 
+    def t_mor_at(self, f, dst: int, p: int) -> int:
+        """t_mor(f, dst)[p]; a point evaluator must read the same entries of f whatever their values."""
+        return self.t_mor(f, dst)[p]
+
     def eta(self, n: int) -> tuple[int, ...]:
         raise NotImplementedError
 
     def mu(self, n: int) -> tuple[int, ...]:
         raise NotImplementedError
+
+    def mu_at(self, n: int, p: int) -> int:
+        """mu(n)[p]."""
+        return self.mu(n)[p]
 
     def theta(self, x: int, y: int) -> tuple[int, ...]:
         raise StructuralError(f"monad {self.name} provides no strength")
@@ -203,12 +251,18 @@ class CoproductException(FiniteMonad):
     def t_mor(self, f, dst: int) -> tuple[int, ...]:
         return tuple(f) + tuple(dst + j for j in range(self.marks))
 
+    def t_mor_at(self, f, dst: int, p: int) -> int:
+        return f[p] if p < len(f) else dst + p - len(f)
+
     def eta(self, n: int) -> tuple[int, ...]:
         return tuple(range(n))
 
     def mu(self, n: int) -> tuple[int, ...]:
         s = self.marks
         return tuple(range(n + s)) + tuple(n + j for j in range(s))
+
+    def mu_at(self, n: int, p: int) -> int:
+        return p if p < n + self.marks else p - self.marks
 
     def theta(self, x: int, y: int) -> tuple[int, ...]:
         # X + (Y + S) and (X + Y) + S coincide position by position
@@ -237,6 +291,12 @@ class FreeVectorF2(FiniteMonad):
             out += [m ^ bit for m in out]
         return tuple(out)
 
+    def t_mor_at(self, f, dst: int, p: int) -> int:
+        out = 0
+        for x in _set_bits(p):
+            out ^= 1 << f[x]
+        return out
+
     def eta(self, n: int) -> tuple[int, ...]:
         return tuple(1 << x for x in range(n))
 
@@ -246,6 +306,12 @@ class FreeVectorF2(FiniteMonad):
         for mask in range(1 << n):
             out += [m ^ mask for m in out]
         return tuple(out)
+
+    def mu_at(self, n: int, p: int) -> int:
+        out = 0
+        for mask in _set_bits(p):
+            out ^= mask
+        return out
 
     def theta(self, x: int, y: int) -> tuple[int, ...]:
         ty = 1 << y
@@ -358,7 +424,8 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
 
     A law at a given carrier is only evaluated when its tables fit the
     budget; for the free-vector monad the associativity law involves T^3 and
-    is therefore checked on small carriers only.
+    is therefore checked on small carriers only.  The walk over carriers stops
+    at the first carrier n >= 1 whose T(T(n)) is past the budget.
     """
     budget = _budget(budget)
     violations: list[Violation] = []
@@ -366,6 +433,9 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
         tn = monad.t_size(n)
         ttn = _table_size(monad, tn, budget)
         if ttn > budget:
+            if n:
+                # T keeps split monos, so |T(T(n))| only grows from n = 1 on: no later carrier fits either
+                break
             continue
         mu_n = monad.mu(n)
         unit_left = compose(mu_n, monad.t_mor(monad.eta(n), tn))
@@ -592,7 +662,12 @@ def check_adjunction_trivial(
 def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = None) -> ValidationReport:
     """Pointwise check of the four left-strength axioms on sizes <= max_size.
 
-    Every table is held to the budget before it is built.
+    Each law is compared at every point of its domain.  The strength_iii right
+    side mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} is evaluated one point of
+    X (x) T(T(Y)) at a time through the monad's point evaluators, so neither
+    the mu(X (x) Y) nor the T(theta) table is built unless the monad computes
+    its entries only from whole tables.  The budget holds the number of points
+    of each law and the size of every table that is built, before it is built.
     """
     budget = _budget(budget)
     amb = monad.ambient
@@ -601,7 +676,8 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
 
     def guard(key: tuple[int, ...], *table_sizes: int):
         for size in table_sizes:
-            _guard(size, budget, f"strength tables at sizes ({', '.join(map(str, key))})")
+            if size > budget:
+                _guard(size, budget, f"strength tables at sizes ({', '.join(map(str, key))})")
 
     for x in sizes:
         # theta at the unit object must be the identity on T(x)
@@ -614,19 +690,18 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
             ty = monad.t_size(y)
             xy = amb.tensor(x, y)
             guard((x, y), amb.tensor(x, ty), xy)
-            lhs = compose(monad.theta(x, y), amb.tensor_mor(identity_table(x), monad.eta(y), x, ty))
-            rhs = monad.eta(xy)
-            violations += _mismatches("strength_iv", (x, y), lhs, rhs)
+            theta_xy = monad.theta(x, y)
+            lhs = compose(theta_xy, amb.tensor_mor(identity_table(x), monad.eta(y), x, ty))
+            violations += _mismatches("strength_iv", (x, y), lhs, monad.eta(xy))
 
+            # the mu(Y) table, and the points of X (x) T(T(Y)) with the theta table over them
             tty = _table_size(monad, ty, budget)
-            txy = monad.t_size(xy)
-            guard((x, y), tty, amb.tensor(x, tty), _table_size(monad, txy, budget))
-            guard((x, y), monad.t_size(amb.tensor(x, ty)))
-            lhs = compose(monad.theta(x, y), amb.tensor_mor(identity_table(x), monad.mu(y), x, ty))
-            rhs = compose(
-                monad.mu(xy),
-                compose(monad.t_mor(monad.theta(x, y), txy), monad.theta(x, ty)),
-            )
+            guard((x, y), tty, amb.tensor(x, tty))
+            lhs = compose(theta_xy, amb.tensor_mor(identity_table(x), monad.mu(y), x, ty))
+            key_guard = functools.partial(guard, (x, y))
+            mu_xy = _mu_reader(monad, xy, budget, key_guard)
+            t_theta = _t_mor_reader(monad, theta_xy, monad.t_size(xy), budget, key_guard)
+            rhs = tuple(mu_xy(t_theta(v)) for v in monad.theta(x, ty))
             violations += _mismatches("strength_iii", (x, y), lhs, rhs)
 
     for x in sizes:
@@ -860,6 +935,74 @@ def check_mon_ess_agreement(
     return bool(verdict.trivial_up_to_bound) == essential
 
 
+class _ReadLog:
+    """A table of `size` zeros that logs which of its entries are read."""
+
+    def __init__(self, size: int):
+        self.size = size
+        self.read: set[int] = set()
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, i: int) -> int:
+        self.read.add(range(self.size)[i])
+        return 0
+
+
+def _em_morphisms(monad: FiniteMonad, x: int, y: int, budget: int) -> Iterator[tuple[int, ...]]:
+    """Every algebra morphism f: T(x) -> T(y) between the free algebras, in lexicographic order.
+
+    A backtracking search over f[0], f[1], ...: the law f(mu_x(p)) = mu_y(T(f)(p))
+    at a point p of T(T(x)) is checked as soon as every entry of f it reads has
+    a value.  Those entries are found once, by running the point evaluator
+    t_mor_at on a table that logs its reads; without one, every point reads all
+    of f and is checked on one T(f) table per complete f.  Every value placed
+    counts against the budget.
+    """
+    tx, ty = monad.t_size(x), monad.t_size(y)
+    what = f"morphism search at sizes ({x}, {y})"
+
+    def guard(size: int):
+        _guard(size, budget, what)
+
+    mu_x = monad.mu(x)
+    mu_y = _mu_reader(monad, y, budget, guard)
+    ready: list[list[int]] = [[] for _ in range(tx)]  # ready[i]: the points whose entries are all set with f[i]
+    if type(monad).t_mor_at is FiniteMonad.t_mor_at:
+        if tx:
+            ready[-1] = list(range(len(mu_x)))
+    else:
+        log = _ReadLog(tx)
+        for p, v in enumerate(mu_x):
+            log.read = {v}
+            monad.t_mor_at(log, ty, p)
+            ready[max(log.read)].append(p)
+
+    def holds(f: list[int], i: int) -> bool:
+        if not ready[i]:
+            return True
+        t_f = _t_mor_reader(monad, f, ty, budget, guard)
+        return all(f[mu_x[p]] == mu_y(t_f(p)) for p in ready[i])
+
+    f = [-1] * tx
+    nodes = 0
+    i = 0
+    while i >= 0:
+        if i == tx:
+            yield tuple(f)
+            i -= 1
+        elif f[i] + 1 < ty:
+            f[i] += 1
+            nodes += 1
+            guard(nodes)
+            if holds(f, i):
+                i += 1
+        else:
+            f[i] = -1
+            i -= 1
+
+
 def check_comparison_fully_faithful(
     monad: FiniteMonad, max_size: int, budget: Optional[int] = None
 ) -> bool:
@@ -867,29 +1010,29 @@ def check_comparison_fully_faithful(
 
     For every pair of sizes, transports each map X -> T(Y) to mu after T(-)
     and checks that this lands bijectively on the algebra morphisms from the
-    free algebra on X to the free algebra on Y.
+    free algebra on X to the free algebra on Y.  The maps X -> T(Y) are held
+    to the budget; the algebra morphisms come from a backtracking search that
+    checks each point of the law as soon as it can and counts every value it
+    places against the budget.
     """
     budget = _budget(budget)
     for x in range(max_size + 1):
         for y in range(max_size + 1):
-            tx, ty = monad.t_size(x), monad.t_size(y)
-            _guard(ty ** tx, budget, f"morphism enumeration at sizes ({x}, {y})")
-            mu_x, mu_y = monad.mu(x), monad.mu(y)
-
-            def is_em_morphism(f: tuple[int, ...]) -> bool:
-                return compose(f, mu_x) == compose(mu_y, monad.t_mor(f, ty))
-
-            transported = set()
-            for g in itertools.product(range(ty), repeat=x):
-                kg = compose(mu_y, monad.t_mor(g, ty))
-                if not is_em_morphism(kg):
-                    return False
-                transported.add(kg)
+            ty = monad.t_size(y)
+            what = f"morphism enumeration at sizes ({x}, {y})"
+            _guard(ty ** x, budget, what)
+            mu_y = _mu_reader(monad, y, budget, lambda size: _guard(size, budget, what))
+            transported = {
+                tuple(map(mu_y, monad.t_mor(g, ty))) for g in itertools.product(range(ty), repeat=x)
+            }
             if len(transported) != ty ** x:
                 return False
-            em_count = sum(
-                1 for f in itertools.product(range(ty), repeat=tx) if is_em_morphism(f)
-            )
-            if em_count != len(transported):
+            # every algebra morphism is a transported map and there are as many of each, so the sets are equal
+            count = 0
+            for f in _em_morphisms(monad, x, y, budget):
+                if f not in transported:
+                    return False
+                count += 1
+            if count != len(transported):
                 return False
     return True

@@ -411,9 +411,10 @@ def test_monad_check_far_past_the_budget_sizes_no_huge_table(capsys):
 
 
 @pytest.mark.parametrize("argv,where", [
+    # theta(1, 7) has 2^7 entries; mu(5) has 2^32; strength_iii at (2, 3) has 2 * 2^8 points
     (["--max-size", "16", "--budget", "100"], "strength tables at sizes (7)"),
     (["--max-size", "5"], "strength tables at sizes (0, 5)"),
-    (["--max-size", "3"], "strength tables at sizes (2, 3)"),
+    (["--max-size", "3", "--budget", "511"], "strength tables at sizes (2, 3)"),
 ])
 def test_monad_strength_guards_every_table(capsys, argv, where):
     code, out, err = run_cli(capsys, "monad", "strength", "freevec2", *argv)

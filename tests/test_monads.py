@@ -157,6 +157,80 @@ def test_monad_violations_come_law_by_law_within_each_carrier():
     assert as_tuples(d.validate_monad(SwapFold(2), 1)) == grouped
 
 
+class XorSlip(d.FreeVectorF2):
+    """mu with one bit of the fold of the masks {00, 10} flipped at carrier 2."""
+
+    def mu(self, n):
+        table = list(super().mu(n))
+        if n == 2:
+            table[0b101] ^= 1
+        return tuple(table)
+
+
+def test_broken_free_vector_multiplication_is_reported():
+    # XorSlip redefines mu alone, so both checks read its broken table, not the arithmetic of FreeVectorF2.mu_at
+    assert not d.validate_monad(XorSlip(), 2).passed
+    assert as_tuples(d.check_strength(XorSlip(), 2)) == [
+        ("strength_iii", (2, 1, 7), 2, 3),
+        ("strength_iii", (2, 2, 5), 3, 2),
+        ("strength_iii", (2, 2, 21), 12, 8),
+    ]
+
+
+class CountingFreeVector(d.FreeVectorF2):
+    def __init__(self):
+        self.t_size_calls = 0
+
+    def t_size(self, n):
+        self.t_size_calls += 1
+        return super().t_size(n)
+
+
+def test_carrier_walk_stops_at_the_first_carrier_past_the_budget():
+    # T(T(5)) has 2^32 points, so carriers 5 and up are past the budget whatever the bound
+    calls = {}
+    for bound in (4, 10, 400_000):
+        monad = CountingFreeVector()
+        assert as_tuples(d.validate_monad(monad, bound)) == []
+        calls[bound] = monad.t_size_calls
+    assert calls[10] == calls[400_000] <= 2 * M.DEFAULT_BUDGET.bit_length()
+    assert calls[4] < calls[10]
+
+
+# --------------------------------------------------------- point evaluators
+
+def monad_id(value):
+    return f"{type(value).__name__}:{value.name}" if isinstance(value, d.FiniteMonad) else str(value)
+
+
+POINT_MONADS = [
+    d.identity_monad(), d.maybe_monad(), d.CoproductException(2), d.CoproductException(3),
+    d.FreeVectorF2(), BadFold(2), SwapFold(2), XorSlip(),
+]
+
+
+@pytest.mark.parametrize("monad", POINT_MONADS, ids=monad_id)
+def test_mu_at_is_the_mu_table(monad):
+    for n in range(4):
+        table = monad.mu(n)
+        assert tuple(monad.mu_at(n, p) for p in range(len(table))) == table
+
+
+@pytest.mark.parametrize("monad", POINT_MONADS, ids=monad_id)
+def test_t_mor_at_is_the_t_mor_table(monad):
+    # images past 2^63 keep exact Python ints
+    for src in range(4):
+        for f in itertools.product((0, 1, 2, 62, 63, 64, 70), repeat=src):
+            table = monad.t_mor(f, 71)
+            assert tuple(monad.t_mor_at(f, 71, p) for p in range(len(table))) == table
+
+
+def test_a_redefined_table_drops_the_inherited_point_evaluator():
+    assert BadFold.mu_at is XorSlip.mu_at is d.FiniteMonad.mu_at
+    assert BadFold.t_mor_at is d.CoproductException.t_mor_at
+    assert XorSlip.t_mor_at is d.FreeVectorF2.t_mor_at
+
+
 # ------------------------------------------------------------- EM algebras
 
 def test_maybe_algebras_are_pointed_sets(maybe):
@@ -616,17 +690,18 @@ def test_freevec_strength_axioms(freevec):
 
 
 def test_freevec_strength_budget(freevec):
-    with pytest.raises(BudgetExceededError):
-        d.check_strength(freevec, 3)
+    # strength_iii reads 1 668 points over the sizes up to 3; the mu(6) table at (2, 3) alone has 2^64 entries
+    assert d.check_strength(freevec, 3).passed
+
+
+class MarkSwap(d.CoproductException):
+    def theta(self, x, y):
+        table = list(super().theta(x, y))
+        table[-1], table[-2] = table[-2], table[-1]
+        return tuple(table)
 
 
 def test_broken_strength_is_reported():
-    class MarkSwap(d.CoproductException):
-        def theta(self, x, y):
-            table = list(super().theta(x, y))
-            table[-1], table[-2] = table[-2], table[-1]
-            return tuple(table)
-
     report = d.check_strength(MarkSwap(2), 2)
     assert not report.passed
     assert {v.axiom for v in report.violations} <= {
@@ -666,6 +741,62 @@ def test_strength_violations_are_itemized_in_order():
         ("strength_i", (1, 1, 1, 1), 0, 1),
         ("strength_i", (1, 1, 1, 3), 1, 0),
     ]
+
+
+def table_built_strength(monad, max_size):
+    """check_strength as it was before point evaluators: every composite built as a whole table."""
+    budget = M._budget(None)
+    amb = monad.ambient
+    violations = []
+    sizes = range(max_size + 1)
+
+    def guard(key, *table_sizes):
+        for size in table_sizes:
+            M._guard(size, budget, f"strength tables at sizes ({', '.join(map(str, key))})")
+
+    for x in sizes:
+        guard((x,), amb.tensor(amb.unit_size, monad.t_size(x)))
+        table = monad.theta(amb.unit_size, x)
+        violations += M._mismatches("strength_ii", (x,), table, M.identity_table(len(table)))
+    for x in sizes:
+        for y in sizes:
+            ty = monad.t_size(y)
+            xy = amb.tensor(x, y)
+            guard((x, y), amb.tensor(x, ty), xy)
+            lhs = M.compose(monad.theta(x, y), amb.tensor_mor(M.identity_table(x), monad.eta(y), x, ty))
+            violations += M._mismatches("strength_iv", (x, y), lhs, monad.eta(xy))
+            tty = M._table_size(monad, ty, budget)
+            txy = monad.t_size(xy)
+            guard((x, y), tty, amb.tensor(x, tty), M._table_size(monad, txy, budget))
+            guard((x, y), monad.t_size(amb.tensor(x, ty)))
+            lhs = M.compose(monad.theta(x, y), amb.tensor_mor(M.identity_table(x), monad.mu(y), x, ty))
+            rhs = M.compose(monad.mu(xy), M.compose(monad.t_mor(monad.theta(x, y), txy), monad.theta(x, ty)))
+            violations += M._mismatches("strength_iii", (x, y), lhs, rhs)
+    for x in sizes:
+        for y in sizes:
+            for z in sizes:
+                tz = monad.t_size(z)
+                tyz = monad.t_size(amb.tensor(y, z))
+                guard((x, y, z), amb.tensor(x, tyz), amb.tensor(y, tz), amb.tensor(amb.tensor(x, y), tz))
+                lhs = M.compose(
+                    monad.theta(x, amb.tensor(y, z)),
+                    amb.tensor_mor(M.identity_table(x), monad.theta(y, z), x, tyz),
+                )
+                violations += M._mismatches("strength_i", (x, y, z), lhs, monad.theta(amb.tensor(x, y), z))
+    return violations
+
+
+@pytest.mark.parametrize("monad,size", [
+    *[(d.CoproductException(marks), 6) for marks in range(4)],
+    (d.maybe_monad(), 6),
+    (d.identity_monad(), 6),
+    (d.FreeVectorF2(), 2),
+    (MarkSwap(2), 3),
+    (FirstLastSwap(1), 2),
+    (XorSlip(), 2),
+], ids=monad_id)
+def test_strength_matches_the_table_built_oracle(monad, size):
+    assert list(d.check_strength(monad, size).violations) == table_built_strength(monad, size)
 
 
 def test_missing_strength_raises():
@@ -802,6 +933,64 @@ def test_agreement_rejects_other_monads(freevec):
 def test_comparison_fully_faithful_for_builtins(maybe, identity, exc2, freevec):
     for monad in (maybe, identity, exc2, freevec):
         assert d.check_comparison_fully_faithful(monad, 2)
+
+
+def brute_em_morphisms(monad, x, y):
+    """Every map T(x) -> T(y) that commutes with mu, from all |T(y)|^|T(x)| of them, in lexicographic order."""
+    tx, ty = monad.t_size(x), monad.t_size(y)
+    mu_x, mu_y = monad.mu(x), monad.mu(y)
+    return [
+        f for f in itertools.product(range(ty), repeat=tx)
+        if M.compose(f, mu_x) == M.compose(mu_y, monad.t_mor(f, ty))
+    ]
+
+
+def brute_fully_faithful(monad, max_size):
+    """check_comparison_fully_faithful as a scan over every map, with every composite a whole table."""
+    for x in range(max_size + 1):
+        for y in range(max_size + 1):
+            ty, mu_y = monad.t_size(y), monad.mu(y)
+            ems = set(brute_em_morphisms(monad, x, y))
+            transported = {M.compose(mu_y, monad.t_mor(g, ty)) for g in itertools.product(range(ty), repeat=x)}
+            if not transported <= ems or len(transported) != ty ** x or len(ems) != len(transported):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("monad,size", [
+    (d.maybe_monad(), 3),
+    (d.identity_monad(), 3),
+    (d.CoproductException(2), 3),
+    (d.CoproductException(3), 3),
+    (d.FreeVectorF2(), 2),
+    (BadFold(2), 2),
+    (SwapFold(2), 2),
+], ids=monad_id)
+def test_morphism_search_matches_the_brute_force_scan(monad, size):
+    for x in range(size + 1):
+        for y in range(size + 1):
+            assert list(M._em_morphisms(monad, x, y, M.DEFAULT_BUDGET)) == brute_em_morphisms(monad, x, y), (x, y)
+    assert d.check_comparison_fully_faithful(monad, size) is brute_fully_faithful(monad, size)
+
+
+def test_broken_multiplication_is_not_fully_faithful():
+    assert not d.check_comparison_fully_faithful(BadFold(2), 2)
+    # at sizes (0, 0) the one transported map (1, 0) is not the one algebra morphism (0, 1)
+    assert list(M._em_morphisms(SwapFold(2), 0, 0, M.DEFAULT_BUDGET)) == [(0, 1)]
+    assert not d.check_comparison_fully_faithful(SwapFold(2), 0)
+
+
+def test_morphism_search_charges_every_node(freevec):
+    # at sizes (2, 2) the search places 4 + 4 + 16 + 64 values and finds the 16 linear maps of F2^2
+    assert d.check_comparison_fully_faithful(freevec, 2, budget=88)
+    with pytest.raises(BudgetExceededError, match=r"morphism search at sizes \(2, 2\)"):
+        d.check_comparison_fully_faithful(freevec, 2, budget=87)
+
+
+def test_freevec_comparison_at_three(freevec):
+    # the search finds the 512 linear maps of F2^3 among 8^8 maps T(3) -> T(3)
+    assert sum(1 for _ in M._em_morphisms(freevec, 3, 3, M.DEFAULT_BUDGET)) == 512
+    assert d.check_comparison_fully_faithful(freevec, 3)
 
 
 def test_maybe_hom_counts_match_free_morphism_counts(maybe):
