@@ -6,8 +6,11 @@ concatenates blocks (right block offset by the left size) and cartesian
 product uses row-major indexing.  Every monad supplies its object map,
 morphism map, multiplication and unit as explicit tables, plus an optional
 left strength table, and may compute single entries of mu and T(f) without
-their tables.  All verdicts quantify over carriers up to a stated bound;
-table sizes, points evaluated and search nodes are held under a configurable
+their tables.  Structure maps, module actions, addition laws and algebra
+morphisms are all listed by one backtracking search, `_backtrack`, which
+knows no law: each caller passes the values an entry may take and its own
+check.  All verdicts quantify over carriers up to a stated bound; table
+sizes, points evaluated and search leaves are held under a configurable
 budget.
 """
 
@@ -108,15 +111,48 @@ def _set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _fillings(template: list[int], carrier: int, budget: int, what: str) -> Iterator[tuple[int, ...]]:
-    """Every table that agrees with template off its -1 entries and takes values below carrier there."""
-    free = [p for p, v in enumerate(template) if v == -1]
-    _guard(carrier ** len(free), budget, what)
-    for values in itertools.product(range(carrier), repeat=len(free)):
-        table = template.copy()
-        for p, v in zip(free, values):
-            table[p] = v
-        yield tuple(table)
+def _backtrack(size: int, choices, holds, budget: int, what: str) -> Iterator[tuple[int, ...]]:
+    """Every table t of length size with each t[i] in choices(t, i) and holds(t, i) true, depth first.
+
+    Entries are filled in index order; choices(t, i) is a sequence that may
+    read t[:i], and holds(t, i) may read t[:i + 1].  Tables come in the
+    lexicographic order of the choices.  Every leaf below the root counts
+    against the budget: a value that completes the table, one that holds
+    rejects, and one that leaves the next entry with no choice.  For a fill
+    with no law that is the number of tables.
+    """
+    if not size:
+        yield ()
+        return
+    t = [0] * size
+    last = size - 1
+    leaves = 0
+    stack = [iter(choices(t, 0))]  # stack[i]: the values left to try at entry i
+    while stack:
+        i = len(stack) - 1
+        for value in stack[i]:
+            t[i] = value
+            kept = holds(t, i)
+            if kept and i < last:
+                following = choices(t, i + 1)
+                if following:
+                    stack.append(iter(following))
+                    break
+            leaves += 1
+            if leaves > budget:
+                _guard(leaves, budget, what)
+            if kept and i == last:
+                yield tuple(t)
+        else:
+            stack.pop()
+
+
+def _unit_fills(size: int, unit, carrier: int, budget: int, what: str) -> Iterator[tuple[int, ...]]:
+    """Every table of size values below carrier with table[unit[x]] = x for each x, lexicographically."""
+    allowed: list = [range(carrier)] * size
+    for x, p in enumerate(unit):
+        allowed[p] = [x] if x in allowed[p] else []
+    return _backtrack(size, lambda t, i: allowed[i], lambda t, i: True, budget, what)
 
 
 def _mismatches(axiom: str, key: tuple[int, ...], lhs, rhs) -> list[Violation]:
@@ -215,19 +251,9 @@ class FiniteMonad:
         raise StructuralError(f"monad {self.name} provides no strength")
 
     def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
-        """All structure tables compatible with the unit axiom."""
-        tsize = self.t_size(carrier)
-        if carrier == 0:
-            if tsize == 0:
-                yield ()
-            return
-        eta = self.eta(carrier)
-        template: list[int] = [-1] * tsize
-        for x in range(carrier):
-            if template[eta[x]] not in (-1, x):
-                return
-            template[eta[x]] = x
-        yield from _fillings(template, carrier, budget, f"structure-map enumeration at carrier {carrier}")
+        """All structure tables compatible with the unit axiom, in lexicographic order."""
+        what = f"structure-map enumeration at carrier {carrier}"
+        return _unit_fills(self.t_size(carrier), self.eta(carrier), carrier, budget, what)
 
 
 class CoproductException(FiniteMonad):
@@ -342,52 +368,47 @@ def _addition_laws(carrier: int, budget: int) -> list[tuple[int, list[list[int]]
     add is a symmetric Latin square with the constant diagonal zero, that is a
     one-factorization of the complete graph K_carrier (W. D. Wallis,
     One-Factorizations, 1997), so there is none at an odd carrier above 1.
-    For each zero the search fixes its row and column to the identity and
-    fills the pairs a < b in order with the values still free in rows a and b,
-    least first, so every row stays a permutation; a complete square is kept
-    when it is associative.  Every value placed counts against the budget.
-    Laws come zero by zero, each zero's in lexicographic order of its pairs.
+    The search table holds the zero at entry 0 and then the sums of the pairs
+    a < b off the zero, in order; the zero's row and column are the identity.
+    A pair takes the values still free in both of its rows, least first, so
+    every row stays a permutation, and a complete square is kept when it is
+    associative.  Laws come zero by zero, each zero's in lexicographic order
+    of its pairs.
     """
-    full = (1 << carrier) - 1
-    what = f"addition-law search at carrier {carrier}"
-    nodes = 0
-    laws: list[tuple[int, list[list[int]]]] = []
-    for zero in range(carrier):
-        add = [[zero] * carrier for _ in range(carrier)]
-        used = [(1 << x) | (1 << zero) for x in range(carrier)]  # values taken in row x, as bits
-        used[zero] = full
-        for x in range(carrier):
+    elements = range(carrier)
+    # pairs[zero][i - 1] is the pair whose sum is entry i, and earlier[zero][i - 1] lists the entries
+    # before i whose pair shares a row with it
+    pairs = [[p for p in itertools.combinations(elements, 2) if zero not in p] for zero in elements]
+    earlier = [[[j + 1 for j, q in enumerate(ps[:i]) if set(p) & set(q)] for i, p in enumerate(ps)] for ps in pairs]
+    size = 1 + (carrier - 1) * (carrier - 2) // 2
+    free: dict[int, list[int]] = {}  # a bit mask of the values taken -> the values left
+
+    def choices(t: list[int], i: int):
+        if not i:
+            return elements
+        zero = t[0]
+        a, b = pairs[zero][i - 1]
+        taken = 1 << zero | 1 << a | 1 << b
+        for j in earlier[zero][i - 1]:
+            taken |= 1 << t[j]
+        if taken not in free:
+            free[taken] = [v for v in elements if not taken >> v & 1]
+        return free[taken]
+
+    def square(t) -> list[list[int]]:
+        zero = t[0]
+        add = [[zero] * carrier for _ in elements]
+        for x in elements:
             add[zero][x] = add[x][zero] = x
-        pairs = [(a, b) for a, b in itertools.combinations(range(carrier), 2) if zero not in (a, b)]
-        # depth-first over pairs: untried[i] holds the values left to try at pairs[i], placed[i] the one placed
-        untried = [full & ~(used[a] | used[b]) for a, b in pairs[:1]]
-        placed: list[int] = []
-        if not pairs and _is_associative(add):
-            laws.append((zero, add))
-        while untried:
-            i = len(untried) - 1
-            a, b = pairs[i]
-            if len(placed) > i:
-                bit = placed.pop()
-                used[a] ^= bit
-                used[b] ^= bit
-            if not untried[i]:
-                untried.pop()
-                continue
-            bit = untried[i] & -untried[i]
-            untried[i] ^= bit
-            nodes += 1
-            _guard(nodes, budget, what)
-            add[a][b] = add[b][a] = bit.bit_length() - 1
-            used[a] |= bit
-            used[b] |= bit
-            placed.append(bit)
-            if i + 1 < len(pairs):
-                c, d = pairs[i + 1]
-                untried.append(full & ~(used[c] | used[d]))
-            elif _is_associative(add):
-                laws.append((zero, [row.copy() for row in add]))
-    return laws
+        for (a, b), v in zip(pairs[zero], t[1:]):
+            add[a][b] = add[b][a] = v
+        return add
+
+    def holds(t: list[int], i: int) -> bool:
+        return i < size - 1 or _is_associative(square(t))
+
+    what = f"addition-law search at carrier {carrier}"
+    return [(t[0], square(t)) for t in _backtrack(size, choices, holds, budget, what)]
 
 
 def _is_associative(add: list[list[int]]) -> bool:
@@ -857,17 +878,7 @@ def enumerate_modules(
     for carrier in range(max_carrier + 1):
         dom = amb.tensor(carrier, a)
         unit_inc = amb.tensor_mor(identity_table(carrier), algebra.unit, carrier, a)
-        template: list[int] = [-1] * dom
-        consistent = True
-        for y in range(carrier):
-            pos = unit_inc[y]
-            if template[pos] not in (-1, y):
-                consistent = False
-                break
-            template[pos] = y
-        if not consistent:
-            continue
-        actions = _fillings(template, carrier, budget, f"module enumeration at carrier {carrier}")
+        actions = _unit_fills(dom, unit_inc, carrier, budget, f"module enumeration at carrier {carrier}")
         is_module = functools.partial(_module_axioms_hold, algebra, carrier)
         for canon in _isoclasses(
             actions, carrier, lambda perm: amb.tensor_mor(perm, ident_a, carrier, a), budget, is_module
@@ -957,8 +968,8 @@ def _em_morphisms(monad: FiniteMonad, x: int, y: int, budget: int) -> Iterator[t
     at a point p of T(T(x)) is checked as soon as every entry of f it reads has
     a value.  Those entries are found once, by running the point evaluator
     t_mor_at on a table that logs its reads; without one, every point reads all
-    of f and is checked on one T(f) table per complete f.  Every value placed
-    counts against the budget.
+    of f and is checked on one T(f) table per complete f.  Every leaf of the
+    search counts against the budget.
     """
     tx, ty = monad.t_size(x), monad.t_size(y)
     what = f"morphism search at sizes ({x}, {y})"
@@ -985,22 +996,8 @@ def _em_morphisms(monad: FiniteMonad, x: int, y: int, budget: int) -> Iterator[t
         t_f = _t_mor_reader(monad, f, ty, budget, guard)
         return all(f[mu_x[p]] == mu_y(t_f(p)) for p in ready[i])
 
-    f = [-1] * tx
-    nodes = 0
-    i = 0
-    while i >= 0:
-        if i == tx:
-            yield tuple(f)
-            i -= 1
-        elif f[i] + 1 < ty:
-            f[i] += 1
-            nodes += 1
-            guard(nodes)
-            if holds(f, i):
-                i += 1
-        else:
-            f[i] = -1
-            i -= 1
+    values = range(ty)
+    return _backtrack(tx, lambda f, i: values, holds, budget, what)
 
 
 def check_comparison_fully_faithful(
@@ -1012,8 +1009,8 @@ def check_comparison_fully_faithful(
     and checks that this lands bijectively on the algebra morphisms from the
     free algebra on X to the free algebra on Y.  The maps X -> T(Y) are held
     to the budget; the algebra morphisms come from a backtracking search that
-    checks each point of the law as soon as it can and counts every value it
-    places against the budget.
+    checks each point of the law as soon as it can and counts every leaf it
+    reaches against the budget.
     """
     budget = _budget(budget)
     for x in range(max_size + 1):

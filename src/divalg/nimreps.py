@@ -8,6 +8,7 @@ acts on the ring's own basis through the fusion rules.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,13 @@ from .rings import (
     ValidationReport,
     Violation,
     _as_int_array,
+    _fits_int64,
     _freeze,
     _labels,
     _record,
     _require_nonzero,
     _row_products,
+    _total,
     _vector,
     classify_internal_end,
 )
@@ -65,6 +68,11 @@ class NimRep:
     @property
     def module_rank(self) -> int:
         return len(self.module_labels)
+
+    @functools.cached_property
+    def _largest(self) -> int:
+        """The largest action multiplicity, read once per NIM-rep."""
+        return int(self.actions.max(initial=0))
 
     def vector(self, data) -> np.ndarray:
         """Coerce `data` (module label, index sequence, or vector) to a module vector."""
@@ -132,12 +140,13 @@ def act(ring: FusionRing, nr: NimRep, x, m) -> np.ndarray:
     _check_compatible(ring, nr)
     xv = ring.vector(x)
     mv = nr.vector(m)
+    _fits_int64(nr._largest * _total(xv) * _total(mv))
     return np.einsum("i,iab,b->a", xv, nr.actions, mv)
 
 
 def is_simple_module_object(m) -> bool:
     vec = _require_nonzero(_as_int_array(m, "module vector"))
-    return int(vec.sum()) == 1
+    return _total(vec) == 1
 
 
 def module_components(nr: NimRep) -> list[list[int]]:
@@ -162,7 +171,9 @@ def _classify_module_object(nr: NimRep, mv: np.ndarray) -> ClassificationReport:
     single basis object sends m exactly onto e_k.  Essential surjectivity of
     tensoring against m therefore reduces to covering every slot this way.
     """
-    simple = int(mv.sum()) == 1
+    simple = _total(mv) == 1
+    # an image entry is at most the largest action entry times the length of m, and its sum module_rank times that
+    _fits_int64(nr._largest * nr.module_rank * _total(mv))
     covered: dict[int, int] = {}
     for i, image in enumerate(nr.actions @ mv):
         if image.sum() == 1:

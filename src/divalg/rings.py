@@ -6,10 +6,13 @@ unit vector and the dual involution.  Objects are identified with their
 multiplicity vectors over the basis, so isomorphism is vector equality.
 All verdict-bearing arithmetic is exact integer arithmetic; the only
 floating-point operation in this module is the diagnostic Perron eigenvalue.
+Contractions run in int64, so each one on a caller's object vector is
+bounded first in Python ints and refused when it could pass the int64 range.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -34,6 +37,9 @@ __all__ = [
     "classify_internal_end",
 ]
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -53,6 +59,21 @@ def _as_int_array(data, shape_name: str) -> np.ndarray:
     if arr.size and arr.min() < 0:
         raise StructuralError(f"{shape_name} has negative entries")
     return arr
+
+
+def _total(vec: np.ndarray) -> int:
+    """The sum of an int64 vector, in Python ints."""
+    return sum(vec.tolist())
+
+
+def _fits_int64(bound: int):
+    """Raise StructuralError when bound, a bound on an int64 contraction, is past the int64 range.
+
+    Entries are nonnegative, so the largest table entry times the sum of each
+    vector contracted against it bounds every entry and partial sum.
+    """
+    if bound > _INT64_MAX:
+        raise StructuralError(f"object too large for exact int64 arithmetic: a contraction could reach {bound}")
 
 
 def _labels(payload: dict, name: str) -> tuple[str, ...]:
@@ -110,6 +131,11 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
+
+    @functools.cached_property
+    def _largest(self) -> int:
+        """The largest fusion multiplicity, read once per ring."""
+        return int(self.fusion.max())
 
     def basis(self, i: int) -> np.ndarray:
         vec = np.zeros(self.rank, dtype=np.int64)
@@ -260,12 +286,13 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
 def tensor(ring: FusionRing, x, y) -> np.ndarray:
     """Bilinear extension of the fusion rules: (x (x) y)_k = sum x_i y_j N_ijk."""
     xv = ring.vector(x)
-    return _action_matrix(ring, ring.vector(y), "left") @ xv
+    yv = ring.vector(y)
+    _fits_int64(ring._largest * _total(xv) * _total(yv))
+    return _action_matrix(ring, yv, "left") @ xv
 
 
 def length(x) -> int:
-    vec = _as_int_array(x, "object vector")
-    return int(vec.sum())
+    return _total(_as_int_array(x, "object vector"))
 
 
 def is_simple(ring: FusionRing, x) -> bool:
@@ -280,6 +307,7 @@ def dual_object(ring: FusionRing, x) -> np.ndarray:
 
 def _action_matrix(ring: FusionRing, x: np.ndarray, side: str) -> np.ndarray:
     # column i = e_i tensored against x on the given side; the one object-vector contraction here
+    _fits_int64(ring._largest * _total(x))
     if side == "left":
         return np.einsum("ijk,j->ki", ring.fusion, x)
     return np.einsum("jik,j->ki", ring.fusion, x)
@@ -323,6 +351,7 @@ def _solve_inverse(ring: FusionRing, x: np.ndarray, side: str) -> Optional[np.nd
     bounds = caps[columns].tolist()
     if math.prod(b + 1 for b in bounds) > 1 << 20:
         raise BudgetExceededError("inverse search space too large for this ring")
+    _fits_int64(int(matrix.max()) * sum(bounds))
     for coeffs in _candidates_by_total(bounds):
         if not any(coeffs):
             continue

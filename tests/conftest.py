@@ -2,10 +2,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import divalg
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# property tests draw the same examples on every run, so two runs of the suite can be compared
+settings.register_profile("reproducible", derandomize=True)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

@@ -127,6 +127,25 @@ def test_two_sources_for_one_input_exit_two(capsys, tmp_path, command):
     assert "not both" in err
 
 
+@pytest.mark.parametrize("command", [
+    # x (x) x* = 3037000500^2 . 1 is past 2^63 - 1; it used to print a negative algebra vector
+    ["ring", "classify", "--builtin", "fib", "--object", "3037000500,0"],
+    # the length 2 (2^63 - 1) + 3 used to wrap to 1, so the object was called simplistic
+    ["ring", "classify", "--builtin", "ising", "--object", "9223372036854775807,9223372036854775807,3"],
+    ["nimrep", "classify", "--builtin", "ising", "--regular", "--object", "9223372036854775807,9223372036854775807,3"],
+])
+def test_contraction_past_int64_exits_two(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out) == (2, "")
+    assert "int64" in err
+
+
+def test_contraction_just_inside_int64_is_exact(capsys):
+    code, out, _ = run_cli(capsys, "ring", "classify", "--builtin", "fib", "--object", "3037000499,0")
+    assert code == 0
+    assert payload_of(out)["algebra"] == [3037000499**2, 0]
+
+
 def test_integer_past_int64_exits_two(capsys, tmp_path):
     data = d.builtin_ring("fib").to_payload()
     data["fusion"][1][1][1] = 2**64
@@ -432,6 +451,24 @@ def test_zero_budget_exits_three(capsys):
     code, out, err = run_cli(capsys, "monad", "check", "maybe", "--max-size", "2", "--budget", "0")
     assert code == 3
     assert "budget is 0" in err
+
+
+def test_zero_budget_decides_at_carrier_zero(capsys):
+    # the one structure table of the identity monad at carrier 0 is empty: no value is placed, so none is charged
+    code, out, _ = run_cli(capsys, "monad", "check", "identity", "--max-size", "0", "--budget", "0")
+    assert code == 0
+    assert payload_of(out)["isoclass_count"] == 1
+
+
+def test_structure_map_fill_frontier(capsys):
+    # exception(3) at carrier 6: six unit-fixed entries and 6^3 free fillings, each charged once
+    argv = ("monad", "check", "exception", "--marks", "3", "--max-size", "6", "--budget")
+    code, out, _ = run_cli(capsys, *argv, "216")
+    assert code == 0
+    assert payload_of(out)["applicable"] is True
+    code, out, err = run_cli(capsys, *argv, "215")
+    assert (code, out) == (3, "")
+    assert "structure-map enumeration at carrier 6 needs 216 entries, budget is 215" in err
 
 
 @pytest.mark.parametrize("verb", ["check", "strength"])

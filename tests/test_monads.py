@@ -1,6 +1,8 @@
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import divalg as d
 from divalg import monads as M
@@ -231,6 +233,105 @@ def test_a_redefined_table_drops_the_inherited_point_evaluator():
     assert XorSlip.t_mor_at is d.FreeVectorF2.t_mor_at
 
 
+# ------------------------------------------------------ backtracking kernel
+
+VALUES = range(4)
+
+
+@st.composite
+def searches(draw):
+    """A size, per-entry choices that may be empty or depend on earlier entries, and a holds reading t[:i + 1]."""
+    size = draw(st.integers(0, 5))
+    base = [sorted(draw(st.sets(st.sampled_from(VALUES)))) for _ in range(size)]
+    shift, modulus = draw(st.integers(0, 3)), draw(st.integers(2, 5))
+    step, rejected = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+
+    def choices(t, i):
+        return [v for v in base[i] if (v + shift * sum(t[:i])) % modulus]
+
+    def holds(t, i):
+        return (sum(t[: i + 1]) + step * i) % 5 != rejected
+
+    return size, choices, holds
+
+
+def product_then_filter(size, choices, holds):
+    """The tables of the search from every product of values, and the leaves of its tree, counted prefix by prefix."""
+    def inside(prefix):
+        t = list(prefix)
+        return all(t[i] in choices(t, i) for i in range(len(t))) and all(holds(t, i) for i in range(len(t) - 1))
+
+    tables = [p for p in itertools.product(VALUES, repeat=size) if inside(p) and (not size or holds(list(p), size - 1))]
+    leaves = sum(
+        1
+        for n in range(1, size + 1)
+        for p in itertools.product(VALUES, repeat=n)
+        if inside(p) and (not holds(list(p), n - 1) or n == size or not choices(list(p), n))
+    )
+    return tables, leaves
+
+
+@given(searches())
+@settings(max_examples=200, deadline=None)
+def test_backtrack_matches_product_then_filter(search):
+    size, choices, holds = search
+    tables, leaves = product_then_filter(size, choices, holds)
+    assert list(M._backtrack(size, choices, holds, leaves, "test search")) == tables
+    if leaves:
+        with pytest.raises(BudgetExceededError, match=f"test search needs {leaves} entries, budget is {leaves - 1}"):
+            list(M._backtrack(size, choices, holds, leaves - 1, "test search"))
+
+
+def product_fill(size, unit, carrier):
+    """The unit-template fill before it ran on _backtrack: a template, then every product of its free entries."""
+    if carrier == 0:
+        return [()] if size == 0 else []
+    template = [-1] * size
+    for x in range(carrier):
+        if template[unit[x]] not in (-1, x):
+            return []
+        template[unit[x]] = x
+    free = [p for p, v in enumerate(template) if v == -1]
+    tables = []
+    for values in itertools.product(range(carrier), repeat=len(free)):
+        table = template.copy()
+        for p, v in zip(free, values):
+            table[p] = v
+        tables.append(tuple(table))
+    return tables
+
+
+@pytest.mark.parametrize("monad", [d.identity_monad(), d.maybe_monad(), d.CoproductException(2)], ids=monad_id)
+def test_unit_fills_match_the_product_fill(monad):
+    algebra = d.algebra_from_strength(monad)
+    for carrier in range(5):
+        # the monads here live on (FinSet, disjoint union), so a module action is a table on Y + A
+        dom = carrier + algebra.carrier
+        unit_inc = M.DisjointUnion.tensor_mor(range(carrier), algebra.unit, carrier, algebra.carrier)
+        em_fill = functools.partial(d.FiniteMonad.em_structure_candidates, monad, carrier)
+        module_fill = functools.partial(M._unit_fills, dom, unit_inc, carrier, what="module fill")
+        for size, unit, fill in [(monad.t_size(carrier), monad.eta(carrier), em_fill), (dom, unit_inc, module_fill)]:
+            tables = product_fill(size, unit, carrier)
+            assert list(fill(budget=len(tables))) == tables
+            # a fill past its first entry charges exactly its number of tables
+            if size and tables:
+                with pytest.raises(BudgetExceededError, match=f"needs {len(tables)} entries"):
+                    list(fill(budget=len(tables) - 1))
+
+
+def test_a_unit_that_merges_points_leaves_no_fill():
+    assert product_fill(3, (0, 0), 2) == []
+    assert list(M._unit_fills(3, (0, 0), 2, M.DEFAULT_BUDGET, "fill")) == []
+
+
+def test_module_fill_frontier():
+    # carrier 4 over the two-element algebra of exception(2): four unit-fixed entries and 4^2 free fillings
+    algebra = d.algebra_from_strength(d.CoproductException(2))
+    assert len(d.enumerate_modules(algebra, 4, budget=16)) == len(d.enumerate_modules(algebra, 4))
+    with pytest.raises(BudgetExceededError, match="module enumeration at carrier 4 needs 16 entries, budget is 15"):
+        d.enumerate_modules(algebra, 4, budget=15)
+
+
 # ------------------------------------------------------------- EM algebras
 
 def test_maybe_algebras_are_pointed_sets(maybe):
@@ -338,13 +439,63 @@ def test_freevec_candidates_at_carrier_eight_are_the_vector_space_laws(freevec):
     assert all(is_f2_sum_table(t, 8) for t in tables)
 
 
-def test_addition_law_search_charges_every_node(freevec, monkeypatch):
-    # the carrier-6 search places 498 values and completes no associative square
-    monkeypatch.setenv("DIVALG_BUDGET", "498")
+def test_addition_law_search_charges_every_leaf(freevec, monkeypatch):
+    # the carrier-6 search ends in 120 leaves: 84 values that leave the next pair no free value,
+    # and 36 complete squares, none associative
+    monkeypatch.setenv("DIVALG_BUDGET", "120")
     assert list(freevec.em_structure_candidates(6, M._budget(None))) == []
-    monkeypatch.setenv("DIVALG_BUDGET", "497")
-    with pytest.raises(BudgetExceededError, match="addition-law search at carrier 6"):
+    monkeypatch.setenv("DIVALG_BUDGET", "119")
+    with pytest.raises(BudgetExceededError, match="addition-law search at carrier 6 needs 120 entries"):
         list(freevec.em_structure_candidates(6, M._budget(None)))
+
+
+def placed_value_addition_laws(carrier, budget):
+    """The addition-law search before it ran on _backtrack: an explicit stack, every placed value charged."""
+    full = (1 << carrier) - 1
+    what = f"addition-law search at carrier {carrier}"
+    nodes = 0
+    laws = []
+    for zero in range(carrier):
+        add = [[zero] * carrier for _ in range(carrier)]
+        used = [(1 << x) | (1 << zero) for x in range(carrier)]  # values taken in row x, as bits
+        used[zero] = full
+        for x in range(carrier):
+            add[zero][x] = add[x][zero] = x
+        pairs = [(a, b) for a, b in itertools.combinations(range(carrier), 2) if zero not in (a, b)]
+        # depth-first over pairs: untried[i] holds the values left to try at pairs[i], placed[i] the one placed
+        untried = [full & ~(used[a] | used[b]) for a, b in pairs[:1]]
+        placed = []
+        if not pairs and M._is_associative(add):
+            laws.append((zero, add))
+        while untried:
+            i = len(untried) - 1
+            a, b = pairs[i]
+            if len(placed) > i:
+                bit = placed.pop()
+                used[a] ^= bit
+                used[b] ^= bit
+            if not untried[i]:
+                untried.pop()
+                continue
+            bit = untried[i] & -untried[i]
+            untried[i] ^= bit
+            nodes += 1
+            M._guard(nodes, budget, what)
+            add[a][b] = add[b][a] = bit.bit_length() - 1
+            used[a] |= bit
+            used[b] |= bit
+            placed.append(bit)
+            if i + 1 < len(pairs):
+                c, d = pairs[i + 1]
+                untried.append(full & ~(used[c] | used[d]))
+            elif M._is_associative(add):
+                laws.append((zero, [row.copy() for row in add]))
+    return laws
+
+
+@pytest.mark.parametrize("carrier", range(8))
+def test_addition_laws_match_the_placed_value_search(carrier):
+    assert M._addition_laws(carrier, M.DEFAULT_BUDGET) == placed_value_addition_laws(carrier, M.DEFAULT_BUDGET)
 
 
 def filter_then_dedupe(monad, bound):
@@ -980,11 +1131,11 @@ def test_broken_multiplication_is_not_fully_faithful():
     assert not d.check_comparison_fully_faithful(SwapFold(2), 0)
 
 
-def test_morphism_search_charges_every_node(freevec):
-    # at sizes (2, 2) the search places 4 + 4 + 16 + 64 values and finds the 16 linear maps of F2^2
-    assert d.check_comparison_fully_faithful(freevec, 2, budget=88)
-    with pytest.raises(BudgetExceededError, match=r"morphism search at sizes \(2, 2\)"):
-        d.check_comparison_fully_faithful(freevec, 2, budget=87)
+def test_morphism_search_charges_every_leaf(freevec):
+    # at sizes (2, 2) the search ends in 67 leaves: the 16 linear maps of F2^2 and 51 values the law rejects
+    assert d.check_comparison_fully_faithful(freevec, 2, budget=67)
+    with pytest.raises(BudgetExceededError, match=r"morphism search at sizes \(2, 2\) needs 67 entries"):
+        d.check_comparison_fully_faithful(freevec, 2, budget=66)
 
 
 def test_freevec_comparison_at_three(freevec):

@@ -121,3 +121,79 @@ def test_cross_check_on_arbitrary_nonzero_objects(entry, data):
     if not vec.any():
         return
     assert d.cross_check_internal_end(entry.ring, vec)
+
+
+# ------------------------------------------------ huge objects and int64
+
+def wide_vector(rank):
+    """Entries small, near 2^32, or up to 2^70, so contractions land on both sides of the int64 range."""
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 2**32), st.integers(0, 2**70))
+    return st.lists(entry, min_size=rank, max_size=rank)
+
+
+def exact_tensor(fusion, x, y):
+    rank = len(fusion)
+    return [sum(x[i] * y[j] * fusion[i][j][k] for i in range(rank) for j in range(rank)) for k in range(rank)]
+
+
+def exact_act(actions, x, m):
+    slots = range(len(m))
+    return [sum(x[i] * actions[i][a][b] * m[b] for i in range(len(x)) for b in slots) for a in slots]
+
+
+def exact_slot_witnesses(actions, m):
+    """(i, k) for each slot k and the least basis object i that sends m exactly onto e_k."""
+    first = {}
+    for i in range(len(actions)):
+        image = exact_act(actions, [int(j == i) for j in range(len(actions))], m)
+        if sum(image) == 1:
+            first.setdefault(image.index(1), i)
+    return sorted((i, k) for k, i in first.items())
+
+
+def exact_or_refused(call, expected, *vectors):
+    """call() gives expected, or raises StructuralError; vectors with entries up to 2^20 are never refused."""
+    try:
+        got = call()
+    except d.StructuralError:
+        assert max(max(v) for v in vectors) > 2**20
+        return
+    assert got == expected
+
+
+@given(st.sampled_from(ENTRIES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_huge_objects_act_exactly_or_are_refused(entry, data):
+    ring = entry.ring
+    nr = d.regular_nimrep(ring)
+    x, y, m = (data.draw(wide_vector(ring.rank)) for _ in range(3))
+    exact_or_refused(lambda: d.tensor(ring, x, y).tolist(), exact_tensor(ring.fusion.tolist(), x, y), x, y)
+    exact_or_refused(lambda: d.act(ring, nr, x, m).tolist(), exact_act(nr.actions.tolist(), x, m), x, m)
+    exact_or_refused(lambda: d.length(x), sum(x), x)
+    if any(m):
+        exact_or_refused(lambda: d.is_simple_module_object(m), sum(m) == 1, m)
+
+
+@given(st.sampled_from(ENTRIES), st.data())
+@settings(max_examples=150, deadline=None)
+def test_huge_objects_classify_exactly_or_are_refused(entry, data):
+    ring = entry.ring
+    fusion = ring.fusion.tolist()
+    x = data.draw(wide_vector(ring.rank).filter(any))
+    dual = [x[i] for i in ring.dual]
+    report = None
+    try:
+        report = d.classify_internal_end(ring, x)
+    except d.StructuralError:
+        assert max(x) > 2**20
+    if report is not None:
+        assert list(report.algebra_vector) == exact_tensor(fusion, x, dual)
+        assert report.simplistic is (sum(x) == 1)
+        if report.inverse_witness is not None:
+            assert exact_tensor(fusion, list(report.inverse_witness), x) == ring.unit.tolist()
+    nr = d.regular_nimrep(ring)
+    exact_or_refused(
+        lambda: list(d.nimreps._classify_module_object(nr, nr.vector(x)).slot_witnesses),
+        exact_slot_witnesses(nr.actions.tolist(), x),
+        x,
+    )

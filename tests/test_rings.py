@@ -188,6 +188,36 @@ def test_tensor_rejects_wrong_length(fib):
 
 # ----------------------------------------------------------- length, simple
 
+def test_tensor_past_int64_is_refused(fib):
+    # (2^32 . 1) (x) (2^32 . 1) = 2^64 . 1 used to wrap to the zero vector
+    with pytest.raises(StructuralError, match="int64"):
+        d.tensor(fib, [2**32, 0], [2**32, 0])
+    assert d.tensor(fib, [2**31, 0], [2**31, 0]).tolist() == [2**62, 0]
+
+
+def test_action_matrix_past_int64_is_refused(fib):
+    # an entry of the multiplication matrix of 2^62 . 1 + 2^62 . tau would be 2^63
+    for call in (d.fp_dimension, d.is_left_invertible, d.is_right_invertible):
+        with pytest.raises(StructuralError, match="int64"):
+            call(fib, [2**62, 2**62])
+
+
+def test_inverse_search_past_int64_is_refused():
+    # an unvalidated rank-4 ring whose unit u = 4a - 2^64 caps each coordinate of y at 1: the candidate
+    # y = (1, 1, 1, 1) gives 4a, which wraps to u in int64 and would be taken for an inverse of e_0
+    a = 6_500_000_000_000_000_000
+    fusion = np.zeros((4, 4, 4), dtype=np.int64)
+    fusion[:, 0, :] = a
+    ring = d.FusionRing(labels=("a", "b", "c", "d"), unit=[4 * a - 2**64] * 4, dual=(0, 1, 2, 3), fusion=fusion)
+    with pytest.raises(StructuralError, match="int64"):
+        d.is_left_invertible(ring, [1, 0, 0, 0])
+
+
+def test_length_sums_past_int64():
+    assert d.length([2**63 - 1, 2**63 - 1, 3]) == 2**64 + 1
+    assert not d.is_simple_module_object([2**63 - 1, 2**63 - 1, 3])
+
+
 def test_length():
     assert d.length([1, 1]) == 2
     assert d.length([0, 1, 0]) == 1
