@@ -341,18 +341,22 @@ def _build_parser() -> argparse.ArgumentParser:
     ce.set_defaults(func=_cmd_catalog_export)
 
     mon = sub.add_parser("monad", help="finite monad verdicts")
+    budget_help = (
+        "cap held by each count on its own: table entries, points evaluated, orbit members, "
+        "search leaves (default: DIVALG_BUDGET, else 2000000)"
+    )
     mon_sub = mon.add_subparsers(dest="subcommand", required=True)
     mc = mon_sub.add_parser("check", help="monad laws plus the adjunction-triviality verdict")
     mc.add_argument("name", choices=["maybe", "identity", "exception", "freevec2"])
     mc.add_argument("--marks", type=int, help="mark count for the exception monad")
     mc.add_argument("--max-size", type=_nonnegative, default=4, dest="max_size")
-    mc.add_argument("--budget", type=_nonnegative, default=None, help="table/candidate cap")
+    mc.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
     mc.set_defaults(func=_cmd_monad_check)
     ms = mon_sub.add_parser("strength", help="left-strength axioms and the induced algebra")
     ms.add_argument("name", choices=["maybe", "identity", "exception", "freevec2"])
     ms.add_argument("--marks", type=int, help="mark count for the exception monad")
     ms.add_argument("--max-size", type=_nonnegative, default=3, dest="max_size")
-    ms.add_argument("--budget", type=_nonnegative, default=None, help="table/candidate cap")
+    ms.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
     ms.set_defaults(func=_cmd_monad_strength)
 
     return parser

@@ -6,18 +6,23 @@ concatenates blocks (right block offset by the left size) and cartesian
 product uses row-major indexing.  Every monad supplies its object map,
 morphism map, multiplication and unit as explicit tables, plus an optional
 left strength table, and may compute single entries of mu and T(f) without
-their tables.  Structure maps, module actions, addition laws and algebra
-morphisms are all listed by one backtracking search, `_backtrack`, which
-knows no law: each caller passes the values an entry may take and its own
-check.  All verdicts quantify over carriers up to a stated bound; table
-sizes, points evaluated and search leaves are held under a configurable
-budget.
+their tables.  Tables are composed by one C-level gather, `compose`: the
+EM axiom, monad associativity and each relabeling step compare or build
+composed whole tables, while the unit laws, the strength axioms and the
+algebra-morphism law read mu and T(f) through the point evaluators at the
+points they quantify over.  Structure maps, module actions, addition laws
+and algebra morphisms are all listed by one backtracking search,
+`_backtrack`, which knows no law: each caller passes the values an entry
+may take and its own check.  All verdicts quantify over carriers up to a
+stated bound; table sizes, points evaluated and search leaves are held
+under a configurable budget.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -167,8 +172,14 @@ def identity_table(n: int) -> tuple[int, ...]:
 
 
 def compose(g, f) -> tuple[int, ...]:
-    """Table of g after f."""
-    return tuple(g[v] for v in f)
+    """Table of g after f, gathered in one C-level call, `operator.itemgetter(*f)(g)`.
+
+    itemgetter of fewer than two indices does not return a tuple, so such an
+    f is read one index at a time.
+    """
+    if len(f) < 2:
+        return tuple(g[v] for v in f)
+    return operator.itemgetter(*f)(g)
 
 
 class DisjointUnion:
@@ -445,8 +456,12 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
 
     A law at a given carrier is only evaluated when its tables fit the
     budget; for the free-vector monad the associativity law involves T^3 and
-    is therefore checked on small carriers only.  The walk over carriers stops
-    at the first carrier n >= 1 whose T(T(n)) is past the budget.
+    is therefore checked on small carriers only.  The unit laws read mu(n)
+    at the |T(n)| points of T(eta_n) and of eta_{T(n)} through the monad's
+    point evaluator, so a mu(n) table is built only where associativity is
+    checked (or where the monad computes mu from whole tables).  The walk
+    over carriers stops at the first carrier n >= 1 whose T(T(n)) is past
+    the budget.
     """
     budget = _budget(budget)
     violations: list[Violation] = []
@@ -458,14 +473,17 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
                 # T keeps split monos, so |T(T(n))| only grows from n = 1 on: no later carrier fits either
                 break
             continue
-        mu_n = monad.mu(n)
-        unit_left = compose(mu_n, monad.t_mor(monad.eta(n), tn))
-        unit_right = compose(mu_n, monad.eta(tn))
+        # T(T(n)) fits, so the guard of a mu(n) table built here never fires
+        unit_guard = functools.partial(_guard, budget=budget, what=f"unit laws at carrier {n}")
+        mu_at = _mu_reader(monad, n, budget, unit_guard)
+        unit_left = tuple(map(mu_at, monad.t_mor(monad.eta(n), tn)))
+        unit_right = tuple(map(mu_at, monad.eta(tn)))
         ident = identity_table(tn)
         violations += _mismatches("monad_unit_left", (n,), unit_left, ident)
         violations += _mismatches("monad_unit_right", (n,), unit_right, ident)
         if _table_size(monad, ttn, budget) > budget:
             continue
+        mu_n = monad.mu(n)
         lhs = compose(mu_n, monad.t_mor(mu_n, tn))
         rhs = compose(mu_n, monad.mu(tn))
         violations += _mismatches("monad_associativity", (n,), lhs, rhs)
@@ -487,21 +505,16 @@ class EmAlgebra:
         }
 
 
-def _relabel(table, perm, moved) -> tuple[int, ...]:
-    """Carry a table D(Y) -> Y along perm; moved is the bijection perm induces on D(Y)."""
-    out = [0] * len(table)
-    for p, val in enumerate(table):
-        out[moved[p]] = perm[val]
-    return tuple(out)
-
-
 def _orbit(table, carrier: int, move, budget: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """The relabeling orbit of table, each member mapped to a bijection of the carrier that produces it.
 
-    The orbit is closed breadth-first under the transposition (0 1) and the
-    cycle i -> i+1 mod carrier, which generate the symmetric group.  Since move
-    is a functor, relabeling a member reached by perm along gen gives the member
-    reached by gen . perm, so the work is proportional to the orbit, not carrier!.
+    Relabeling a table t: D(Y) -> Y along a bijection perm gives
+    perm . t . move(perm)^-1, two table compositions.  The orbit is closed
+    breadth-first under the transposition (0 1) and the cycle i -> i+1 mod
+    carrier, which generate the symmetric group; each generator's move is
+    inverted once per orbit.  Since move is a functor, relabeling a member
+    reached by perm along gen gives the member reached by gen . perm, so the
+    work is proportional to the orbit, not carrier!.
     """
     start = tuple(table)
     orbit = {start: identity_table(carrier)}
@@ -509,12 +522,15 @@ def _orbit(table, carrier: int, move, budget: int) -> dict[tuple[int, ...], tupl
         return orbit
     swap = (1, 0) + tuple(range(2, carrier))
     cycle = tuple(range(1, carrier)) + (0,)
-    generators = [(gen, move(gen)) for gen in (swap, cycle)]
+    generators = []
+    for gen in (swap, cycle):
+        moved = move(gen)
+        generators.append((gen, sorted(range(len(moved)), key=moved.__getitem__)))  # the inverse of moved
     queue = [start]
     for current in queue:
         perm = orbit[current]
-        for gen, moved in generators:
-            image = _relabel(current, gen, moved)
+        for gen, back in generators:
+            image = compose(gen, compose(current, back))
             if image not in orbit:
                 orbit[image] = compose(gen, perm)
                 _guard(len(orbit), budget, f"relabeling orbit at carrier {carrier}")
@@ -563,8 +579,7 @@ def enumerate_em_algebras(
         def is_algebra(structure) -> bool:
             if any(structure[eta[x]] != x for x in range(carrier)):
                 return False
-            t_structure = monad.t_mor(structure, carrier)
-            return all(structure[t_structure[p]] == structure[mu[p]] for p in range(ttsize))
+            return compose(structure, monad.t_mor(structure, carrier)) == compose(structure, mu)
 
         candidates = monad.em_structure_candidates(carrier, budget)
         for canon in _isoclasses(candidates, carrier, lambda perm: monad.t_mor(perm, carrier), budget, is_algebra):
@@ -577,16 +592,19 @@ def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
     return EmAlgebra(monad.name, monad.t_size(n), tuple(monad.mu(n)))
 
 
-def em_isomorphic(monad: FiniteMonad, a: EmAlgebra, b: EmAlgebra) -> Optional[tuple[int, ...]]:
+def em_isomorphic(
+    monad: FiniteMonad, a: EmAlgebra, b: EmAlgebra, budget: Optional[int] = None
+) -> Optional[tuple[int, ...]]:
     """A carrier bijection commuting with the structure maps, or None if there is none.
 
     The witness is a bijection found in the relabeling orbit of a, not
     necessarily the lexicographically first one.  An orbit larger than the
-    budget (DIVALG_BUDGET or the default) raises BudgetExceededError.
+    budget (given, else DIVALG_BUDGET, else the default) raises
+    BudgetExceededError.
     """
     if a.carrier != b.carrier:
         return None
-    orbit = _orbit(a.structure, a.carrier, lambda perm: monad.t_mor(perm, a.carrier), _budget(None))
+    orbit = _orbit(a.structure, a.carrier, lambda perm: monad.t_mor(perm, a.carrier), _budget(budget))
     return orbit.get(tuple(b.structure))
 
 
@@ -658,7 +676,7 @@ def check_adjunction_trivial(
     for alg in algebras:
         matched: Optional[int] = None
         for n in _generator_sizes(monad.t_size, alg.carrier, alg.carrier + 1):
-            if em_isomorphic(monad, alg, free_algebra(monad, n)) is not None:
+            if em_isomorphic(monad, alg, free_algebra(monad, n), budget) is not None:
                 matched = n
                 break
         if matched is None:
@@ -896,20 +914,21 @@ def free_module(algebra: MonoidAlgebra, n: int) -> AlgebraModule:
 
 
 def module_isomorphic(
-    algebra: MonoidAlgebra, m1: AlgebraModule, m2: AlgebraModule
+    algebra: MonoidAlgebra, m1: AlgebraModule, m2: AlgebraModule, budget: Optional[int] = None
 ) -> Optional[tuple[int, ...]]:
     """A carrier bijection perm with perm . m1 = m2 . (perm (x) id_A), or None if there is none.
 
     The witness is a bijection found in the relabeling orbit of m1, not
     necessarily the lexicographically first one.  An orbit larger than the
-    budget (DIVALG_BUDGET or the default) raises BudgetExceededError.
+    budget (given, else DIVALG_BUDGET, else the default) raises
+    BudgetExceededError.
     """
     if m1.carrier != m2.carrier:
         return None
     amb = algebra.ambient
     ident_a = identity_table(algebra.carrier)
     orbit = _orbit(
-        m1.action, m1.carrier, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier), _budget(None)
+        m1.action, m1.carrier, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier), _budget(budget)
     )
     return orbit.get(tuple(m2.action))
 
@@ -939,7 +958,7 @@ def check_mon_ess_agreement(
     for module in modules:
         sizes = _generator_sizes(lambda n: amb.tensor(n, algebra.carrier), module.carrier, module.carrier + 1)
         if not any(
-            module_isomorphic(algebra, module, free_module(algebra, n)) is not None for n in sizes
+            module_isomorphic(algebra, module, free_module(algebra, n), budget) is not None for n in sizes
         ):
             essential = False
             break

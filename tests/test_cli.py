@@ -447,6 +447,21 @@ def test_budget_env_var(capsys, monkeypatch):
     assert code == 3
 
 
+def test_budget_option_overrides_the_env_var(capsys, monkeypatch):
+    argv = ("monad", "check", "maybe", "--max-size", "4", "--budget", "100000")
+    code, plain, _ = run_cli(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("DIVALG_BUDGET", "3")
+    assert run_cli(capsys, *argv)[:2] == (0, plain)
+
+
+@pytest.mark.parametrize("verb", ["check", "strength"])
+def test_budget_help_names_every_count(capsys, verb):
+    code, out, _ = run_cli(capsys, "monad", verb, "--help")
+    assert code == 0
+    assert "table entries, points evaluated, orbit members, search leaves" in " ".join(out.split())
+
+
 def test_zero_budget_exits_three(capsys):
     code, out, err = run_cli(capsys, "monad", "check", "maybe", "--max-size", "2", "--budget", "0")
     assert code == 3

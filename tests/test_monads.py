@@ -1,8 +1,9 @@
+import collections
 import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import divalg as d
 from divalg import monads as M
@@ -26,6 +27,11 @@ def module_move(algebra, carrier):
 def commutes(perm, a, b, moved):
     """The defining equation of an isomorphism a -> b: perm . a = b . move(perm)."""
     return all(perm[a[p]] == b[moved[p]] for p in range(len(a)))
+
+
+def composed(g, f):
+    """Table of g after f, one entry at a time: the oracle for M.compose."""
+    return tuple(g[v] for v in f)
 
 
 def relabeled(table, perm, moved):
@@ -179,6 +185,68 @@ def test_broken_free_vector_multiplication_is_reported():
     ]
 
 
+def monad_id(value):
+    return f"{type(value).__name__}:{value.name}" if isinstance(value, d.FiniteMonad) else str(value)
+
+
+def table_built_monad_laws(monad, max_size):
+    """validate_monad as it was before its unit laws read mu through the point evaluator: every law on whole tables."""
+    budget = M._budget(None)
+    violations = []
+    for n in range(max_size + 1):
+        tn = monad.t_size(n)
+        ttn = M._table_size(monad, tn, budget)
+        if ttn > budget:
+            if n:
+                break
+            continue
+        mu_n = monad.mu(n)
+        ident = M.identity_table(tn)
+        violations += M._mismatches("monad_unit_left", (n,), composed(mu_n, monad.t_mor(monad.eta(n), tn)), ident)
+        violations += M._mismatches("monad_unit_right", (n,), composed(mu_n, monad.eta(tn)), ident)
+        if M._table_size(monad, ttn, budget) > budget:
+            continue
+        lhs = composed(mu_n, monad.t_mor(mu_n, tn))
+        violations += M._mismatches("monad_associativity", (n,), lhs, composed(mu_n, monad.mu(tn)))
+    return violations
+
+
+@pytest.mark.parametrize("monad,size", [
+    (d.maybe_monad(), 7),
+    *[(d.CoproductException(marks), 5) for marks in range(4)],
+    *[(d.FreeVectorF2(), size) for size in range(5)],
+    (SwapFold(2), 3),
+    (XorSlip(), 4),
+    (BadFold(2), 3),
+], ids=monad_id)
+def test_monad_laws_match_the_table_built_oracle(monad, size):
+    assert list(d.validate_monad(monad, size).violations) == table_built_monad_laws(monad, size)
+
+
+class CountingMu(d.FreeVectorF2):
+    """freevec2 that counts its mu tables by carrier and keeps its point evaluator."""
+
+    mu_at = d.FreeVectorF2.mu_at
+
+    def __init__(self):
+        self.mu_calls = collections.Counter()
+
+    def mu(self, n):
+        self.mu_calls[n] += 1
+        return super().mu(n)
+
+
+def test_unit_laws_build_no_mu_table():
+    # associativity is checked at carriers 0 to 2 only, where it reads mu(n) and mu(T(n)) = mu(2^n)
+    monad = CountingMu()
+    assert d.validate_monad(monad, 4).passed
+    assert monad.mu_calls == {0: 1, 1: 2, 2: 2, 4: 1}
+    # the unit laws on whole tables also built mu(3), and mu(4) a second time
+    oracle = CountingMu()
+    assert table_built_monad_laws(oracle, 4) == []
+    assert oracle.mu_calls[4] == 2 and oracle.mu_calls[3] == 1
+
+
 class CountingFreeVector(d.FreeVectorF2):
     def __init__(self):
         self.t_size_calls = 0
@@ -200,10 +268,6 @@ def test_carrier_walk_stops_at_the_first_carrier_past_the_budget():
 
 
 # --------------------------------------------------------- point evaluators
-
-def monad_id(value):
-    return f"{type(value).__name__}:{value.name}" if isinstance(value, d.FiniteMonad) else str(value)
-
 
 POINT_MONADS = [
     d.identity_monad(), d.maybe_monad(), d.CoproductException(2), d.CoproductException(3),
@@ -231,6 +295,30 @@ def test_a_redefined_table_drops_the_inherited_point_evaluator():
     assert BadFold.mu_at is XorSlip.mu_at is d.FiniteMonad.mu_at
     assert BadFold.t_mor_at is d.CoproductException.t_mor_at
     assert XorSlip.t_mor_at is d.FreeVectorF2.t_mor_at
+
+
+# ------------------------------------------------------- table composition
+
+@st.composite
+def compositions(draw):
+    """A table g and a table f of indices into g, each a tuple or a list; f may be empty or have one entry."""
+    g = draw(st.lists(st.integers(-3, 9), max_size=6))
+    f = draw(st.lists(st.integers(0, len(g) - 1), max_size=6)) if g else []
+    return draw(st.sampled_from([tuple, list]))(g), draw(st.sampled_from([tuple, list]))(f)
+
+
+@given(compositions())
+@example(((), ()))
+@example(([7], (0,)))
+@example(((4, 5, 6), [2, 0, 2, 1]))
+def test_compose_is_the_entrywise_composite(pair):
+    g, f = pair
+    assert M.compose(g, f) == composed(g, f)
+    assert type(M.compose(g, f)) is tuple
+    past = type(f)([*f, len(g)])  # one index past the end of g
+    for compose in (M.compose, composed):
+        with pytest.raises(IndexError):
+            compose(g, past)
 
 
 # ------------------------------------------------------ backtracking kernel
@@ -688,6 +776,25 @@ def test_orbit_past_the_budget_raises(monkeypatch):
         d.em_isomorphic(monad, a, b)
 
 
+def test_a_given_budget_overrides_the_environment(monkeypatch):
+    monkeypatch.setenv("DIVALG_BUDGET", "3")
+    monad = d.CoproductException(5)
+    a = d.EmAlgebra(monad.name, 6, (0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4))
+    b = d.EmAlgebra(monad.name, 6, (0, 1, 2, 3, 4, 5, 5, 4, 3, 2, 1))
+    assert d.em_isomorphic(monad, a, b, budget=720) is not None
+    with pytest.raises(BudgetExceededError, match="orbit at carrier 6 needs 720 entries, budget is 719"):
+        d.em_isomorphic(monad, a, b, budget=719)
+    # the free module on three generators over T(1) of exception(2) has an orbit of 5! / 3! = 20 actions
+    algebra = d.algebra_from_strength(d.CoproductException(2))
+    free = d.free_module(algebra, 3)
+    assert d.module_isomorphic(algebra, free, free, budget=20) is not None
+    with pytest.raises(BudgetExceededError, match="orbit at carrier 5 needs 20 entries, budget is 19"):
+        d.module_isomorphic(algebra, free, free, budget=19)
+    # both verdicts pass their budget on to the isomorphism tests
+    assert d.check_adjunction_trivial(d.maybe_monad(), 4, budget=100_000).trivial_up_to_bound is True
+    assert d.check_mon_ess_agreement(d.CoproductException(2), 4, budget=100_000)
+
+
 # ------------------------------------------------------------- isomorphism
 
 @pytest.mark.parametrize("name,marks,bound", [
@@ -914,14 +1021,14 @@ def table_built_strength(monad, max_size):
             ty = monad.t_size(y)
             xy = amb.tensor(x, y)
             guard((x, y), amb.tensor(x, ty), xy)
-            lhs = M.compose(monad.theta(x, y), amb.tensor_mor(M.identity_table(x), monad.eta(y), x, ty))
+            lhs = composed(monad.theta(x, y), amb.tensor_mor(M.identity_table(x), monad.eta(y), x, ty))
             violations += M._mismatches("strength_iv", (x, y), lhs, monad.eta(xy))
             tty = M._table_size(monad, ty, budget)
             txy = monad.t_size(xy)
             guard((x, y), tty, amb.tensor(x, tty), M._table_size(monad, txy, budget))
             guard((x, y), monad.t_size(amb.tensor(x, ty)))
-            lhs = M.compose(monad.theta(x, y), amb.tensor_mor(M.identity_table(x), monad.mu(y), x, ty))
-            rhs = M.compose(monad.mu(xy), M.compose(monad.t_mor(monad.theta(x, y), txy), monad.theta(x, ty)))
+            lhs = composed(monad.theta(x, y), amb.tensor_mor(M.identity_table(x), monad.mu(y), x, ty))
+            rhs = composed(monad.mu(xy), composed(monad.t_mor(monad.theta(x, y), txy), monad.theta(x, ty)))
             violations += M._mismatches("strength_iii", (x, y), lhs, rhs)
     for x in sizes:
         for y in sizes:
@@ -929,7 +1036,7 @@ def table_built_strength(monad, max_size):
                 tz = monad.t_size(z)
                 tyz = monad.t_size(amb.tensor(y, z))
                 guard((x, y, z), amb.tensor(x, tyz), amb.tensor(y, tz), amb.tensor(amb.tensor(x, y), tz))
-                lhs = M.compose(
+                lhs = composed(
                     monad.theta(x, amb.tensor(y, z)),
                     amb.tensor_mor(M.identity_table(x), monad.theta(y, z), x, tyz),
                 )
@@ -1092,7 +1199,7 @@ def brute_em_morphisms(monad, x, y):
     mu_x, mu_y = monad.mu(x), monad.mu(y)
     return [
         f for f in itertools.product(range(ty), repeat=tx)
-        if M.compose(f, mu_x) == M.compose(mu_y, monad.t_mor(f, ty))
+        if composed(f, mu_x) == composed(mu_y, monad.t_mor(f, ty))
     ]
 
 
@@ -1102,7 +1209,7 @@ def brute_fully_faithful(monad, max_size):
         for y in range(max_size + 1):
             ty, mu_y = monad.t_size(y), monad.mu(y)
             ems = set(brute_em_morphisms(monad, x, y))
-            transported = {M.compose(mu_y, monad.t_mor(g, ty)) for g in itertools.product(range(ty), repeat=x)}
+            transported = {composed(mu_y, monad.t_mor(g, ty)) for g in itertools.product(range(ty), repeat=x)}
             if not transported <= ems or len(transported) != ty ** x or len(ems) != len(transported):
                 return False
     return True
@@ -1152,7 +1259,7 @@ def test_maybe_hom_counts_match_free_morphism_counts(maybe):
             mu_x, mu_y = maybe.mu(x), maybe.mu(y)
             count = 0
             for f in itertools.product(range(ty), repeat=tx):
-                if M.compose(f, mu_x) == M.compose(mu_y, maybe.t_mor(f, ty)):
+                if composed(f, mu_x) == composed(mu_y, maybe.t_mor(f, ty)):
                     count += 1
             assert count == (y + 1) ** x
 
