@@ -221,9 +221,11 @@ def _cmd_nimrep_classify(args) -> tuple[dict, dict, int]:
         return violations, inputs, EXIT_INVALID_DATA
     nr, nim_inputs = _resolve_nimrep(args, ring)
     inputs.update(nim_inputs)
-    nim_report = nimreps.validate_nimrep(ring, nr)
-    if not nim_report.passed:
-        return nim_report.to_payload(), inputs, EXIT_INVALID_DATA
+    # the regular NIM-rep's two laws are the ring's unit_left and associativity checks, already passed
+    if not args.regular:
+        nim_report = nimreps.validate_nimrep(ring, nr)
+        if not nim_report.passed:
+            return nim_report.to_payload(), inputs, EXIT_INVALID_DATA
     mv = nr.vector(_parse_object(args.object, nr.module_labels))
     report = nimreps.classify_internal_end_nimrep(ring, nr, mv)
     payload = report.to_payload()

@@ -538,20 +538,55 @@ def _orbit(table, carrier: int, move, budget: int) -> dict[tuple[int, ...], tupl
     return orbit
 
 
-def _isoclasses(tables, carrier: int, move, budget: int, accept) -> list[tuple[int, ...]]:
-    """The least table of each relabeling orbit met among the accepted tables, sorted; move(perm) is D(perm).
+def _isoclasses(tables, carrier: int, move, budget: int, accept) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """Each member of the relabeling orbits met among the accepted tables, mapped to its orbit's least table.
 
-    accept(table) is only asked about tables outside the orbits found so far:
-    a relabeling of an accepted table can only add its isoclass again.
+    move(perm) is D(perm).  accept(table) is only asked about tables outside
+    the orbits found so far: a relabeling of an accepted table can only add
+    its isoclass again.  The orbits are kept, so a later isomorphism test
+    against a found isoclass is one lookup.
     """
-    seen: set[tuple[int, ...]] = set()
-    found = []
+    members: dict[tuple[int, ...], tuple[int, ...]] = {}
     for table in tables:
-        if table not in seen and accept(table):
+        if table not in members and accept(table):
             orbit = _orbit(table, carrier, move, budget)
-            seen.update(orbit)
-            found.append(min(orbit))
-    return sorted(found)
+            members.update(dict.fromkeys(orbit, min(orbit)))
+    return members
+
+
+def _representatives(members: dict[tuple[int, ...], tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The least table of each isoclass in an _isoclasses map, sorted."""
+    return sorted(set(members.values()))
+
+
+def _em_isoclasses(monad: FiniteMonad, max_carrier: int, budget: int) -> dict[int, dict]:
+    """Per carrier up to max_carrier, the _isoclasses map of the Eilenberg-Moore algebras on it."""
+    classes = {}
+    for carrier in range(max_carrier + 1):
+        tsize = monad.t_size(carrier)
+        ttsize = _table_size(monad, tsize, budget)
+        _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
+        mu = monad.mu(carrier)
+        eta = monad.eta(carrier)
+
+        def is_algebra(structure) -> bool:
+            if any(structure[eta[x]] != x for x in range(carrier)):
+                return False
+            return compose(structure, monad.t_mor(structure, carrier)) == compose(structure, mu)
+
+        candidates = monad.em_structure_candidates(carrier, budget)
+        classes[carrier] = _isoclasses(
+            candidates, carrier, lambda perm: monad.t_mor(perm, carrier), budget, is_algebra
+        )
+    return classes
+
+
+def _em_algebras(monad: FiniteMonad, classes: dict[int, dict]) -> list[EmAlgebra]:
+    return [
+        EmAlgebra(monad.name, carrier, canon)
+        for carrier, members in classes.items()
+        for canon in _representatives(members)
+    ]
 
 
 def enumerate_em_algebras(
@@ -567,24 +602,7 @@ def enumerate_em_algebras(
     it could only add that algebra again.  An orbit larger than the budget
     raises BudgetExceededError.
     """
-    budget = _budget(budget)
-    found: list[EmAlgebra] = []
-    for carrier in range(max_carrier + 1):
-        tsize = monad.t_size(carrier)
-        ttsize = _table_size(monad, tsize, budget)
-        _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
-        mu = monad.mu(carrier)
-        eta = monad.eta(carrier)
-
-        def is_algebra(structure) -> bool:
-            if any(structure[eta[x]] != x for x in range(carrier)):
-                return False
-            return compose(structure, monad.t_mor(structure, carrier)) == compose(structure, mu)
-
-        candidates = monad.em_structure_candidates(carrier, budget)
-        for canon in _isoclasses(candidates, carrier, lambda perm: monad.t_mor(perm, carrier), budget, is_algebra):
-            found.append(EmAlgebra(monad.name, carrier, canon))
-    return found
+    return _em_algebras(monad, _em_isoclasses(monad, max_carrier, _budget(budget)))
 
 
 def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
@@ -660,10 +678,13 @@ def check_adjunction_trivial(
     algebra being isomorphic to a free algebra.  Applicability needs two
     algebra isoclasses; they are probed slightly beyond the bound so that a
     small bound on a non-degenerate monad does not render the verdict
-    inapplicable.
+    inapplicable.  An algebra's orbit, built by the enumeration, holds every
+    algebra isomorphic to it, so it matches a free algebra on n generators
+    exactly when mu(n) lies in that orbit: one lookup, no second orbit.
     """
     budget = _budget(budget)
-    algebras = enumerate_em_algebras(monad, max_carrier, budget)
+    classes = _em_isoclasses(monad, max_carrier, budget)
+    algebras = _em_algebras(monad, classes)
     applicable = len(algebras) >= 2
     if not applicable:
         try:
@@ -674,11 +695,9 @@ def check_adjunction_trivial(
     witnesses: list[tuple[EmAlgebra, int]] = []
     counterexample: Optional[EmAlgebra] = None
     for alg in algebras:
-        matched: Optional[int] = None
-        for n in _generator_sizes(monad.t_size, alg.carrier, alg.carrier + 1):
-            if em_isomorphic(monad, alg, free_algebra(monad, n), budget) is not None:
-                matched = n
-                break
+        members = classes[alg.carrier]
+        sizes = _generator_sizes(monad.t_size, alg.carrier, alg.carrier + 1)
+        matched = next((n for n in sizes if members.get(free_algebra(monad, n).structure) == alg.structure), None)
         if matched is None:
             if counterexample is None:
                 counterexample = alg
@@ -888,21 +907,27 @@ def enumerate_modules(
     least action table of each isoclass's orbit.  That orbit is built once per
     isoclass, at a cost proportional to its size rather than carrier!.
     """
-    budget = _budget(budget)
+    classes = _module_isoclasses(algebra, max_carrier, _budget(budget))
+    return [
+        AlgebraModule(carrier, canon) for carrier, members in classes.items() for canon in _representatives(members)
+    ]
+
+
+def _module_isoclasses(algebra: MonoidAlgebra, max_carrier: int, budget: int) -> dict[int, dict]:
+    """Per carrier up to max_carrier, the _isoclasses map of the right modules on it."""
     amb = algebra.ambient
     a = algebra.carrier
     ident_a = identity_table(a)
-    found: list[AlgebraModule] = []
+    classes = {}
     for carrier in range(max_carrier + 1):
         dom = amb.tensor(carrier, a)
         unit_inc = amb.tensor_mor(identity_table(carrier), algebra.unit, carrier, a)
         actions = _unit_fills(dom, unit_inc, carrier, budget, f"module enumeration at carrier {carrier}")
         is_module = functools.partial(_module_axioms_hold, algebra, carrier)
-        for canon in _isoclasses(
+        classes[carrier] = _isoclasses(
             actions, carrier, lambda perm: amb.tensor_mor(perm, ident_a, carrier, a), budget, is_module
-        ):
-            found.append(AlgebraModule(carrier, canon))
-    return found
+        )
+    return classes
 
 
 def free_module(algebra: MonoidAlgebra, n: int) -> AlgebraModule:
@@ -941,7 +966,8 @@ def check_mon_ess_agreement(
     The monadic route enumerates Eilenberg-Moore algebras and matches them to
     free algebras; the essential route builds the algebra T(unit) from the
     strength and enumerates its modules through the algebra tables.  Returns
-    True when the two bounded verdicts coincide.
+    True when the two bounded verdicts coincide.  Each route matches against
+    free objects by lookup in the orbits of its own enumeration.
     """
     if not isinstance(monad, CoproductException):
         raise StructuralError("the agreement check is defined for coproduct exception monads")
@@ -952,16 +978,16 @@ def check_mon_ess_agreement(
             f"{monad.name}: fewer than two algebra isoclasses within bound {max_carrier}"
         )
     algebra = algebra_from_strength(monad)
-    modules = enumerate_modules(algebra, max_carrier, budget)
+    classes = _module_isoclasses(algebra, max_carrier, budget)
     amb = algebra.ambient
-    essential = True
-    for module in modules:
-        sizes = _generator_sizes(lambda n: amb.tensor(n, algebra.carrier), module.carrier, module.carrier + 1)
-        if not any(
-            module_isomorphic(algebra, module, free_module(algebra, n), budget) is not None for n in sizes
-        ):
-            essential = False
-            break
+    # a module is free exactly when a free module lies in its orbit, so every module is free
+    # exactly when every isoclass holds a free module
+    free_classes = {
+        members.get(free_module(algebra, n).action)
+        for carrier, members in classes.items()
+        for n in _generator_sizes(lambda k: amb.tensor(k, algebra.carrier), carrier, carrier + 1)
+    }
+    essential = all(canon in free_classes for members in classes.values() for canon in members.values())
     return bool(verdict.trivial_up_to_bound) == essential
 
 

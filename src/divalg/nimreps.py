@@ -99,7 +99,11 @@ def regular_nimrep(ring: FusionRing) -> NimRep:
 
     Slices are transposed into the column-acts-on-slot convention so that
     composition reads actions[i] @ actions[j], matching the multiplicativity
-    axiom on noncommutative rings as well.
+    axiom on noncommutative rings as well.  Its based-module laws are ring
+    laws: unit_action at (a, b) is validate_ring's unit_left at (b, a), and
+    multiplicativity at (i, j, a, b) is associativity at (i, j, b, a) with
+    the two sides swapped, so it passes validate_nimrep exactly when the ring
+    has no violation of those two.
     """
     return NimRep(module_labels=ring.labels, actions=ring.fusion.transpose(0, 2, 1))
 
@@ -117,11 +121,16 @@ def validate_nimrep(ring: FusionRing, nr: NimRep, check_dual: bool = False) -> V
     Multiplicativity ``A_i A_j = sum_k N_ij^k A_k`` is checked one row ``i``
     at a time: two contractions give the stacked ``(j, a, b)`` arrays of both
     sides, so a rank-r ring on an m-slot module holds O(r·m²) per row.
-    Violations are listed in row-major ``(i, j, a, b)`` order.
+    Violations are listed in row-major ``(i, j, a, b)`` order.  On the
+    regular NIM-rep both laws repeat validate_ring's unit_left and
+    associativity checks (see regular_nimrep).  Entries that could carry a
+    contraction past the int64 range raise StructuralError.
     """
     _check_compatible(ring, nr)
     A = nr.actions
     m = nr.module_rank
+    _fits_int64(nr._largest * _total(ring.unit), "NIM-rep")  # the unit action
+    _fits_int64(nr._largest * max(nr._largest * m, ring._largest * ring.rank), "NIM-rep")  # multiplicativity
     violations: list[Violation] = []
 
     _record(violations, "unit_action", np.einsum("i,iab->ab", ring.unit, A), np.eye(m, dtype=np.int64))

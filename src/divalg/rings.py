@@ -6,8 +6,9 @@ unit vector and the dual involution.  Objects are identified with their
 multiplicity vectors over the basis, so isomorphism is vector equality.
 All verdict-bearing arithmetic is exact integer arithmetic; the only
 floating-point operation in this module is the diagnostic Perron eigenvalue.
-Contractions run in int64, so each one on a caller's object vector is
-bounded first in Python ints and refused when it could pass the int64 range.
+Contractions run in int64, so each one, on a caller's object vector or in
+an axiom check, is bounded first in Python ints and refused when it could
+pass the int64 range.
 """
 
 from __future__ import annotations
@@ -66,14 +67,16 @@ def _total(vec: np.ndarray) -> int:
     return sum(vec.tolist())
 
 
-def _fits_int64(bound: int):
+def _fits_int64(bound: int, what: str = "object"):
     """Raise StructuralError when bound, a bound on an int64 contraction, is past the int64 range.
 
     Entries are nonnegative, so the largest table entry times the sum of each
-    vector contracted against it bounds every entry and partial sum.
+    vector contracted against it bounds every entry and partial sum; a
+    contraction of two tables is bounded by their largest entries times the
+    inner dimension.
     """
     if bound > _INT64_MAX:
-        raise StructuralError(f"object too large for exact int64 arithmetic: a contraction could reach {bound}")
+        raise StructuralError(f"{what} too large for exact int64 arithmetic: a contraction could reach {bound}")
 
 
 def _labels(payload: dict, name: str) -> tuple[str, ...]:
@@ -260,12 +263,16 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
 
     Associativity is checked as multiplicativity of the regular NIM-rep, one
     row i at a time in O(r³) memory; a violation at (i, j, k, l) compares
-    ((X_i X_j) X_k)_l (lhs) with (X_i (X_j X_k))_l (rhs).
+    ((X_i X_j) X_k)_l (lhs) with (X_i (X_j X_k))_l (rhs).  A ring whose
+    multiplicities could carry a contraction past the int64 range raises
+    StructuralError instead of a report.
     """
     N = ring.fusion
     unit = ring.unit
     dual = np.asarray(ring.dual)
     r = ring.rank
+    _fits_int64(ring._largest * _total(unit), "ring")  # the unit and duality-pairing contractions
+    _fits_int64(ring._largest**2 * r, "ring")  # both sides of associativity
     eye = np.eye(r, dtype=np.int64)
     violations: list[Violation] = []
     _record(violations, "unit_left", np.einsum("i,ijk->jk", unit, N), eye)

@@ -11,7 +11,7 @@ import divalg as d
 from divalg import cli
 from divalg.cli import RunReport, export_report, run
 
-from util import vec_direct_sum
+from util import WIDE_NIMREP, WRAPPING_RING, vec_direct_sum
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,52 @@ def test_builtin_ring_is_not_validated_again(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_regular_nimrep_is_not_validated_again(capsys, monkeypatch, tmp_path):
+    # the regular NIM-rep's laws are the ring's own; a NIM-rep file is validated on every call
+    calls = []
+    validate = d.nimreps.validate_nimrep
+
+    def counting_validate(ring, nr, **kwargs):
+        calls.append(nr)
+        return validate(ring, nr, **kwargs)
+
+    monkeypatch.setattr(d.nimreps, "validate_nimrep", counting_validate)
+    for name in ("fib", "rep_s3", "ising"):
+        code, _, _ = run_cli(capsys, "nimrep", "classify", "--builtin", name, "--regular", "--object", "1")
+        assert code == 0
+    assert calls == []
+    path = tmp_path / "module.json"
+    path.write_text(json.dumps(d.regular_nimrep(d.builtin_ring("fib")).to_payload()))
+    code, _, _ = run_cli(capsys, "nimrep", "classify", "--builtin", "fib", "--nimrep", str(path), "--object", "tau")
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_regular_route_runs_the_law_kernel_only_in_the_ring_check(capsys, monkeypatch, tmp_path):
+    ring_path = tmp_path / "fib.json"
+    ring_path.write_text(json.dumps(d.builtin_ring("fib").to_payload()))
+    module_path = tmp_path / "module.json"
+    module_path.write_text(json.dumps(d.regular_nimrep(d.builtin_ring("fib")).to_payload()))
+    kernel = d.rings._row_products
+    calls = []
+
+    def counting_kernel(fusion, actions):
+        calls.append(actions.shape)
+        return kernel(fusion, actions)
+
+    # nimreps imported the kernel by name, so both bindings are replaced
+    monkeypatch.setattr(d.rings, "_row_products", counting_kernel)
+    monkeypatch.setattr(d.nimreps, "_row_products", counting_kernel)
+    code, _, _ = run_cli(capsys, "nimrep", "classify", "--ring", str(ring_path), "--regular", "--object", "tau")
+    assert code == 0
+    assert len(calls) == 1
+    code, _, _ = run_cli(
+        capsys, "nimrep", "classify", "--ring", str(ring_path), "--nimrep", str(module_path), "--object", "tau"
+    )
+    assert code == 0
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("command", [
     ["ring", "validate", "--builtin", "fib", "{missing}"],
     ["ring", "classify", "--builtin", "fib", "--ring", "{missing}", "--object", "tau"],
@@ -159,6 +205,29 @@ def test_integer_past_int64_exits_two(capsys, tmp_path):
         assert code == 2
         assert out == ""
         assert "int64" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["ring", "validate", "{ring}"],
+    ["ring", "classify", "--ring", "{ring}", "--object", "a"],
+    ["nimrep", "classify", "--ring", "{ring}", "--regular", "--object", "a"],
+])
+def test_ring_whose_associativity_wraps_exits_two(capsys, tmp_path, command):
+    # this ring passes associativity modulo 2^64 only; it used to exit 0 with "passed": true
+    path = tmp_path / "wrapping.json"
+    path.write_text(json.dumps(WRAPPING_RING))
+    code, out, err = run_cli(capsys, *(arg.format(ring=path) for arg in command))
+    assert (code, out) == (2, "")
+    assert "int64" in err
+
+
+@pytest.mark.parametrize("verb", [["validate"], ["classify", "--object", "a"]])
+def test_nimrep_whose_products_pass_int64_exits_two(capsys, tmp_path, verb):
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(WIDE_NIMREP))
+    code, out, err = run_cli(capsys, "nimrep", verb[0], "--builtin", "fib", "--nimrep", str(path), *verb[1:])
+    assert (code, out) == (2, "")
+    assert "int64" in err
 
 
 @pytest.mark.parametrize("entry", [1.7, 1.0, True, "1"])

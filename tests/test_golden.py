@@ -87,6 +87,8 @@ GOLDEN = {
     "nimrep validate --builtin matrix_multifusion(1) --regular --check-dual": "d6ae22e5089d45006dc9043cb421a2a622ed3ae7bcaa5b4981ac0207585cfe25",
     "nimrep validate --builtin matrix_multifusion(2) --regular --check-dual": "4953fe735655f8fa9e6667f32281198566a51461ce025a409870c36fb299104f",
     "nimrep validate --builtin matrix_multifusion(3) --regular --check-dual": "f6d9f250f545180704326db211fd88786b23cddc81a9ac69090c0302ca02fef3",
+    # `nimrep classify` from a ring file through the regular NIM-rep, which takes the ring's validation
+    "nimrep classify --ring fib.json --regular --object tau": "2e3c8cc344cedc48b90f6ee71721355921569b9def1a1256102fa08e5bd07a87",
 }
 
 # a rank-3 ring failing every axiom family; BROKEN_NIMREP is a NIM-rep of fib failing all three laws
@@ -105,6 +107,9 @@ BROKEN_RING = {
 GOLDEN_VIOLATIONS = {
     "ring validate broken_ring.json": "b9de81a270ecb0ee18ba6368482d83ca61ec0ce31e6515a4900ff5da1b239858",
     "nimrep validate --ring fib.json --nimrep broken_nimrep.json --check-dual": "ef50830d7d2b85fbf827793452e8a31e2bcd2431bdc4cba9b33592e1a4d7220c",
+    # both `nimrep classify` sources: the regular NIM-rep reports the ring's violations, a file its own
+    "nimrep classify --ring broken_ring.json --regular --object a": "08065e8a86424182caa3a6c2bd47ac60e55dfc40fa2974c2edd0fcff34e92a75",
+    "nimrep classify --ring fib.json --nimrep broken_nimrep.json --object a": "d54c36417fb7aa8e71e177edacf4229001f80581d60f2381ae7ba427accce067",
 }
 
 FPDIM_COMMAND = "ring classify --builtin rep_s3 --object V --side right --fpdim"

@@ -592,7 +592,9 @@ def filter_then_dedupe(monad, bound):
     for carrier in range(bound + 1):
         candidates = monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET)
         valid = em_algebras_among(monad, carrier, candidates)
-        canon = M._isoclasses(valid, carrier, em_move(monad, carrier), M.DEFAULT_BUDGET, lambda table: True)
+        canon = M._representatives(
+            M._isoclasses(valid, carrier, em_move(monad, carrier), M.DEFAULT_BUDGET, lambda table: True)
+        )
         found += [(carrier, s) for s in canon]
     return found
 
@@ -1184,6 +1186,89 @@ def test_agreement_subverdicts_for_two_marks(exc2):
 def test_agreement_rejects_other_monads(freevec):
     with pytest.raises(StructuralError):
         d.check_mon_ess_agreement(freevec, 2)
+
+
+# ------------------------------------------- free objects matched by orbit lookup
+
+def em_isomorphic_matching(monad, bound):
+    """Free witnesses and first counterexample from em_isomorphic, which builds an orbit per test: the lookup's oracle."""
+    witnesses, counterexample = [], None
+    for alg in d.enumerate_em_algebras(monad, bound):
+        sizes = [n for n in range(alg.carrier + 2) if monad.t_size(n) == alg.carrier]
+        matched = next((n for n in sizes if d.em_isomorphic(monad, alg, d.free_algebra(monad, n)) is not None), None)
+        if matched is not None:
+            witnesses.append((alg, matched))
+        elif counterexample is None:
+            counterexample = alg
+    return tuple(witnesses), counterexample
+
+
+@pytest.mark.parametrize("monad,top", [
+    (d.maybe_monad(), 8),
+    (d.CoproductException(2), 7),
+    (d.CoproductException(3), 6),
+    (d.FreeVectorF2(), 4),
+    (BadFold(2), 4),
+    (SwapFold(2), 4),
+], ids=monad_id)
+def test_orbit_lookup_matches_em_isomorphic(monad, top):
+    for bound in range(top + 1):
+        verdict = d.check_adjunction_trivial(monad, bound)
+        assert (verdict.free_witnesses, verdict.counterexample) == em_isomorphic_matching(monad, bound), bound
+
+
+def modules_free_by_isomorphism(algebra, bound):
+    """Whether every module is free, from module_isomorphic against each free module of its carrier."""
+    for module in d.enumerate_modules(algebra, bound):
+        sizes = [n for n in range(module.carrier + 2) if algebra.ambient.tensor(n, algebra.carrier) == module.carrier]
+        if not any(d.module_isomorphic(algebra, module, d.free_module(algebra, n)) is not None for n in sizes):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("marks", range(4))
+def test_module_orbit_lookup_matches_module_isomorphic(marks):
+    monad = d.CoproductException(marks)
+    algebra = d.algebra_from_strength(monad)
+    for bound in range(1, 6):
+        verdict = d.check_adjunction_trivial(monad, bound)
+        if not verdict.applicable:
+            continue
+        expected = bool(verdict.trivial_up_to_bound) == modules_free_by_isomorphism(algebra, bound)
+        assert d.check_mon_ess_agreement(monad, bound) is expected, bound
+
+
+def counting_orbits(monkeypatch):
+    calls = []
+    orbit = M._orbit
+
+    def counting(*args):
+        calls.append(args[1])
+        return orbit(*args)
+
+    monkeypatch.setattr(M, "_orbit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("monad,bound", [
+    (d.maybe_monad(), 7),
+    (d.CoproductException(2), 5),
+    (d.FreeVectorF2(), 4),
+], ids=monad_id)
+def test_one_orbit_per_isoclass_per_verdict(monkeypatch, monad, bound):
+    isoclasses = len(d.enumerate_em_algebras(monad, bound))
+    calls = counting_orbits(monkeypatch)
+    verdict = d.check_adjunction_trivial(monad, bound)
+    assert verdict.applicable
+    assert len(calls) == verdict.isoclass_count == isoclasses
+
+
+def test_one_orbit_per_isoclass_in_the_agreement_check(monkeypatch, exc2):
+    algebras = len(d.enumerate_em_algebras(exc2, 4))
+    modules = len(d.enumerate_modules(d.algebra_from_strength(exc2), 4))
+    calls = counting_orbits(monkeypatch)
+    assert d.check_mon_ess_agreement(exc2, 4)
+    assert len(calls) == algebras + modules
 
 
 # ------------------------------------------------------ comparison functor

@@ -6,7 +6,7 @@ import pytest
 import divalg as d
 from divalg.errors import DecomposableModuleError, StructuralError, ZeroObjectError
 
-from util import BROKEN_NIMREP, all_vectors
+from util import BROKEN_NIMREP, WIDE_NIMREP, all_vectors
 
 
 def _fib_nimrep(m_tau):
@@ -117,6 +117,24 @@ def test_per_row_check_matches_per_pair_oracle_on_broken_nimrep(fib, check_dual)
     expected = _per_pair_violations(fib, nr, check_dual)
     assert {v.axiom for v in expected} >= {"unit_action", "multiplicativity"}
     assert list(d.validate_nimrep(fib, nr, check_dual=check_dual).violations) == expected
+
+
+def test_nimrep_whose_products_pass_int64_is_refused(fib):
+    # A_1 A_1 has entries 2^64, which int64 would wrap to 0
+    nr = d.NimRep.from_payload(WIDE_NIMREP)
+    with pytest.raises(StructuralError, match="int64"):
+        d.validate_nimrep(fib, nr)
+
+
+def test_nimrep_bound_reads_both_sides_of_multiplicativity():
+    # one slot: the left side is at most L_A^2 · 1, the right side L_N · L_A · rank, which is
+    # 2^40 · 2^22 · 2 = 2^63 (refused) for the first NIM-rep and 2^62 (checked) for the second
+    rank = 2
+    ring = d.FusionRing(labels=("1", "x"), unit=[1, 0], dual=(0, 1), fusion=np.full((rank, rank, rank), 2**40))
+    small = d.NimRep(module_labels=("s",), actions=[[[1]], [[2**22]]])
+    with pytest.raises(StructuralError, match="int64"):
+        d.validate_nimrep(ring, small)
+    assert not d.validate_nimrep(ring, d.NimRep(module_labels=("s",), actions=[[[1]], [[2**21]]])).passed
 
 
 # ------------------------------------------------------------------- acting

@@ -197,3 +197,51 @@ def test_huge_objects_classify_exactly_or_are_refused(entry, data):
         exact_slot_witnesses(nr.actions.tolist(), x),
         x,
     )
+
+
+# ---------------------------------- the regular NIM-rep's laws are ring laws
+
+@st.composite
+def small_rings(draw):
+    """A catalog ring of rank <= 4, with entries moved or another dual, or a random tensor: lawful and broken.
+
+    A catalog ring with another dual breaks only the duality laws, so its regular NIM-rep still passes.
+    """
+    source = draw(st.sampled_from(["catalog", "perturbed", "redualled", "random"]))
+    if source == "random":
+        rank = draw(st.integers(1, 4))
+        fusion = np.array(draw(st.lists(st.integers(0, 2), min_size=rank**3, max_size=rank**3))).reshape(rank, rank, rank)
+        unit = draw(vector_strategy(rank, 2))
+        dual = draw(st.permutations(range(rank)))
+        return d.FusionRing(labels=tuple(f"x{i}" for i in range(rank)), unit=unit, dual=dual, fusion=fusion)
+    ring = draw(st.sampled_from([e.ring for e in ENTRIES if e.ring.rank <= 4]))
+    if source == "catalog":
+        return ring
+    if source == "redualled":
+        return d.FusionRing(ring.labels, ring.unit, draw(st.permutations(range(ring.rank))), ring.fusion)
+    fusion = ring.fusion.copy()
+    cells = draw(st.lists(st.tuples(*[st.integers(0, ring.rank - 1)] * 3), min_size=1, max_size=3))
+    for cell in cells:
+        fusion[cell] = draw(st.integers(0, 2))
+    unit = draw(st.one_of(st.just(ring.unit.tolist()), vector_strategy(ring.rank, 1)))
+    return d.FusionRing(labels=ring.labels, unit=unit, dual=ring.dual, fusion=fusion)
+
+
+@given(small_rings())
+@settings(max_examples=300, deadline=None)
+def test_regular_nimrep_passes_exactly_when_the_ring_has_its_laws(ring):
+    ring_report = d.validate_ring(ring)
+    nim_report = d.validate_nimrep(ring, d.regular_nimrep(ring))
+    ring_laws = [v for v in ring_report.violations if v.axiom in ("unit_left", "associativity")]
+    assert nim_report.passed == (not ring_laws)
+    # unit_action (a, b) is unit_left (b, a); multiplicativity (i, j, a, b) is associativity (i, j, b, a), sides swapped
+    translated = set()
+    for v in ring_laws:
+        if v.axiom == "unit_left":
+            translated.add(("unit_action", v.index[::-1], v.lhs, v.rhs))
+        else:
+            i, j, k, l = v.index
+            translated.add(("multiplicativity", (i, j, l, k), v.rhs, v.lhs))
+    got = [(v.axiom, v.index, v.lhs, v.rhs) for v in nim_report.violations]
+    assert len(got) == len(set(got)) == len(ring_laws)
+    assert set(got) == translated

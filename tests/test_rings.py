@@ -9,7 +9,7 @@ import divalg as d
 from divalg import rings as R
 from divalg.errors import BudgetExceededError, StructuralError, ZeroObjectError
 
-from util import relabeled, vec_direct_sum
+from util import WRAPPING_RING, relabeled, vec_direct_sum
 
 
 def _mutated(ring, index, value):
@@ -137,6 +137,43 @@ def test_per_row_associativity_matches_rank4_oracle(catalog_entries):
             compared += len(expected)
         # a rank-1 ring is associative whatever its one entry
         assert compared > 0 or entry.ring.rank == 1, entry.name
+
+
+# ------------------------------------------------ int64 bounds of the axiom checks
+
+def test_ring_whose_associativity_wraps_is_refused():
+    ring = d.FusionRing.from_payload(WRAPPING_RING)
+    N = ring.fusion.tolist()
+    # ((X_1 X_1) X_2)_2 and (X_1 (X_1 X_2))_2 in Python ints
+    lhs = sum(N[1][1][m] * N[m][2][2] for m in range(3))
+    rhs = sum(N[1][2][m] * N[1][m][2] for m in range(3))
+    assert (lhs, rhs) == (1, 1 + 2**64)
+    assert (lhs - rhs) % 2**64 == 0
+    with pytest.raises(StructuralError, match="int64"):
+        d.validate_ring(ring)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_axiom_bound_refuses_exactly_past_int64(rank):
+    # the largest entry L with L^2 · rank <= 2^63 - 1 is checked; L + 1 is refused
+    largest = math.isqrt((2**63 - 1) // rank)
+    for entry, refused in ((largest, False), (largest + 1, True)):
+        fusion = np.zeros((rank, rank, rank), dtype=np.int64)
+        fusion[0, 0, 0] = entry
+        ring = d.FusionRing(labels=tuple(f"x{i}" for i in range(rank)), unit=[1] + [0] * (rank - 1),
+                            dual=tuple(range(rank)), fusion=fusion)
+        if refused:
+            with pytest.raises(StructuralError, match="int64"):
+                d.validate_ring(ring)
+        else:
+            assert not d.validate_ring(ring).passed
+
+
+def test_unit_contraction_is_bounded():
+    # fusion entries of 1 pass the associativity bound; a unit summing past 2^63 - 1 does not
+    ring = d.FusionRing(labels=("1", "x"), unit=[2**62, 2**62], dual=(0, 1), fusion=np.ones((2, 2, 2), int))
+    with pytest.raises(StructuralError, match="int64"):
+        d.validate_ring(ring)
 
 
 def _cyclic_ring(n):

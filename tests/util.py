@@ -62,3 +62,20 @@ def vec_direct_sum(n: int):
         fusion[i, i, i] = 1
     labels = tuple(f"v{i}" for i in range(n))
     return d.FusionRing(labels=labels, unit=[1] * n, dual=tuple(range(n)), fusion=fusion)
+
+
+# rank 3, self-dual and commutative: a⊗a = 1 + b, a⊗b = a + 2^32·b, b⊗b = 1 + 2^32·a.  Its
+# associativity holds modulo 2^64 but not exactly: at (1, 1, 2, 2) the bracketings give 1 and 1 + 2^64
+WRAPPING_RING = {
+    "labels": ["1", "a", "b"],
+    "unit": [1, 0, 0],
+    "dual": [0, 1, 2],
+    "fusion": [
+        [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[0, 1, 0], [1, 0, 1], [0, 1, 2**32]],
+        [[0, 0, 1], [0, 1, 2**32], [1, 2**32, 0]],
+    ],
+}
+
+# a NIM-rep of fib whose action entries are 2^32, so a product of two action matrices reaches 2^64
+WIDE_NIMREP = {"module_labels": ["a", "b"], "actions": [[[1, 0], [0, 1]], [[2**32, 0], [0, 2**32]]]}
