@@ -559,10 +559,10 @@ def _representatives(members: dict[tuple[int, ...], tuple[int, ...]]) -> list[tu
     return sorted(set(members.values()))
 
 
-def _em_isoclasses(monad: FiniteMonad, max_carrier: int, budget: int) -> dict[int, dict]:
-    """Per carrier up to max_carrier, the _isoclasses map of the Eilenberg-Moore algebras on it."""
+def _em_isoclasses(monad: FiniteMonad, carriers: range, budget: int) -> dict[int, dict]:
+    """Per carrier in carriers, the _isoclasses map of the Eilenberg-Moore algebras on it."""
     classes = {}
-    for carrier in range(max_carrier + 1):
+    for carrier in carriers:
         tsize = monad.t_size(carrier)
         ttsize = _table_size(monad, tsize, budget)
         _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
@@ -602,7 +602,7 @@ def enumerate_em_algebras(
     it could only add that algebra again.  An orbit larger than the budget
     raises BudgetExceededError.
     """
-    return _em_algebras(monad, _em_isoclasses(monad, max_carrier, _budget(budget)))
+    return _em_algebras(monad, _em_isoclasses(monad, range(max_carrier + 1), _budget(budget)))
 
 
 def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
@@ -683,15 +683,16 @@ def check_adjunction_trivial(
     exactly when mu(n) lies in that orbit: one lookup, no second orbit.
     """
     budget = _budget(budget)
-    classes = _em_isoclasses(monad, max_carrier, budget)
+    classes = _em_isoclasses(monad, range(max_carrier + 1), budget)
     algebras = _em_algebras(monad, classes)
     applicable = len(algebras) >= 2
     if not applicable:
+        beyond = range(max_carrier + 1, max_carrier + 1 + STAR_PROBE_EXTRA)
         try:
-            probe = enumerate_em_algebras(monad, max_carrier + STAR_PROBE_EXTRA, budget)
+            extra = len(_em_algebras(monad, _em_isoclasses(monad, beyond, budget)))
         except BudgetExceededError:
-            probe = algebras
-        applicable = len(probe) >= 2
+            extra = 0
+        applicable = len(algebras) + extra >= 2
     witnesses: list[tuple[EmAlgebra, int]] = []
     counterexample: Optional[EmAlgebra] = None
     for alg in algebras:

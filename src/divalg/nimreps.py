@@ -8,7 +8,6 @@ acts on the ring's own basis through the fusion rules.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,9 +19,9 @@ from .rings import (
     ValidationReport,
     Violation,
     _as_int_array,
-    _fits_int64,
     _freeze,
     _labels,
+    _matmul,
     _record,
     _require_nonzero,
     _row_products,
@@ -68,11 +67,6 @@ class NimRep:
     @property
     def module_rank(self) -> int:
         return len(self.module_labels)
-
-    @functools.cached_property
-    def _largest(self) -> int:
-        """The largest action multiplicity, read once per NIM-rep."""
-        return int(self.actions.max(initial=0))
 
     def vector(self, data) -> np.ndarray:
         """Coerce `data` (module label, index sequence, or vector) to a module vector."""
@@ -123,17 +117,15 @@ def validate_nimrep(ring: FusionRing, nr: NimRep, check_dual: bool = False) -> V
     sides, so a rank-r ring on an m-slot module holds O(r·m²) per row.
     Violations are listed in row-major ``(i, j, a, b)`` order.  On the
     regular NIM-rep both laws repeat validate_ring's unit_left and
-    associativity checks (see regular_nimrep).  Entries that could carry a
-    contraction past the int64 range raise StructuralError.
+    associativity checks (see regular_nimrep).  Both sides are exact at any
+    multiplicity.
     """
     _check_compatible(ring, nr)
     A = nr.actions
     m = nr.module_rank
-    _fits_int64(nr._largest * _total(ring.unit), "NIM-rep")  # the unit action
-    _fits_int64(nr._largest * max(nr._largest * m, ring._largest * ring.rank), "NIM-rep")  # multiplicativity
     violations: list[Violation] = []
 
-    _record(violations, "unit_action", np.einsum("i,iab->ab", ring.unit, A), np.eye(m, dtype=np.int64))
+    _record(violations, "unit_action", _matmul(ring.unit, A.transpose(1, 0, 2)), np.eye(m, dtype=np.int64))
 
     for i, lhs, rhs in _row_products(ring.fusion, A):
         _record(violations, "multiplicativity", lhs, rhs, (i,))
@@ -149,8 +141,7 @@ def act(ring: FusionRing, nr: NimRep, x, m) -> np.ndarray:
     _check_compatible(ring, nr)
     xv = ring.vector(x)
     mv = nr.vector(m)
-    _fits_int64(nr._largest * _total(xv) * _total(mv))
-    return np.einsum("i,iab,b->a", xv, nr.actions, mv)
+    return _matmul(xv, _matmul(nr.actions, mv))
 
 
 def is_simple_module_object(m) -> bool:
@@ -166,8 +157,8 @@ def module_components(nr: NimRep) -> list[list[int]]:
     ceil(log2 m) products), and its distinct rows are the blocks.
     """
     linked = nr.actions.any(axis=0)
-    reach = (linked | linked.T | np.eye(nr.module_rank, dtype=bool)).astype(np.int64)
-    while not np.array_equal(square := (reach @ reach > 0).astype(np.int64), reach):
+    reach = linked | linked.T | np.eye(nr.module_rank, dtype=bool)
+    while not np.array_equal(square := reach @ reach, reach):
         reach = square
     return [list(block) for block in sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})]
 
@@ -181,11 +172,9 @@ def _classify_module_object(nr: NimRep, mv: np.ndarray) -> ClassificationReport:
     tensoring against m therefore reduces to covering every slot this way.
     """
     simple = _total(mv) == 1
-    # an image entry is at most the largest action entry times the length of m, and its sum module_rank times that
-    _fits_int64(nr._largest * nr.module_rank * _total(mv))
     covered: dict[int, int] = {}
-    for i, image in enumerate(nr.actions @ mv):
-        if image.sum() == 1:
+    for i, image in enumerate(_matmul(nr.actions, mv)):
+        if _total(image) == 1:
             covered.setdefault(int(image.argmax()), i)
     missing = [k for k in range(nr.module_rank) if k not in covered]
     essential = not missing

@@ -4,16 +4,14 @@ A fusion ring is stored as its structure tensor ``fusion[i][j][k]``, the
 multiplicity of basis object ``k`` inside ``X_i (x) X_j``, together with the
 unit vector and the dual involution.  Objects are identified with their
 multiplicity vectors over the basis, so isomorphism is vector equality.
-All verdict-bearing arithmetic is exact integer arithmetic; the only
-floating-point operation in this module is the diagnostic Perron eigenvalue.
-Contractions run in int64, so each one, on a caller's object vector or in
-an axiom check, is bounded first in Python ints and refused when it could
-pass the int64 range.
+All verdict-bearing arithmetic is exact integer arithmetic: every
+contraction goes through ``_matmul``, which runs in float64 while the result
+stays below 2^53 and in Python ints past it.  The only inexact operation in
+this module is the diagnostic Perron eigenvalue.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
@@ -38,7 +36,7 @@ __all__ = [
     "classify_internal_end",
 ]
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_FLOAT_EXACT = 2**53
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -63,20 +61,23 @@ def _as_int_array(data, shape_name: str) -> np.ndarray:
 
 
 def _total(vec: np.ndarray) -> int:
-    """The sum of an int64 vector, in Python ints."""
+    """The sum of an integer vector, in Python ints."""
     return sum(vec.tolist())
 
 
-def _fits_int64(bound: int, what: str = "object"):
-    """Raise StructuralError when bound, a bound on an int64 contraction, is past the int64 range.
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for nonnegative integer arrays, exactly: int64 below 2^53, Python ints otherwise.
 
-    Entries are nonnegative, so the largest table entry times the sum of each
-    vector contracted against it bounds every entry and partial sum; a
-    contraction of two tables is bounded by their largest entries times the
-    inner dimension.
+    The product runs in float64 first.  Every operand is a nonnegative
+    integer, so every product and partial sum is at most the result entry it
+    sums into, and IEEE rounding is monotone: a float64 result is below 2^53
+    exactly when the true one is, and then every step was an exact integer
+    operation.  Otherwise the product is recomputed in Python ints.
     """
-    if bound > _INT64_MAX:
-        raise StructuralError(f"{what} too large for exact int64 arithmetic: a contraction could reach {bound}")
+    out = a.astype(np.float64) @ b.astype(np.float64)
+    if out.max(initial=0) < _FLOAT_EXACT:
+        return out.astype(np.int64)
+    return a.astype(object) @ b.astype(object)
 
 
 def _labels(payload: dict, name: str) -> tuple[str, ...]:
@@ -134,11 +135,6 @@ class FusionRing:
     @property
     def rank(self) -> int:
         return len(self.labels)
-
-    @functools.cached_property
-    def _largest(self) -> int:
-        """The largest fusion multiplicity, read once per ring."""
-        return int(self.fusion.max())
 
     def basis(self, i: int) -> np.ndarray:
         vec = np.zeros(self.rank, dtype=np.int64)
@@ -254,8 +250,9 @@ def _require_nonzero(vec: np.ndarray) -> np.ndarray:
 
 def _row_products(fusion: np.ndarray, actions: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Per row i, both sides of A_i A_j = sum_k N_ij^k A_k as (j, a, b) arrays: O(r·m²) each."""
+    flat = actions.reshape(len(actions), -1)
     for i in range(len(fusion)):
-        yield i, np.einsum("ab,jbc->jac", actions[i], actions), np.einsum("jk,kab->jab", fusion[i], actions)
+        yield i, _matmul(actions[i], actions), _matmul(fusion[i], flat).reshape(actions.shape)
 
 
 def validate_ring(ring: FusionRing) -> ValidationReport:
@@ -263,23 +260,21 @@ def validate_ring(ring: FusionRing) -> ValidationReport:
 
     Associativity is checked as multiplicativity of the regular NIM-rep, one
     row i at a time in O(r³) memory; a violation at (i, j, k, l) compares
-    ((X_i X_j) X_k)_l (lhs) with (X_i (X_j X_k))_l (rhs).  A ring whose
-    multiplicities could carry a contraction past the int64 range raises
-    StructuralError instead of a report.
+    ((X_i X_j) X_k)_l (lhs) with (X_i (X_j X_k))_l (rhs).  Both sides are
+    exact at any multiplicity, so a ring that is associative only modulo 2^64
+    gets its violation.
     """
     N = ring.fusion
     unit = ring.unit
     dual = np.asarray(ring.dual)
     r = ring.rank
-    _fits_int64(ring._largest * _total(unit), "ring")  # the unit and duality-pairing contractions
-    _fits_int64(ring._largest**2 * r, "ring")  # both sides of associativity
     eye = np.eye(r, dtype=np.int64)
     violations: list[Violation] = []
-    _record(violations, "unit_left", np.einsum("i,ijk->jk", unit, N), eye)
-    _record(violations, "unit_right", np.einsum("i,jik->jk", unit, N), eye)
+    _record(violations, "unit_left", _matmul(unit, N.transpose(1, 0, 2)), eye)
+    _record(violations, "unit_right", _matmul(unit, N), eye)
     for i, i_jk, ij_k in _row_products(N, N.transpose(0, 2, 1)):
         _record(violations, "associativity", ij_k.transpose(0, 2, 1), i_jk.transpose(0, 2, 1), (i,))
-    _record(violations, "duality_pairing", np.einsum("ijk,k->ij", N, unit), eye[dual])
+    _record(violations, "duality_pairing", _matmul(N, unit), eye[dual])
     _record(violations, "duality_involution", dual[dual], np.arange(r))
     support = {i for i in range(r) if unit[i]}
     if {dual[i] for i in support} != support:
@@ -294,8 +289,7 @@ def tensor(ring: FusionRing, x, y) -> np.ndarray:
     """Bilinear extension of the fusion rules: (x (x) y)_k = sum x_i y_j N_ijk."""
     xv = ring.vector(x)
     yv = ring.vector(y)
-    _fits_int64(ring._largest * _total(xv) * _total(yv))
-    return _action_matrix(ring, yv, "left") @ xv
+    return _matmul(_action_matrix(ring, yv, "left"), xv)
 
 
 def length(x) -> int:
@@ -313,11 +307,9 @@ def dual_object(ring: FusionRing, x) -> np.ndarray:
 
 
 def _action_matrix(ring: FusionRing, x: np.ndarray, side: str) -> np.ndarray:
-    # column i = e_i tensored against x on the given side; the one object-vector contraction here
-    _fits_int64(ring._largest * _total(x))
-    if side == "left":
-        return np.einsum("ijk,j->ki", ring.fusion, x)
-    return np.einsum("jik,j->ki", ring.fusion, x)
+    # column i = e_i tensored against x on the given side
+    fusion = ring.fusion if side == "left" else ring.fusion.transpose(1, 0, 2)
+    return _matmul(x, fusion).T
 
 
 def _candidates_by_total(bounds: list[int]) -> Iterator[tuple[int, ...]]:
@@ -358,13 +350,12 @@ def _solve_inverse(ring: FusionRing, x: np.ndarray, side: str) -> Optional[np.nd
     bounds = caps[columns].tolist()
     if math.prod(b + 1 for b in bounds) > 1 << 20:
         raise BudgetExceededError("inverse search space too large for this ring")
-    _fits_int64(int(matrix.max()) * sum(bounds))
     for coeffs in _candidates_by_total(bounds):
         if not any(coeffs):
             continue
         y = np.zeros(ring.rank, dtype=np.int64)
         y[columns] = coeffs
-        if np.array_equal(matrix @ y, unit):
+        if np.array_equal(_matmul(matrix, y), unit):
             return y
     return None
 
@@ -389,7 +380,7 @@ def fp_dimension(ring: FusionRing, x) -> float:
     reducible or nilpotent.
     """
     P = _action_matrix(ring, ring.vector(x), "right")
-    return float(max(abs(np.linalg.eigvals(P))))
+    return float(max(abs(np.linalg.eigvals(P.astype(np.float64)))))
 
 
 def classify_internal_end(ring: FusionRing, x, side: str = "left") -> ClassificationReport:

@@ -181,9 +181,21 @@ def test_two_sources_for_one_input_exit_two(capsys, tmp_path, command):
     ["nimrep", "classify", "--builtin", "ising", "--regular", "--object", "9223372036854775807,9223372036854775807,3"],
 ])
 def test_contraction_past_int64_exits_two(capsys, command):
-    code, out, err = run_cli(capsys, *command)
-    assert (code, out) == (2, "")
-    assert "int64" in err
+    # named for the refusal these commands once met: contractions past 2^63 - 1 now get exact verdicts
+    code, out, _ = run_cli(capsys, *command)
+    assert code == 0
+    payload = payload_of(out)
+    assert (payload["simplistic"], payload["essential"]) == (False, False)
+    top = 2**63 - 1
+    # ising: 1 (x) 1 = eps (x) eps = 1, sigma (x) sigma = 1 + eps, and eps, sigma as the other products
+    expected = {
+        "fib": [3037000500**2, 0],
+        "ising": [2 * top**2 + 9, 2 * top**2 + 9, 12 * top],
+    }[command[3]]
+    if command[0] == "ring":
+        assert payload["algebra"] == expected
+    else:
+        assert payload["unreachable"] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def test_contraction_just_inside_int64_is_exact(capsys):
@@ -213,21 +225,31 @@ def test_integer_past_int64_exits_two(capsys, tmp_path):
     ["nimrep", "classify", "--ring", "{ring}", "--regular", "--object", "a"],
 ])
 def test_ring_whose_associativity_wraps_exits_two(capsys, tmp_path, command):
-    # this ring passes associativity modulo 2^64 only; it used to exit 0 with "passed": true
+    # named for the refusal it once met: this ring passes associativity modulo 2^64 only, and used to
+    # exit 0 with "passed": true; its exact violations now exit 1
     path = tmp_path / "wrapping.json"
     path.write_text(json.dumps(WRAPPING_RING))
-    code, out, err = run_cli(capsys, *(arg.format(ring=path) for arg in command))
-    assert (code, out) == (2, "")
-    assert "int64" in err
+    code, out, _ = run_cli(capsys, *(arg.format(ring=path) for arg in command))
+    assert code == 1
+    wide = 2**64 + 1
+    assert payload_of(out)["violations"] == [
+        {"axiom": "associativity", "index": [1, 1, 2, 2], "lhs": 1, "rhs": wide},
+        {"axiom": "associativity", "index": [1, 2, 2, 1], "lhs": wide, "rhs": 1},
+        {"axiom": "associativity", "index": [2, 1, 1, 2], "lhs": wide, "rhs": 1},
+        {"axiom": "associativity", "index": [2, 2, 1, 1], "lhs": 1, "rhs": wide},
+    ]
 
 
 @pytest.mark.parametrize("verb", [["validate"], ["classify", "--object", "a"]])
 def test_nimrep_whose_products_pass_int64_exits_two(capsys, tmp_path, verb):
+    # named for the refusal it once met: A_tau A_tau = 2^64 against tau (x) tau = 1 + tau, exactly
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(WIDE_NIMREP))
-    code, out, err = run_cli(capsys, "nimrep", verb[0], "--builtin", "fib", "--nimrep", str(path), *verb[1:])
-    assert (code, out) == (2, "")
-    assert "int64" in err
+    code, out, _ = run_cli(capsys, "nimrep", verb[0], "--builtin", "fib", "--nimrep", str(path), *verb[1:])
+    assert code == 1
+    assert payload_of(out)["violations"] == [
+        {"axiom": "multiplicativity", "index": [1, 1, a, a], "lhs": 2**64, "rhs": 2**32 + 1} for a in (0, 1)
+    ]
 
 
 @pytest.mark.parametrize("entry", [1.7, 1.0, True, "1"])

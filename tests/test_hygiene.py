@@ -5,6 +5,9 @@ read.  A name counts as read when it appears anywhere in `src/`, `tests/` or
 `bench/` as a loaded name, an attribute or an imported name.  Dunder names are
 exempt, since the interpreter reads them.
 
+Integer contractions in the ring and NIM-rep layers have one kernel,
+`rings._matmul`, so no second route can drift out of exactness.
+
 The package's `__all__` is assembled from the layer modules' own lists, so
 each public name is written once, in the module that defines it.
 """
@@ -84,6 +87,27 @@ def test_every_local_is_read():
                 unread = own_stores(scope) - read_names(scope) - {"_"}
                 dead += [f"{path.stem}.{scope.name}: {name}" for name in sorted(unread)]
     assert dead == []
+
+
+def test_one_contraction_kernel():
+    # the package calls no einsum and no int64 bound; in rings and nimreps a matrix product is written
+    # only in _matmul, and in module_components, whose closure multiplies booleans
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if name in ("einsum", "_fits_int64"):
+                stray.append(f"{path.stem}:{node.lineno} {name}")
+    for stem in ("rings", "nimreps"):
+        for scope in parse(PACKAGE / f"{stem}.py").body:
+            if getattr(scope, "name", None) in ("_matmul", "module_components"):
+                continue
+            stray += [
+                f"{stem}:{node.lineno} @"
+                for node in ast.walk(scope)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            ]
+    assert stray == []
 
 
 # every name the package exported while its `__all__` was written out by hand

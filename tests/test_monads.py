@@ -890,6 +890,22 @@ def test_identity_is_adjunction_trivial(identity):
     assert all(alg.carrier == gen for alg, gen in verdict.free_witnesses)
 
 
+def test_applicability_probe_builds_each_carrier_once(identity, monkeypatch):
+    # bound 0 holds one isoclass, the empty algebra, so applicability is probed at carriers 1 and 2 only
+    built = []
+    original = type(identity).em_structure_candidates
+
+    def counting(self, carrier, budget):
+        built.append(carrier)
+        return original(self, carrier, budget)
+
+    monkeypatch.setattr(type(identity), "em_structure_candidates", counting)
+    verdict = d.check_adjunction_trivial(identity, 0)
+    assert verdict.applicable
+    assert verdict.trivial_up_to_bound is True
+    assert built == [0, 1, 2]
+
+
 @pytest.mark.parametrize("marks", [2, 3])
 def test_multi_mark_exception_is_not_trivial(marks):
     verdict = d.check_adjunction_trivial(d.CoproductException(marks), 3)

@@ -60,8 +60,8 @@ def test_dimension_mismatch_is_structural(fib):
 # ------------------------------------------- per-row check against per-pair
 
 def _per_pair_violations(ring, nr, check_dual):
-    """The module laws checked one (i, j) pair and one entry at a time: the oracle of the per-row check."""
-    A = nr.actions
+    """The module laws checked one (i, j) pair and one entry at a time, in Python ints: the oracle of the per-row check."""
+    A = nr.actions.astype(object)
     m = nr.module_rank
     out = []
 
@@ -71,10 +71,10 @@ def _per_pair_violations(ring, nr, check_dual):
                 if lhs[a, b] != rhs[a, b]:
                     out.append(d.Violation(axiom, prefix + (a, b), int(lhs[a, b]), int(rhs[a, b])))
 
-    record("unit_action", np.einsum("i,iab->ab", ring.unit, A), np.eye(m, dtype=np.int64), ())
+    record("unit_action", np.einsum("i,iab->ab", ring.unit.astype(object), A), np.eye(m, dtype=np.int64), ())
     for i in range(ring.rank):
         for j in range(ring.rank):
-            rhs = np.einsum("k,kab->ab", ring.fusion[i, j], A)
+            rhs = np.einsum("k,kab->ab", ring.fusion[i, j].astype(object), A)
             record("multiplicativity", A[i] @ A[j], rhs, (i, j))
     if check_dual:
         for i in range(ring.rank):
@@ -120,21 +120,23 @@ def test_per_row_check_matches_per_pair_oracle_on_broken_nimrep(fib, check_dual)
 
 
 def test_nimrep_whose_products_pass_int64_is_refused(fib):
-    # A_1 A_1 has entries 2^64, which int64 would wrap to 0
+    # named for the refusal it once met: A_1 A_1 has entries 2^64, which int64 would wrap to 0
     nr = d.NimRep.from_payload(WIDE_NIMREP)
-    with pytest.raises(StructuralError, match="int64"):
-        d.validate_nimrep(fib, nr)
+    report = d.validate_nimrep(fib, nr)
+    assert list(report.violations) == [d.Violation("multiplicativity", (1, 1, a, a), 2**64, 2**32 + 1) for a in (0, 1)]
+    assert list(report.violations) == _per_pair_violations(fib, nr, False)
 
 
 def test_nimrep_bound_reads_both_sides_of_multiplicativity():
-    # one slot: the left side is at most L_A^2 · 1, the right side L_N · L_A · rank, which is
-    # 2^40 · 2^22 · 2 = 2^63 (refused) for the first NIM-rep and 2^62 (checked) for the second
+    # one slot: the left side is at most L_A^2 · 1, the right side L_N · L_A · rank, which is 2^40 · 2^22 · 2
+    # = 2^63 for the first NIM-rep (once refused) and 2^62 for the second; both sides are now exact
     rank = 2
     ring = d.FusionRing(labels=("1", "x"), unit=[1, 0], dual=(0, 1), fusion=np.full((rank, rank, rank), 2**40))
-    small = d.NimRep(module_labels=("s",), actions=[[[1]], [[2**22]]])
-    with pytest.raises(StructuralError, match="int64"):
-        d.validate_nimrep(ring, small)
-    assert not d.validate_nimrep(ring, d.NimRep(module_labels=("s",), actions=[[[1]], [[2**21]]])).passed
+    for top in (2**22, 2**21):
+        nr = d.NimRep(module_labels=("s",), actions=[[[1]], [[top]]])
+        report = d.validate_nimrep(ring, nr)
+        assert d.Violation("multiplicativity", (1, 1, 0, 0), top**2, 2**40 * (1 + top)) in report.violations
+        assert list(report.violations) == _per_pair_violations(ring, nr, False)
 
 
 # ------------------------------------------------------------------- acting

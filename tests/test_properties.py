@@ -126,8 +126,8 @@ def test_cross_check_on_arbitrary_nonzero_objects(entry, data):
 # ------------------------------------------------ huge objects and int64
 
 def wide_vector(rank):
-    """Entries small, near 2^32, or up to 2^70, so contractions land on both sides of the int64 range."""
-    entry = st.one_of(st.integers(0, 3), st.integers(0, 2**32), st.integers(0, 2**70))
+    """Entries small, near 2^32, or up to 2^63 - 1, so contractions land on both sides of 2^53 and 2^63."""
+    entry = st.one_of(st.integers(0, 3), st.integers(0, 2**32), st.integers(0, 2**63 - 1))
     return st.lists(entry, min_size=rank, max_size=rank)
 
 
@@ -151,27 +151,18 @@ def exact_slot_witnesses(actions, m):
     return sorted((i, k) for k, i in first.items())
 
 
-def exact_or_refused(call, expected, *vectors):
-    """call() gives expected, or raises StructuralError; vectors with entries up to 2^20 are never refused."""
-    try:
-        got = call()
-    except d.StructuralError:
-        assert max(max(v) for v in vectors) > 2**20
-        return
-    assert got == expected
-
-
 @given(st.sampled_from(ENTRIES), st.data())
 @settings(max_examples=150, deadline=None)
 def test_huge_objects_act_exactly_or_are_refused(entry, data):
+    # every int64 input is answered exactly; only inputs past int64 are refused, as malformed data
     ring = entry.ring
     nr = d.regular_nimrep(ring)
     x, y, m = (data.draw(wide_vector(ring.rank)) for _ in range(3))
-    exact_or_refused(lambda: d.tensor(ring, x, y).tolist(), exact_tensor(ring.fusion.tolist(), x, y), x, y)
-    exact_or_refused(lambda: d.act(ring, nr, x, m).tolist(), exact_act(nr.actions.tolist(), x, m), x, m)
-    exact_or_refused(lambda: d.length(x), sum(x), x)
+    assert d.tensor(ring, x, y).tolist() == exact_tensor(ring.fusion.tolist(), x, y)
+    assert d.act(ring, nr, x, m).tolist() == exact_act(nr.actions.tolist(), x, m)
+    assert d.length(x) == sum(x)
     if any(m):
-        exact_or_refused(lambda: d.is_simple_module_object(m), sum(m) == 1, m)
+        assert d.is_simple_module_object(m) == (sum(m) == 1)
 
 
 @given(st.sampled_from(ENTRIES), st.data())
@@ -181,22 +172,14 @@ def test_huge_objects_classify_exactly_or_are_refused(entry, data):
     fusion = ring.fusion.tolist()
     x = data.draw(wide_vector(ring.rank).filter(any))
     dual = [x[i] for i in ring.dual]
-    report = None
-    try:
-        report = d.classify_internal_end(ring, x)
-    except d.StructuralError:
-        assert max(x) > 2**20
-    if report is not None:
-        assert list(report.algebra_vector) == exact_tensor(fusion, x, dual)
-        assert report.simplistic is (sum(x) == 1)
-        if report.inverse_witness is not None:
-            assert exact_tensor(fusion, list(report.inverse_witness), x) == ring.unit.tolist()
+    report = d.classify_internal_end(ring, x)
+    assert list(report.algebra_vector) == exact_tensor(fusion, x, dual)
+    assert report.simplistic is (sum(x) == 1)
+    if report.inverse_witness is not None:
+        assert exact_tensor(fusion, list(report.inverse_witness), x) == ring.unit.tolist()
     nr = d.regular_nimrep(ring)
-    exact_or_refused(
-        lambda: list(d.nimreps._classify_module_object(nr, nr.vector(x)).slot_witnesses),
-        exact_slot_witnesses(nr.actions.tolist(), x),
-        x,
-    )
+    witnesses = d.nimreps._classify_module_object(nr, nr.vector(x)).slot_witnesses
+    assert list(witnesses) == exact_slot_witnesses(nr.actions.tolist(), x)
 
 
 # ---------------------------------- the regular NIM-rep's laws are ring laws
