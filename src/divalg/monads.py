@@ -5,15 +5,16 @@ positions, so both ambient monoidal structures are strict: disjoint union
 concatenates blocks (right block offset by the left size) and cartesian
 product uses row-major indexing.  Every monad supplies its object map,
 morphism map, multiplication and unit as explicit tables, plus an optional
-left strength table, and may compute single entries of mu and T(f) without
-their tables.  Tables are composed by one C-level gather, `compose`: the
-EM axiom, monad associativity and each relabeling step compare or build
-composed whole tables, while the unit laws, the strength axioms and the
-algebra-morphism law read mu and T(f) through the point evaluators at the
-points they quantify over.  Structure maps, module actions, addition laws
-and algebra morphisms are all listed by one backtracking search,
-`_backtrack`, which knows no law: each caller passes the values an entry
-may take and its own check.  All verdicts quantify over carriers up to a
+left strength table, and computes single entries of mu and T(f) without
+their tables through its point evaluators `mu_at` and `t_mor_at`.  Tables
+are composed by one C-level gather, `compose`: the EM axiom, monad
+associativity and each relabeling step compare or build composed whole
+tables, while the unit laws, the strength axioms and the algebra-morphism
+law read single entries of mu and T(f) only through the point evaluators,
+at the points they quantify over.  Structure maps, module actions,
+addition laws and algebra morphisms are all listed by one backtracking
+search, `_backtrack`, which knows no law: each caller passes the values an
+entry may take and its own check.  All verdicts quantify over carriers up to a
 stated bound; table sizes, points evaluated and search leaves are held
 under a configurable budget.
 """
@@ -90,22 +91,6 @@ def _table_size(monad: FiniteMonad, n: int, budget: int) -> int:
     budget too; sizing it could take a number of 2^n bits (freevec2).
     """
     return n if n > budget else monad.t_size(n)
-
-
-def _mu_reader(monad: FiniteMonad, n: int, budget: int, guard):
-    """p -> mu(n)[p]: the monad's point evaluator, or one mu(n) table, passed to guard by size before it is built."""
-    if type(monad).mu_at is not FiniteMonad.mu_at:
-        return functools.partial(monad.mu_at, n)
-    guard(_table_size(monad, monad.t_size(n), budget))
-    return monad.mu(n).__getitem__
-
-
-def _t_mor_reader(monad: FiniteMonad, f, dst: int, budget: int, guard):
-    """p -> t_mor(f, dst)[p]: the monad's point evaluator, or one t_mor(f, dst) table, guarded like _mu_reader."""
-    if type(monad).t_mor_at is not FiniteMonad.t_mor_at:
-        return functools.partial(monad.t_mor_at, f, dst)
-    guard(_table_size(monad, len(f), budget))
-    return monad.t_mor(f, dst).__getitem__
 
 
 def _set_bits(mask: int) -> Iterator[int]:
@@ -221,22 +206,15 @@ class CartesianProduct:
 class FiniteMonad:
     """Base class: a monad on finite ordinals given by explicit tables.
 
-    mu_at and t_mor_at give single entries of the mu and t_mor tables.  Here
-    they read the whole table, so the checks build such a table once and read
-    it instead of calling them; a subclass that computes an entry directly
-    overrides them.  A subclass that redefines mu or t_mor without its point
-    twin gets this table default back, so its own table is what gets checked.
+    A subclass supplies the tables (t_mor, eta, mu, and theta when it has a
+    strength) and the point evaluators mu_at and t_mor_at, which compute
+    single entries of the mu and t_mor tables without building them; the
+    tests pin that the two agree.  The laws read single entries of mu and
+    T(f) only through the point evaluators.
     """
 
     name: str
     ambient = DisjointUnion
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if "mu" in vars(cls) and "mu_at" not in vars(cls):
-            cls.mu_at = FiniteMonad.mu_at
-        if "t_mor" in vars(cls) and "t_mor_at" not in vars(cls):
-            cls.t_mor_at = FiniteMonad.t_mor_at
 
     def t_size(self, n: int) -> int:
         raise NotImplementedError
@@ -246,7 +224,7 @@ class FiniteMonad:
 
     def t_mor_at(self, f, dst: int, p: int) -> int:
         """t_mor(f, dst)[p]; a point evaluator must read the same entries of f whatever their values."""
-        return self.t_mor(f, dst)[p]
+        raise NotImplementedError
 
     def eta(self, n: int) -> tuple[int, ...]:
         raise NotImplementedError
@@ -256,7 +234,7 @@ class FiniteMonad:
 
     def mu_at(self, n: int, p: int) -> int:
         """mu(n)[p]."""
-        return self.mu(n)[p]
+        raise NotImplementedError
 
     def theta(self, x: int, y: int) -> tuple[int, ...]:
         raise StructuralError(f"monad {self.name} provides no strength")
@@ -459,9 +437,8 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
     is therefore checked on small carriers only.  The unit laws read mu(n)
     at the |T(n)| points of T(eta_n) and of eta_{T(n)} through the monad's
     point evaluator, so a mu(n) table is built only where associativity is
-    checked (or where the monad computes mu from whole tables).  The walk
-    over carriers stops at the first carrier n >= 1 whose T(T(n)) is past
-    the budget.
+    checked.  The walk over carriers stops at the first carrier n >= 1 whose
+    T(T(n)) is past the budget.
     """
     budget = _budget(budget)
     violations: list[Violation] = []
@@ -473,9 +450,7 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
                 # T keeps split monos, so |T(T(n))| only grows from n = 1 on: no later carrier fits either
                 break
             continue
-        # T(T(n)) fits, so the guard of a mu(n) table built here never fires
-        unit_guard = functools.partial(_guard, budget=budget, what=f"unit laws at carrier {n}")
-        mu_at = _mu_reader(monad, n, budget, unit_guard)
+        mu_at = functools.partial(monad.mu_at, n)
         unit_left = tuple(map(mu_at, monad.t_mor(monad.eta(n), tn)))
         unit_right = tuple(map(mu_at, monad.eta(tn)))
         ident = identity_table(tn)
@@ -724,9 +699,9 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
     Each law is compared at every point of its domain.  The strength_iii right
     side mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} is evaluated one point of
     X (x) T(T(Y)) at a time through the monad's point evaluators, so neither
-    the mu(X (x) Y) nor the T(theta) table is built unless the monad computes
-    its entries only from whole tables.  The budget holds the number of points
-    of each law and the size of every table that is built, before it is built.
+    the mu(X (x) Y) nor the T(theta) table is built.  The budget holds the
+    number of points of each law and the size of every table that is built,
+    before it is built.
     """
     budget = _budget(budget)
     amb = monad.ambient
@@ -757,9 +732,8 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
             tty = _table_size(monad, ty, budget)
             guard((x, y), tty, amb.tensor(x, tty))
             lhs = compose(theta_xy, amb.tensor_mor(identity_table(x), monad.mu(y), x, ty))
-            key_guard = functools.partial(guard, (x, y))
-            mu_xy = _mu_reader(monad, xy, budget, key_guard)
-            t_theta = _t_mor_reader(monad, theta_xy, monad.t_size(xy), budget, key_guard)
+            mu_xy = functools.partial(monad.mu_at, xy)
+            t_theta = functools.partial(monad.t_mor_at, theta_xy, monad.t_size(xy))
             rhs = tuple(mu_xy(t_theta(v)) for v in monad.theta(x, ty))
             violations += _mismatches("strength_iii", (x, y), lhs, rhs)
 
@@ -1013,37 +987,24 @@ def _em_morphisms(monad: FiniteMonad, x: int, y: int, budget: int) -> Iterator[t
     A backtracking search over f[0], f[1], ...: the law f(mu_x(p)) = mu_y(T(f)(p))
     at a point p of T(T(x)) is checked as soon as every entry of f it reads has
     a value.  Those entries are found once, by running the point evaluator
-    t_mor_at on a table that logs its reads; without one, every point reads all
-    of f and is checked on one T(f) table per complete f.  Every leaf of the
-    search counts against the budget.
+    t_mor_at on a table that logs its reads.  Every leaf of the search counts
+    against the budget.
     """
     tx, ty = monad.t_size(x), monad.t_size(y)
-    what = f"morphism search at sizes ({x}, {y})"
-
-    def guard(size: int):
-        _guard(size, budget, what)
-
     mu_x = monad.mu(x)
-    mu_y = _mu_reader(monad, y, budget, guard)
+    mu_y = functools.partial(monad.mu_at, y)
     ready: list[list[int]] = [[] for _ in range(tx)]  # ready[i]: the points whose entries are all set with f[i]
-    if type(monad).t_mor_at is FiniteMonad.t_mor_at:
-        if tx:
-            ready[-1] = list(range(len(mu_x)))
-    else:
-        log = _ReadLog(tx)
-        for p, v in enumerate(mu_x):
-            log.read = {v}
-            monad.t_mor_at(log, ty, p)
-            ready[max(log.read)].append(p)
+    log = _ReadLog(tx)
+    for p, v in enumerate(mu_x):
+        log.read = {v}
+        monad.t_mor_at(log, ty, p)
+        ready[max(log.read)].append(p)
 
     def holds(f: list[int], i: int) -> bool:
-        if not ready[i]:
-            return True
-        t_f = _t_mor_reader(monad, f, ty, budget, guard)
-        return all(f[mu_x[p]] == mu_y(t_f(p)) for p in ready[i])
+        return all(f[mu_x[p]] == mu_y(monad.t_mor_at(f, ty, p)) for p in ready[i])
 
     values = range(ty)
-    return _backtrack(tx, lambda f, i: values, holds, budget, what)
+    return _backtrack(tx, lambda f, i: values, holds, budget, f"morphism search at sizes ({x}, {y})")
 
 
 def check_comparison_fully_faithful(
@@ -1062,9 +1023,8 @@ def check_comparison_fully_faithful(
     for x in range(max_size + 1):
         for y in range(max_size + 1):
             ty = monad.t_size(y)
-            what = f"morphism enumeration at sizes ({x}, {y})"
-            _guard(ty ** x, budget, what)
-            mu_y = _mu_reader(monad, y, budget, lambda size: _guard(size, budget, what))
+            _guard(ty ** x, budget, f"morphism enumeration at sizes ({x}, {y})")
+            mu_y = functools.partial(monad.mu_at, y)
             transported = {
                 tuple(map(mu_y, monad.t_mor(g, ty))) for g in itertools.product(range(ty), repeat=x)
             }

@@ -8,6 +8,9 @@ exempt, since the interpreter reads them.
 Integer contractions in the ring and NIM-rep layers have one kernel,
 `rings._matmul`, so no second route can drift out of exactness.
 
+A monad that redefines a table redefines its point evaluator with it: the
+laws read single entries of mu and T(f) only through `mu_at` and `t_mor_at`.
+
 The package's `__all__` is assembled from the layer modules' own lists, so
 each public name is written once, in the module that defines it.
 """
@@ -108,6 +111,53 @@ def test_one_contraction_kernel():
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
             ]
     assert stray == []
+
+
+def base_names(node: ast.ClassDef) -> set[str]:
+    return {getattr(base, "attr", None) or getattr(base, "id", None) for base in node.bases}
+
+
+def returns_the_inherited_table(method: ast.FunctionDef) -> bool:
+    """Every return of method is `super().<method>(...)`, so the table it gives is the inherited one."""
+    returns = [node for node in ast.walk(method) if isinstance(node, ast.Return)]
+    return bool(returns) and all(
+        isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and node.value.func.attr == method.name
+        and isinstance(node.value.func.value, ast.Call)
+        and getattr(node.value.func.value.func, "id", None) == "super"
+        for node in returns
+    )
+
+
+def test_every_redefined_monad_table_has_its_point_twin():
+    # a FiniteMonad subclass in src/divalg or tests/ that changes mu or t_mor changes mu_at or t_mor_at
+    # with it; without the twin the laws would check the inherited entries, not its table
+    classes = [
+        (path, node)
+        for top in (PACKAGE, ROOT / "tests")
+        for path in sorted(top.rglob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ClassDef)
+    ]
+    monads = {"FiniteMonad"}
+    while True:
+        grown = monads | {node.name for _, node in classes if base_names(node) & monads}
+        if grown == monads:
+            break
+        monads = grown
+    missing = []
+    for path, node in classes:
+        if node.name == "FiniteMonad" or not base_names(node) & monads:
+            continue
+        methods = {item.name: item for item in node.body if isinstance(item, ast.FunctionDef)}
+        missing += [
+            f"{path.stem}:{node.lineno} {node.name} defines {table} without {table}_at"
+            for table in ("mu", "t_mor")
+            if table in methods and f"{table}_at" not in methods and not returns_the_inherited_table(methods[table])
+        ]
+    assert monads > {"FiniteMonad", "CoproductException", "FreeVectorF2", "BadFold", "Terminal"}
+    assert missing == []
 
 
 # every name the package exported while its `__all__` was written out by hand

@@ -118,6 +118,9 @@ class BadFold(d.CoproductException):
             table[-1] = 0
         return tuple(table)
 
+    def mu_at(self, n, p):
+        return self.mu(n)[p]
+
 
 def test_broken_multiplication_is_reported():
     report = d.validate_monad(BadFold(2), 2)
@@ -130,6 +133,9 @@ class SwapFold(d.CoproductException):
 
     def mu(self, n):
         return tuple(2 * n + 1 - v if p >= n and v >= n else v for p, v in enumerate(super().mu(n)))
+
+    def mu_at(self, n, p):
+        return self.mu(n)[p]
 
 
 # validate_monad(SwapFold(2), 1) as (axiom, index, lhs, rhs), with the two unit
@@ -174,9 +180,12 @@ class XorSlip(d.FreeVectorF2):
             table[0b101] ^= 1
         return tuple(table)
 
+    def mu_at(self, n, p):
+        return super().mu_at(n, p) ^ (n == 2 and p == 0b101)
+
 
 def test_broken_free_vector_multiplication_is_reported():
-    # XorSlip redefines mu alone, so both checks read its broken table, not the arithmetic of FreeVectorF2.mu_at
+    # both checks read the broken entry through XorSlip.mu_at, which flips the same bit as its mu table
     assert not d.validate_monad(XorSlip(), 2).passed
     assert as_tuples(d.check_strength(XorSlip(), 2)) == [
         ("strength_iii", (2, 1, 7), 2, 3),
@@ -224,9 +233,7 @@ def test_monad_laws_match_the_table_built_oracle(monad, size):
 
 
 class CountingMu(d.FreeVectorF2):
-    """freevec2 that counts its mu tables by carrier and keeps its point evaluator."""
-
-    mu_at = d.FreeVectorF2.mu_at
+    """freevec2 that counts its mu tables by carrier."""
 
     def __init__(self):
         self.mu_calls = collections.Counter()
@@ -291,10 +298,32 @@ def test_t_mor_at_is_the_t_mor_table(monad):
             assert tuple(monad.t_mor_at(f, 71, p) for p in range(len(table))) == table
 
 
-def test_a_redefined_table_drops_the_inherited_point_evaluator():
-    assert BadFold.mu_at is XorSlip.mu_at is d.FiniteMonad.mu_at
-    assert BadFold.t_mor_at is d.CoproductException.t_mor_at
-    assert XorSlip.t_mor_at is d.FreeVectorF2.t_mor_at
+class LoggedTable:
+    """A table of the given values that logs which of its entries are read."""
+
+    def __init__(self, values):
+        self.values = tuple(values)
+        self.read = set()
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, i):
+        self.read.add(range(len(self.values))[i])
+        return self.values[i]
+
+
+@pytest.mark.parametrize("monad", POINT_MONADS, ids=monad_id)
+def test_t_mor_at_reads_the_same_entries_whatever_their_values(monad):
+    # _em_morphisms learns which entries of f a point reads from one run on a table of zeros
+    for src in range(4):
+        for p in range(monad.t_size(src)):
+            reads = []
+            for values in ((0,) * src, (70, 0, 63)[:src]):
+                f = LoggedTable(values)
+                monad.t_mor_at(f, 71, p)
+                reads.append(f.read)
+            assert reads[0] == reads[1], (src, p)
 
 
 # ------------------------------------------------------- table composition
@@ -937,6 +966,12 @@ def test_degenerate_monad_is_flagged_inapplicable():
         def mu(self, n):
             return (0,)
 
+        def mu_at(self, n, p):
+            return 0
+
+        def t_mor_at(self, f, dst, p):
+            return 0
+
     verdict = d.check_adjunction_trivial(Terminal(), 3)
     assert not verdict.applicable
     assert verdict.trivial_up_to_bound is None
@@ -1090,6 +1125,12 @@ def test_missing_strength_raises():
 
         def mu(self, n):
             return tuple(range(n))
+
+        def mu_at(self, n, p):
+            return p
+
+        def t_mor_at(self, f, dst, p):
+            return f[p]
 
     with pytest.raises(StructuralError):
         d.check_strength(Bare(), 2)
