@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CatalogError
-from .rings import FusionRing, validate_ring
+from .rings import FusionRing, ValidationReport, validate_ring
 
 __all__ = ["CatalogEntry", "builtin_ring", "entries"]
 
@@ -121,17 +121,18 @@ _PARAM_RE = re.compile(r"^(?P<family>[a-z_0-9]+)\((?P<param>-?\d+)\)$")
 
 
 @functools.cache
-def _validated(name: str) -> FusionRing:
-    # builtins are immutable, so each is built and validated once per process
+def _validated(name: str) -> tuple[FusionRing, ValidationReport]:
+    # builtins are immutable, so each is built and validated once per process; the report is kept
+    # so that `ring validate --builtin` need not validate again
     ring = _REGISTRY[name][0]()
     report = validate_ring(ring)
     if not report.passed:
         raise AssertionError(f"builtin ring {name} fails validation: {report.violations[:3]}")
-    return ring
+    return ring, report
 
 
-def builtin_ring(name: str) -> FusionRing:
-    """Return a validated builtin ring by name, e.g. 'fib' or 'vec_cyclic(3)'."""
+def _builtin(name: str) -> tuple[FusionRing, ValidationReport]:
+    """A builtin ring by name, with the report of its one validation."""
     base = name.strip()
     match = _PARAM_RE.match(base)
     if match:  # 'vec_cyclic(03)' names the same ring as 'vec_cyclic(3)'
@@ -141,8 +142,13 @@ def builtin_ring(name: str) -> FusionRing:
     return _validated(base)
 
 
+def builtin_ring(name: str) -> FusionRing:
+    """Return a validated builtin ring by name, e.g. 'fib' or 'vec_cyclic(3)'."""
+    return _builtin(name)[0]
+
+
 def entries() -> tuple[CatalogEntry, ...]:
     """Every builtin ring at every supported parameter, all validated."""
     return tuple(
-        CatalogEntry(name, _validated(name), note) for name, (_, note) in _REGISTRY.items()
+        CatalogEntry(name, _validated(name)[0], note) for name, (_, note) in _REGISTRY.items()
     )

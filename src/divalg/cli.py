@@ -172,7 +172,8 @@ def _classification_payload(ring: rings.FusionRing, report: rings.Classification
 
 def _cmd_ring_validate(args) -> tuple[dict, dict, int]:
     ring, inputs = _resolve_ring(args)
-    report = rings.validate_ring(ring)
+    # a builtin's report is the one the catalog kept when it validated the ring
+    report = catalog._builtin(args.builtin)[1] if args.builtin else rings.validate_ring(ring)
     payload = report.to_payload()
     payload["labels"] = list(ring.labels)
     payload["rank"] = ring.rank

@@ -154,13 +154,18 @@ def module_components(nr: NimRep) -> list[list[int]]:
 
     Slots are linked by a nonzero entry of any action, either way round; the
     reflexive link matrix is squared until it stops changing (at most
-    ceil(log2 m) products), and its distinct rows are the blocks.
+    ceil(log2 m) products), and its distinct rows are the blocks.  A closure
+    that links every slot is the single block at once, with no rows to list, as
+    for every indecomposable NIM-rep.
     """
     linked = nr.actions.any(axis=0)
     reach = linked | linked.T | np.eye(nr.module_rank, dtype=bool)
-    while not np.array_equal(square := reach @ reach, reach):
+    while not reach.all():
+        square = reach @ reach
+        if np.array_equal(square, reach):
+            return [list(block) for block in sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})]
         reach = square
-    return [list(block) for block in sorted({tuple(np.flatnonzero(row).tolist()) for row in reach})]
+    return [list(range(nr.module_rank))]
 
 
 def _classify_module_object(nr: NimRep, mv: np.ndarray) -> ClassificationReport:

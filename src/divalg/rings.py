@@ -12,13 +12,12 @@ this module is the diagnostic Perron eigenvalue.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, StructuralError, ZeroObjectError
+from .errors import StructuralError, ZeroObjectError
 
 __all__ = [
     "FusionRing",
@@ -312,64 +311,54 @@ def _action_matrix(ring: FusionRing, x: np.ndarray, side: str) -> np.ndarray:
     return _matmul(x, fusion).T
 
 
-def _candidates_by_total(bounds: list[int]) -> Iterator[tuple[int, ...]]:
-    """Every tuple c with 0 <= c_i <= bounds[i], by sum(c) and then lexicographically, one at a time."""
-    room = [0] * (len(bounds) + 1)  # room[i] is the largest sum of the coordinates from i on
-    for i in reversed(range(len(bounds))):
-        room[i] = room[i + 1] + bounds[i]
+def _solve_inverse(ring: FusionRing, matrix: np.ndarray) -> Optional[np.ndarray]:
+    """Nonnegative integer y with matrix @ y = unit, in closed form, or None if there is none.
 
-    def fill(i: int, total: int) -> Iterator[tuple[int, ...]]:
-        if i == len(bounds):
-            yield ()
-            return
-        for c in range(max(0, total - room[i + 1]), min(bounds[i], total) + 1):
-            for tail in fill(i + 1, total - c):
-                yield (c,) + tail
-
-    for total in range(room[0] + 1):
-        yield from fill(0, total)
-
-
-def _solve_inverse(ring: FusionRing, x: np.ndarray, side: str) -> Optional[np.ndarray]:
-    """Find nonnegative integer y with y(x)x = unit (side='left') or x(x)y = unit.
-
-    One search serves every unit: y runs over the vectors allowed by the
-    componentwise bound y_i * R_ki <= unit_k, R_ki = (e_i tensored against x)_k,
-    by total and then lexicographically.  Witnesses can be non-simple, e.g. a
-    decomposable unit is its own inverse.  A simple unit needs no basis lookup:
-    by the duality pairing N_{i,x}^1 = delta_{i,x*} only the column of x* fits
-    under it when x is simple, and none does otherwise, so at most one
-    candidate is tried.
+    `matrix` is the action matrix of x on one side, so y is an inverse of x on
+    that side.  Terms are nonnegative, so a column j with y_j > 0 fits: it is
+    nonzero and lies under the unit.  In a based ring (Etingof, Gelaki,
+    Nikshych and Ostrik, *Tensor Categories*, AMS 2015) a fitting column is
+    exactly one unit component 1_a, so x is invertible exactly when every
+    component is covered by a fitting column, and a solution takes one fitting
+    column per component.  The witness takes the highest-index one, which is the
+    first solution by least total and then lexicographically.  Witnesses can be
+    non-simple, e.g. a decomposable unit is its own inverse.  A ring that breaks
+    this precondition, with a zero unit, a unit entry above 1 or a fitting
+    column covering two components, raises StructuralError.
     """
     unit = ring.unit
-    matrix = _action_matrix(ring, x, side)
-    fits = matrix > 0
-    quotients = unit[:, None] // np.maximum(matrix, 1)
-    caps = quotients.min(axis=0, where=fits, initial=np.iinfo(np.int64).max)
-    columns = np.flatnonzero(fits.any(axis=0) & (caps > 0))
-    bounds = caps[columns].tolist()
-    if math.prod(b + 1 for b in bounds) > 1 << 20:
-        raise BudgetExceededError("inverse search space too large for this ring")
-    for coeffs in _candidates_by_total(bounds):
-        if not any(coeffs):
-            continue
-        y = np.zeros(ring.rank, dtype=np.int64)
-        y[columns] = coeffs
-        if np.array_equal(_matmul(matrix, y), unit):
-            return y
-    return None
+    if unit.max() != 1:
+        raise StructuralError("unit is not a sum of distinct simples, so the ring is not based")
+    hits = matrix > 0
+    fits = hits.any(axis=0) & (matrix <= unit[:, None]).all(axis=0)
+    if (hits[:, fits].sum(axis=0) > 1).any():
+        raise StructuralError("a column under the unit covers two unit components, so the ring is not based")
+    covers = hits[unit > 0] & fits  # covers[c, j]: fitting column j is the c-th unit component
+    if not covers.any(axis=1).all():
+        return None
+    y = np.zeros(ring.rank, dtype=np.int64)
+    y[ring.rank - 1 - covers[:, ::-1].argmax(axis=1)] = 1
+    return y
 
 
 def is_left_invertible(ring: FusionRing, x) -> Optional[np.ndarray]:
-    """Witness y with y (x) x = unit, or None if no inverse exists."""
+    """Witness y with y (x) x = unit, or None if no inverse exists.
+
+    Decided in closed form from the left action matrix of x (see _solve_inverse);
+    a ring that is not based raises StructuralError.
+    """
     vec = _require_nonzero(ring.vector(x))
-    return _solve_inverse(ring, vec, "left")
+    return _solve_inverse(ring, _action_matrix(ring, vec, "left"))
 
 
 def is_right_invertible(ring: FusionRing, x) -> Optional[np.ndarray]:
-    """Witness y with x (x) y = unit, or None if no inverse exists."""
+    """Witness y with x (x) y = unit, or None if no inverse exists.
+
+    Decided in closed form from the right action matrix of x (see _solve_inverse);
+    a ring that is not based raises StructuralError.
+    """
     vec = _require_nonzero(ring.vector(x))
-    return _solve_inverse(ring, vec, "right")
+    return _solve_inverse(ring, _action_matrix(ring, vec, "right"))
 
 
 def fp_dimension(ring: FusionRing, x) -> float:
@@ -393,14 +382,12 @@ def classify_internal_end(ring: FusionRing, x, side: str = "left") -> Classifica
     if side not in ("left", "right"):
         raise StructuralError(f"side must be 'left' or 'right', got {side!r}")
     vec = _require_nonzero(ring.vector(x))
-    simple = length(vec) == 1
-    if side == "left":
-        algebra = tensor(ring, vec, dual_object(ring, vec))
-        form = "XtensorXdual"
-    else:
-        algebra = tensor(ring, dual_object(ring, vec), vec)
-        form = "dualXtensorX"
-    witness = _solve_inverse(ring, vec, side)
+    # y -> y (x) x is the left matrix and y -> x (x) y the right one: a side's inverse solves its own
+    # matrix, and its algebra is the other side's matrix applied to x*
+    left, right = _action_matrix(ring, vec, "left"), _action_matrix(ring, vec, "right")
+    own, other, form = (left, right, "XtensorXdual") if side == "left" else (right, left, "dualXtensorX")
+    algebra = _matmul(other, vec[list(ring.dual)])
+    witness = _solve_inverse(ring, own)
     essential = witness is not None
     unreachable: tuple[tuple[int, ...], ...] = ()
     if not essential:
@@ -409,7 +396,7 @@ def classify_internal_end(ring: FusionRing, x, side: str = "left") -> Classifica
     return ClassificationReport(
         object_vector=tuple(int(v) for v in vec),
         algebra_form=form,
-        simplistic=simple,
+        simplistic=_total(vec) == 1,
         essential=essential,
         algebra_vector=tuple(int(v) for v in algebra),
         inverse_witness=None if witness is None else tuple(int(v) for v in witness),

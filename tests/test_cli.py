@@ -94,21 +94,23 @@ def test_invalid_ring_file_exits_one(capsys, tmp_path, command):
 
 
 def test_builtin_ring_is_not_validated_again(capsys, monkeypatch):
-    d.builtin_ring("fib")
+    # the catalog validated fib once and kept the report, which `ring validate` prints
+    fib = d.builtin_ring("fib")
+    fresh = d.validate_ring(fib)
     calls = []
-    validate = d.rings.validate_ring
 
     def counting_validate(ring):
         calls.append(ring)
-        return validate(ring)
+        return fresh
 
     monkeypatch.setattr(d.rings, "validate_ring", counting_validate)
+    monkeypatch.setattr(d.catalog, "validate_ring", counting_validate)
     code, _, _ = run_cli(capsys, "ring", "classify", "--builtin", "fib", "--object", "tau")
     assert code == 0
-    assert calls == []
-    code, _, _ = run_cli(capsys, "ring", "validate", "--builtin", "fib")
+    code, out, _ = run_cli(capsys, "ring", "validate", "--builtin", "fib")
     assert code == 0
-    assert len(calls) == 1
+    assert calls == []
+    assert payload_of(out) == {**fresh.to_payload(), "labels": list(fib.labels), "rank": fib.rank}
 
 
 def test_regular_nimrep_is_not_validated_again(capsys, monkeypatch, tmp_path):
@@ -323,15 +325,17 @@ def test_zero_object_exits_two(capsys):
     assert code == 2
 
 
-def test_oversized_inverse_search_exits_three(capsys, tmp_path):
+def test_all_ones_over_twenty_one_components_exits_zero(capsys, tmp_path):
+    # the unit of 21 orthogonal idempotents is its own inverse; a search over its 2^21 candidates exited 3
     path = tmp_path / "sum21.json"
     path.write_text(json.dumps(vec_direct_sum(21).to_payload()))
-    code, out, err = run_cli(
+    code, out, _ = run_cli(
         capsys, "ring", "classify", "--ring", str(path), "--object", ",".join(["1"] * 21)
     )
-    assert code == 3
-    assert out == ""
-    assert "budget" in err
+    assert code == 0
+    payload = payload_of(out)
+    assert payload["essential"] is True
+    assert payload["witness"] == [1] * 21
 
 
 def test_unknown_subcommand_exits_two(capsys):

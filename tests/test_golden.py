@@ -209,7 +209,7 @@ def _rounded_fpdim(out: str) -> str:
 
 def test_composite_objects_digest(capsys):
     # the unit and the all-ones vector of every catalog entry reach the decomposable-unit
-    # inverse search and fp_dimension on composites, which the label sweep above does not
+    # inverses and fp_dimension on composites, which the label sweep above does not
     digests = {}
     for entry in d.entries():
         digest = hashlib.sha256()

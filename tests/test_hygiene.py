@@ -6,7 +6,9 @@ read.  A name counts as read when it appears anywhere in `src/`, `tests/` or
 exempt, since the interpreter reads them.
 
 Integer contractions in the ring and NIM-rep layers have one kernel,
-`rings._matmul`, so no second route can drift out of exactness.
+`rings._matmul`, so no second route can drift out of exactness.  Those layers
+decide in closed form and have no budget, so a search cannot come back there
+unnoticed.
 
 A monad that redefines a table redefines its point evaluator with it: the
 laws read single entries of mu and T(f) only through `mu_at` and `t_mor_at`.
@@ -110,6 +112,12 @@ def test_one_contraction_kernel():
                 for node in ast.walk(scope)
                 if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
             ]
+    assert stray == []
+
+
+def test_ring_layers_have_no_budget():
+    # one-sided inverses are read off the fitting columns; a search would need a budget error again
+    stray = [stem for stem in ("rings", "nimreps") if "BudgetExceededError" in read_names(parse(PACKAGE / f"{stem}.py"))]
     assert stray == []
 
 

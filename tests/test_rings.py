@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import divalg as d
 from divalg import rings as R
-from divalg.errors import BudgetExceededError, StructuralError, ZeroObjectError
+from divalg.errors import StructuralError, ZeroObjectError
 
-from util import WRAPPING_RING, relabeled, vec_direct_sum
+from util import WRAPPING_RING, deligne, relabeled, vec_direct_sum
 
 
 def _mutated(ring, index, value):
@@ -314,14 +314,21 @@ def test_action_matrix_past_int64_is_refused(fib):
     assert d.is_right_invertible(fib, [2**62, 2**62]) is None
 
 
-def test_inverse_search_past_int64_is_refused():
-    # an unvalidated rank-4 ring whose unit u = 4a - 2^64 caps each coordinate of y at 1: the candidate
-    # y = (1, 1, 1, 1) gives 4a, which wraps to u in int64; exactly, it is no inverse of e_0
+def test_inverse_in_a_ring_that_is_not_based_is_refused():
+    # an unvalidated rank-4 ring whose unit entries are 4a - 2^64, far above 1, and a ring with a zero unit
     a = 6_500_000_000_000_000_000
     fusion = np.zeros((4, 4, 4), dtype=np.int64)
     fusion[:, 0, :] = a
     ring = d.FusionRing(labels=("a", "b", "c", "d"), unit=[4 * a - 2**64] * 4, dual=(0, 1, 2, 3), fusion=fusion)
-    assert d.is_left_invertible(ring, [1, 0, 0, 0]) is None
+    zero = d.FusionRing(labels=("a",), unit=[0], dual=(0,), fusion=[[[1]]])
+    for ring, x in ((ring, [1, 0, 0, 0]), (zero, [1])):
+        with pytest.raises(StructuralError, match="unit is not a sum of distinct simples"):
+            d.is_left_invertible(ring, x)
+    # every product is 1_a + 1_b, so each column fits under the unit and covers both of its components
+    ring = d.FusionRing(labels=("a", "b"), unit=[1, 1], dual=(0, 1), fusion=np.ones((2, 2, 2), dtype=np.int64))
+    for call in (d.is_left_invertible, d.is_right_invertible, d.classify_internal_end):
+        with pytest.raises(StructuralError, match="covers two unit components"):
+            call(ring, [1, 0])
 
 
 def test_length_sums_past_int64():
@@ -420,22 +427,25 @@ def test_witness_uses_smallest_basis_index():
     assert witness.tolist() == [1]
 
 
-def test_oversized_inverse_search_exceeds_budget():
-    # the unit of 21 orthogonal idempotents leaves 2**21 candidate inverses
+def test_witness_takes_the_highest_index_fitting_column():
+    # X_j (x) X_k = X_k, so both basis objects are left inverses of X_0: the unvalidated ring where the
+    # rule shows; (0, 1) is the first solution by total and then lexicographically
+    fusion = np.zeros((2, 2, 2), dtype=np.int64)
+    fusion[:, [0, 1], [0, 1]] = 1
+    ring = d.FusionRing(labels=("a", "b"), unit=[1, 0], dual=(0, 1), fusion=fusion)
+    assert d.is_left_invertible(ring, [1, 0]).tolist() == [0, 1]
+
+
+def test_all_ones_over_twenty_one_components_is_its_own_inverse():
+    # the unit of 21 orthogonal idempotents: a search over its 2^21 candidates exceeded its budget
     ring = vec_direct_sum(21)
     assert d.validate_ring(ring).passed
-    with pytest.raises(BudgetExceededError):
-        d.is_left_invertible(ring, ring.unit)
-
-
-@pytest.mark.parametrize("bounds", [[], [1], [3], [2, 1, 3], [1, 1, 1, 1], [3, 2], [2, 2, 2]])
-def test_inverse_candidates_by_total_then_lexicographic(bounds):
-    want = sorted(itertools.product(*(range(b + 1) for b in bounds)), key=lambda c: (sum(c), c))
-    assert list(R._candidates_by_total(bounds)) == want
+    assert d.is_left_invertible(ring, ring.unit).tolist() == [1] * 21
+    assert d.is_right_invertible(ring, ring.unit).tolist() == [1] * 21
 
 
 def test_inverse_search_memory_stays_flat():
-    # the all-ones unit of 14 orthogonal idempotents is its own inverse, the last of 2**14 candidates
+    # the all-ones unit of 14 orthogonal idempotents is its own inverse, found with no list of its 2**14 sub-sums
     ring = vec_direct_sum(14)
     tracemalloc.start()
     try:
@@ -448,7 +458,7 @@ def test_inverse_search_memory_stays_flat():
 
 
 def _two_branch_inverse(ring, x, side):
-    """The inverse search with its former basis lookup for a simple unit, kept as an oracle."""
+    """The former inverse search, by least total and then lexicographically, kept as an oracle for the closed form."""
     unit = ring.unit
     spec = "ijk,j->ki" if side == "left" else "jik,j->ki"
     matrix = np.einsum(spec, ring.fusion, x)
@@ -507,6 +517,79 @@ def test_one_search_matches_the_two_branch_oracle(catalog_entries):
                 assert (got is None) == (want is None), (ring.labels, x, side)
                 if got is not None:
                     assert got.tolist() == want.tolist(), (ring.labels, x, side)
+
+
+DELIGNE_FACTORS = [
+    ("fib", "fib"),
+    ("ising", "vec_cyclic(2)"),
+    ("rep_s3", "vec_cyclic(3)"),
+    ("matrix_multifusion(2)", "fib"),
+    ("matrix_multifusion(2)", "matrix_multifusion(2)"),
+    ("vec_cyclic(2)", "matrix_multifusion(3)"),
+    ("vec_cyclic(2)", "vec_cyclic(2)", "matrix_multifusion(2)"),
+]
+
+
+def _fitting_columns(ring, x, side):
+    """Per basis object j with e_j (x) x (left) or x (x) e_j (right) nonzero and under the unit: that product."""
+    out = {}
+    for j in range(ring.rank):
+        column = d.tensor(ring, ring.basis(j), x) if side == "left" else d.tensor(ring, x, ring.basis(j))
+        if column.any() and (column <= ring.unit).all():
+            out[j] = column
+    return out
+
+
+def test_invertible_object_has_one_fitting_column_per_component(catalog_entries):
+    # so the witness is the only inverse, and which fitting column it takes cannot change a verdict
+    rng = np.random.default_rng(11)
+    rings = _inverse_oracle_rings(catalog_entries) + [deligne(*names) for names in DELIGNE_FACTORS]
+    invertible = 0
+    for ring in rings:
+        assert d.validate_ring(ring).passed
+        components = np.flatnonzero(ring.unit).tolist()
+        for x in _inverse_oracle_objects(ring, rng):
+            for side, public in (("left", d.is_left_invertible), ("right", d.is_right_invertible)):
+                witness = public(ring, x)
+                if witness is None:
+                    continue
+                invertible += 1
+                fitting = _fitting_columns(ring, x, side)
+                assert all(int(column.sum()) == 1 for column in fitting.values()), (ring.labels, x, side)
+                assert sorted(int(column.argmax()) for column in fitting.values()) == components, (ring.labels, x, side)
+                assert np.flatnonzero(witness).tolist() == sorted(fitting), (ring.labels, x, side)
+    assert invertible > 300
+
+
+@st.composite
+def inverse_cases(draw):
+    """A direct sum of Vec, a relabeled matrix-unit ring or a Deligne product, with a basis or composite object."""
+    kind = draw(st.sampled_from(["direct_sum", "matrix", "deligne"]))
+    if kind == "direct_sum":
+        ring = vec_direct_sum(draw(st.integers(1, 8)))
+    elif kind == "matrix":
+        ring = d.builtin_ring(draw(st.sampled_from(["matrix_multifusion(2)", "matrix_multifusion(3)"])))
+        ring = relabeled(ring, np.array(draw(st.permutations(range(ring.rank)))))
+    else:
+        ring = deligne(*draw(st.sampled_from(DELIGNE_FACTORS)))
+    if draw(st.booleans()):
+        x = ring.basis(draw(st.integers(0, ring.rank - 1)))
+    else:
+        top = draw(st.integers(1, 2))
+        x = np.array(draw(st.lists(st.integers(0, top), min_size=ring.rank, max_size=ring.rank).filter(any)))
+    return ring, x
+
+
+@given(inverse_cases())
+@settings(max_examples=200, deadline=None)
+def test_closed_form_matches_the_search_oracle(case):
+    ring, x = case
+    for side, public in (("left", d.is_left_invertible), ("right", d.is_right_invertible)):
+        want = _two_branch_inverse(ring, x, side)
+        got = public(ring, x)
+        assert (got is None) == (want is None), (ring.labels, x, side)
+        if got is not None:
+            assert got.tolist() == want.tolist(), (ring.labels, x, side)
 
 
 # ------------------------------------------------------------- fp dimension

@@ -55,6 +55,21 @@ def relabeled(ring, perm):
     )
 
 
+def deligne(*names):
+    """Deligne product of catalog rings: basis pairs, with units, duals and fusion rules taken factorwise."""
+    ring = d.builtin_ring(names[0])
+    for name in names[1:]:
+        other = d.builtin_ring(name)
+        r, s = ring.rank, other.rank
+        ring = d.FusionRing(
+            labels=tuple(f"{a}|{b}" for a in ring.labels for b in other.labels),
+            unit=np.kron(ring.unit, other.unit),
+            dual=tuple(ring.dual[i] * s + other.dual[j] for i in range(r) for j in range(s)),
+            fusion=np.einsum("abc,ijk->aibjck", ring.fusion, other.fusion).reshape(r * s, r * s, r * s),
+        )
+    return ring
+
+
 def vec_direct_sum(n: int):
     """Direct sum of n copies of Vec: n orthogonal idempotent simples whose sum is the unit."""
     fusion = np.zeros((n, n, n), dtype=np.int64)
