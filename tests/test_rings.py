@@ -10,7 +10,7 @@ import divalg as d
 from divalg import rings as R
 from divalg.errors import StructuralError, ZeroObjectError
 
-from util import WRAPPING_RING, deligne, relabeled, vec_direct_sum
+from util import WRAPPING_RING, candidates_by_total, deligne, relabeled, vec_direct_sum
 
 
 def _mutated(ring, index, value):
@@ -444,6 +444,13 @@ def test_all_ones_over_twenty_one_components_is_its_own_inverse():
     assert d.is_right_invertible(ring, ring.unit).tolist() == [1] * 21
 
 
+@pytest.mark.parametrize("bounds", [[], [1], [3], [2, 1, 3], [1, 1, 1, 1], [3, 2], [2, 2, 2]])
+def test_inverse_candidates_by_total_then_lexicographic(bounds):
+    # the order of the search oracle below, which the closed-form witness must match
+    want = sorted(itertools.product(*(range(b + 1) for b in bounds)), key=lambda c: (sum(c), c))
+    assert list(candidates_by_total(bounds)) == want
+
+
 def test_inverse_search_memory_stays_flat():
     # the all-ones unit of 14 orthogonal idempotents is its own inverse, found with no list of its 2**14 sub-sums
     ring = vec_direct_sum(14)
@@ -478,7 +485,7 @@ def _two_branch_inverse(ring, x, side):
         if cap > 0:
             columns.append(i)
             bounds.append(cap)
-    for coeffs in sorted(itertools.product(*(range(b + 1) for b in bounds)), key=lambda c: (sum(c), c)):
+    for coeffs in candidates_by_total(bounds):
         y = np.zeros(ring.rank, dtype=np.int64)
         y[columns] = coeffs
         if any(coeffs) and np.array_equal(matrix @ y, unit):

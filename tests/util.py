@@ -22,6 +22,27 @@ def all_vectors(rank: int, max_total: int):
     return out
 
 
+def candidates_by_total(bounds):
+    """Every tuple c with 0 <= c_i <= bounds[i], by sum(c) and then lexicographically, one at a time.
+
+    The order of the former inverse search, whose first solution the closed-form witness reproduces.
+    """
+    room = [0] * (len(bounds) + 1)  # room[i] is the largest sum of the coordinates from i on
+    for i in reversed(range(len(bounds))):
+        room[i] = room[i + 1] + bounds[i]
+
+    def fill(i, total):
+        if i == len(bounds):
+            yield ()
+            return
+        for c in range(max(0, total - room[i + 1]), min(bounds[i], total) + 1):
+            for tail in fill(i + 1, total - c):
+                yield (c,) + tail
+
+    for total in range(room[0] + 1):
+        yield from fill(0, total)
+
+
 def s3_character_fusion():
     """Fusion tensor of the S3 character ring, computed from the character table.
 
