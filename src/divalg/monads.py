@@ -11,18 +11,22 @@ are composed by one C-level gather, `compose`: the EM axiom, monad
 associativity and each relabeling step compare or build composed whole
 tables, while the unit laws, the strength axioms and the algebra-morphism
 law read single entries of mu and T(f) only through the point evaluators,
-at the points they quantify over.  Structure maps, module actions,
-addition laws and algebra morphisms are all listed by one backtracking
-search, `_backtrack`, which knows no law: each caller passes the values an
-entry may take and its own check.  All verdicts quantify over carriers up to a
-stated bound; table sizes, points evaluated and search leaves are held
-under a configurable budget.
+at the points they quantify over.  Structure maps, module actions and
+algebra morphisms are all listed by one backtracking search, `_backtrack`,
+which knows no law: each caller passes the values an entry may take and its
+own check.  Every monad has one structure-map fill,
+`FiniteMonad.em_structure_candidates`, which checks the EM law at the points
+of support 1 and 2 and so needs no theory of the monad's algebras.  All
+verdicts quantify over carriers up to a stated bound; table sizes, points
+evaluated and search leaves are held under a configurable budget.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -137,12 +141,12 @@ def _backtrack(size: int, choices, holds, budget: int, what: str) -> Iterator[tu
             stack.pop()
 
 
-def _unit_fills(size: int, unit, carrier: int, budget: int, what: str) -> Iterator[tuple[int, ...]]:
-    """Every table of size values below carrier with table[unit[x]] = x for each x, lexicographically."""
+def _unit_fills(size: int, unit, carrier: int, budget: int, what: str, holds=None) -> Iterator[tuple[int, ...]]:
+    """Every table of size values below carrier with table[unit[x]] = x for each x and holds(t, i), lexicographically."""
     allowed: list = [range(carrier)] * size
     for x, p in enumerate(unit):
         allowed[p] = [x] if x in allowed[p] else []
-    return _backtrack(size, lambda t, i: allowed[i], lambda t, i: True, budget, what)
+    return _backtrack(size, lambda t, i: allowed[i], holds or (lambda t, i: True), budget, what)
 
 
 def _mismatches(axiom: str, key: tuple[int, ...], lhs, rhs) -> list[Violation]:
@@ -239,10 +243,70 @@ class FiniteMonad:
     def theta(self, x: int, y: int) -> tuple[int, ...]:
         raise StructuralError(f"monad {self.name} provides no strength")
 
+    @functools.cached_property
+    def _law_shapes(self) -> list[tuple[int, int, bool]]:
+        """(k, q, symmetric) for each q in T(k), k = 1, 2, in no image of T(g) for g: k - 1 -> k.
+
+        Those are the points of exact support k, as T is a functor; the unit point of T(1) is left out.
+        symmetric: T of the swap of 2 fixes q, so the maps h with one image give one point.
+        """
+        shapes = []
+        for k in (1, 2):
+            lower = {p for g in itertools.product(range(k), repeat=k - 1) for p in self.t_mor(g, k)}
+            shapes += [(k, q, k == 1 or self.t_mor_at((1, 0), 2, q) == q) for q in range(self.t_size(k))
+                       if q not in lower and (k, q) != (1, self.eta(1)[0])]
+        return shapes
+
     def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
-        """All structure tables compatible with the unit axiom, in lexicographic order."""
+        """Every unit-compatible structure table s with s(T(s)(P)) = s(mu(P)) at the points P of support 1 and 2.
+
+        P = T(h)(q) for h: k -> T(Y) injective and q of exact support k in
+        T(k), k = 1, 2 (`_law_shapes`); at the other points of support <= 2
+        the unit laws imply the law.  T(s)(P) = T(s . h)(q) reads s at h and
+        lands on a position of support <= 2, so those positions are filled
+        first, each group in index order, and a point is checked at the step
+        that sets the last entry it reads.  freevec2's points are the pairs
+        of masks, whose law is addition; maybe, identity and exception have
+        none and get every unit-compatible table.  Survivors still get the
+        full axiom check by the enumerator.
+        """
         what = f"structure-map enumeration at carrier {carrier}"
-        return _unit_fills(self.t_size(carrier), self.eta(carrier), carrier, budget, what)
+        tsize, eta, shapes = self.t_size(carrier), self.eta(carrier), self._law_shapes
+        if not shapes:
+            return _unit_fills(tsize, eta, carrier, budget, what)
+        points = sum((math.comb if symmetric else math.perm)(tsize, k) for k, _, symmetric in shapes)
+        _guard(points, budget, f"EM law points at carrier {carrier}")
+        maps = [g for k in range(3) for g in itertools.product(range(carrier), repeat=k)]
+        low = {p for g in maps for p in self.t_mor(g, carrier)}
+        order = sorted(range(tsize), key=lambda p: p not in low)
+        rank = sorted(range(tsize), key=order.__getitem__)  # the step that fills each position
+        # lands[k, q][a * carrier + b]: the step of T(g)(q) for g = (a, b)[:k]
+        lands = {(k, q): [rank[self.t_mor_at((a, b)[:k], carrier, q)] for a in range(carrier) for b in range(carrier)]
+                 for k, q, _ in shapes}
+        ready: list[list] = [[] for _ in order]  # ready[i]: the points whose fixed reads are all set at step i
+        waiting: list[list] = [[] for _ in order]  # waiting[i]: the points whose T(s)(P) may be set at step i
+        for k, q, symmetric in shapes:
+            land = lands[k, q]
+            targets = sorted(set(land))
+            for h in (itertools.combinations if symmetric else itertools.permutations)(range(tsize), k):
+                a, b, m = rank[h[0]], rank[h[-1]], rank[self.mu_at(carrier, self.t_mor_at(h, tsize, q))]
+                last = max(a, b, m)
+                ready[last].append((a, b, land, m))
+                for i in targets[bisect.bisect_right(targets, last):]:
+                    waiting[i].append((a, b, land, m))
+
+        def holds(t: list[int], i: int) -> bool:
+            for a, b, land, m in ready[i]:
+                r = land[t[a] * carrier + t[b]]
+                if r <= i and t[r] != t[m]:
+                    return False
+            for a, b, land, m in waiting[i]:
+                if land[t[a] * carrier + t[b]] == i and t[i] != t[m]:
+                    return False
+            return True
+
+        # in fill order, the unit puts x at step rank[eta[x]]
+        return (compose(t, rank) for t in _unit_fills(tsize, compose(rank, eta), carrier, budget, what, holds))
 
 
 class CoproductException(FiniteMonad):
@@ -335,74 +399,6 @@ class FreeVectorF2(FiniteMonad):
             for v in range(ty):
                 out.append(v << (a * y))
         return tuple(out)
-
-    def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
-        """Structure tables from the F2-vector-space laws on the carrier.
-
-        The second algebra axiom forces a structure map to be the sum-over-F2
-        of its singleton values, so a table is a zero plus an addition law;
-        `_addition_laws` finds those by backtracking, within the budget.
-        Survivors still get the full axiom check by the enumerator.
-        """
-        for zero, add in _addition_laws(carrier, budget):
-            table = [zero]
-            for x in range(carrier):
-                table += [add[s][x] for s in table]
-            yield tuple(table)
-
-
-def _addition_laws(carrier: int, budget: int) -> list[tuple[int, list[list[int]]]]:
-    """Every (zero, add) on range(carrier) with x + x = zero that is an associative law.
-
-    add is a symmetric Latin square with the constant diagonal zero, that is a
-    one-factorization of the complete graph K_carrier (W. D. Wallis,
-    One-Factorizations, 1997), so there is none at an odd carrier above 1.
-    The search table holds the zero at entry 0 and then the sums of the pairs
-    a < b off the zero, in order; the zero's row and column are the identity.
-    A pair takes the values still free in both of its rows, least first, so
-    every row stays a permutation, and a complete square is kept when it is
-    associative.  Laws come zero by zero, each zero's in lexicographic order
-    of its pairs.
-    """
-    elements = range(carrier)
-    # pairs[zero][i - 1] is the pair whose sum is entry i, and earlier[zero][i - 1] lists the entries
-    # before i whose pair shares a row with it
-    pairs = [[p for p in itertools.combinations(elements, 2) if zero not in p] for zero in elements]
-    earlier = [[[j + 1 for j, q in enumerate(ps[:i]) if set(p) & set(q)] for i, p in enumerate(ps)] for ps in pairs]
-    size = 1 + (carrier - 1) * (carrier - 2) // 2
-    free: dict[int, list[int]] = {}  # a bit mask of the values taken -> the values left
-
-    def choices(t: list[int], i: int):
-        if not i:
-            return elements
-        zero = t[0]
-        a, b = pairs[zero][i - 1]
-        taken = 1 << zero | 1 << a | 1 << b
-        for j in earlier[zero][i - 1]:
-            taken |= 1 << t[j]
-        if taken not in free:
-            free[taken] = [v for v in elements if not taken >> v & 1]
-        return free[taken]
-
-    def square(t) -> list[list[int]]:
-        zero = t[0]
-        add = [[zero] * carrier for _ in elements]
-        for x in elements:
-            add[zero][x] = add[x][zero] = x
-        for (a, b), v in zip(pairs[zero], t[1:]):
-            add[a][b] = add[b][a] = v
-        return add
-
-    def holds(t: list[int], i: int) -> bool:
-        return i < size - 1 or _is_associative(square(t))
-
-    what = f"addition-law search at carrier {carrier}"
-    return [(t[0], square(t)) for t in _backtrack(size, choices, holds, budget, what)]
-
-
-def _is_associative(add: list[list[int]]) -> bool:
-    elements = range(len(add))
-    return all(add[add[x][y]][z] == add[x][add[y][z]] for x in elements for y in elements for z in elements)
 
 
 def maybe_monad() -> CoproductException:
@@ -535,19 +531,21 @@ def _representatives(members: dict[tuple[int, ...], tuple[int, ...]]) -> list[tu
 
 
 def _em_isoclasses(monad: FiniteMonad, carriers: range, budget: int) -> dict[int, dict]:
-    """Per carrier in carriers, the _isoclasses map of the Eilenberg-Moore algebras on it."""
+    """Per carrier in carriers, the _isoclasses map of the Eilenberg-Moore algebras on it.
+
+    Only a candidate of the EM fill pays for the whole-table axiom check and its T(T(Y)) guard.
+    """
     classes = {}
     for carrier in carriers:
-        tsize = monad.t_size(carrier)
-        ttsize = _table_size(monad, tsize, budget)
-        _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
-        mu = monad.mu(carrier)
+        ttsize = _table_size(monad, monad.t_size(carrier), budget)
+        mu = functools.cache(functools.partial(monad.mu, carrier))
         eta = monad.eta(carrier)
 
         def is_algebra(structure) -> bool:
+            _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
             if any(structure[eta[x]] != x for x in range(carrier)):
                 return False
-            return compose(structure, monad.t_mor(structure, carrier)) == compose(structure, mu)
+            return compose(structure, monad.t_mor(structure, carrier)) == compose(structure, mu())
 
         candidates = monad.em_structure_candidates(carrier, budget)
         classes[carrier] = _isoclasses(
@@ -572,10 +570,11 @@ def enumerate_em_algebras(
     Deduplication is up to carrier relabeling: each isoclass's relabeling orbit
     is built once, from two generators of the symmetric group, so its cost is
     proportional to the orbit's size rather than carrier!.  The representative
-    is the orbit's least structure table.  A candidate in the orbit of an
-    algebra already found is skipped before its T(T(Y)) table is built, since
-    it could only add that algebra again.  An orbit larger than the budget
-    raises BudgetExceededError.
+    is the orbit's least structure table.  A candidate of the monad's EM fill
+    in the orbit of an algebra already found is skipped before its T(T(Y))
+    table is built, since it could only add that algebra again.  A T(T(Y))
+    table a candidate needs, or an orbit, larger than the budget raises
+    BudgetExceededError.
     """
     return _em_algebras(monad, _em_isoclasses(monad, range(max_carrier + 1), _budget(budget)))
 

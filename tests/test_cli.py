@@ -504,15 +504,25 @@ def test_monad_check_exception_negative(capsys):
 
 
 def test_monad_check_budget_exit(capsys):
-    code, _, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "5")
+    # carriers 5 to 7 have no candidate; the first of carrier 8's 240 needs a 2^256-entry axiom table
+    code, _, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "8")
     assert code == 3
     assert "budget" in err
+
+
+def test_monad_check_decides_freevec2_up_to_seven(capsys):
+    # only a candidate that passes the law points pays for the axiom tables, and carriers 5 to 7 have none
+    code, out, _ = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "7")
+    assert code == 0
+    payload = payload_of(out)
+    assert (payload["isoclass_count"], payload["trivial_up_to_bound"]) == (3, True)
+    assert [w["generator_size"] for w in payload["free_witnesses"]] == [0, 1, 2]
 
 
 def test_monad_check_far_past_the_budget_sizes_no_huge_table(capsys):
     # freevec2 at bound 29 used to size T(T(29)) as the number 2^(2^29) just to compare it
     peaks, errors = [], []
-    for bound in ("5", "60"):
+    for bound in ("8", "60"):
         tracemalloc.start()
         code, out, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", bound)
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -520,7 +530,7 @@ def test_monad_check_far_past_the_budget_sizes_no_huge_table(capsys):
         assert (code, out) == (3, "")
         errors.append(err)
     assert errors[0] == errors[1]
-    assert "algebra axiom tables at carrier 5" in errors[0]
+    assert "algebra axiom tables at carrier 8" in errors[0]
     assert peaks[1] < peaks[0] + 2**20
 
 

@@ -64,6 +64,9 @@ GOLDEN = {
     "monad check exception --marks 2 --max-size 7": "66b328a9a2234accf93372387fff033adb41c8dae6a080bb9bfea48c77bd8859",
     "monad check exception --marks 3 --max-size 6": "78711adf490aaea4cf3486b4cb3e82ba5c68970a3b437138308ddcd9cdde76b9",
     "monad check freevec2 --max-size 4": "9bba922ab99d2fecccdbe1359b2ef8f2be755fc66e1115f6043eb88dae89a428",
+    # carriers 5 to 7 have no freevec2 algebra and no candidate, so these bounds need no axiom table
+    "monad check freevec2 --max-size 5": "2ca0d3ebe1d3167f997a63d59c4a82ff6eb0d016bb1856a0c03468dfd160a90c",
+    "monad check freevec2 --max-size 7": "d871db8e406ff1e33ce369b8fca811f597a85dab9ea7dfb083b2b414c5396e99",
     # bounds past the reach of a carrier! walk over every relabeling
     "monad check maybe --max-size 10": "315233fa4a924ace9d9ecb3388441e04412646f8b3cd71f4e4d62e8828ab971a",
     "monad check exception --marks 2 --max-size 9": "030b57289775f7f23f948474060f6fb347d0c6042cb5f87ccb3b4e74f04dacdc",

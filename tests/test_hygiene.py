@@ -12,6 +12,7 @@ unnoticed.
 
 A monad that redefines a table redefines its point evaluator with it: the
 laws read single entries of mu and T(f) only through `mu_at` and `t_mor_at`.
+No builtin monad redefines the EM fill, so there is one.
 
 The package's `__all__` is assembled from the layer modules' own lists, so
 each public name is written once, in the module that defines it.
@@ -138,12 +139,11 @@ def returns_the_inherited_table(method: ast.FunctionDef) -> bool:
     )
 
 
-def test_every_redefined_monad_table_has_its_point_twin():
-    # a FiniteMonad subclass in src/divalg or tests/ that changes mu or t_mor changes mu_at or t_mor_at
-    # with it; without the twin the laws would check the inherited entries, not its table
+def monad_classes(*tops: Path) -> list[tuple[Path, ast.ClassDef]]:
+    """(path, class) for every FiniteMonad subclass defined under tops, FiniteMonad itself left out."""
     classes = [
         (path, node)
-        for top in (PACKAGE, ROOT / "tests")
+        for top in tops
         for path in sorted(top.rglob("*.py"))
         for node in ast.walk(parse(path))
         if isinstance(node, ast.ClassDef)
@@ -154,18 +154,35 @@ def test_every_redefined_monad_table_has_its_point_twin():
         if grown == monads:
             break
         monads = grown
+    return [(path, node) for path, node in classes if node.name != "FiniteMonad" and base_names(node) & monads]
+
+
+def methods_of(node: ast.ClassDef) -> dict[str, ast.FunctionDef]:
+    return {item.name: item for item in node.body if isinstance(item, ast.FunctionDef)}
+
+
+def test_every_redefined_monad_table_has_its_point_twin():
+    # a FiniteMonad subclass in src/divalg or tests/ that changes mu or t_mor changes mu_at or t_mor_at
+    # with it; without the twin the laws would check the inherited entries, not its table
+    classes = monad_classes(PACKAGE, ROOT / "tests")
     missing = []
     for path, node in classes:
-        if node.name == "FiniteMonad" or not base_names(node) & monads:
-            continue
-        methods = {item.name: item for item in node.body if isinstance(item, ast.FunctionDef)}
+        methods = methods_of(node)
         missing += [
             f"{path.stem}:{node.lineno} {node.name} defines {table} without {table}_at"
             for table in ("mu", "t_mor")
             if table in methods and f"{table}_at" not in methods and not returns_the_inherited_table(methods[table])
         ]
-    assert monads > {"FiniteMonad", "CoproductException", "FreeVectorF2", "BadFold", "Terminal"}
+    assert {node.name for _, node in classes} > {"CoproductException", "FreeVectorF2", "BadFold", "Terminal"}
     assert missing == []
+
+
+def test_one_em_fill():
+    # FiniteMonad.em_structure_candidates is the EM fill of every builtin monad: it checks the law at the
+    # points of support 1 and 2, so a monad needs no theory of its own algebras
+    classes = monad_classes(PACKAGE)
+    assert {node.name for _, node in classes} >= {"CoproductException", "FreeVectorF2"}
+    assert [node.name for _, node in classes if "em_structure_candidates" in methods_of(node)] == []
 
 
 # every name the package exported while its `__all__` was written out by hand

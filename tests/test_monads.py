@@ -9,6 +9,8 @@ import divalg as d
 from divalg import monads as M
 from divalg.errors import BudgetExceededError, StructuralError
 
+from util import addition_law_tables, addition_laws, is_associative
+
 
 # ------------------------------------------------- brute-force test oracles
 # EM structure tables T(Y) -> Y and module actions Y + A -> Y are function
@@ -184,6 +186,68 @@ class XorSlip(d.FreeVectorF2):
         return super().mu_at(n, p) ^ (n == 2 and p == 0b101)
 
 
+class Involution(d.FiniteMonad):
+    """The writer monad Z/2 x - on (FinSet, cartesian product); its algebras are sets with an involution.
+
+    Position m * n + x of T(n) is (m, x).  The law points of its EM fill have support 1.
+    """
+
+    ambient = M.CartesianProduct
+    name = "involution"
+
+    def t_size(self, n):
+        return 2 * n
+
+    def t_mor(self, f, dst):
+        return tuple(m * dst + v for m in range(2) for v in f)
+
+    def t_mor_at(self, f, dst, p):
+        m, x = divmod(p, len(f))
+        return m * dst + f[x]
+
+    def eta(self, n):
+        return tuple(range(n))
+
+    def mu(self, n):
+        return tuple(self.mu_at(n, p) for p in range(4 * n))
+
+    def mu_at(self, n, p):
+        outer, inner = divmod(p, 2 * n)
+        m, x = divmod(inner, n)
+        return (outer ^ m) * n + x
+
+
+class RectangularBand(d.FiniteMonad):
+    """T(X) = X x X, the free rectangular band: mu keeps the first entry of the first pair and the last of the last.
+
+    Position a * n + b of T(n) is (a, b).  Its law points have support 2, at (0, 1) and (1, 0) of T(2),
+    which the swap of 2 exchanges.
+    """
+
+    ambient = M.CartesianProduct
+    name = "rectangular_band"
+
+    def t_size(self, n):
+        return n * n
+
+    def t_mor(self, f, dst):
+        return tuple(a * dst + b for a in f for b in f)
+
+    def t_mor_at(self, f, dst, p):
+        a, b = divmod(p, len(f))
+        return f[a] * dst + f[b]
+
+    def eta(self, n):
+        return tuple(x * n + x for x in range(n))
+
+    def mu(self, n):
+        return tuple(self.mu_at(n, p) for p in range(n ** 4))
+
+    def mu_at(self, n, p):
+        first, last = divmod(p, n * n)
+        return first // n * n + last % n
+
+
 def test_broken_free_vector_multiplication_is_reported():
     # both checks read the broken entry through XorSlip.mu_at, which flips the same bit as its mu table
     assert not d.validate_monad(XorSlip(), 2).passed
@@ -278,7 +342,7 @@ def test_carrier_walk_stops_at_the_first_carrier_past_the_budget():
 
 POINT_MONADS = [
     d.identity_monad(), d.maybe_monad(), d.CoproductException(2), d.CoproductException(3),
-    d.FreeVectorF2(), BadFold(2), SwapFold(2), XorSlip(),
+    d.FreeVectorF2(), BadFold(2), SwapFold(2), XorSlip(), Involution(), RectangularBand(),
 ]
 
 
@@ -500,18 +564,52 @@ def test_freevec_raw_structure_count_at_carrier_four(freevec):
     assert len(set(valid)) == 4
 
 
+def unit_axiom_algebras(monad, carrier):
+    """The oracle of the pruned fill: every unit-compatible table, then the full axiom check."""
+    unit_axiom_only = M._unit_fills(monad.t_size(carrier), monad.eta(carrier), carrier, M.DEFAULT_BUDGET, "unit fill")
+    return em_algebras_among(monad, carrier, unit_axiom_only)
+
+
 @pytest.mark.parametrize("carrier", range(4))
 def test_freevec_addition_laws_match_the_unit_axiom_generator(freevec, carrier):
-    budget = M.DEFAULT_BUDGET
-    addition_laws = freevec.em_structure_candidates(carrier, budget)
-    unit_axiom_only = d.FiniteMonad.em_structure_candidates(freevec, carrier, budget)
-    assert em_algebras_among(freevec, carrier, addition_laws) == em_algebras_among(
-        freevec, carrier, unit_axiom_only
-    )
+    # the pairs of masks are freevec2's law points, so the pruned fill keeps exactly the algebras;
+    # at carrier 4 the unit fill has 4^12 tables, and the addition-law oracle stands in for it
+    assert sorted(freevec.em_structure_candidates(carrier, M.DEFAULT_BUDGET)) == unit_axiom_algebras(freevec, carrier)
 
 
-# FreeVectorF2.em_structure_candidates(4, ...) of the product generator it replaced
-# (carrier^(C(4,2)+1) raw addition tables), in that generator's order
+# (monad, lawful, bound) for every builtin and test monad but freevec2 itself; the unit fills
+# of XorSlip and RectangularBand at carrier 4 have 4^12 tables
+PRUNED_FILL_MONADS = [
+    (d.maybe_monad(), True, 4),
+    (d.identity_monad(), True, 4),
+    (d.CoproductException(2), True, 4),
+    (d.CoproductException(3), True, 4),
+    (BadFold(2), False, 4),
+    (SwapFold(2), False, 4),
+    (XorSlip(), False, 3),
+    (Involution(), True, 4),
+    (RectangularBand(), True, 3),
+]
+
+
+@pytest.mark.parametrize("monad,lawful,carrier", [
+    (monad, lawful, carrier) for monad, lawful, bound in PRUNED_FILL_MONADS for carrier in range(bound + 1)
+], ids=monad_id)
+def test_pruned_fill_keeps_the_algebras_of_the_unit_axiom_generator(monad, lawful, carrier):
+    assert d.validate_monad(monad, 2).passed == lawful
+    pruned = list(monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET))
+    unit_fill = M._unit_fills(monad.t_size(carrier), monad.eta(carrier), carrier, M.DEFAULT_BUDGET, "unit fill")
+    assert set(pruned) <= set(unit_fill)
+    # the points checked are points of the law, so no algebra is lost, broken monads included;
+    # for these lawful monads the points of support 1 and 2 leave nothing else
+    algebras = unit_axiom_algebras(monad, carrier)
+    assert em_algebras_among(monad, carrier, pruned) == algebras
+    if lawful:
+        assert sorted(pruned) == algebras
+
+
+# The pruned fill's tables at freevec2 carrier 4, one per zero; the product generator that
+# preceded the addition-law search (carrier^(C(4,2)+1) raw addition tables) gave them in this order
 FREEVEC_CARRIER_FOUR = [
     (0, 0, 1, 1, 2, 2, 3, 3, 3, 3, 2, 2, 1, 1, 0, 0),
     (1, 0, 1, 0, 2, 3, 2, 3, 3, 2, 3, 2, 0, 1, 0, 1),
@@ -557,13 +655,22 @@ def test_freevec_candidates_at_carrier_eight_are_the_vector_space_laws(freevec):
 
 
 def test_addition_law_search_charges_every_leaf(freevec, monkeypatch):
-    # the carrier-6 search ends in 120 leaves: 84 values that leave the next pair no free value,
-    # and 36 complete squares, none associative
-    monkeypatch.setenv("DIVALG_BUDGET", "120")
-    assert list(freevec.em_structure_candidates(6, M._budget(None))) == []
-    monkeypatch.setenv("DIVALG_BUDGET", "119")
-    with pytest.raises(BudgetExceededError, match="addition-law search at carrier 6 needs 120 entries"):
-        list(freevec.em_structure_candidates(6, M._budget(None)))
+    # The fill at carrier 3 sets the zero (mask 0), then masks 1 to 6 in index order (1, 2 and 4 by
+    # the unit), then 7.  It ends in 17 leaves, all rejected values, as no group of order 3 has
+    # exponent 2.  Zero 0: mask 3 rejects 0 and 2, mask 5 rejects 0 and 1, mask 6 all three (7).
+    # Zero 1: mask 5 rejects all three below mask 3 = 0, then mask 3 rejects 1 and 2 (5).
+    # Zero 2: mask 3 rejects 0 and 1, then mask 5 rejects all three below mask 3 = 2 (5).
+    searches = []
+    backtrack = M._backtrack
+    monkeypatch.setattr(M, "_backtrack", lambda *search: searches.append(search) or backtrack(*search))
+    assert list(freevec.em_structure_candidates(3, M.DEFAULT_BUDGET)) == []
+    size, choices, holds, _, what = searches[0]
+    assert list(backtrack(size, choices, holds, 17, what)) == []
+    with pytest.raises(BudgetExceededError, match="structure-map enumeration at carrier 3 needs 17 entries, budget is 16"):
+        list(backtrack(size, choices, holds, 16, what))
+    # the law points, one per pair of masks of T(3), are held to the budget before the search starts
+    with pytest.raises(BudgetExceededError, match="EM law points at carrier 3 needs 28 entries, budget is 27"):
+        freevec.em_structure_candidates(3, 27)
 
 
 def placed_value_addition_laws(carrier, budget):
@@ -582,7 +689,7 @@ def placed_value_addition_laws(carrier, budget):
         # depth-first over pairs: untried[i] holds the values left to try at pairs[i], placed[i] the one placed
         untried = [full & ~(used[a] | used[b]) for a, b in pairs[:1]]
         placed = []
-        if not pairs and M._is_associative(add):
+        if not pairs and is_associative(add):
             laws.append((zero, add))
         while untried:
             i = len(untried) - 1
@@ -605,14 +712,21 @@ def placed_value_addition_laws(carrier, budget):
             if i + 1 < len(pairs):
                 c, d = pairs[i + 1]
                 untried.append(full & ~(used[c] | used[d]))
-            elif M._is_associative(add):
+            elif is_associative(add):
                 laws.append((zero, [row.copy() for row in add]))
     return laws
 
 
 @pytest.mark.parametrize("carrier", range(8))
 def test_addition_laws_match_the_placed_value_search(carrier):
-    assert M._addition_laws(carrier, M.DEFAULT_BUDGET) == placed_value_addition_laws(carrier, M.DEFAULT_BUDGET)
+    assert addition_laws(carrier, M.DEFAULT_BUDGET) == placed_value_addition_laws(carrier, M.DEFAULT_BUDGET)
+
+
+@pytest.mark.parametrize("carrier", range(9))
+def test_pruned_fill_finds_the_addition_laws(freevec, carrier):
+    # freevec2's former bespoke search is the oracle; the fill knows no F2 theory
+    pruned = list(freevec.em_structure_candidates(carrier, M.DEFAULT_BUDGET))
+    assert sorted(pruned) == sorted(addition_law_tables(carrier, M.DEFAULT_BUDGET))
 
 
 def filter_then_dedupe(monad, bound):
@@ -691,8 +805,11 @@ def test_doubling_mu_matches_low_bit_loop(freevec):
 
 
 def test_enumeration_budget(freevec):
-    with pytest.raises(BudgetExceededError):
-        d.enumerate_em_algebras(freevec, 5)
+    # carriers 5 to 7 have no candidate, so no axiom table is sized there; carrier 8 has 240, and the
+    # first one needs the 2^256-entry T(T(8)) of the whole-table check
+    assert [a.carrier for a in d.enumerate_em_algebras(freevec, 7)] == [1, 2, 4]
+    with pytest.raises(BudgetExceededError, match=f"algebra axiom tables at carrier 8 needs {2**256} entries"):
+        d.enumerate_em_algebras(freevec, 8)
 
 
 def test_free_algebras(maybe, identity, freevec):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 
 import divalg as d
+from divalg import monads as M
 
 # a NIM-rep of fib failing all three module laws (unit action, multiplicativity, dual compatibility)
 BROKEN_NIMREP = {"module_labels": ["a", "b"], "actions": [[[1, 0], [1, 1]], [[0, 2], [1, 1]]]}
@@ -41,6 +42,74 @@ def candidates_by_total(bounds):
 
     for total in range(room[0] + 1):
         yield from fill(0, total)
+
+
+def addition_law_tables(carrier: int, budget: int):
+    """freevec2's structure tables from the F2-vector-space laws on the carrier, law by law.
+
+    The former bespoke fill of `FreeVectorF2`: the second algebra axiom forces
+    a structure map to be the sum-over-F2 of its singleton values, so a table
+    is a zero plus an addition law, and `addition_laws` finds those.
+    """
+    for zero, add in addition_laws(carrier, budget):
+        table = [zero]
+        for x in range(carrier):
+            table += [add[s][x] for s in table]
+        yield tuple(table)
+
+
+def addition_laws(carrier: int, budget: int) -> list[tuple[int, list[list[int]]]]:
+    """Every (zero, add) on range(carrier) with x + x = zero that is an associative law.
+
+    add is a symmetric Latin square with the constant diagonal zero, that is a
+    one-factorization of the complete graph K_carrier (W. D. Wallis,
+    One-Factorizations, 1997), so there is none at an odd carrier above 1.
+    The search table holds the zero at entry 0 and then the sums of the pairs
+    a < b off the zero, in order; the zero's row and column are the identity.
+    A pair takes the values still free in both of its rows, least first, so
+    every row stays a permutation, and a complete square is kept when it is
+    associative.  Laws come zero by zero, each zero's in lexicographic order
+    of its pairs.
+    """
+    elements = range(carrier)
+    # pairs[zero][i - 1] is the pair whose sum is entry i, and earlier[zero][i - 1] lists the entries
+    # before i whose pair shares a row with it
+    pairs = [[p for p in itertools.combinations(elements, 2) if zero not in p] for zero in elements]
+    earlier = [[[j + 1 for j, q in enumerate(ps[:i]) if set(p) & set(q)] for i, p in enumerate(ps)] for ps in pairs]
+    size = 1 + (carrier - 1) * (carrier - 2) // 2
+    free: dict[int, list[int]] = {}  # a bit mask of the values taken -> the values left
+
+    def choices(t: list[int], i: int):
+        if not i:
+            return elements
+        zero = t[0]
+        a, b = pairs[zero][i - 1]
+        taken = 1 << zero | 1 << a | 1 << b
+        for j in earlier[zero][i - 1]:
+            taken |= 1 << t[j]
+        if taken not in free:
+            free[taken] = [v for v in elements if not taken >> v & 1]
+        return free[taken]
+
+    def square(t) -> list[list[int]]:
+        zero = t[0]
+        add = [[zero] * carrier for _ in elements]
+        for x in elements:
+            add[zero][x] = add[x][zero] = x
+        for (a, b), v in zip(pairs[zero], t[1:]):
+            add[a][b] = add[b][a] = v
+        return add
+
+    def holds(t: list[int], i: int) -> bool:
+        return i < size - 1 or is_associative(square(t))
+
+    what = f"addition-law search at carrier {carrier}"
+    return [(t[0], square(t)) for t in M._backtrack(size, choices, holds, budget, what)]
+
+
+def is_associative(add: list[list[int]]) -> bool:
+    elements = range(len(add))
+    return all(add[add[x][y]][z] == add[x][add[y][z]] for x in elements for y in elements for z in elements)
 
 
 def s3_character_fusion():
