@@ -13,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -267,12 +268,25 @@ def _monad_from_args(args) -> monads.FiniteMonad:
     return monads.builtin_monad(args.name, marks=getattr(args, "marks", None))
 
 
+def _budget(args) -> int:
+    """--budget, else DIVALG_BUDGET, else monads.DEFAULT_BUDGET; the one place the variable is read."""
+    if args.budget is not None:
+        return args.budget
+    value = os.environ.get("DIVALG_BUDGET")
+    if value is None:
+        return monads.DEFAULT_BUDGET
+    if not value.strip().isdecimal():
+        raise StructuralError(f"DIVALG_BUDGET must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
 def _cmd_monad_check(args) -> tuple[dict, dict, int]:
     monad = _monad_from_args(args)
-    laws = monads.validate_monad(monad, args.max_size, budget=args.budget)
+    budget = _budget(args)
+    laws = monads.validate_monad(monad, args.max_size, budget=budget)
     if not laws.passed:
         return laws.to_payload(), {"monad": monad.name}, EXIT_INVALID_DATA
-    verdict = monads.check_adjunction_trivial(monad, args.max_size, budget=args.budget)
+    verdict = monads.check_adjunction_trivial(monad, args.max_size, budget=budget)
     payload = verdict.to_payload()
     payload["laws_passed"] = True
     return payload, {"monad": monad.name}, EXIT_OK
@@ -280,7 +294,7 @@ def _cmd_monad_check(args) -> tuple[dict, dict, int]:
 
 def _cmd_monad_strength(args) -> tuple[dict, dict, int]:
     monad = _monad_from_args(args)
-    report = monads.check_strength(monad, args.max_size, budget=args.budget)
+    report = monads.check_strength(monad, args.max_size, budget=_budget(args))
     very = monads.is_very_strong(monad, args.max_size)
     algebra = monads.algebra_from_strength(monad)
     payload = {
@@ -346,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mon = sub.add_parser("monad", help="finite monad verdicts")
     budget_help = (
         "cap held by each count on its own: table entries, points evaluated, orbit members, "
-        "search leaves (default: DIVALG_BUDGET, else 2000000)"
+        f"search leaves (default: DIVALG_BUDGET, else {monads.DEFAULT_BUDGET})"
     )
     mon_sub = mon.add_subparsers(dest="subcommand", required=True)
     mc = mon_sub.add_parser("check", help="monad laws plus the adjunction-triviality verdict")

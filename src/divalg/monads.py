@@ -18,7 +18,7 @@ own check.  Every monad has one structure-map fill,
 `FiniteMonad.em_structure_candidates`, which checks the EM law at the points
 of support 1 and 2 and so needs no theory of the monad's algebras.  All
 verdicts quantify over carriers up to a stated bound; table sizes, points
-evaluated and search leaves are held under a configurable budget.
+evaluated and search leaves are held under the budget each call is given.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import functools
 import itertools
 import math
 import operator
-import os
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -71,15 +70,6 @@ __all__ = [
 DEFAULT_BUDGET = 2_000_000
 
 BOUNDED_NOTE = "verdict quantifies over algebras with carrier size <= bound only"
-
-
-def _budget(value: Optional[int]) -> int:
-    """The budget: `value`, else DIVALG_BUDGET, else the default; a nonnegative integer."""
-    if value is None:
-        value = os.environ.get("DIVALG_BUDGET", str(DEFAULT_BUDGET))
-    if isinstance(value, bool) or not str(value).strip().isdecimal():
-        raise StructuralError(f"budget must be a nonnegative integer, got {value!r}")
-    return int(value)
 
 
 def _guard(size: int, budget: int, what: str):
@@ -227,7 +217,7 @@ class FiniteMonad:
         raise NotImplementedError
 
     def t_mor_at(self, f, dst: int, p: int) -> int:
-        """t_mor(f, dst)[p]; a point evaluator must read the same entries of f whatever their values."""
+        """t_mor(f, dst)[p]."""
         raise NotImplementedError
 
     def eta(self, n: int) -> tuple[int, ...]:
@@ -425,7 +415,7 @@ def builtin_monad(name: str, marks: Optional[int] = None) -> FiniteMonad:
     raise StructuralError(f"unknown builtin monad {name!r}")
 
 
-def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = None) -> ValidationReport:
+def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDGET) -> ValidationReport:
     """Pointwise monad laws on every carrier up to max_size.
 
     A law at a given carrier is only evaluated when its tables fit the
@@ -436,7 +426,6 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
     checked.  The walk over carriers stops at the first carrier n >= 1 whose
     T(T(n)) is past the budget.
     """
-    budget = _budget(budget)
     violations: list[Violation] = []
     for n in range(max_size + 1):
         tn = monad.t_size(n)
@@ -563,7 +552,7 @@ def _em_algebras(monad: FiniteMonad, classes: dict[int, dict]) -> list[EmAlgebra
 
 
 def enumerate_em_algebras(
-    monad: FiniteMonad, max_carrier: int, budget: Optional[int] = None
+    monad: FiniteMonad, max_carrier: int, budget: int = DEFAULT_BUDGET
 ) -> list[EmAlgebra]:
     """All structure maps satisfying both algebra axioms, one per isoclass.
 
@@ -576,7 +565,7 @@ def enumerate_em_algebras(
     table a candidate needs, or an orbit, larger than the budget raises
     BudgetExceededError.
     """
-    return _em_algebras(monad, _em_isoclasses(monad, range(max_carrier + 1), _budget(budget)))
+    return _em_algebras(monad, _em_isoclasses(monad, range(max_carrier + 1), budget))
 
 
 def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
@@ -585,18 +574,17 @@ def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
 
 
 def em_isomorphic(
-    monad: FiniteMonad, a: EmAlgebra, b: EmAlgebra, budget: Optional[int] = None
+    monad: FiniteMonad, a: EmAlgebra, b: EmAlgebra, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[int, ...]]:
     """A carrier bijection commuting with the structure maps, or None if there is none.
 
     The witness is a bijection found in the relabeling orbit of a, not
-    necessarily the lexicographically first one.  An orbit larger than the
-    budget (given, else DIVALG_BUDGET, else the default) raises
-    BudgetExceededError.
+    necessarily the lexicographically first one.  An orbit larger than
+    budget raises BudgetExceededError.
     """
     if a.carrier != b.carrier:
         return None
-    orbit = _orbit(a.structure, a.carrier, lambda perm: monad.t_mor(perm, a.carrier), _budget(budget))
+    orbit = _orbit(a.structure, a.carrier, lambda perm: monad.t_mor(perm, a.carrier), budget)
     return orbit.get(tuple(b.structure))
 
 
@@ -643,7 +631,7 @@ STAR_PROBE_EXTRA = 2
 
 
 def check_adjunction_trivial(
-    monad: FiniteMonad, max_carrier: int, budget: Optional[int] = None
+    monad: FiniteMonad, max_carrier: int, budget: int = DEFAULT_BUDGET
 ) -> AdjunctionVerdict:
     """Is every algebra with carrier <= max_carrier isomorphic to a free one?
 
@@ -656,7 +644,6 @@ def check_adjunction_trivial(
     algebra isomorphic to it, so it matches a free algebra on n generators
     exactly when mu(n) lies in that orbit: one lookup, no second orbit.
     """
-    budget = _budget(budget)
     classes = _em_isoclasses(monad, range(max_carrier + 1), budget)
     algebras = _em_algebras(monad, classes)
     applicable = len(algebras) >= 2
@@ -692,7 +679,7 @@ def check_adjunction_trivial(
     )
 
 
-def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = None) -> ValidationReport:
+def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDGET) -> ValidationReport:
     """Pointwise check of the four left-strength axioms on sizes <= max_size.
 
     Each law is compared at every point of its domain.  The strength_iii right
@@ -702,7 +689,6 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: Optional[int] = No
     number of points of each law and the size of every table that is built,
     before it is built.
     """
-    budget = _budget(budget)
     amb = monad.ambient
     violations: list[Violation] = []
     sizes = range(max_size + 1)
@@ -871,7 +857,7 @@ def _module_axioms_hold(algebra: MonoidAlgebra, carrier: int, action) -> bool:
 
 
 def enumerate_modules(
-    algebra: MonoidAlgebra, max_carrier: int, budget: Optional[int] = None
+    algebra: MonoidAlgebra, max_carrier: int, budget: int = DEFAULT_BUDGET
 ) -> list[AlgebraModule]:
     """All right modules over the algebra, one per isoclass, carriers <= bound.
 
@@ -881,7 +867,7 @@ def enumerate_modules(
     least action table of each isoclass's orbit.  That orbit is built once per
     isoclass, at a cost proportional to its size rather than carrier!.
     """
-    classes = _module_isoclasses(algebra, max_carrier, _budget(budget))
+    classes = _module_isoclasses(algebra, max_carrier, budget)
     return [
         AlgebraModule(carrier, canon) for carrier, members in classes.items() for canon in _representatives(members)
     ]
@@ -913,27 +899,26 @@ def free_module(algebra: MonoidAlgebra, n: int) -> AlgebraModule:
 
 
 def module_isomorphic(
-    algebra: MonoidAlgebra, m1: AlgebraModule, m2: AlgebraModule, budget: Optional[int] = None
+    algebra: MonoidAlgebra, m1: AlgebraModule, m2: AlgebraModule, budget: int = DEFAULT_BUDGET
 ) -> Optional[tuple[int, ...]]:
     """A carrier bijection perm with perm . m1 = m2 . (perm (x) id_A), or None if there is none.
 
     The witness is a bijection found in the relabeling orbit of m1, not
-    necessarily the lexicographically first one.  An orbit larger than the
-    budget (given, else DIVALG_BUDGET, else the default) raises
-    BudgetExceededError.
+    necessarily the lexicographically first one.  An orbit larger than
+    budget raises BudgetExceededError.
     """
     if m1.carrier != m2.carrier:
         return None
     amb = algebra.ambient
     ident_a = identity_table(algebra.carrier)
     orbit = _orbit(
-        m1.action, m1.carrier, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier), _budget(budget)
+        m1.action, m1.carrier, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier), budget
     )
     return orbit.get(tuple(m2.action))
 
 
 def check_mon_ess_agreement(
-    monad: CoproductException, max_carrier: int, budget: Optional[int] = None
+    monad: CoproductException, max_carrier: int, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Adjunction-triviality against the independent every-module-is-free check.
 
@@ -945,7 +930,6 @@ def check_mon_ess_agreement(
     """
     if not isinstance(monad, CoproductException):
         raise StructuralError("the agreement check is defined for coproduct exception monads")
-    budget = _budget(budget)
     verdict = check_adjunction_trivial(monad, max_carrier, budget)
     if not verdict.applicable:
         raise DegenerateMonadError(
@@ -965,39 +949,26 @@ def check_mon_ess_agreement(
     return bool(verdict.trivial_up_to_bound) == essential
 
 
-class _ReadLog:
-    """A table of `size` zeros that logs which of its entries are read."""
-
-    def __init__(self, size: int):
-        self.size = size
-        self.read: set[int] = set()
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __getitem__(self, i: int) -> int:
-        self.read.add(range(self.size)[i])
-        return 0
-
-
 def _em_morphisms(monad: FiniteMonad, x: int, y: int, budget: int) -> Iterator[tuple[int, ...]]:
     """Every algebra morphism f: T(x) -> T(y) between the free algebras, in lexicographic order.
 
     A backtracking search over f[0], f[1], ...: the law f(mu_x(p)) = mu_y(T(f)(p))
-    at a point p of T(T(x)) is checked as soon as every entry of f it reads has
-    a value.  Those entries are found once, by running the point evaluator
-    t_mor_at on a table that logs its reads.  Every leaf of the search counts
+    at a point p of T(T(x)) is checked once f[mu_x(p)] and every entry of f
+    that T(f)(p) depends on have a value.  If p = T(incl)(q) for the inclusion
+    incl of 0..k-1, then T(f)(p) = T(f . incl)(q) as T is a functor, so it
+    depends on f below the least such k only.  Every leaf of the search counts
     against the budget.
     """
     tx, ty = monad.t_size(x), monad.t_size(y)
     mu_x = monad.mu(x)
     mu_y = functools.partial(monad.mu_at, y)
+    first = [tx] * len(mu_x)  # first[p]: the least k with p in the image of T(incl_k)
+    for k in reversed(range(tx)):
+        for p in monad.t_mor(identity_table(k), tx):
+            first[p] = k
     ready: list[list[int]] = [[] for _ in range(tx)]  # ready[i]: the points whose entries are all set with f[i]
-    log = _ReadLog(tx)
     for p, v in enumerate(mu_x):
-        log.read = {v}
-        monad.t_mor_at(log, ty, p)
-        ready[max(log.read)].append(p)
+        ready[max(first[p] - 1, v)].append(p)
 
     def holds(f: list[int], i: int) -> bool:
         return all(f[mu_x[p]] == mu_y(monad.t_mor_at(f, ty, p)) for p in ready[i])
@@ -1007,7 +978,7 @@ def _em_morphisms(monad: FiniteMonad, x: int, y: int, budget: int) -> Iterator[t
 
 
 def check_comparison_fully_faithful(
-    monad: FiniteMonad, max_size: int, budget: Optional[int] = None
+    monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Hom-sets into T(Y) versus algebra morphisms between free algebras.
 
@@ -1018,7 +989,6 @@ def check_comparison_fully_faithful(
     checks each point of the law as soon as it can and counts every leaf it
     reaches against the budget.
     """
-    budget = _budget(budget)
     for x in range(max_size + 1):
         for y in range(max_size + 1):
             ty = monad.t_size(y)

@@ -14,6 +14,9 @@ A monad that redefines a table redefines its point evaluator with it: the
 laws read single entries of mu and T(f) only through `mu_at` and `t_mor_at`.
 No builtin monad redefines the EM fill, so there is one.
 
+The command line reads the environment; the library relies on its arguments
+alone, so `DIVALG_BUDGET` reaches a monad verdict only through `cli`.
+
 The package's `__all__` is assembled from the layer modules' own lists, so
 each public name is written once, in the module that defines it.
 """
@@ -120,6 +123,15 @@ def test_ring_layers_have_no_budget():
     # one-sided inverses are read off the fitting columns; a search would need a budget error again
     stray = [stem for stem in ("rings", "nimreps") if "BudgetExceededError" in read_names(parse(PACKAGE / f"{stem}.py"))]
     assert stray == []
+
+
+def test_only_the_command_line_reads_the_environment():
+    readers = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "cli" and {"environ", "getenv"} & read_names(parse(path))
+    ]
+    assert readers == []
 
 
 def base_names(node: ast.ClassDef) -> set[str]:

@@ -119,8 +119,8 @@ def test_per_row_check_matches_per_pair_oracle_on_broken_nimrep(fib, check_dual)
     assert list(d.validate_nimrep(fib, nr, check_dual=check_dual).violations) == expected
 
 
-def test_nimrep_whose_products_pass_int64_is_refused(fib):
-    # named for the refusal it once met: A_1 A_1 has entries 2^64, which int64 would wrap to 0
+def test_nimrep_products_past_int64_are_reported(fib):
+    # A_1 A_1 has entries 2^64, which int64 would wrap to 0
     nr = d.NimRep.from_payload(WIDE_NIMREP)
     report = d.validate_nimrep(fib, nr)
     assert list(report.violations) == [d.Violation("multiplicativity", (1, 1, a, a), 2**64, 2**32 + 1) for a in (0, 1)]

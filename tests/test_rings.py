@@ -209,8 +209,8 @@ def test_matmul_takes_python_ints_from_2_to_the_53(a, b, dtype):
 
 # ------------------------------------------------ axiom checks past int64
 
-def test_ring_whose_associativity_wraps_is_refused():
-    # named for the refusal it once met: the violation that int64 would wrap away is now reported
+def test_associativity_violation_past_int64_is_reported():
+    # the violation that int64 would wrap away is now reported
     ring = d.FusionRing.from_payload(WRAPPING_RING)
     N = ring.fusion.tolist()
     # ((X_1 X_1) X_2)_2 and (X_1 (X_1 X_2))_2 in Python ints
@@ -237,8 +237,8 @@ def test_axiom_bound_refuses_exactly_past_int64(rank):
         assert [v for v in report.violations if v.axiom == "associativity"] == _rank4_associativity(ring)
 
 
-def test_unit_contraction_is_bounded():
-    # named for the refusal it once met: a unit summing past 2^63 - 1 now gets its exact violations
+def test_unit_summing_past_int64_gets_exact_violations():
+    # a unit summing past 2^63 - 1 now gets its exact violations
     ring = d.FusionRing(labels=("1", "x"), unit=[2**62, 2**62], dual=(0, 1), fusion=np.ones((2, 2, 2), int))
     report = d.validate_ring(ring)
     for axiom in ("unit_left", "unit_right"):
@@ -299,14 +299,14 @@ def test_tensor_rejects_wrong_length(fib):
 
 # ----------------------------------------------------------- length, simple
 
-def test_tensor_past_int64_is_refused(fib):
-    # named for the refusal it once met: (2^32 . 1) (x) (2^32 . 1) = 2^64 . 1 used to wrap to the zero vector
+def test_tensor_past_int64_is_exact(fib):
+    # (2^32 . 1) (x) (2^32 . 1) = 2^64 . 1 used to wrap to the zero vector
     assert d.tensor(fib, [2**32, 0], [2**32, 0]).tolist() == [2**64, 0]
     assert d.tensor(fib, [2**31, 0], [2**31, 0]).tolist() == [2**62, 0]
 
 
-def test_action_matrix_past_int64_is_refused(fib):
-    # named for the refusal it once met: the multiplication matrix of 2^62 . (1 + tau) is 2^62 [[1, 1], [1, 2]],
+def test_action_matrix_past_int64_is_exact(fib):
+    # the multiplication matrix of 2^62 . (1 + tau) is 2^62 [[1, 1], [1, 2]],
     # with an entry of 2^63; its Perron root is 2^62 phi^2, and an object of length 2^63 has no inverse
     phi = (1 + math.sqrt(5)) / 2
     assert math.isclose(d.fp_dimension(fib, [2**62, 2**62]), 2**62 * phi**2, rel_tol=1e-12)
