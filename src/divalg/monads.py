@@ -7,8 +7,9 @@ product uses row-major indexing.  Every monad supplies its object map,
 morphism map, multiplication and unit as explicit tables, plus an optional
 left strength table, and computes single entries of mu and T(f) without
 their tables through its point evaluators `mu_at` and `t_mor_at`.  Tables
-are composed by one C-level gather, `compose`: the EM axiom, monad
-associativity and each relabeling step compare or build composed whole
+are composed by one C-level gather, `compose`: the EM law, which at the
+free algebra (T(n), mu_n) is monad associativity at n and is checked once
+per monad object, and each relabeling step compare or build composed whole
 tables, while the unit laws, the strength axioms and the algebra-morphism
 law read single entries of mu and T(f) only through the point evaluators,
 at the points they quantify over.  Structure maps, module actions and
@@ -247,6 +248,24 @@ class FiniteMonad:
                        if q not in lower and (k, q) != (1, self.eta(1)[0])]
         return shapes
 
+    @functools.cached_property
+    def _em_law_verdicts(self) -> dict[tuple[int, tuple[int, ...]], bool]:
+        return {}  # (carrier, structure) -> the verdict of _em_law_holds on this monad object
+
+    def _em_law_sides(self, carrier: int, structure, mu) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """s . T(s) and s . mu_Y on all of T(T(Y)), for Y = carrier, s = structure and mu() = mu(Y)."""
+        return compose(structure, self.t_mor(structure, carrier)), compose(structure, mu())
+
+    def _em_law_holds(self, carrier: int, structure, mu) -> bool:
+        """Whether the EM law's two `_em_law_sides` agree, computed once per monad object; only the verdict is kept.
+
+        At s = mu_n on Y = T(n) it is associativity at n, so validate_monad and the EM enumeration share it.
+        """
+        key = (carrier, tuple(structure))
+        if key not in self._em_law_verdicts:
+            self._em_law_verdicts[key] = operator.eq(*self._em_law_sides(carrier, structure, mu))
+        return self._em_law_verdicts[key]
+
     def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
         """Every unit-compatible structure table s with s(T(s)(P)) = s(mu(P)) at the points P of support 1 and 2.
 
@@ -423,8 +442,10 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     is therefore checked on small carriers only.  The unit laws read mu(n)
     at the |T(n)| points of T(eta_n) and of eta_{T(n)} through the monad's
     point evaluator, so a mu(n) table is built only where associativity is
-    checked.  The walk over carriers stops at the first carrier n >= 1 whose
-    T(T(n)) is past the budget.
+    checked.  Associativity at n is the EM law of the free algebra (T(n),
+    mu_n), checked once per monad object, here or by the EM enumeration.
+    The walk over carriers stops at the first carrier n >= 1 whose T(T(n))
+    is past the budget.
     """
     violations: list[Violation] = []
     for n in range(max_size + 1):
@@ -443,10 +464,9 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
         violations += _mismatches("monad_unit_right", (n,), unit_right, ident)
         if _table_size(monad, ttn, budget) > budget:
             continue
-        mu_n = monad.mu(n)
-        lhs = compose(mu_n, monad.t_mor(mu_n, tn))
-        rhs = compose(mu_n, monad.mu(tn))
-        violations += _mismatches("monad_associativity", (n,), lhs, rhs)
+        mu_n, mu_tn = monad.mu(n), functools.cache(functools.partial(monad.mu, tn))
+        if not monad._em_law_holds(tn, mu_n, mu_tn):
+            violations += _mismatches("monad_associativity", (n,), *monad._em_law_sides(tn, mu_n, mu_tn))
     return ValidationReport.from_violations(violations)
 
 
@@ -522,7 +542,8 @@ def _representatives(members: dict[tuple[int, ...], tuple[int, ...]]) -> list[tu
 def _em_isoclasses(monad: FiniteMonad, carriers: range, budget: int) -> dict[int, dict]:
     """Per carrier in carriers, the _isoclasses map of the Eilenberg-Moore algebras on it.
 
-    Only a candidate of the EM fill pays for the whole-table axiom check and its T(T(Y)) guard.
+    Only a candidate of the EM fill pays for the whole-table axiom check and its T(T(Y)) guard.  A free
+    algebra (T(n), mu_n) whose EM law validate_monad checked as associativity at n is not checked again.
     """
     classes = {}
     for carrier in carriers:
@@ -534,7 +555,7 @@ def _em_isoclasses(monad: FiniteMonad, carriers: range, budget: int) -> dict[int
             _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
             if any(structure[eta[x]] != x for x in range(carrier)):
                 return False
-            return compose(structure, monad.t_mor(structure, carrier)) == compose(structure, mu())
+            return monad._em_law_holds(carrier, structure, mu)
 
         candidates = monad.em_structure_candidates(carrier, budget)
         classes[carrier] = _isoclasses(
@@ -561,8 +582,10 @@ def enumerate_em_algebras(
     proportional to the orbit's size rather than carrier!.  The representative
     is the orbit's least structure table.  A candidate of the monad's EM fill
     in the orbit of an algebra already found is skipped before its T(T(Y))
-    table is built, since it could only add that algebra again.  A T(T(Y))
-    table a candidate needs, or an orbit, larger than the budget raises
+    table is built, since it could only add that algebra again.  The EM law
+    of a free algebra (T(n), mu_n), monad associativity at n, is checked
+    once per monad object, here or by validate_monad.  A T(T(Y)) table a
+    candidate needs, or an orbit, larger than the budget raises
     BudgetExceededError.
     """
     return _em_algebras(monad, _em_isoclasses(monad, range(max_carrier + 1), budget))

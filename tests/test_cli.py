@@ -243,8 +243,8 @@ def test_ring_whose_associativity_wraps_exits_two(capsys, tmp_path, command):
 
 
 @pytest.mark.parametrize("verb", [["validate"], ["classify", "--object", "a"]])
-def test_nimrep_whose_products_pass_int64_exits_two(capsys, tmp_path, verb):
-    # named for the refusal it once met: A_tau A_tau = 2^64 against tau (x) tau = 1 + tau, exactly
+def test_nimrep_whose_products_pass_int64_exits_one_with_exact_violations(capsys, tmp_path, verb):
+    # A_tau A_tau = 2^64 against tau (x) tau = 1 + tau, exactly
     path = tmp_path / "wide.json"
     path.write_text(json.dumps(WIDE_NIMREP))
     code, out, _ = run_cli(capsys, "nimrep", verb[0], "--builtin", "fib", "--nimrep", str(path), *verb[1:])
@@ -517,6 +517,18 @@ def test_monad_check_decides_freevec2_up_to_seven(capsys):
     payload = payload_of(out)
     assert (payload["isoclass_count"], payload["trivial_up_to_bound"]) == (3, True)
     assert [w["generator_size"] for w in payload["free_witnesses"]] == [0, 1, 2]
+
+
+def test_monad_check_builds_mu_four_once_per_run(capsys, monkeypatch):
+    # the laws and the EM enumeration share the free algebras' law verdicts within a run, never across runs
+    built = []
+    mu = d.FreeVectorF2.mu
+    monkeypatch.setattr(d.FreeVectorF2, "mu", lambda self, n: built.append(n) or mu(self, n))
+    for _ in range(2):
+        built.clear()
+        code, _, _ = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "4")
+        assert code == 0
+        assert built.count(4) == 1
 
 
 def test_monad_check_far_past_the_budget_sizes_no_huge_table(capsys):

@@ -773,6 +773,62 @@ def test_axiom_table_is_built_once_per_orbit():
     assert got == d.enumerate_em_algebras(d.FreeVectorF2(), 4)
 
 
+class CountingLaw(d.FreeVectorF2):
+    """freevec2 that counts its mu(4) tables and the T(s) tables of 16-entry structures s on carrier 4."""
+
+    def __init__(self):
+        self.mu_four = self.t_structure = 0
+
+    def mu(self, n):
+        self.mu_four += n == 4
+        return super().mu(n)
+
+    def t_mor(self, f, dst):
+        self.t_structure += dst == 4 and len(f) == 16
+        return super().t_mor(f, dst)
+
+
+def test_free_algebra_law_is_checked_once_per_monad():
+    # associativity at 2 is the EM law of the free algebra (T(2), mu_2), the one algebra accepted at carrier 4
+    monad = CountingLaw()
+    assert d.validate_monad(monad, 4).passed
+    assert (monad.mu_four, monad.t_structure) == (1, 1)
+    assert d.check_adjunction_trivial(monad, 4).trivial_up_to_bound is True
+    assert (monad.mu_four, monad.t_structure) == (1, 1)
+
+
+# (monad factory, validate_monad bound, EM enumeration bound); a factory, so that every run starts with no verdicts
+LAW_MEMO_CASES = [
+    (d.identity_monad, 5, 5),
+    (d.maybe_monad, 5, 5),
+    (functools.partial(d.CoproductException, 2), 4, 4),
+    (functools.partial(d.CoproductException, 3), 4, 3),
+    (d.FreeVectorF2, 4, 4),
+    (functools.partial(SwapFold, 2), 3, 4),
+    (XorSlip, 4, 4),
+    (functools.partial(BadFold, 2), 3, 4),
+    (Involution, 4, 4),
+    (RectangularBand, 3, 3),
+]
+
+
+@pytest.mark.parametrize("validate_first", [True, False], ids=["validate_first", "enumerate_first"])
+@pytest.mark.parametrize("make,size,bound", LAW_MEMO_CASES, ids=[monad_id(make()) for make, _, _ in LAW_MEMO_CASES])
+def test_law_memo_never_changes_a_verdict(make, size, bound, validate_first):
+    monad = make()
+    steps = {
+        "laws": lambda: list(d.validate_monad(monad, size).violations),
+        "algebras": lambda: d.enumerate_em_algebras(monad, bound),
+        "verdict": lambda: d.check_adjunction_trivial(monad, bound),
+    }
+    order = ["laws", "algebras", "verdict"] if validate_first else ["algebras", "verdict", "laws"]
+    got = {step: steps[step]() for step in order}
+    # the second validate_monad reads every associativity verdict from the memo and itemizes the same violations
+    assert got["laws"] == steps["laws"]() == table_built_monad_laws(make(), size)
+    assert got["algebras"] == d.enumerate_em_algebras(make(), bound)
+    assert got["verdict"] == d.check_adjunction_trivial(make(), bound)
+
+
 def low_bit_t_mor(f):
     """T(f) for freevec2 by the low-bit recurrence: a mask's image is its image without its low bit, plus one."""
     out = [0] * (1 << len(f))

@@ -224,8 +224,8 @@ def test_associativity_violation_past_int64_is_reported():
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_axiom_bound_refuses_exactly_past_int64(rank):
-    # the largest entry L with L^2 · rank <= 2^63 - 1 was checked and L + 1 refused; both now get exact reports
+def test_entries_either_side_of_the_int64_square_bound_get_exact_reports(rank):
+    # the largest entry L with L^2 · rank <= 2^63 - 1, and L + 1
     largest = math.isqrt((2**63 - 1) // rank)
     for entry in (largest, largest + 1):
         fusion = np.zeros((rank, rank, rank), dtype=np.int64)
