@@ -6,14 +6,17 @@ concatenates blocks (right block offset by the left size) and cartesian
 product uses row-major indexing.  Every monad supplies its object map,
 morphism map, multiplication and unit as explicit tables, plus an optional
 left strength table, and computes single entries of mu and T(f) without
-their tables through its point evaluators `mu_at` and `t_mor_at`.  Tables
-are composed by one C-level gather, `compose`: the EM law, which at the
-free algebra (T(n), mu_n) is monad associativity at n and is checked once
-per monad object, and each relabeling step compare or build composed whole
-tables, while the unit laws, the strength axioms and the algebra-morphism
-law read single entries of mu and T(f) only through the point evaluators,
-at the points they quantify over.  Structure maps, module actions and
-algebra morphisms are all listed by one backtracking search, `_backtrack`,
+their tables through its point evaluators `mu_at` and `t_mor_at`.  The EM
+law, which at the free algebra (T(n), mu_n) is monad associativity at n and
+is checked once per monad object, and each relabeling step compare or build
+composed whole tables.  Tuples are composed by one C-level gather,
+`compose`; a monad may give its tables as int64 arrays instead, as freevec2
+does, and the EM law then gathers both of its sides by numpy fancy indexing
+and compares them in numpy.  Every table that leaves the module is a tuple
+of Python ints.  The unit laws, the strength_iii right side and the
+comparison check read single entries of mu and T(f) only through the point
+evaluators, at the points they quantify over.  Structure maps, module
+actions and algebra morphisms are all listed by one backtracking search, `_backtrack`,
 which knows no law: each caller passes the values an entry may take and its
 own check.  Every monad has one structure-map fill,
 `FiniteMonad.em_structure_candidates`, which checks the EM law at the points
@@ -30,7 +33,9 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
+
+import numpy as np
 
 from .errors import (
     BudgetExceededError,
@@ -151,6 +156,11 @@ def identity_table(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+def _ints(table) -> tuple[int, ...]:
+    """table as a tuple, of Python ints when it is a numpy array: the form in which every table leaves the module."""
+    return tuple(table.tolist()) if isinstance(table, np.ndarray) else tuple(table)
+
+
 def compose(g, f) -> tuple[int, ...]:
     """Table of g after f, gathered in one C-level call, `operator.itemgetter(*f)(g)`.
 
@@ -252,18 +262,29 @@ class FiniteMonad:
     def _em_law_verdicts(self) -> dict[tuple[int, tuple[int, ...]], bool]:
         return {}  # (carrier, structure) -> the verdict of _em_law_holds on this monad object
 
-    def _em_law_sides(self, carrier: int, structure, mu) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """s . T(s) and s . mu_Y on all of T(T(Y)), for Y = carrier, s = structure and mu() = mu(Y)."""
-        return compose(structure, self.t_mor(structure, carrier)), compose(structure, mu())
+    def _em_law_sides(self, carrier: int, structure, mu):
+        """s . T(s) and s . mu_Y on all of T(T(Y)), for Y = carrier, s = structure and mu() = mu(Y).
+
+        Where the monad gives T(s) or mu_Y as an int64 array, both sides are
+        int64 arrays gathered by fancy indexing; every entry is a position of
+        T(Y), and |T(Y)| <= |T(T(Y))| is within the budget, so they are exact.
+        Tables given as tuples are gathered by `compose`.
+        """
+        t_s, mu_y = self.t_mor(structure, carrier), mu()
+        if isinstance(t_s, np.ndarray) or isinstance(mu_y, np.ndarray):
+            s = np.asarray(structure, dtype=np.int64)
+            return s[np.asarray(t_s, dtype=np.int64)], s[np.asarray(mu_y, dtype=np.int64)]
+        return compose(structure, t_s), compose(structure, mu_y)
 
     def _em_law_holds(self, carrier: int, structure, mu) -> bool:
         """Whether the EM law's two `_em_law_sides` agree, computed once per monad object; only the verdict is kept.
 
         At s = mu_n on Y = T(n) it is associativity at n, so validate_monad and the EM enumeration share it.
         """
-        key = (carrier, tuple(structure))
+        key = (carrier, _ints(structure))
         if key not in self._em_law_verdicts:
-            self._em_law_verdicts[key] = operator.eq(*self._em_law_sides(carrier, structure, mu))
+            lhs, rhs = self._em_law_sides(carrier, structure, mu)
+            self._em_law_verdicts[key] = np.array_equal(lhs, rhs) if isinstance(lhs, np.ndarray) else lhs == rhs
         return self._em_law_verdicts[key]
 
     def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
@@ -362,7 +383,11 @@ class FreeVectorF2(FiniteMonad):
 
     Elements of T(X) are bitmasks over X; the unit sends x to the delta mask
     and the multiplication XOR-folds a set of masks.  The canonical strength
-    shifts a mask into the block of its first coordinate.
+    shifts a mask into the block of its first coordinate.  The mu and T(f)
+    tables are int64 arrays, built by doubling with numpy slice XORs.  A mask
+    of T(dst) lies below 2^dst, so T(f) into dst > 62 is an array of exact
+    Python ints instead; mu(n) has 2^(2^n) entries, so it is only ever built
+    at small n, where its masks are far below 2^63.
     """
 
     ambient = CartesianProduct
@@ -371,13 +396,12 @@ class FreeVectorF2(FiniteMonad):
     def t_size(self, n: int) -> int:
         return 1 << n
 
-    def t_mor(self, f, dst: int) -> tuple[int, ...]:
+    def t_mor(self, f, dst: int):
         # doubling: the masks that contain x are those without it, with bit f[x] flipped
-        out = [0]
-        for v in f:
-            bit = 1 << v
-            out += [m ^ bit for m in out]
-        return tuple(out)
+        table = np.zeros(1 << len(f), dtype=np.int64 if dst <= 62 else object)
+        for x, v in enumerate(f):
+            table[1 << x:2 << x] = table[:1 << x] ^ (1 << int(v))
+        return table
 
     def t_mor_at(self, f, dst: int, p: int) -> int:
         out = 0
@@ -388,12 +412,12 @@ class FreeVectorF2(FiniteMonad):
     def eta(self, n: int) -> tuple[int, ...]:
         return tuple(1 << x for x in range(n))
 
-    def mu(self, n: int) -> tuple[int, ...]:
+    def mu(self, n: int):
         # a set of masks folds to their XOR; doubling over the masks of T(n) in order
-        out = [0]
+        table = np.zeros(1 << (1 << n), dtype=np.int64)
         for mask in range(1 << n):
-            out += [m ^ mask for m in out]
-        return tuple(out)
+            table[1 << mask:2 << mask] = table[:1 << mask] ^ mask
+        return table
 
     def mu_at(self, n: int, p: int) -> int:
         out = 0
@@ -442,12 +466,14 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     is therefore checked on small carriers only.  The unit laws read mu(n)
     at the |T(n)| points of T(eta_n) and of eta_{T(n)} through the monad's
     point evaluator, so a mu(n) table is built only where associativity is
-    checked.  Associativity at n is the EM law of the free algebra (T(n),
+    checked, and at most once per call: mu_n at n and mu_{T(n)} share one
+    cache.  Associativity at n is the EM law of the free algebra (T(n),
     mu_n), checked once per monad object, here or by the EM enumeration.
     The walk over carriers stops at the first carrier n >= 1 whose T(T(n))
     is past the budget.
     """
     violations: list[Violation] = []
+    mu = functools.cache(monad.mu)
     for n in range(max_size + 1):
         tn = monad.t_size(n)
         ttn = _table_size(monad, tn, budget)
@@ -457,16 +483,16 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
                 break
             continue
         mu_at = functools.partial(monad.mu_at, n)
-        unit_left = tuple(map(mu_at, monad.t_mor(monad.eta(n), tn)))
+        unit_left = tuple(map(mu_at, _ints(monad.t_mor(monad.eta(n), tn))))
         unit_right = tuple(map(mu_at, monad.eta(tn)))
         ident = identity_table(tn)
         violations += _mismatches("monad_unit_left", (n,), unit_left, ident)
         violations += _mismatches("monad_unit_right", (n,), unit_right, ident)
         if _table_size(monad, ttn, budget) > budget:
             continue
-        mu_n, mu_tn = monad.mu(n), functools.cache(functools.partial(monad.mu, tn))
+        mu_n, mu_tn = mu(n), functools.partial(mu, tn)
         if not monad._em_law_holds(tn, mu_n, mu_tn):
-            violations += _mismatches("monad_associativity", (n,), *monad._em_law_sides(tn, mu_n, mu_tn))
+            violations += _mismatches("monad_associativity", (n,), *map(_ints, monad._em_law_sides(tn, mu_n, mu_tn)))
     return ValidationReport.from_violations(violations)
 
 
@@ -593,7 +619,7 @@ def enumerate_em_algebras(
 
 def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
     """Free algebra on an n-element set: carrier T(n), structure map mu."""
-    return EmAlgebra(monad.name, monad.t_size(n), tuple(monad.mu(n)))
+    return EmAlgebra(monad.name, monad.t_size(n), _ints(monad.mu(n)))
 
 
 def em_isomorphic(
@@ -708,13 +734,15 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     Each law is compared at every point of its domain.  The strength_iii right
     side mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} is evaluated one point of
     X (x) T(T(Y)) at a time through the monad's point evaluators, so neither
-    the mu(X (x) Y) nor the T(theta) table is built.  The budget holds the
+    the mu(X (x) Y) nor the T(theta) table is built, and the mu(Y) table of
+    the left side is built once per Y.  The budget holds the
     number of points of each law and the size of every table that is built,
     before it is built.
     """
     amb = monad.ambient
     violations: list[Violation] = []
     sizes = range(max_size + 1)
+    mu = functools.cache(monad.mu)
 
     def guard(key: tuple[int, ...], *table_sizes: int):
         for size in table_sizes:
@@ -739,7 +767,7 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
             # the mu(Y) table, and the points of X (x) T(T(Y)) with the theta table over them
             tty = _table_size(monad, ty, budget)
             guard((x, y), tty, amb.tensor(x, tty))
-            lhs = compose(theta_xy, amb.tensor_mor(identity_table(x), monad.mu(y), x, ty))
+            lhs = compose(theta_xy, amb.tensor_mor(identity_table(x), _ints(mu(y)), x, ty))
             mu_xy = functools.partial(monad.mu_at, xy)
             t_theta = functools.partial(monad.t_mor_at, theta_xy, monad.t_size(xy))
             rhs = tuple(mu_xy(t_theta(v)) for v in monad.theta(x, ty))
@@ -834,7 +862,7 @@ def algebra_from_strength(monad: FiniteMonad) -> MonoidAlgebra:
     amb = monad.ambient
     one = amb.unit_size
     carrier = monad.t_size(one)
-    mult = compose(monad.mu(one), monad.theta(carrier, one))
+    mult = compose(_ints(monad.mu(one)), monad.theta(carrier, one))
     unit = tuple(monad.eta(one))
     ident = identity_table(carrier)
 
@@ -972,32 +1000,42 @@ def check_mon_ess_agreement(
     return bool(verdict.trivial_up_to_bound) == essential
 
 
-def _em_morphisms(monad: FiniteMonad, x: int, y: int, budget: int) -> Iterator[tuple[int, ...]]:
-    """Every algebra morphism f: T(x) -> T(y) between the free algebras, in lexicographic order.
+def _em_morphisms(monad: FiniteMonad, x: int, budget: int) -> Callable[[int], Iterator[tuple[int, ...]]]:
+    """The search for the algebra morphisms f: T(x) -> T(y) between free algebras, as a function of y.
 
-    A backtracking search over f[0], f[1], ...: the law f(mu_x(p)) = mu_y(T(f)(p))
-    at a point p of T(T(x)) is checked once f[mu_x(p)] and every entry of f
-    that T(f)(p) depends on have a value.  If p = T(incl)(q) for the inclusion
-    incl of 0..k-1, then T(f)(p) = T(f . incl)(q) as T is a functor, so it
-    depends on f below the least such k only.  Every leaf of the search counts
-    against the budget.
+    It yields every such f in lexicographic order by backtracking over f[0],
+    f[1], ...: the law f(mu_x(p)) = mu_y(T(f)(p)) at a point p of T(T(x)) is
+    checked once f[mu_x(p)] and every entry of f that T(f)(p) depends on have
+    a value.  If p = T(incl)(q) for the inclusion incl of 0..k-1, then
+    T(f)(p) = T(f . incl)(q) as T is a functor, so it depends on f below the
+    least such k only.  That schedule and the mu_x table are read through the
+    point evaluators once, for every y, after mu_x is sized against the
+    budget.  Every leaf of a search counts against the budget.
     """
-    tx, ty = monad.t_size(x), monad.t_size(y)
-    mu_x = monad.mu(x)
-    mu_y = functools.partial(monad.mu_at, y)
-    first = [tx] * len(mu_x)  # first[p]: the least k with p in the image of T(incl_k)
+    tx = monad.t_size(x)
+    ttx = _table_size(monad, tx, budget)
+    _guard(ttx, budget, f"morphism search tables at size {x}")
+    mu_x = tuple(map(functools.partial(monad.mu_at, x), range(ttx)))
+    first = [tx] * ttx  # first[p]: the least k with p in the image of T(incl_k)
     for k in reversed(range(tx)):
-        for p in monad.t_mor(identity_table(k), tx):
-            first[p] = k
+        t_incl = functools.partial(monad.t_mor_at, identity_table(k), tx)
+        for q in range(monad.t_size(k)):
+            first[t_incl(q)] = k
     ready: list[list[int]] = [[] for _ in range(tx)]  # ready[i]: the points whose entries are all set with f[i]
     for p, v in enumerate(mu_x):
         ready[max(first[p] - 1, v)].append(p)
 
-    def holds(f: list[int], i: int) -> bool:
-        return all(f[mu_x[p]] == mu_y(monad.t_mor_at(f, ty, p)) for p in ready[i])
+    def search(y: int) -> Iterator[tuple[int, ...]]:
+        ty = monad.t_size(y)
+        mu_y = functools.partial(monad.mu_at, y)
 
-    values = range(ty)
-    return _backtrack(tx, lambda f, i: values, holds, budget, f"morphism search at sizes ({x}, {y})")
+        def holds(f: list[int], i: int) -> bool:
+            return all(f[mu_x[p]] == mu_y(monad.t_mor_at(f, ty, p)) for p in ready[i])
+
+        values = range(ty)
+        return _backtrack(tx, lambda f, i: values, holds, budget, f"morphism search at sizes ({x}, {y})")
+
+    return search
 
 
 def check_comparison_fully_faithful(
@@ -1010,21 +1048,25 @@ def check_comparison_fully_faithful(
     free algebra on X to the free algebra on Y.  The maps X -> T(Y) are held
     to the budget; the algebra morphisms come from a backtracking search that
     checks each point of the law as soon as it can and counts every leaf it
-    reaches against the budget.
+    reaches against the budget.  Both read mu and T(f) only through the point
+    evaluators.
     """
     for x in range(max_size + 1):
+        morphisms = _em_morphisms(monad, x, budget)
+        points = range(monad.t_size(x))
         for y in range(max_size + 1):
             ty = monad.t_size(y)
             _guard(ty ** x, budget, f"morphism enumeration at sizes ({x}, {y})")
             mu_y = functools.partial(monad.mu_at, y)
             transported = {
-                tuple(map(mu_y, monad.t_mor(g, ty))) for g in itertools.product(range(ty), repeat=x)
+                tuple(mu_y(monad.t_mor_at(g, ty, p)) for p in points)
+                for g in itertools.product(range(ty), repeat=x)
             }
             if len(transported) != ty ** x:
                 return False
             # every algebra morphism is a transported map and there are as many of each, so the sets are equal
             count = 0
-            for f in _em_morphisms(monad, x, y, budget):
+            for f in morphisms(y):
                 if f not in transported:
                     return False
                 count += 1

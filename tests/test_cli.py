@@ -182,8 +182,7 @@ def test_two_sources_for_one_input_exit_two(capsys, tmp_path, command):
     ["ring", "classify", "--builtin", "ising", "--object", "9223372036854775807,9223372036854775807,3"],
     ["nimrep", "classify", "--builtin", "ising", "--regular", "--object", "9223372036854775807,9223372036854775807,3"],
 ])
-def test_contraction_past_int64_exits_two(capsys, command):
-    # named for the refusal these commands once met: contractions past 2^63 - 1 now get exact verdicts
+def test_contraction_past_int64_gets_the_exact_verdict(capsys, command):
     code, out, _ = run_cli(capsys, *command)
     assert code == 0
     payload = payload_of(out)
@@ -226,9 +225,8 @@ def test_integer_past_int64_exits_two(capsys, tmp_path):
     ["ring", "classify", "--ring", "{ring}", "--object", "a"],
     ["nimrep", "classify", "--ring", "{ring}", "--regular", "--object", "a"],
 ])
-def test_ring_whose_associativity_wraps_exits_two(capsys, tmp_path, command):
-    # named for the refusal it once met: this ring passes associativity modulo 2^64 only, and used to
-    # exit 0 with "passed": true; its exact violations now exit 1
+def test_ring_associative_only_modulo_2_64_exits_one_with_exact_violations(capsys, tmp_path, command):
+    # this ring passes associativity modulo 2^64 only
     path = tmp_path / "wrapping.json"
     path.write_text(json.dumps(WRAPPING_RING))
     code, out, _ = run_cli(capsys, *(arg.format(ring=path) for arg in command))

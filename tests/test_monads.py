@@ -1,6 +1,7 @@
 import collections
 import functools
 import itertools
+import json
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,7 +10,7 @@ import divalg as d
 from divalg import monads as M
 from divalg.errors import BudgetExceededError, StructuralError
 
-from util import addition_law_tables, addition_laws, is_associative
+from util import addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, is_associative
 
 
 # ------------------------------------------------- brute-force test oracles
@@ -307,11 +308,28 @@ class CountingMu(d.FreeVectorF2):
         return super().mu(n)
 
 
+class CountingMaybeMu(d.CoproductException):
+    """maybe that counts its mu tables by carrier."""
+
+    def __init__(self):
+        super().__init__(1, name="maybe")
+        self.mu_calls = collections.Counter()
+
+    def mu(self, n):
+        self.mu_calls[n] += 1
+        return super().mu(n)
+
+
 def test_unit_laws_build_no_mu_table():
-    # associativity is checked at carriers 0 to 2 only, where it reads mu(n) and mu(T(n)) = mu(2^n)
+    # associativity is checked at carriers 0 to 2 only, where it reads mu(n) and mu(T(n)) = mu(2^n); the
+    # mu(T(n)) of one carrier is the mu(n) of the next, and each table is built once per call
     monad = CountingMu()
     assert d.validate_monad(monad, 4).passed
-    assert monad.mu_calls == {0: 1, 1: 2, 2: 2, 4: 1}
+    assert monad.mu_calls == {0: 1, 1: 1, 2: 1, 4: 1}
+    # maybe checks associativity at carriers 0 to 5, reading mu(n) and mu(n + 1)
+    maybe = CountingMaybeMu()
+    assert d.validate_monad(maybe, 5).passed
+    assert maybe.mu_calls == dict.fromkeys(range(7), 1)
     # the unit laws on whole tables also built mu(3), and mu(4) a second time
     oracle = CountingMu()
     assert table_built_monad_laws(oracle, 4) == []
@@ -350,7 +368,7 @@ POINT_MONADS = [
 def test_mu_at_is_the_mu_table(monad):
     for n in range(4):
         table = monad.mu(n)
-        assert tuple(monad.mu_at(n, p) for p in range(len(table))) == table
+        assert tuple(monad.mu_at(n, p) for p in range(len(table))) == tuple(table)
 
 
 @pytest.mark.parametrize("monad", POINT_MONADS, ids=monad_id)
@@ -359,7 +377,7 @@ def test_t_mor_at_is_the_t_mor_table(monad):
     for src in range(4):
         for f in itertools.product((0, 1, 2, 62, 63, 64, 70), repeat=src):
             table = monad.t_mor(f, 71)
-            assert tuple(monad.t_mor_at(f, 71, p) for p in range(len(table))) == table
+            assert tuple(monad.t_mor_at(f, 71, p) for p in range(len(table))) == tuple(table)
 
 
 class LoggedTable:
@@ -853,12 +871,52 @@ WIDE_IMAGES = (0, 1, 2, 62, 63, 64, 70)
 @pytest.mark.parametrize("src", range(6))
 def test_doubling_t_mor_matches_low_bit_loop(freevec, src):
     for f in itertools.product(WIDE_IMAGES, repeat=src):
-        assert freevec.t_mor(f, 71) == low_bit_t_mor(f)
+        assert tuple(freevec.t_mor(f, 71)) == low_bit_t_mor(f)
 
 
 def test_doubling_mu_matches_low_bit_loop(freevec):
+    # and the doubling on Python ints that the int64 table replaced
     for n in range(5):
-        assert freevec.mu(n) == low_bit_mu(n)
+        assert tuple(freevec.mu(n)) == low_bit_mu(n) == tuple(doubling_mu(n))
+
+
+# T(f) into dst > 62 holds Python ints; images dst - 1 at 64 and 128 put 2^63 and 2^127 in the table
+NUMPY_DOUBLING_DSTS = (1, 2, 3, 4, 5, 6, 61, 62, 63, 64, 128)
+
+
+@pytest.mark.parametrize("dst", NUMPY_DOUBLING_DSTS)
+def test_t_mor_matches_the_python_int_doubling(freevec, dst):
+    # every f: k -> dst for k <= 4, its images in range(dst) up to 6 and in the two ends of it past that
+    images = range(dst) if dst <= 6 else (0, 1, dst - 2, dst - 1)
+    for k in range(5):
+        for f in itertools.product(images, repeat=k):
+            table = freevec.t_mor(f, dst)
+            assert [int(v) for v in table] == doubling_t_mor(f)
+            if dst > 62:
+                assert all(type(v) is int for v in table)
+
+
+def payload_leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [leaf for item in value for leaf in payload_leaves(item)]
+    return [value]
+
+
+def test_payloads_hold_python_ints_only():
+    # every table leaves the library as Python ints, including law sides gathered by numpy
+    report = d.validate_monad(XorSlip(), 2)
+    assert any(v.axiom == "monad_associativity" for v in report.violations)
+    freevec = d.FreeVectorF2()
+    payloads = [report.to_payload(), d.algebra_from_strength(freevec).to_payload()]
+    payloads += [d.free_algebra(freevec, n).to_payload() for n in range(5)]
+    for payload in payloads:
+        json.dumps(payload)
+        assert {type(leaf) for leaf in payload_leaves(payload)} <= {int, bool, str, type(None)}
+    # so do the memo keys, the structures of validate_monad's mu_n among them
+    assert d.validate_monad(freevec, 4).passed and d.check_adjunction_trivial(freevec, 4).trivial_up_to_bound
+    assert {type(v) for key in freevec._em_law_verdicts for v in key[1]} == {int}
 
 
 def test_enumeration_budget(freevec):
@@ -1546,14 +1604,14 @@ def brute_fully_faithful(monad, max_size):
 def test_morphism_search_matches_the_brute_force_scan(monad, size):
     for x in range(size + 1):
         for y in range(size + 1):
-            assert list(M._em_morphisms(monad, x, y, M.DEFAULT_BUDGET)) == brute_em_morphisms(monad, x, y), (x, y)
+            assert list(M._em_morphisms(monad, x, M.DEFAULT_BUDGET)(y)) == brute_em_morphisms(monad, x, y), (x, y)
     assert d.check_comparison_fully_faithful(monad, size) is brute_fully_faithful(monad, size)
 
 
 def test_broken_multiplication_is_not_fully_faithful():
     assert not d.check_comparison_fully_faithful(BadFold(2), 2)
     # at sizes (0, 0) the one transported map (1, 0) is not the one algebra morphism (0, 1)
-    assert list(M._em_morphisms(SwapFold(2), 0, 0, M.DEFAULT_BUDGET)) == [(0, 1)]
+    assert list(M._em_morphisms(SwapFold(2), 0, M.DEFAULT_BUDGET)(0)) == [(0, 1)]
     assert not d.check_comparison_fully_faithful(SwapFold(2), 0)
 
 
@@ -1564,9 +1622,15 @@ def test_morphism_search_charges_every_leaf(freevec):
         d.check_comparison_fully_faithful(freevec, 2, budget=66)
 
 
+def test_morphism_search_sizes_its_mu_table_first(freevec):
+    # mu(5) would have 2^32 entries
+    with pytest.raises(BudgetExceededError, match=f"morphism search tables at size 5 needs {2**32} entries"):
+        M._em_morphisms(freevec, 5, M.DEFAULT_BUDGET)
+
+
 def test_freevec_comparison_at_three(freevec):
     # the search finds the 512 linear maps of F2^3 among 8^8 maps T(3) -> T(3)
-    assert sum(1 for _ in M._em_morphisms(freevec, 3, 3, M.DEFAULT_BUDGET)) == 512
+    assert sum(1 for _ in M._em_morphisms(freevec, 3, M.DEFAULT_BUDGET)(3)) == 512
     assert d.check_comparison_fully_faithful(freevec, 3)
 
 

@@ -153,8 +153,7 @@ def exact_slot_witnesses(actions, m):
 
 @given(st.sampled_from(ENTRIES), st.data())
 @settings(max_examples=150, deadline=None)
-def test_huge_objects_act_exactly_or_are_refused(entry, data):
-    # every int64 input is answered exactly; only inputs past int64 are refused, as malformed data
+def test_int64_objects_act_exactly(entry, data):
     ring = entry.ring
     nr = d.regular_nimrep(ring)
     x, y, m = (data.draw(wide_vector(ring.rank)) for _ in range(3))
@@ -167,7 +166,7 @@ def test_huge_objects_act_exactly_or_are_refused(entry, data):
 
 @given(st.sampled_from(ENTRIES), st.data())
 @settings(max_examples=150, deadline=None)
-def test_huge_objects_classify_exactly_or_are_refused(entry, data):
+def test_int64_objects_classify_exactly(entry, data):
     ring = entry.ring
     fusion = ring.fusion.tolist()
     x = data.draw(wide_vector(ring.rank).filter(any))

@@ -11,6 +11,23 @@ from divalg import monads as M
 BROKEN_NIMREP = {"module_labels": ["a", "b"], "actions": [[[1, 0], [1, 1]], [[0, 2], [1, 1]]]}
 
 
+def doubling_t_mor(f) -> list[int]:
+    """freevec2's T(f) by doubling on Python ints: the masks that contain x are those without it, bit f[x] flipped."""
+    out = [0]
+    for v in f:
+        bit = 1 << v
+        out += [m ^ bit for m in out]
+    return out
+
+
+def doubling_mu(n: int) -> list[int]:
+    """freevec2's mu(n) by doubling on Python ints: a set of masks folds to their XOR."""
+    out = [0]
+    for mask in range(1 << n):
+        out += [m ^ mask for m in out]
+    return out
+
+
 def all_vectors(rank: int, max_total: int):
     """Every nonzero multiplicity vector with component sum <= max_total."""
     out = []
