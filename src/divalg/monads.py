@@ -3,19 +3,21 @@
 Objects are finite ordinals ``0..n-1`` and morphisms are tuples of image
 positions, so both ambient monoidal structures are strict: disjoint union
 concatenates blocks (right block offset by the left size) and cartesian
-product uses row-major indexing.  Every monad supplies its object map,
-morphism map, multiplication and unit as explicit tables, plus an optional
-left strength table, and computes single entries of mu and T(f) without
-their tables through its point evaluators `mu_at` and `t_mor_at`.  The EM
-law, which at the free algebra (T(n), mu_n) is monad associativity at n and
-is checked once per monad object, and each relabeling step compare or build
-composed whole tables.  Tuples are composed by one C-level gather,
-`compose`; a monad may give its tables as int64 arrays instead, as freevec2
-does, and the EM law then gathers both of its sides by numpy fancy indexing
-and compares them in numpy.  Every table that leaves the module is a tuple
-of Python ints.  The unit laws, the strength_iii right side and the
-comparison check read single entries of mu and T(f) only through the point
-evaluators, at the points they quantify over.  Structure maps, module
+product uses row-major indexing.  Every monad is given as a Kleisli triple:
+its object map, its unit and one point evaluator `bind_at`, which computes
+f*(p) = mu_dst(T(f)(p)) for f: X -> T(dst) without building a table, plus an
+optional left strength table.  The tables of T(f) = (eta . f)* and of
+mu = id* are derived from `bind`, the table of f*, which a monad may give
+itself, as freevec2 does.  The EM law, which at the free algebra
+(T(n), mu_n) is monad associativity at n and is checked once per monad
+object, and each relabeling step compare or build composed whole tables.
+Tuples are composed by one C-level gather, `compose`; a monad may give its
+tables as int64 arrays instead, as freevec2 does, and the EM law then gathers
+both of its sides by numpy fancy indexing and compares them in numpy.  Every
+table that leaves the module is a tuple of Python ints.  The unit laws, the
+EM fill, the strength_iii right side, the algebra-morphism search and the
+comparison check read single entries of mu, T(f) and their composite f* only
+through `bind_at`, at the points they quantify over.  Structure maps, module
 actions and algebra morphisms are all listed by one backtracking search, `_backtrack`,
 which knows no law: each caller passes the values an entry may take and its
 own check.  Every monad has one structure-map fill,
@@ -91,14 +93,6 @@ def _table_size(monad: FiniteMonad, n: int, budget: int) -> int:
     budget too; sizing it could take a number of 2^n bits (freevec2).
     """
     return n if n > budget else monad.t_size(n)
-
-
-def _set_bits(mask: int) -> Iterator[int]:
-    """The positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _backtrack(size: int, choices, holds, budget: int, what: str) -> Iterator[tuple[int, ...]]:
@@ -209,13 +203,14 @@ class CartesianProduct:
 
 
 class FiniteMonad:
-    """Base class: a monad on finite ordinals given by explicit tables.
+    """Base class: a monad on finite ordinals given as a Kleisli triple (T, eta, (-)*).
 
-    A subclass supplies the tables (t_mor, eta, mu, and theta when it has a
-    strength) and the point evaluators mu_at and t_mor_at, which compute
-    single entries of the mu and t_mor tables without building them; the
-    tests pin that the two agree.  The laws read single entries of mu and
-    T(f) only through the point evaluators.
+    A subclass supplies t_size, the eta table, the point evaluator bind_at,
+    which computes f*(p) = mu_dst(T(f)(p)) for f: X -> T(dst) without
+    building a table, and the theta table when it has a strength.  The
+    tables follow from bind_at: bind(f, dst) is the table of f*, which a
+    subclass may give faster, T(f) = (eta . f)* and mu = id*.  The laws read
+    single entries of mu, T(f) and f* only through bind_at.
     """
 
     name: str
@@ -224,22 +219,24 @@ class FiniteMonad:
     def t_size(self, n: int) -> int:
         raise NotImplementedError
 
-    def t_mor(self, f, dst: int) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def t_mor_at(self, f, dst: int, p: int) -> int:
-        """t_mor(f, dst)[p]."""
-        raise NotImplementedError
-
     def eta(self, n: int) -> tuple[int, ...]:
         raise NotImplementedError
 
-    def mu(self, n: int) -> tuple[int, ...]:
+    def bind_at(self, f, dst: int, p: int) -> int:
+        """f*(p) = mu_dst(T(f)(p)) for f: X -> T(dst) and p in T(X)."""
         raise NotImplementedError
 
-    def mu_at(self, n: int, p: int) -> int:
-        """mu(n)[p]."""
-        raise NotImplementedError
+    def bind(self, f, dst: int) -> tuple[int, ...]:
+        """The table of f*: T(X) -> T(dst) for f: X -> T(dst)."""
+        return tuple(self.bind_at(f, dst, p) for p in range(self.t_size(len(f))))
+
+    def t_mor(self, f, dst: int) -> tuple[int, ...]:
+        """The table of T(f): T(X) -> T(dst) for f: X -> dst."""
+        return self.bind(compose(self.eta(dst), f), dst)
+
+    def mu(self, n: int) -> tuple[int, ...]:
+        """The table of mu_n: T(T(n)) -> T(n)."""
+        return self.bind(range(self.t_size(n)), n)
 
     def theta(self, x: int, y: int) -> tuple[int, ...]:
         raise StructuralError(f"monad {self.name} provides no strength")
@@ -251,10 +248,10 @@ class FiniteMonad:
         Those are the points of exact support k, as T is a functor; the unit point of T(1) is left out.
         symmetric: T of the swap of 2 fixes q, so the maps h with one image give one point.
         """
-        shapes = []
+        shapes, swap = [], _ints(self.t_mor((1, 0), 2))
         for k in (1, 2):
             lower = {p for g in itertools.product(range(k), repeat=k - 1) for p in self.t_mor(g, k)}
-            shapes += [(k, q, k == 1 or self.t_mor_at((1, 0), 2, q) == q) for q in range(self.t_size(k))
+            shapes += [(k, q, k == 1 or swap[q] == q) for q in range(self.t_size(k))
                        if q not in lower and (k, q) != (1, self.eta(1)[0])]
         return shapes
 
@@ -277,9 +274,12 @@ class FiniteMonad:
         return compose(structure, t_s), compose(structure, mu_y)
 
     def _em_law_holds(self, carrier: int, structure, mu) -> bool:
-        """Whether the EM law's two `_em_law_sides` agree, computed once per monad object; only the verdict is kept.
+        """Whether the EM law's two `_em_law_sides` agree, computed once per monad object.
 
         At s = mu_n on Y = T(n) it is associativity at n, so validate_monad and the EM enumeration share it.
+        The sides are dropped, but each verdict is kept under its (carrier, structure) key, which holds the
+        whole structure table: at the free algebras that is mu_n, so validate_monad(maybe, N) keeps O(N^2)
+        entries on the monad object.
         """
         key = (carrier, _ints(structure))
         if key not in self._em_law_verdicts:
@@ -306,12 +306,14 @@ class FiniteMonad:
             return _unit_fills(tsize, eta, carrier, budget, what)
         points = sum((math.comb if symmetric else math.perm)(tsize, k) for k, _, symmetric in shapes)
         _guard(points, budget, f"EM law points at carrier {carrier}")
+        # the T(g) tables of the maps g: k -> Y, k <= 2, whose images are the positions of support <= 2
         maps = [g for k in range(3) for g in itertools.product(range(carrier), repeat=k)]
-        low = {p for g in maps for p in self.t_mor(g, carrier)}
+        t_maps = {g: _ints(self.t_mor(g, carrier)) for g in maps}
+        low = {p for table in t_maps.values() for p in table}
         order = sorted(range(tsize), key=lambda p: p not in low)
         rank = sorted(range(tsize), key=order.__getitem__)  # the step that fills each position
         # lands[k, q][a * carrier + b]: the step of T(g)(q) for g = (a, b)[:k]
-        lands = {(k, q): [rank[self.t_mor_at((a, b)[:k], carrier, q)] for a in range(carrier) for b in range(carrier)]
+        lands = {(k, q): [rank[t_maps[(a, b)[:k]][q]] for a in range(carrier) for b in range(carrier)]
                  for k, q, _ in shapes}
         ready: list[list] = [[] for _ in order]  # ready[i]: the points whose fixed reads are all set at step i
         waiting: list[list] = [[] for _ in order]  # waiting[i]: the points whose T(s)(P) may be set at step i
@@ -319,7 +321,7 @@ class FiniteMonad:
             land = lands[k, q]
             targets = sorted(set(land))
             for h in (itertools.combinations if symmetric else itertools.permutations)(range(tsize), k):
-                a, b, m = rank[h[0]], rank[h[-1]], rank[self.mu_at(carrier, self.t_mor_at(h, tsize, q))]
+                a, b, m = rank[h[0]], rank[h[-1]], rank[self.bind_at(h, carrier, q)]
                 last = max(a, b, m)
                 ready[last].append((a, b, land, m))
                 for i in targets[bisect.bisect_right(targets, last):]:
@@ -357,21 +359,15 @@ class CoproductException(FiniteMonad):
     def t_size(self, n: int) -> int:
         return n + self.marks
 
-    def t_mor(self, f, dst: int) -> tuple[int, ...]:
-        return tuple(f) + tuple(dst + j for j in range(self.marks))
-
-    def t_mor_at(self, f, dst: int, p: int) -> int:
-        return f[p] if p < len(f) else dst + p - len(f)
-
     def eta(self, n: int) -> tuple[int, ...]:
         return tuple(range(n))
 
-    def mu(self, n: int) -> tuple[int, ...]:
-        s = self.marks
-        return tuple(range(n + s)) + tuple(n + j for j in range(s))
+    def bind(self, f, dst: int) -> tuple[int, ...]:
+        # f* is f on X and sends each mark of T(X) to the same mark of T(dst)
+        return tuple(f) + tuple(dst + j for j in range(self.marks))
 
-    def mu_at(self, n: int, p: int) -> int:
-        return p if p < n + self.marks else p - self.marks
+    def bind_at(self, f, dst: int, p: int) -> int:
+        return f[p] if p < len(f) else dst + p - len(f)
 
     def theta(self, x: int, y: int) -> tuple[int, ...]:
         # X + (Y + S) and (X + Y) + S coincide position by position
@@ -382,12 +378,13 @@ class FreeVectorF2(FiniteMonad):
     """T(X) = all maps X -> {0,1}, on (FinSet, cartesian product).
 
     Elements of T(X) are bitmasks over X; the unit sends x to the delta mask
-    and the multiplication XOR-folds a set of masks.  The canonical strength
-    shifts a mask into the block of its first coordinate.  The mu and T(f)
-    tables are int64 arrays, built by doubling with numpy slice XORs.  A mask
-    of T(dst) lies below 2^dst, so T(f) into dst > 62 is an array of exact
-    Python ints instead; mu(n) has 2^(2^n) entries, so it is only ever built
-    at small n, where its masks are far below 2^63.
+    and f*(p) is the XOR of the masks f[x] over the set bits x of p, so the
+    multiplication XOR-folds a set of masks.  The canonical strength shifts a
+    mask into the block of its first coordinate.  The f* table, and with it
+    the mu and T(f) tables, is an int64 array, built by doubling with numpy
+    slice XORs.  A mask of T(dst) lies below 2^dst, so f* into dst > 62 is an
+    array of exact Python ints instead; mu(n) has 2^(2^n) entries, so it is
+    only ever built at small n, where its masks are far below 2^63.
     """
 
     ambient = CartesianProduct
@@ -396,33 +393,22 @@ class FreeVectorF2(FiniteMonad):
     def t_size(self, n: int) -> int:
         return 1 << n
 
-    def t_mor(self, f, dst: int):
-        # doubling: the masks that contain x are those without it, with bit f[x] flipped
-        table = np.zeros(1 << len(f), dtype=np.int64 if dst <= 62 else object)
-        for x, v in enumerate(f):
-            table[1 << x:2 << x] = table[:1 << x] ^ (1 << int(v))
-        return table
-
-    def t_mor_at(self, f, dst: int, p: int) -> int:
-        out = 0
-        for x in _set_bits(p):
-            out ^= 1 << f[x]
-        return out
-
     def eta(self, n: int) -> tuple[int, ...]:
         return tuple(1 << x for x in range(n))
 
-    def mu(self, n: int):
-        # a set of masks folds to their XOR; doubling over the masks of T(n) in order
-        table = np.zeros(1 << (1 << n), dtype=np.int64)
-        for mask in range(1 << n):
-            table[1 << mask:2 << mask] = table[:1 << mask] ^ mask
+    def bind(self, f, dst: int):
+        # doubling: the masks that contain x are those without it, XORed with f[x]
+        table = np.zeros(1 << len(f), dtype=np.int64 if dst <= 62 else object)
+        for x in range(len(f)):
+            table[1 << x:2 << x] = table[:1 << x] ^ f[x]
         return table
 
-    def mu_at(self, n: int, p: int) -> int:
+    def bind_at(self, f, dst: int, p: int) -> int:
         out = 0
-        for mask in _set_bits(p):
-            out ^= mask
+        while p:
+            low = p & -p
+            out ^= f[low.bit_length() - 1]
+            p ^= low
         return out
 
     def theta(self, x: int, y: int) -> tuple[int, ...]:
@@ -463,14 +449,14 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
 
     A law at a given carrier is only evaluated when its tables fit the
     budget; for the free-vector monad the associativity law involves T^3 and
-    is therefore checked on small carriers only.  The unit laws read mu(n)
-    at the |T(n)| points of T(eta_n) and of eta_{T(n)} through the monad's
-    point evaluator, so a mu(n) table is built only where associativity is
-    checked, and at most once per call: mu_n at n and mu_{T(n)} share one
-    cache.  Associativity at n is the EM law of the free algebra (T(n),
-    mu_n), checked once per monad object, here or by the EM enumeration.
-    The walk over carriers stops at the first carrier n >= 1 whose T(T(n))
-    is past the budget.
+    is therefore checked on small carriers only.  The unit laws read
+    mu_n . T(eta_n) = eta_n* and mu_n . eta_{T(n)} = id* . eta_{T(n)} at the
+    |T(n)| points of T(n) through bind_at, so a mu(n) table is built only
+    where associativity is checked, and at most once per call: mu_n at n and
+    mu_{T(n)} share one cache.  Associativity at n is the EM law of the free
+    algebra (T(n), mu_n), checked once per monad object, here or by the EM
+    enumeration.  The walk over carriers stops at the first carrier n >= 1
+    whose T(T(n)) is past the budget.
     """
     violations: list[Violation] = []
     mu = functools.cache(monad.mu)
@@ -482,9 +468,8 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
                 # T keeps split monos, so |T(T(n))| only grows from n = 1 on: no later carrier fits either
                 break
             continue
-        mu_at = functools.partial(monad.mu_at, n)
-        unit_left = tuple(map(mu_at, _ints(monad.t_mor(monad.eta(n), tn))))
-        unit_right = tuple(map(mu_at, monad.eta(tn)))
+        unit_left = tuple(map(functools.partial(monad.bind_at, monad.eta(n), n), range(tn)))
+        unit_right = tuple(map(functools.partial(monad.bind_at, range(tn), n), monad.eta(tn)))
         ident = identity_table(tn)
         violations += _mismatches("monad_unit_left", (n,), unit_left, ident)
         violations += _mismatches("monad_unit_right", (n,), unit_right, ident)
@@ -732,10 +717,10 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     """Pointwise check of the four left-strength axioms on sizes <= max_size.
 
     Each law is compared at every point of its domain.  The strength_iii right
-    side mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} is evaluated one point of
-    X (x) T(T(Y)) at a time through the monad's point evaluators, so neither
-    the mu(X (x) Y) nor the T(theta) table is built, and the mu(Y) table of
-    the left side is built once per Y.  The budget holds the
+    side mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} = theta_{X,Y}* . theta_{X,T(Y)}
+    is evaluated one point of X (x) T(T(Y)) at a time through bind_at, so
+    neither the mu(X (x) Y) nor the T(theta) table is built, and the mu(Y)
+    table of the left side is built once per Y.  The budget holds the
     number of points of each law and the size of every table that is built,
     before it is built.
     """
@@ -768,9 +753,7 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
             tty = _table_size(monad, ty, budget)
             guard((x, y), tty, amb.tensor(x, tty))
             lhs = compose(theta_xy, amb.tensor_mor(identity_table(x), _ints(mu(y)), x, ty))
-            mu_xy = functools.partial(monad.mu_at, xy)
-            t_theta = functools.partial(monad.t_mor_at, theta_xy, monad.t_size(xy))
-            rhs = tuple(mu_xy(t_theta(v)) for v in monad.theta(x, ty))
+            rhs = tuple(map(functools.partial(monad.bind_at, theta_xy, xy), monad.theta(x, ty)))
             violations += _mismatches("strength_iii", (x, y), lhs, rhs)
 
     for x in sizes:
@@ -1006,33 +989,31 @@ def _em_morphisms(monad: FiniteMonad, x: int, budget: int) -> Callable[[int], It
     It yields every such f in lexicographic order by backtracking over f[0],
     f[1], ...: the law f(mu_x(p)) = mu_y(T(f)(p)) at a point p of T(T(x)) is
     checked once f[mu_x(p)] and every entry of f that T(f)(p) depends on have
-    a value.  If p = T(incl)(q) for the inclusion incl of 0..k-1, then
+    a value; its right side mu_y(T(f)(p)) is f*(p), read through bind_at.  If
+    p = T(incl)(q) for the inclusion incl of 0..k-1, then
     T(f)(p) = T(f . incl)(q) as T is a functor, so it depends on f below the
-    least such k only.  That schedule and the mu_x table are read through the
-    point evaluators once, for every y, after mu_x is sized against the
-    budget.  Every leaf of a search counts against the budget.
+    least such k only.  That schedule, read off the small T(incl) tables, and
+    mu_x = id*, read through bind_at, are built once, for every y, after mu_x
+    is sized against the budget.  Every leaf of a search counts against the
+    budget.
     """
     tx = monad.t_size(x)
     ttx = _table_size(monad, tx, budget)
     _guard(ttx, budget, f"morphism search tables at size {x}")
-    mu_x = tuple(map(functools.partial(monad.mu_at, x), range(ttx)))
+    mu_x = tuple(map(functools.partial(monad.bind_at, range(tx), x), range(ttx)))
     first = [tx] * ttx  # first[p]: the least k with p in the image of T(incl_k)
     for k in reversed(range(tx)):
-        t_incl = functools.partial(monad.t_mor_at, identity_table(k), tx)
-        for q in range(monad.t_size(k)):
-            first[t_incl(q)] = k
+        for p in _ints(monad.t_mor(identity_table(k), tx)):
+            first[p] = k
     ready: list[list[int]] = [[] for _ in range(tx)]  # ready[i]: the points whose entries are all set with f[i]
     for p, v in enumerate(mu_x):
         ready[max(first[p] - 1, v)].append(p)
 
     def search(y: int) -> Iterator[tuple[int, ...]]:
-        ty = monad.t_size(y)
-        mu_y = functools.partial(monad.mu_at, y)
-
         def holds(f: list[int], i: int) -> bool:
-            return all(f[mu_x[p]] == mu_y(monad.t_mor_at(f, ty, p)) for p in ready[i])
+            return all(f[mu_x[p]] == monad.bind_at(f, y, p) for p in ready[i])
 
-        values = range(ty)
+        values = range(monad.t_size(y))
         return _backtrack(tx, lambda f, i: values, holds, budget, f"morphism search at sizes ({x}, {y})")
 
     return search
@@ -1043,13 +1024,13 @@ def check_comparison_fully_faithful(
 ) -> bool:
     """Hom-sets into T(Y) versus algebra morphisms between free algebras.
 
-    For every pair of sizes, transports each map X -> T(Y) to mu after T(-)
-    and checks that this lands bijectively on the algebra morphisms from the
-    free algebra on X to the free algebra on Y.  The maps X -> T(Y) are held
-    to the budget; the algebra morphisms come from a backtracking search that
-    checks each point of the law as soon as it can and counts every leaf it
-    reaches against the budget.  Both read mu and T(f) only through the point
-    evaluators.
+    For every pair of sizes, transports each map g: X -> T(Y) to its Kleisli
+    extension g* = mu_Y . T(g) and checks that this lands bijectively on the
+    algebra morphisms from the free algebra on X to the free algebra on Y.
+    The maps X -> T(Y) are held to the budget; the algebra morphisms come
+    from a backtracking search that checks each point of the law as soon as
+    it can and counts every leaf it reaches against the budget.  Both read
+    mu and T(f) only through bind_at.
     """
     for x in range(max_size + 1):
         morphisms = _em_morphisms(monad, x, budget)
@@ -1057,11 +1038,8 @@ def check_comparison_fully_faithful(
         for y in range(max_size + 1):
             ty = monad.t_size(y)
             _guard(ty ** x, budget, f"morphism enumeration at sizes ({x}, {y})")
-            mu_y = functools.partial(monad.mu_at, y)
-            transported = {
-                tuple(mu_y(monad.t_mor_at(g, ty, p)) for p in points)
-                for g in itertools.product(range(ty), repeat=x)
-            }
+            maps = itertools.product(range(ty), repeat=x)
+            transported = {tuple(monad.bind_at(g, y, p) for p in points) for g in maps}
             if len(transported) != ty ** x:
                 return False
             # every algebra morphism is a transported map and there are as many of each, so the sets are equal

@@ -53,12 +53,14 @@ GOLDEN = {
     "ring validate --builtin matrix_multifusion(1)": "eff44d368151a2e69c975a3af187bb2ee27a72fa5ee7b5d91ba851da32745fb0",
     "ring validate --builtin matrix_multifusion(2)": "8e8c8a6a3357c7c08b7dcac2c96c1e88f034f958cdab953224f4fc67953d5822",
     "ring validate --builtin matrix_multifusion(3)": "3e9bc7f761af76063deae3a28f2daec89d661da17f76f1a897fca7f49dfcedc2",
-    # every builtin monad; freevec2 strength at size 4 takes seconds, at size 5 it needs a 2^32-entry mu table
+    # every builtin monad; freevec2 strength at size 4 reads 658 140 strength_iii points in about a second, and at
+    # size 5 it needs a 2^32-entry mu table
     "monad check identity --max-size 7": "ed70cc470d90bcf034f83ba0be3c4d55e4430af435ef698768ebf8484a84230c",
     "monad strength identity --max-size 3": "44adf98e90337db0bacf3eac5ce91ddde650d8a2b3dc3301485be323e1604325",
     "monad strength exception --marks 2 --max-size 3": "9b2a048cc207b2e038b5c05c9e6937b9bc1206450bbb9711b2e8acd24afb3dae",
     "monad strength freevec2 --max-size 2": "dca04bcd740af3d72bcd30d496bd9341ce86b245ceb8961c3d43f6d5441c1a1c",
     "monad strength freevec2 --max-size 3": "d699e23435a5d51b080a9d4e9cbb960ec667e20b961457b28a7714c48c259372",
+    "monad strength freevec2 --max-size 4": "8cebac4e6406c737a071e5cbe33551ba4ee70b699110a1bfce287a91d9bb2f36",
     # the largest bounds of each builtin monad that the benchmark's em-ladder runs
     "monad check maybe --max-size 8": "5ac2944cfe62c58e10a922ce682ac87cdd0012aa2390e3ada0157114bcec9716",
     "monad check exception --marks 2 --max-size 7": "66b328a9a2234accf93372387fff033adb41c8dae6a080bb9bfea48c77bd8859",

@@ -10,8 +10,11 @@ Integer contractions in the ring and NIM-rep layers have one kernel,
 decide in closed form and have no budget, so a search cannot come back there
 unnoticed.
 
-A monad that redefines a table redefines its point evaluator with it: the
-laws read single entries of mu and T(f) only through `mu_at` and `t_mor_at`.
+A monad is a Kleisli triple, and its one point evaluator is `bind_at`, the
+Kleisli extension f* = mu . T(f) at a point: the laws read single entries of
+mu, T(f) and f* only through it, and no class has a point evaluator of mu
+or of T(f) alone besides it.  A monad that redefines a table (`bind`, `mu` or
+`t_mor`) redefines `bind_at` with it, unless the table is the inherited one.
 No builtin monad redefines the EM fill, so there is one.
 
 The command line reads the environment; the library relies on its arguments
@@ -174,19 +177,30 @@ def methods_of(node: ast.ClassDef) -> dict[str, ast.FunctionDef]:
 
 
 def test_every_redefined_monad_table_has_its_point_twin():
-    # a FiniteMonad subclass in src/divalg or tests/ that changes mu or t_mor changes mu_at or t_mor_at
-    # with it; without the twin the laws would check the inherited entries, not its table
+    # a FiniteMonad subclass in src/divalg or tests/ that changes bind, mu or t_mor changes bind_at with it;
+    # without it the laws would check the entries of the inherited f*, not its table
     classes = monad_classes(PACKAGE, ROOT / "tests")
     missing = []
     for path, node in classes:
         methods = methods_of(node)
         missing += [
-            f"{path.stem}:{node.lineno} {node.name} defines {table} without {table}_at"
-            for table in ("mu", "t_mor")
-            if table in methods and f"{table}_at" not in methods and not returns_the_inherited_table(methods[table])
+            f"{path.stem}:{node.lineno} {node.name} defines {table} without bind_at"
+            for table in ("bind", "mu", "t_mor")
+            if table in methods and "bind_at" not in methods and not returns_the_inherited_table(methods[table])
         ]
     assert {node.name for _, node in classes} > {"CoproductException", "FreeVectorF2", "BadFold", "Terminal"}
     assert missing == []
+    # nor does any class, monad or not, give a point evaluator of mu or T(f) alone, as bind_at replaced them
+    retired = {f"{table}_at" for table in ("mu", "t_mor")}
+    second = [
+        f"{path.stem}:{node.lineno} {node.name}.{name}"
+        for top in (PACKAGE, ROOT / "tests")
+        for path in sorted(top.rglob("*.py"))
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ClassDef)
+        for name in sorted(retired & set(methods_of(node)))
+    ]
+    assert second == []
 
 
 def test_one_em_fill():

@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -121,8 +122,8 @@ class BadFold(d.CoproductException):
             table[-1] = 0
         return tuple(table)
 
-    def mu_at(self, n, p):
-        return self.mu(n)[p]
+    def bind_at(self, f, dst, p):
+        return self.mu(dst)[self.t_mor(f, self.t_size(dst))[p]]
 
 
 def test_broken_multiplication_is_reported():
@@ -137,8 +138,8 @@ class SwapFold(d.CoproductException):
     def mu(self, n):
         return tuple(2 * n + 1 - v if p >= n and v >= n else v for p, v in enumerate(super().mu(n)))
 
-    def mu_at(self, n, p):
-        return self.mu(n)[p]
+    def bind_at(self, f, dst, p):
+        return self.mu(dst)[self.t_mor(f, self.t_size(dst))[p]]
 
 
 # validate_monad(SwapFold(2), 1) as (axiom, index, lhs, rhs), with the two unit
@@ -183,8 +184,9 @@ class XorSlip(d.FreeVectorF2):
             table[0b101] ^= 1
         return tuple(table)
 
-    def mu_at(self, n, p):
-        return super().mu_at(n, p) ^ (n == 2 and p == 0b101)
+    def bind_at(self, f, dst, p):
+        # mu_2 . T(f) reads the flipped entry where T(f) sends p to 0b101; T(f) is not built past dst 2
+        return super().bind_at(f, dst, p) ^ (dst == 2 and int(self.t_mor(f, 4)[p]) == 0b101)
 
 
 class Involution(d.FiniteMonad):
@@ -199,23 +201,13 @@ class Involution(d.FiniteMonad):
     def t_size(self, n):
         return 2 * n
 
-    def t_mor(self, f, dst):
-        return tuple(m * dst + v for m in range(2) for v in f)
-
-    def t_mor_at(self, f, dst, p):
-        m, x = divmod(p, len(f))
-        return m * dst + f[x]
-
     def eta(self, n):
         return tuple(range(n))
 
-    def mu(self, n):
-        return tuple(self.mu_at(n, p) for p in range(4 * n))
-
-    def mu_at(self, n, p):
-        outer, inner = divmod(p, 2 * n)
-        m, x = divmod(inner, n)
-        return (outer ^ m) * n + x
+    def bind_at(self, f, dst, p):
+        m, x = divmod(p, len(f))
+        image, v = divmod(f[x], dst)
+        return (m ^ image) * dst + v
 
 
 class RectangularBand(d.FiniteMonad):
@@ -231,26 +223,16 @@ class RectangularBand(d.FiniteMonad):
     def t_size(self, n):
         return n * n
 
-    def t_mor(self, f, dst):
-        return tuple(a * dst + b for a in f for b in f)
-
-    def t_mor_at(self, f, dst, p):
-        a, b = divmod(p, len(f))
-        return f[a] * dst + f[b]
-
     def eta(self, n):
         return tuple(x * n + x for x in range(n))
 
-    def mu(self, n):
-        return tuple(self.mu_at(n, p) for p in range(n ** 4))
-
-    def mu_at(self, n, p):
-        first, last = divmod(p, n * n)
-        return first // n * n + last % n
+    def bind_at(self, f, dst, p):
+        a, b = divmod(p, len(f))
+        return f[a] // dst * dst + f[b] % dst
 
 
 def test_broken_free_vector_multiplication_is_reported():
-    # both checks read the broken entry through XorSlip.mu_at, which flips the same bit as its mu table
+    # both checks read the broken entry through XorSlip.bind_at, which flips the same bit as its mu table
     assert not d.validate_monad(XorSlip(), 2).passed
     assert as_tuples(d.check_strength(XorSlip(), 2)) == [
         ("strength_iii", (2, 1, 7), 2, 3),
@@ -356,7 +338,7 @@ def test_carrier_walk_stops_at_the_first_carrier_past_the_budget():
     assert calls[4] < calls[10]
 
 
-# --------------------------------------------------------- point evaluators
+# ------------------------------------------------------ the point evaluator
 
 POINT_MONADS = [
     d.identity_monad(), d.maybe_monad(), d.CoproductException(2), d.CoproductException(3),
@@ -365,19 +347,26 @@ POINT_MONADS = [
 
 
 @pytest.mark.parametrize("monad", POINT_MONADS, ids=monad_id)
-def test_mu_at_is_the_mu_table(monad):
-    for n in range(4):
-        table = monad.mu(n)
-        assert tuple(monad.mu_at(n, p) for p in range(len(table))) == tuple(table)
+def test_bind_at_is_mu_after_t_mor(monad):
+    # f* = mu_dst . T(f) for every f: src -> T(dst), read off the mu and T(f) tables
+    for src, dst in itertools.product(range(3), repeat=2):
+        mu, t_dst = monad.mu(dst), monad.t_size(dst)
+        for f in itertools.product(range(t_dst), repeat=src):
+            t_f = monad.t_mor(f, t_dst)
+            assert [monad.bind_at(f, dst, p) for p in range(len(t_f))] == [mu[q] for q in t_f], (src, dst, f)
 
 
-@pytest.mark.parametrize("monad", POINT_MONADS, ids=monad_id)
-def test_t_mor_at_is_the_t_mor_table(monad):
-    # images past 2^63 keep exact Python ints
+@pytest.mark.parametrize("monad", [m for m in POINT_MONADS if not isinstance(m, SwapFold)], ids=monad_id)
+def test_bind_at_is_the_bind_table(monad):
+    # into dst 71, through units past 2^63 and the last point of T(71): freevec2's masks stay exact Python ints;
+    # BadFold and XorSlip break mu only at carriers 0 and 2, so into 71 their bind_at is the inherited table,
+    # while SwapFold swaps the marks of mu at every carrier
+    eta = monad.eta(71)
+    values = [eta[x] for x in (0, 1, 2, 62, 63, 64, 70)] + [monad.t_size(71) - 1]
     for src in range(4):
-        for f in itertools.product((0, 1, 2, 62, 63, 64, 70), repeat=src):
-            table = monad.t_mor(f, 71)
-            assert tuple(monad.t_mor_at(f, 71, p) for p in range(len(table))) == tuple(table)
+        for f in itertools.product(values, repeat=src):
+            table = monad.bind(f, 71)
+            assert tuple(monad.bind_at(f, 71, p) for p in range(len(table))) == tuple(table)
 
 
 class LoggedTable:
@@ -396,7 +385,7 @@ class LoggedTable:
 
 
 @pytest.mark.parametrize("monad", POINT_MONADS, ids=monad_id)
-def test_t_mor_at_reads_the_same_entries_whatever_their_values(monad):
+def test_bind_at_reads_the_same_entries_whatever_their_values(monad):
     # no search relies on this, as _em_morphisms schedules each law point by functoriality; it pins that
     # the entries of f a point evaluator reads are fixed by the point alone
     for src in range(4):
@@ -404,9 +393,24 @@ def test_t_mor_at_reads_the_same_entries_whatever_their_values(monad):
             reads = []
             for values in ((0,) * src, (70, 0, 63)[:src]):
                 f = LoggedTable(values)
-                monad.t_mor_at(f, 71, p)
+                monad.bind_at(f, 71, p)
                 reads.append(f.read)
             assert reads[0] == reads[1], (src, p)
+
+
+def test_readme_writer_monad_needs_only_its_kleisli_triple():
+    # the Library section's subclass of FiniteMonad, run as printed
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    source = next(block.split("```")[0] for block in readme.split("```python\n") if "(d.FiniteMonad)" in block)
+    namespace = {"d": d}
+    exec(source, namespace)
+    flip = namespace["Flip"]
+    assert {name for name in vars(flip) if not name.startswith("__")} == {"ambient", "name", "t_size", "eta", "bind_at"}
+    assert d.validate_monad(flip(), 4).passed
+    # it is Z/2 x -, so its tables and algebras are those of Involution
+    assert [flip().mu(n) for n in range(4)] == [Involution().mu(n) for n in range(4)]
+    got, want = ([(a.carrier, a.structure) for a in d.enumerate_em_algebras(m, 4)] for m in (flip(), Involution()))
+    assert got == want
 
 
 # ------------------------------------------------------- table composition
@@ -1190,19 +1194,10 @@ def test_degenerate_monad_is_flagged_inapplicable():
         def t_size(self, n):
             return 1
 
-        def t_mor(self, f, dst):
-            return (0,)
-
         def eta(self, n):
             return tuple(0 for _ in range(n))
 
-        def mu(self, n):
-            return (0,)
-
-        def mu_at(self, n, p):
-            return 0
-
-        def t_mor_at(self, f, dst, p):
+        def bind_at(self, f, dst, p):
             return 0
 
     verdict = d.check_adjunction_trivial(Terminal(), 3)
@@ -1350,19 +1345,10 @@ def test_missing_strength_raises():
         def t_size(self, n):
             return n
 
-        def t_mor(self, f, dst):
-            return tuple(f)
-
         def eta(self, n):
             return tuple(range(n))
 
-        def mu(self, n):
-            return tuple(range(n))
-
-        def mu_at(self, n, p):
-            return p
-
-        def t_mor_at(self, f, dst, p):
+        def bind_at(self, f, dst, p):
             return f[p]
 
     with pytest.raises(StructuralError):
