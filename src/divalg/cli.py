@@ -123,30 +123,23 @@ def _load_json(path: str) -> tuple[dict, str]:
         raise StructuralError(f"{path} is not valid JSON: {exc}") from None
 
 
-def _resolve_ring(args) -> tuple[rings.FusionRing, dict]:
+def _resolve_ring(args) -> tuple[rings.FusionRing, dict, rings.ValidationReport]:
+    """The ring, its inputs and its validation report.
+
+    A builtin's report is the one the catalog kept when it validated the ring once per process; a ring
+    file is validated here, once per command.
+    """
     path = getattr(args, "ring", None) or getattr(args, "source", None)
     if args.builtin:
         if path:
             raise StructuralError("give either --builtin or a ring file, not both")
-        ring = catalog.builtin_ring(args.builtin)
-        return ring, {"builtin": args.builtin, "ring": _builtin_digest(args.builtin)}
+        ring, report = catalog._builtin(args.builtin)
+        return ring, {"builtin": args.builtin, "ring": _builtin_digest(args.builtin)}, report
     if not path:
         raise StructuralError("either --builtin or a ring file is required")
     payload, digest = _load_json(path)
-    return rings.FusionRing.from_payload(payload), {"ring_file": path, "ring": digest}
-
-
-def _resolve_valid_ring(args) -> tuple[rings.FusionRing, dict, Optional[dict]]:
-    """The ring, its inputs, and the violations of a ring file that fails validation.
-
-    Builtins are not validated again: the catalog validates each once per process.
-    """
-    ring, inputs = _resolve_ring(args)
-    if not args.builtin:
-        report = rings.validate_ring(ring)
-        if not report.passed:
-            return ring, inputs, report.to_payload()
-    return ring, inputs, None
+    ring = rings.FusionRing.from_payload(payload)
+    return ring, {"ring_file": path, "ring": digest}, rings.validate_ring(ring)
 
 
 def _parse_object(text: str, labels: Sequence[str]) -> str | list[int]:
@@ -172,9 +165,7 @@ def _classification_payload(ring: rings.FusionRing, report: rings.Classification
 
 
 def _cmd_ring_validate(args) -> tuple[dict, dict, int]:
-    ring, inputs = _resolve_ring(args)
-    # a builtin's report is the one the catalog kept when it validated the ring
-    report = catalog._builtin(args.builtin)[1] if args.builtin else rings.validate_ring(ring)
+    ring, inputs, report = _resolve_ring(args)
     payload = report.to_payload()
     payload["labels"] = list(ring.labels)
     payload["rank"] = ring.rank
@@ -182,9 +173,9 @@ def _cmd_ring_validate(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_ring_classify(args) -> tuple[dict, dict, int]:
-    ring, inputs, violations = _resolve_valid_ring(args)
-    if violations is not None:
-        return violations, inputs, EXIT_INVALID_DATA
+    ring, inputs, ring_report = _resolve_ring(args)
+    if not ring_report.passed:
+        return ring_report.to_payload(), inputs, EXIT_INVALID_DATA
     obj = ring.vector(_parse_object(args.object, ring.labels))
     report = rings.classify_internal_end(ring, obj, side=args.side)
     payload = _classification_payload(ring, report)
@@ -206,9 +197,9 @@ def _resolve_nimrep(args, ring: rings.FusionRing) -> tuple[nimreps.NimRep, dict]
 
 
 def _cmd_nimrep_validate(args) -> tuple[dict, dict, int]:
-    ring, inputs, violations = _resolve_valid_ring(args)
-    if violations is not None:
-        return violations, inputs, EXIT_INVALID_DATA
+    ring, inputs, ring_report = _resolve_ring(args)
+    if not ring_report.passed:
+        return ring_report.to_payload(), inputs, EXIT_INVALID_DATA
     nr, nim_inputs = _resolve_nimrep(args, ring)
     inputs.update(nim_inputs)
     report = nimreps.validate_nimrep(ring, nr, check_dual=args.check_dual)
@@ -218,9 +209,9 @@ def _cmd_nimrep_validate(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_nimrep_classify(args) -> tuple[dict, dict, int]:
-    ring, inputs, violations = _resolve_valid_ring(args)
-    if violations is not None:
-        return violations, inputs, EXIT_INVALID_DATA
+    ring, inputs, ring_report = _resolve_ring(args)
+    if not ring_report.passed:
+        return ring_report.to_payload(), inputs, EXIT_INVALID_DATA
     nr, nim_inputs = _resolve_nimrep(args, ring)
     inputs.update(nim_inputs)
     # the regular NIM-rep's two laws are the ring's unit_left and associativity checks, already passed

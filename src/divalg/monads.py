@@ -550,6 +550,24 @@ def _representatives(members: dict[tuple[int, ...], tuple[int, ...]]) -> list[tu
     return sorted(set(members.values()))
 
 
+def _free_generators(classes: dict[int, dict], free_size, free_table) -> dict[tuple[int, ...], int]:
+    """The least table of each isoclass in classes that holds a free object, mapped to the least such n.
+
+    classes maps each carrier to its _isoclasses map; the free object on n has carrier free_size(n) and
+    table free_table(n).  An isoclass holds it exactly when that table lies in the isoclass's orbit, which
+    the map already holds, so each free table is built once per (carrier, n), for n up to carrier + 1 and
+    only at a carrier with an isoclass, and matched by one lookup.  A table of an isoclass names its
+    carrier too, as the unit law makes it onto 0..carrier-1.  Both routes ask this with their own free
+    objects, so they share the lookup only, as they share `_isoclasses`.
+    """
+    free: dict[tuple[int, ...], int] = {}
+    for carrier, members in classes.items():
+        for n in range(carrier + 2) if members else ():
+            if free_size(n) == carrier and (canon := members.get(free_table(n))) is not None:
+                free.setdefault(canon, n)
+    return free
+
+
 def _em_isoclasses(monad: FiniteMonad, carriers: range, budget: int) -> dict[int, dict]:
     """Per carrier in carriers, the _isoclasses map of the Eilenberg-Moore algebras on it.
 
@@ -657,10 +675,6 @@ class AdjunctionVerdict:
         }
 
 
-def _generator_sizes(size_fn, target: int, cap: int) -> list[int]:
-    return [n for n in range(cap + 1) if size_fn(n) == target]
-
-
 STAR_PROBE_EXTRA = 2
 
 
@@ -676,7 +690,9 @@ def check_adjunction_trivial(
     small bound on a non-degenerate monad does not render the verdict
     inapplicable.  An algebra's orbit, built by the enumeration, holds every
     algebra isomorphic to it, so it matches a free algebra on n generators
-    exactly when mu(n) lies in that orbit: one lookup, no second orbit.
+    exactly when mu(n) lies in that orbit: one lookup, no second orbit, and
+    each mu(n) is built once (`_free_generators`).  The witness of an algebra
+    is the least such n; the counterexample is the first algebra with none.
     """
     classes = _em_isoclasses(monad, range(max_carrier + 1), budget)
     algebras = _em_algebras(monad, classes)
@@ -688,28 +704,16 @@ def check_adjunction_trivial(
         except BudgetExceededError:
             extra = 0
         applicable = len(algebras) + extra >= 2
-    witnesses: list[tuple[EmAlgebra, int]] = []
-    counterexample: Optional[EmAlgebra] = None
-    for alg in algebras:
-        members = classes[alg.carrier]
-        sizes = _generator_sizes(monad.t_size, alg.carrier, alg.carrier + 1)
-        matched = next((n for n in sizes if members.get(free_algebra(monad, n).structure) == alg.structure), None)
-        if matched is None:
-            if counterexample is None:
-                counterexample = alg
-        else:
-            witnesses.append((alg, matched))
-    trivial: Optional[bool] = None
-    if applicable:
-        trivial = counterexample is None
+    free = _free_generators(classes, monad.t_size, lambda n: free_algebra(monad, n).structure)
+    counterexample = next((alg for alg in algebras if alg.structure not in free), None)
     return AdjunctionVerdict(
         monad_name=monad.name,
         bound=max_carrier,
         applicable=applicable,
         isoclass_count=len(algebras),
-        trivial_up_to_bound=trivial,
+        trivial_up_to_bound=counterexample is None if applicable else None,
         counterexample=counterexample,
-        free_witnesses=tuple(witnesses),
+        free_witnesses=tuple((alg, free[alg.structure]) for alg in algebras if alg.structure in free),
     )
 
 
@@ -839,31 +843,29 @@ def algebra_from_strength(monad: FiniteMonad) -> MonoidAlgebra:
     """The algebra structure on T(unit) induced by the strength.
 
     Multiplication is mu at the unit object after the strength component at
-    (T(unit), unit); the unit map is eta at the unit object.  Associativity
-    and unitality are verified pointwise before returning.
+    (T(unit), unit); the unit map is eta at the unit object.  Before it is
+    returned, the algebra acting on itself by its product must satisfy the
+    right-module law, which is associativity and the right unit law, and
+    the product must satisfy the left unit law; a product that fails either
+    raises StructuralError.
     """
     amb = monad.ambient
     one = amb.unit_size
     carrier = monad.t_size(one)
     mult = compose(_ints(monad.mu(one)), monad.theta(carrier, one))
     unit = tuple(monad.eta(one))
-    ident = identity_table(carrier)
-
-    left = compose(mult, amb.tensor_mor(mult, ident, carrier, carrier))
-    right = compose(mult, amb.tensor_mor(ident, mult, carrier, carrier))
-    if left != right:
-        raise StructuralError(f"strength of {monad.name} induces a non-associative product")
-    unit_left = compose(mult, amb.tensor_mor(unit, ident, carrier, carrier))
-    unit_right = compose(mult, amb.tensor_mor(ident, unit, carrier, carrier))
-    if unit_left != ident or unit_right != ident:
-        raise StructuralError(f"strength of {monad.name} induces a non-unital product")
-    return MonoidAlgebra(
+    algebra = MonoidAlgebra(
         name=f"T(1) of {monad.name}",
         ambient=amb,
         carrier=carrier,
         mult=mult,
         unit=unit,
     )
+    ident = identity_table(carrier)
+    left_unit = compose(mult, amb.tensor_mor(unit, ident, carrier, carrier))
+    if not _module_axioms_hold(algebra, carrier, mult) or left_unit != ident:
+        raise StructuralError(f"strength of {monad.name} induces a product that is not associative and unital")
+    return algebra
 
 
 @dataclass(frozen=True)
@@ -952,7 +954,7 @@ def module_isomorphic(
 
 
 def check_mon_ess_agreement(
-    monad: CoproductException, max_carrier: int, budget: int = DEFAULT_BUDGET
+    monad: FiniteMonad, max_carrier: int, budget: int = DEFAULT_BUDGET
 ) -> bool:
     """Adjunction-triviality against the independent every-module-is-free check.
 
@@ -960,10 +962,13 @@ def check_mon_ess_agreement(
     free algebras; the essential route builds the algebra T(unit) from the
     strength and enumerates its modules through the algebra tables.  Returns
     True when the two bounded verdicts coincide.  Each route matches against
-    free objects by lookup in the orbits of its own enumeration.
+    its own free objects by lookup in the orbits of its own enumeration
+    (`_free_generators`).  The monad must be very strong on sizes up to
+    max_carrier, else StructuralError, and must have two algebra isoclasses
+    in reach of check_adjunction_trivial, else DegenerateMonadError.
     """
-    if not isinstance(monad, CoproductException):
-        raise StructuralError("the agreement check is defined for coproduct exception monads")
+    if not is_very_strong(monad, max_carrier).very_strong:
+        raise StructuralError(f"the agreement check needs a very strong monad, and {monad.name} is not one")
     verdict = check_adjunction_trivial(monad, max_carrier, budget)
     if not verdict.applicable:
         raise DegenerateMonadError(
@@ -972,14 +977,8 @@ def check_mon_ess_agreement(
     algebra = algebra_from_strength(monad)
     classes = _module_isoclasses(algebra, max_carrier, budget)
     amb = algebra.ambient
-    # a module is free exactly when a free module lies in its orbit, so every module is free
-    # exactly when every isoclass holds a free module
-    free_classes = {
-        members.get(free_module(algebra, n).action)
-        for carrier, members in classes.items()
-        for n in _generator_sizes(lambda k: amb.tensor(k, algebra.carrier), carrier, carrier + 1)
-    }
-    essential = all(canon in free_classes for members in classes.values() for canon in members.values())
+    free = _free_generators(classes, lambda n: amb.tensor(n, algebra.carrier), lambda n: free_module(algebra, n).action)
+    essential = all(canon in free for members in classes.values() for canon in members.values())
     return bool(verdict.trivial_up_to_bound) == essential
 
 
@@ -994,8 +993,8 @@ def _em_morphisms(monad: FiniteMonad, x: int, budget: int) -> Callable[[int], It
     T(f)(p) = T(f . incl)(q) as T is a functor, so it depends on f below the
     least such k only.  That schedule, read off the small T(incl) tables, and
     mu_x = id*, read through bind_at, are built once, for every y, after mu_x
-    is sized against the budget.  Every leaf of a search counts against the
-    budget.
+    is sized against the budget.  Every leaf of a search, and every point of
+    the law it evaluates, counts against the budget, each count on its own.
     """
     tx = monad.t_size(x)
     ttx = _table_size(monad, tx, budget)
@@ -1010,8 +1009,17 @@ def _em_morphisms(monad: FiniteMonad, x: int, budget: int) -> Callable[[int], It
         ready[max(first[p] - 1, v)].append(p)
 
     def search(y: int) -> Iterator[tuple[int, ...]]:
+        points = 0
+
         def holds(f: list[int], i: int) -> bool:
-            return all(f[mu_x[p]] == monad.bind_at(f, y, p) for p in ready[i])
+            nonlocal points
+            for p in ready[i]:
+                points += 1
+                if points > budget:
+                    _guard(points, budget, f"morphism search law points at sizes ({x}, {y})")
+                if f[mu_x[p]] != monad.bind_at(f, y, p):
+                    return False
+            return True
 
         values = range(monad.t_size(y))
         return _backtrack(tx, lambda f, i: values, holds, budget, f"morphism search at sizes ({x}, {y})")
@@ -1029,8 +1037,8 @@ def check_comparison_fully_faithful(
     algebra morphisms from the free algebra on X to the free algebra on Y.
     The maps X -> T(Y) are held to the budget; the algebra morphisms come
     from a backtracking search that checks each point of the law as soon as
-    it can and counts every leaf it reaches against the budget.  Both read
-    mu and T(f) only through bind_at.
+    it can and counts every point it evaluates and every leaf it reaches
+    against the budget.  Both read mu and T(f) only through bind_at.
     """
     for x in range(max_size + 1):
         morphisms = _em_morphisms(monad, x, budget)

@@ -323,6 +323,70 @@ def test_zero_object_exits_two(capsys):
     assert code == 2
 
 
+def test_missing_ring_file_exits_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "ring", "validate", str(tmp_path / "no-such.json"))
+    assert (code, out) == (2, "")
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["ring", "validate"],
+    ["ring", "classify", "--object", "tau"],
+    ["nimrep", "validate", "--regular"],
+    ["nimrep", "classify", "--regular", "--object", "tau"],
+])
+def test_ring_command_without_a_ring_exits_two(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out) == (2, "")
+    assert "either --builtin or a ring file is required" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["ring", "classify", "--builtin", "fib", "--object", "tau,x"],
+    ["nimrep", "classify", "--builtin", "fib", "--regular", "--object", "sigma"],
+])
+def test_object_neither_label_nor_vector_exits_two(capsys, command):
+    code, out, err = run_cli(capsys, *command)
+    assert (code, out) == (2, "")
+    assert "is neither a label nor a multiplicity vector" in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "classify"])
+def test_nimrep_command_without_a_nimrep_exits_two(capsys, verb):
+    extra = ["--object", "0,1"] if verb == "classify" else []
+    code, out, err = run_cli(capsys, "nimrep", verb, "--builtin", "fib", *extra)
+    assert (code, out) == (2, "")
+    assert "either --nimrep FILE or --regular is required" in err
+
+
+@pytest.mark.parametrize("data,message", [
+    ([1, 2, 3], "ring data must be a JSON object"),
+    ({"labels": ["1"], "unit": [1]}, "ring data missing fields: ['dual', 'fusion']"),
+    ({"labels": [], "unit": [], "dual": [], "fusion": []}, "ring must have positive rank"),
+], ids=["not-an-object", "missing-fields", "no-labels"])
+def test_malformed_ring_file_exits_two(capsys, tmp_path, data, message):
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "ring", "validate", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("data,message", [
+    ("module", "NIM-rep data must be a JSON object"),
+    ({"module_labels": ["a", "b"]}, "NIM-rep data missing fields: ['actions']"),
+    ({"module_labels": [], "actions": []}, "module must have positive rank"),
+    ({"module_labels": ["a", "a"], "actions": [[[1, 0], [0, 1]]] * 2}, "module labels must be distinct"),
+    ({"module_labels": ["a", "b"], "actions": [[1, 0], [0, 1]]}, "actions have shape (2, 2), expected (rank, 2, 2)"),
+], ids=["not-an-object", "missing-fields", "no-labels", "repeated-labels", "action-shape"])
+def test_malformed_nimrep_file_exits_two(capsys, tmp_path, data, message):
+    path = tmp_path / "nimrep.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "nimrep", "validate", "--builtin", "fib", "--nimrep", str(path))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
 def test_all_ones_over_twenty_one_components_exits_zero(capsys, tmp_path):
     # the unit of 21 orthogonal idempotents is its own inverse; a search over its 2^21 candidates exited 3
     path = tmp_path / "sum21.json"
@@ -708,6 +772,8 @@ def test_json_report_round_trips():
     text = export_report(report, format="json")
     assert json.loads(text) == report.body()
     assert export_report(report, format="json") == text
+    with pytest.raises(d.StructuralError, match="unknown report format 'yaml'"):
+        export_report(report, format="yaml")
 
 
 def test_markdown_report_names_the_algebra(capsys):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import divalg as d
 from divalg import monads as M
-from divalg.errors import BudgetExceededError, StructuralError
+from divalg.errors import BudgetExceededError, DegenerateMonadError, StructuralError
 
 from util import addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, is_associative
 
@@ -1460,8 +1460,85 @@ def test_agreement_subverdicts_for_two_marks(exc2):
 
 
 def test_agreement_rejects_other_monads(freevec):
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="needs a very strong monad"):
         d.check_mon_ess_agreement(freevec, 2)
+
+
+class Delegate(d.FiniteMonad):
+    """exception(2) under a class of its own: very strong, but no CoproductException."""
+
+    ambient = M.DisjointUnion
+    name = "delegate"
+
+    def __init__(self):
+        self.inner = d.CoproductException(2)
+
+    def t_size(self, n):
+        return self.inner.t_size(n)
+
+    def eta(self, n):
+        return self.inner.eta(n)
+
+    def bind_at(self, f, dst, p):
+        return self.inner.bind_at(f, dst, p)
+
+    def theta(self, x, y):
+        return self.inner.theta(x, y)
+
+
+@pytest.mark.parametrize("bound", range(1, 5))
+def test_agreement_asks_for_a_very_strong_monad(bound):
+    monad = Delegate()
+    assert not isinstance(monad, d.CoproductException) and d.is_very_strong(monad, bound).very_strong
+    assert d.check_mon_ess_agreement(monad, bound) is d.check_mon_ess_agreement(d.CoproductException(2), bound)
+
+
+def test_agreement_on_a_degenerate_monad_raises(maybe):
+    # within bound 0 maybe has no algebra, and the probe of carriers 1 and 2 meets the budget at its first
+    # axiom table, so the adjunction verdict is not applicable
+    assert not d.check_adjunction_trivial(maybe, 0, budget=2).applicable
+    with pytest.raises(DegenerateMonadError, match="fewer than two algebra isoclasses within bound 0"):
+        d.check_mon_ess_agreement(maybe, 0, budget=2)
+
+
+class UnitSlip(d.CoproductException):
+    """exception(2) whose strength at (T(0), 0) sends the second mark of one block to its first."""
+
+    def __init__(self, block):
+        super().__init__(2)
+        self.block = block
+
+    def theta(self, x, y):
+        table = list(super().theta(x, y))
+        if (x, y) == (self.marks, 0):
+            table[2 * self.block + 1] = table[2 * self.block]
+        return tuple(table)
+
+
+@pytest.mark.parametrize("monad,mult,module_law", [
+    (MarkSwap(2), (0, 1, 1, 0), False),  # the right factor acts by the swap: not associative, not left unital
+    (UnitSlip(0), (0, 0, 0, 1), False),  # the left factor acts by a constant: not right unital
+    (UnitSlip(1), (0, 1, 0, 0), True),  # associative and right unital, so only the left unit law fails
+], ids=["markswap", "right-unit", "left-unit"])
+def test_a_strength_product_that_is_no_monoid_is_refused(monad, mult, module_law):
+    assert M.compose(M._ints(monad.mu(0)), monad.theta(2, 0)) == mult
+    assert M._module_axioms_hold(d.MonoidAlgebra("T(1)", M.DisjointUnion, 2, mult, ()), 2, mult) is module_law
+    with pytest.raises(StructuralError, match="induces a product that is not associative and unital"):
+        d.algebra_from_strength(monad)
+
+
+def test_adjunction_check_builds_each_free_algebra_once(monkeypatch):
+    # carriers 3 to 6 of exception(3) hold 5 isoclasses each, the ways to merge the 3 marks; the free
+    # algebras on them are those on 0 to 3 generators
+    built = []
+    free_algebra = M.free_algebra
+    monkeypatch.setattr(M, "free_algebra", lambda monad, n: built.append(n) or free_algebra(monad, n))
+    verdict = d.check_adjunction_trivial(d.CoproductException(3), 6)
+    assert collections.Counter(alg.carrier for alg in d.enumerate_em_algebras(d.CoproductException(3), 6)) == {
+        1: 1, 2: 4, 3: 5, 4: 5, 5: 5, 6: 5,
+    }
+    assert sorted(built) == [0, 1, 2, 3]
+    assert [n for _, n in verdict.free_witnesses] == [0, 1, 2, 3]
 
 
 # ------------------------------------------- free objects matched by orbit lookup
@@ -1601,11 +1678,44 @@ def test_broken_multiplication_is_not_fully_faithful():
     assert not d.check_comparison_fully_faithful(SwapFold(2), 0)
 
 
-def test_morphism_search_charges_every_leaf(freevec):
-    # at sizes (2, 2) the search ends in 67 leaves: the 16 linear maps of F2^2 and 51 values the law rejects
-    assert d.check_comparison_fully_faithful(freevec, 2, budget=67)
+def test_morphism_search_charges_every_leaf_and_every_point(freevec, monkeypatch):
+    # at sizes (2, 2) the search evaluates 253 points of the law, more than at any smaller pair of sizes
+    assert d.check_comparison_fully_faithful(freevec, 2, budget=253)
+    with pytest.raises(BudgetExceededError, match=r"morphism search law points at sizes \(2, 2\) needs 253 entries"):
+        d.check_comparison_fully_faithful(freevec, 2, budget=252)
+    # it ends in 67 leaves: the 16 linear maps of F2^2 and 51 values the law rejects; every leaf evaluates a
+    # point, so the leaves are held to a budget of their own here, with the points' budget left at the default
+    backtrack = M._backtrack
+
+    def search_with_leaf_budget(leaves):
+        monkeypatch.setattr(M, "_backtrack", lambda size, choices, holds, budget, what:
+                            backtrack(size, choices, holds, leaves, what))
+        return list(M._em_morphisms(freevec, 2, M.DEFAULT_BUDGET)(2))
+
+    assert len(search_with_leaf_budget(67)) == 16
     with pytest.raises(BudgetExceededError, match=r"morphism search at sizes \(2, 2\) needs 67 entries"):
-        d.check_comparison_fully_faithful(freevec, 2, budget=66)
+        search_with_leaf_budget(66)
+
+
+def test_morphism_search_points_match_a_counting_bind_at():
+    class Counting(d.FreeVectorF2):
+        points = 0
+
+        def bind_at(self, f, dst, p):
+            Counting.points += 1
+            return super().bind_at(f, dst, p)
+
+    search = M._em_morphisms(Counting(), 2, M.DEFAULT_BUDGET)  # builds mu_2 through bind_at first
+    Counting.points = 0
+    assert len(list(search(2))) == 16
+    assert Counting.points == 253
+
+
+def test_freevec_comparison_at_four_meets_the_budget(freevec):
+    # sizes up to 3 are decided within 150 000 points; at (3, 4) the search ranges over the 16^8 maps T(3) -> T(4)
+    assert d.check_comparison_fully_faithful(freevec, 3, budget=150_000)
+    with pytest.raises(BudgetExceededError, match=r"morphism search law points at sizes \(3, 4\) needs 150001"):
+        d.check_comparison_fully_faithful(freevec, 4, budget=150_000)
 
 
 def test_morphism_search_sizes_its_mu_table_first(freevec):

@@ -297,6 +297,11 @@ def test_tensor_rejects_wrong_length(fib):
         d.tensor(fib, [1, 0, 0], fib.vector("tau"))
 
 
+def test_vector_rejects_an_unknown_label(fib):
+    with pytest.raises(StructuralError, match="unknown object label 'sigma'"):
+        fib.vector("sigma")
+
+
 # ----------------------------------------------------------- length, simple
 
 def test_tensor_past_int64_is_exact(fib):
