@@ -307,6 +307,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--format", choices=["json", "markdown"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the inputs of the ring and NIM-rep verbs, declared once: argparse parents share their Action objects,
+    # so an option whose default differs between verbs, as --max-size does, stays on each verb
+    ring_input = argparse.ArgumentParser(add_help=False)
+    ring_input.add_argument("--builtin", help="builtin ring name")
+    ring_input.add_argument("--ring", help="ring JSON file")
+    nimrep_input = argparse.ArgumentParser(add_help=False, parents=[ring_input])
+    nimrep_input.add_argument("--nimrep", help="NIM-rep JSON file")
+    nimrep_input.add_argument("--regular", action="store_true", help="use the ring acting on itself")
 
     ring = sub.add_parser("ring", help="fusion ring operations")
     ring_sub = ring.add_subparsers(dest="subcommand", required=True)
@@ -314,9 +322,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rv.add_argument("source", nargs="?", help="ring JSON file")
     rv.add_argument("--builtin", help="builtin ring name")
     rv.set_defaults(func=_cmd_ring_validate)
-    rc = ring_sub.add_parser("classify", help="division-algebra verdicts for an object")
-    rc.add_argument("--builtin", help="builtin ring name")
-    rc.add_argument("--ring", help="ring JSON file")
+    rc = ring_sub.add_parser("classify", parents=[ring_input], help="division-algebra verdicts for an object")
     rc.add_argument("--object", required=True, help="label or comma-separated vector")
     rc.add_argument("--side", choices=["left", "right"], default="left")
     rc.add_argument("--fpdim", action="store_true", help="include the Perron dimension")
@@ -324,18 +330,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     nim = sub.add_parser("nimrep", help="based-module operations")
     nim_sub = nim.add_subparsers(dest="subcommand", required=True)
-    nv = nim_sub.add_parser("validate", help="check the based-module axioms")
-    nv.add_argument("--builtin", help="builtin ring name")
-    nv.add_argument("--ring", help="ring JSON file")
-    nv.add_argument("--nimrep", help="NIM-rep JSON file")
-    nv.add_argument("--regular", action="store_true", help="use the ring acting on itself")
+    nv = nim_sub.add_parser("validate", parents=[nimrep_input], help="check the based-module axioms")
     nv.add_argument("--check-dual", action="store_true")
     nv.set_defaults(func=_cmd_nimrep_validate)
-    nc = nim_sub.add_parser("classify", help="classify the internal End of a module object")
-    nc.add_argument("--builtin", help="builtin ring name")
-    nc.add_argument("--ring", help="ring JSON file")
-    nc.add_argument("--nimrep", help="NIM-rep JSON file")
-    nc.add_argument("--regular", action="store_true", help="use the ring acting on itself")
+    nc = nim_sub.add_parser("classify", parents=[nimrep_input], help="classify the internal End of a module object")
     nc.add_argument("--object", required=True, help="module label or comma-separated vector")
     nc.set_defaults(func=_cmd_nimrep_classify)
 

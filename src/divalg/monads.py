@@ -22,7 +22,10 @@ actions and algebra morphisms are all listed by one backtracking search, `_backt
 which knows no law: each caller passes the values an entry may take and its
 own check.  Every monad has one structure-map fill,
 `FiniteMonad.em_structure_candidates`, which checks the EM law at the points
-of support 1 and 2 and so needs no theory of the monad's algebras.  All
+of support 1 and 2 and so needs no theory of the monad's algebras.  The two
+routes that check each other state their relabeling move and law once per
+carrier: `_em_route` through the monad's evaluators, `_module_route` through
+the tables of the algebra T(1), and neither reads the other's.  All
 verdicts quantify over carriers up to a stated bound; table sizes, points
 evaluated and search leaves are held under the budget each call is given.
 """
@@ -568,28 +571,39 @@ def _free_generators(classes: dict[int, dict], free_size, free_table) -> dict[tu
     return free
 
 
+def _em_route(monad: FiniteMonad, carrier: int, budget: int):
+    """The EM route on the carrier Y: its relabeling move perm -> T(perm) and its law, as (move, law).
+
+    law(s) guards the T(T(Y)) table against the budget, then holds when s . eta_Y = id_Y and
+    s . T(s) = s . mu_Y.  The EM law is answered once per monad object (`_em_law_holds`), so a free
+    algebra (T(n), mu_n) whose law validate_monad checked as associativity at n is not checked again,
+    and the mu_Y table is built at most once per route.  The route reads the monad's evaluators only.
+    """
+    ttsize = _table_size(monad, monad.t_size(carrier), budget)
+    mu = functools.cache(functools.partial(monad.mu, carrier))
+    eta = monad.eta(carrier)
+
+    def move(perm) -> tuple[int, ...]:
+        return monad.t_mor(perm, carrier)
+
+    def law(structure) -> bool:
+        _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
+        if any(structure[eta[x]] != x for x in range(carrier)):
+            return False
+        return monad._em_law_holds(carrier, structure, mu)
+
+    return move, law
+
+
 def _em_isoclasses(monad: FiniteMonad, carriers: range, budget: int) -> dict[int, dict]:
     """Per carrier in carriers, the _isoclasses map of the Eilenberg-Moore algebras on it.
 
-    Only a candidate of the EM fill pays for the whole-table axiom check and its T(T(Y)) guard.  A free
-    algebra (T(n), mu_n) whose EM law validate_monad checked as associativity at n is not checked again.
+    Only a candidate of the EM fill pays for the route's law (`_em_route`) and its T(T(Y)) guard.
     """
     classes = {}
     for carrier in carriers:
-        ttsize = _table_size(monad, monad.t_size(carrier), budget)
-        mu = functools.cache(functools.partial(monad.mu, carrier))
-        eta = monad.eta(carrier)
-
-        def is_algebra(structure) -> bool:
-            _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
-            if any(structure[eta[x]] != x for x in range(carrier)):
-                return False
-            return monad._em_law_holds(carrier, structure, mu)
-
-        candidates = monad.em_structure_candidates(carrier, budget)
-        classes[carrier] = _isoclasses(
-            candidates, carrier, lambda perm: monad.t_mor(perm, carrier), budget, is_algebra
-        )
+        move, law = _em_route(monad, carrier, budget)
+        classes[carrier] = _isoclasses(monad.em_structure_candidates(carrier, budget), carrier, move, budget, law)
     return classes
 
 
@@ -636,8 +650,8 @@ def em_isomorphic(
     """
     if a.carrier != b.carrier:
         return None
-    orbit = _orbit(a.structure, a.carrier, lambda perm: monad.t_mor(perm, a.carrier), budget)
-    return orbit.get(tuple(b.structure))
+    move, _ = _em_route(monad, a.carrier, budget)
+    return _orbit(a.structure, a.carrier, move, budget).get(tuple(b.structure))
 
 
 @dataclass(frozen=True)
@@ -861,9 +875,9 @@ def algebra_from_strength(monad: FiniteMonad) -> MonoidAlgebra:
         mult=mult,
         unit=unit,
     )
+    *_, law = _module_route(algebra, carrier)
     ident = identity_table(carrier)
-    left_unit = compose(mult, amb.tensor_mor(unit, ident, carrier, carrier))
-    if not _module_axioms_hold(algebra, carrier, mult) or left_unit != ident:
+    if not law(mult) or compose(mult, amb.tensor_mor(unit, ident, carrier, carrier)) != ident:
         raise StructuralError(f"strength of {monad.name} induces a product that is not associative and unital")
     return algebra
 
@@ -879,17 +893,27 @@ class AlgebraModule:
         return {"carrier": self.carrier, "action": list(self.action)}
 
 
-def _module_axioms_hold(algebra: MonoidAlgebra, carrier: int, action) -> bool:
-    amb = algebra.ambient
-    a = algebra.carrier
-    ident_y = identity_table(carrier)
-    ident_a = identity_table(a)
-    unit_inc = amb.tensor_mor(ident_y, algebra.unit, carrier, a)
-    if compose(action, unit_inc) != ident_y:
-        return False
-    lhs = compose(action, amb.tensor_mor(action, ident_a, carrier, a))
-    rhs = compose(action, amb.tensor_mor(ident_y, algebra.mult, carrier, a))
-    return lhs == rhs
+def _module_route(algebra: MonoidAlgebra, carrier: int):
+    """The module route on the carrier Y: (unit inclusion, free action, move, law), its tables built once.
+
+    The unit inclusion is id_Y (x) unit: Y -> Y (x) A, and the free action id_Y (x) mult is the action of
+    the free module when Y is a set of generators.  move(f) is f (x) id_A, the relabeling move at a
+    bijection f of Y and the left side's inner map at an action f.  law(action) is the right-module law:
+    action . (id_Y (x) unit) = id_Y, and (y.a).b = y.(ab), that is
+    action . (action (x) id_A) = action . (id_Y (x) mult).  The route reads the algebra's tables only.
+    """
+    amb, a = algebra.ambient, algebra.carrier
+    ident, ident_a = identity_table(carrier), identity_table(a)
+    unit_inc = amb.tensor_mor(ident, algebra.unit, carrier, a)
+    free = amb.tensor_mor(ident, algebra.mult, carrier, a)
+
+    def move(f) -> tuple[int, ...]:
+        return amb.tensor_mor(f, ident_a, carrier, a)
+
+    def law(action) -> bool:
+        return compose(action, unit_inc) == ident and compose(action, move(action)) == compose(action, free)
+
+    return unit_inc, free, move, law
 
 
 def enumerate_modules(
@@ -898,10 +922,11 @@ def enumerate_modules(
     """All right modules over the algebra, one per isoclass, carriers <= bound.
 
     This is the module-theoretic counterpart of the Eilenberg-Moore
-    enumeration but runs entirely through the algebra's own tables, so the
-    two routes share no verdict logic, only the relabeling step that keeps the
-    least action table of each isoclass's orbit.  That orbit is built once per
-    isoclass, at a cost proportional to its size rather than carrier!.
+    enumeration but runs entirely through the algebra's own tables, as
+    `_module_route` states them, so the two routes share no verdict logic,
+    only the relabeling step that keeps the least action table of each
+    isoclass's orbit.  That orbit is built once per isoclass, at a cost
+    proportional to its size rather than carrier!.
     """
     classes = _module_isoclasses(algebra, max_carrier, budget)
     return [
@@ -910,28 +935,23 @@ def enumerate_modules(
 
 
 def _module_isoclasses(algebra: MonoidAlgebra, max_carrier: int, budget: int) -> dict[int, dict]:
-    """Per carrier up to max_carrier, the _isoclasses map of the right modules on it."""
-    amb = algebra.ambient
-    a = algebra.carrier
-    ident_a = identity_table(a)
+    """Per carrier up to max_carrier, the _isoclasses map of the right modules on it.
+
+    The fills of the route's unit inclusion, listed with no law, that pass the route's law (`_module_route`).
+    """
     classes = {}
     for carrier in range(max_carrier + 1):
-        dom = amb.tensor(carrier, a)
-        unit_inc = amb.tensor_mor(identity_table(carrier), algebra.unit, carrier, a)
+        unit_inc, _, move, law = _module_route(algebra, carrier)
+        dom = algebra.ambient.tensor(carrier, algebra.carrier)
         actions = _unit_fills(dom, unit_inc, carrier, budget, f"module enumeration at carrier {carrier}")
-        is_module = functools.partial(_module_axioms_hold, algebra, carrier)
-        classes[carrier] = _isoclasses(
-            actions, carrier, lambda perm: amb.tensor_mor(perm, ident_a, carrier, a), budget, is_module
-        )
+        classes[carrier] = _isoclasses(actions, carrier, move, budget, law)
     return classes
 
 
 def free_module(algebra: MonoidAlgebra, n: int) -> AlgebraModule:
     """Free right module on an n-element set: carrier n (x) A, action id (x) mult."""
-    amb = algebra.ambient
-    carrier = amb.tensor(n, algebra.carrier)
-    action = amb.tensor_mor(identity_table(n), algebra.mult, n, algebra.carrier)
-    return AlgebraModule(carrier, tuple(action))
+    _, action, _, _ = _module_route(algebra, n)
+    return AlgebraModule(algebra.ambient.tensor(n, algebra.carrier), action)
 
 
 def module_isomorphic(
@@ -945,12 +965,8 @@ def module_isomorphic(
     """
     if m1.carrier != m2.carrier:
         return None
-    amb = algebra.ambient
-    ident_a = identity_table(algebra.carrier)
-    orbit = _orbit(
-        m1.action, m1.carrier, lambda perm: amb.tensor_mor(perm, ident_a, m1.carrier, algebra.carrier), budget
-    )
-    return orbit.get(tuple(m2.action))
+    _, _, move, _ = _module_route(algebra, m1.carrier)
+    return _orbit(m1.action, m1.carrier, move, budget).get(tuple(m2.action))
 
 
 def check_mon_ess_agreement(

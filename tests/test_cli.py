@@ -702,6 +702,14 @@ def test_marks_on_a_monad_without_marks_exits_two(capsys, verb, name):
     assert "marks" in err
 
 
+@pytest.mark.parametrize("verb,key,default", [("check", "bound", 4), ("strength", "max_size", 3)])
+def test_each_monad_verb_keeps_its_own_default_bound(capsys, verb, key, default):
+    # the two defaults differ, so a --max-size shared between the verbs would give both the same one
+    code, out, _ = run_cli(capsys, "monad", verb, "maybe")
+    assert code == 0
+    assert payload_of(out)[key] == default
+
+
 def test_monad_strength_maybe(capsys):
     code, out, _ = run_cli(capsys, "monad", "strength", "maybe", "--max-size", "3")
     assert code == 0

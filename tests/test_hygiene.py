@@ -17,6 +17,17 @@ or of T(f) alone besides it.  A monad that redefines a table (`bind`, `mu` or
 `t_mor`) redefines `bind_at` with it, unless the table is the inherited one.
 No builtin monad redefines the EM fill, so there is one.
 
+The essential and monadic verdicts are checked against each other by two
+routes, and those stay independent.  Each states its definition once per
+carrier in `monads`: the EM route in `_em_route` (its move perm -> T(perm)
+and its law, read through the monad's evaluators) and the module route over
+T(1) in `_module_route` (its unit inclusion, free action, move
+perm (x) id_A and module law, read off the algebra's tables).  No function
+of the module route reads a monad evaluator or the EM route, and no function
+of the EM route reads an algebra table or the module route; they share only
+the search, the orbit and the free-object lookup.  `algebra_from_strength`
+and `check_mon_ess_agreement` bridge the routes and are left out.
+
 The command line reads the environment; the library relies on its arguments
 alone, so `DIVALG_BUDGET` reaches a monad verdict only through `cli`.
 
@@ -209,6 +220,30 @@ def test_one_em_fill():
     classes = monad_classes(PACKAGE)
     assert {node.name for _, node in classes} >= {"CoproductException", "FreeVectorF2"}
     assert [node.name for _, node in classes if "em_structure_candidates" in methods_of(node)] == []
+
+
+MODULE_ROUTE = ("_module_route", "_module_isoclasses", "enumerate_modules", "free_module", "module_isomorphic")
+EM_ROUTE = ("_em_route", "_em_isoclasses", "_em_algebras", "enumerate_em_algebras", "free_algebra", "em_isomorphic")
+MONAD_EVALUATORS = {
+    "bind_at", "bind", "t_mor", "mu", "eta", "t_size", "theta",
+    "em_structure_candidates", "_em_law_holds", "_em_law_sides", "_law_shapes",
+}
+ALGEBRA_TABLES = {"mult", "unit", "tensor_mor", "ambient"}
+
+
+def test_the_two_monad_routes_read_nothing_of_each_other():
+    functions = {node.name: node for node in parse(PACKAGE / "monads.py").body if isinstance(node, ast.FunctionDef)}
+    assert set(MODULE_ROUTE + EM_ROUTE) <= set(functions)
+    crossings = [
+        f"{name} reads {read}"
+        for route, forbidden in (
+            (MODULE_ROUTE, MONAD_EVALUATORS | set(EM_ROUTE)),
+            (EM_ROUTE, ALGEBRA_TABLES | set(MODULE_ROUTE)),
+        )
+        for name in route
+        for read in sorted(read_names(functions[name]) & forbidden)
+    ]
+    assert crossings == []
 
 
 # every name the package exported while its `__all__` was written out by hand

@@ -11,7 +11,10 @@ import divalg as d
 from divalg import monads as M
 from divalg.errors import BudgetExceededError, DegenerateMonadError, StructuralError
 
-from util import addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, is_associative
+from util import (
+    addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, is_associative, module_axioms_hold,
+    s3_monoid_algebra,
+)
 
 
 # ------------------------------------------------- brute-force test oracles
@@ -1434,7 +1437,7 @@ def test_free_modules_satisfy_module_axioms(exc2):
     algebra = d.algebra_from_strength(exc2)
     for n in range(3):
         free = d.free_module(algebra, n)
-        assert M._module_axioms_hold(algebra, free.carrier, free.action)
+        assert module_axioms_hold(algebra, free.carrier, free.action)
 
 
 @pytest.mark.parametrize("marks,expected", [(0, True), (1, True), (2, True)])
@@ -1522,9 +1525,40 @@ class UnitSlip(d.CoproductException):
 ], ids=["markswap", "right-unit", "left-unit"])
 def test_a_strength_product_that_is_no_monoid_is_refused(monad, mult, module_law):
     assert M.compose(M._ints(monad.mu(0)), monad.theta(2, 0)) == mult
-    assert M._module_axioms_hold(d.MonoidAlgebra("T(1)", M.DisjointUnion, 2, mult, ()), 2, mult) is module_law
+    assert module_axioms_hold(d.MonoidAlgebra("T(1)", M.DisjointUnion, 2, mult, ()), 2, mult) is module_law
     with pytest.raises(StructuralError, match="induces a product that is not associative and unital"):
         d.algebra_from_strength(monad)
+
+
+# the T(1) algebras of exception(0..3) and freevec2, S3 on (FinSet, x), and the refused products above
+LAW_ALGEBRAS = {
+    **{f"exception({m})": functools.partial(d.algebra_from_strength, d.CoproductException(m)) for m in range(4)},
+    "freevec2": functools.partial(d.algebra_from_strength, d.FreeVectorF2()),
+    "S3": s3_monoid_algebra,
+    **{f"refused{mult}": functools.partial(d.MonoidAlgebra, "T(1)", M.DisjointUnion, 2, mult, ())
+       for mult in ((0, 1, 1, 0), (0, 0, 0, 1), (0, 1, 0, 0))},
+}
+
+
+@pytest.mark.parametrize("name", LAW_ALGEBRAS)
+@pytest.mark.parametrize("carrier", range(3))
+def test_module_route_law_is_the_module_axioms(name, carrier):
+    # every action table Y (x) A -> Y, unit-compatible or not: 4 096 of them for S3 at carrier 2
+    algebra = LAW_ALGEBRAS[name]()
+    *_, law = M._module_route(algebra, carrier)
+    for action in itertools.product(range(carrier), repeat=algebra.ambient.tensor(carrier, algebra.carrier)):
+        assert law(action) is module_axioms_hold(algebra, carrier, action), action
+
+
+def test_s3_acts_on_itself_on_the_right_only():
+    # y.a := ya is a right module; y.a := ay is not, as S3 is not commutative, so a law that swaps the product
+    # of the algebra would pass the left action and fail the right one
+    s3 = s3_monoid_algebra()
+    *_, law = M._module_route(s3, 6)
+    left = tuple(s3.mult[a * 6 + y] for y in range(6) for a in range(6))
+    assert left != s3.mult
+    assert (module_axioms_hold(s3, 6, s3.mult), module_axioms_hold(s3, 6, left)) == (True, False)
+    assert (law(s3.mult), law(left)) == (True, False)
 
 
 def test_adjunction_check_builds_each_free_algebra_once(monkeypatch):

@@ -28,6 +28,29 @@ def doubling_mu(n: int) -> list[int]:
     return out
 
 
+def module_axioms_hold(algebra, carrier: int, action) -> bool:
+    """The right-module law of an action Y (x) A -> Y, written out table by table: the oracle for the module route.
+
+    action . (id_Y (x) unit) = id_Y, and action . (action (x) id_A) = action . (id_Y (x) mult), each side
+    composed one entry at a time from tables built here.
+    """
+    amb, a = algebra.ambient, algebra.carrier
+    ident_y, ident_a = tuple(range(carrier)), tuple(range(a))
+    unit_inc = amb.tensor_mor(ident_y, algebra.unit, carrier, a)
+    if tuple(action[p] for p in unit_inc) != ident_y:
+        return False
+    lhs = tuple(action[p] for p in amb.tensor_mor(action, ident_a, carrier, a))
+    rhs = tuple(action[p] for p in amb.tensor_mor(ident_y, algebra.mult, carrier, a))
+    return lhs == rhs
+
+
+def s3_monoid_algebra():
+    """S3 as a MonoidAlgebra on (FinSet, x): the permutations of 0..2 in lexicographic order, p.q = p after q."""
+    perms = list(itertools.permutations(range(3)))
+    mult = tuple(perms.index(tuple(p[v] for v in q)) for p in perms for q in perms)
+    return d.MonoidAlgebra("S3", d.CartesianProduct, 6, mult, (perms.index((0, 1, 2)),))
+
+
 def all_vectors(rank: int, max_total: int):
     """Every nonzero multiplicity vector with component sum <= max_total."""
     out = []
