@@ -13,7 +13,10 @@ itself, as freevec2 does.  The EM law, which at the free algebra
 object, and each relabeling step compare or build composed whole tables.
 Tuples are composed by one C-level gather, `compose`; a monad may give its
 tables as int64 arrays instead, as freevec2 does, and the EM law then gathers
-both of its sides by numpy fancy indexing and compares them in numpy.  Every
+both of its sides by numpy fancy indexing and compares them in numpy.  The
+ambients' tensor of morphisms, `tensor_mor`, is a C-level map, and a table
+after id_X (x) g, the left side of three strength axioms, is gathered by the
+ambient's `whisker` without building id_X (x) g.  Every
 table that leaves the module is a tuple of Python ints.  The unit laws, the
 EM fill, the strength_iii right side, the algebra-morphism search and the
 comparison check read single entries of mu, T(f) and their composite f* only
@@ -181,7 +184,15 @@ class DisjointUnion:
 
     @staticmethod
     def tensor_mor(f, g, a_dst: int, b_dst: int) -> tuple[int, ...]:
-        return tuple(f) + tuple(a_dst + v for v in g)
+        return tuple(f) + tuple(map(operator.add, itertools.repeat(a_dst), g))
+
+    @staticmethod
+    def whisker(table, x: int, g, b_dst: int) -> tuple[int, ...]:
+        """The tuple table after id_x (x) g, without building id_x (x) g.
+
+        Its first x entries, then the rest gathered by g.
+        """
+        return table[:x] + compose(table[x:], g)
 
 
 class CartesianProduct:
@@ -196,13 +207,15 @@ class CartesianProduct:
 
     @staticmethod
     def tensor_mor(f, g, a_dst: int, b_dst: int) -> tuple[int, ...]:
-        b_src = len(g)
-        out = []
-        for x in range(len(f)):
-            base = f[x] * b_dst
-            for y in range(b_src):
-                out.append(base + g[y])
-        return tuple(out)
+        return tuple(itertools.chain.from_iterable(map(operator.add, itertools.repeat(v * b_dst), g) for v in f))
+
+    @staticmethod
+    def whisker(table, x: int, g, b_dst: int) -> tuple[int, ...]:
+        """The tuple table after id_x (x) g, without building id_x (x) g.
+
+        Each of its x rows of b_dst entries, gathered by g.
+        """
+        return tuple(itertools.chain.from_iterable(compose(table[a * b_dst:(a + 1) * b_dst], g) for a in range(x)))
 
 
 class FiniteMonad:
@@ -734,18 +747,23 @@ def check_adjunction_trivial(
 def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDGET) -> ValidationReport:
     """Pointwise check of the four left-strength axioms on sizes <= max_size.
 
-    Each law is compared at every point of its domain.  The strength_iii right
-    side mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} = theta_{X,Y}* . theta_{X,T(Y)}
+    Each law is compared at every point of its domain.  Each theta(a, b)
+    table is built at most once per call, and so is each mu(Y) table of the
+    strength_iii left side.  The left sides of strength_iv, strength_iii and
+    strength_i are theta . (id_X (x) g) for g = eta_Y, mu_Y and theta_{Y,Z}:
+    each is gathered as a whole table by the ambient's `whisker`, which
+    never builds id_X (x) g.  The strength_iii right side
+    mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} = theta_{X,Y}* . theta_{X,T(Y)}
     is evaluated one point of X (x) T(T(Y)) at a time through bind_at, so
-    neither the mu(X (x) Y) nor the T(theta) table is built, and the mu(Y)
-    table of the left side is built once per Y.  The budget holds the
-    number of points of each law and the size of every table that is built,
-    before it is built.
+    neither the mu(X (x) Y) nor the T(theta) table is built.  The budget
+    holds the number of points of each law and the size of every table that
+    is built, before it is built.
     """
     amb = monad.ambient
     violations: list[Violation] = []
     sizes = range(max_size + 1)
-    mu = functools.cache(monad.mu)
+    mu = functools.cache(lambda n: _ints(monad.mu(n)))
+    theta = functools.cache(monad.theta)
 
     def guard(key: tuple[int, ...], *table_sizes: int):
         for size in table_sizes:
@@ -755,7 +773,7 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     for x in sizes:
         # theta at the unit object must be the identity on T(x)
         guard((x,), amb.tensor(amb.unit_size, monad.t_size(x)))
-        table = monad.theta(amb.unit_size, x)
+        table = theta(amb.unit_size, x)
         violations += _mismatches("strength_ii", (x,), table, identity_table(len(table)))
 
     for x in sizes:
@@ -763,29 +781,26 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
             ty = monad.t_size(y)
             xy = amb.tensor(x, y)
             guard((x, y), amb.tensor(x, ty), xy)
-            theta_xy = monad.theta(x, y)
-            lhs = compose(theta_xy, amb.tensor_mor(identity_table(x), monad.eta(y), x, ty))
-            violations += _mismatches("strength_iv", (x, y), lhs, monad.eta(xy))
+            theta_xy = theta(x, y)
+            violations += _mismatches("strength_iv", (x, y), amb.whisker(theta_xy, x, monad.eta(y), ty), monad.eta(xy))
 
             # the mu(Y) table, and the points of X (x) T(T(Y)) with the theta table over them
             tty = _table_size(monad, ty, budget)
             guard((x, y), tty, amb.tensor(x, tty))
-            lhs = compose(theta_xy, amb.tensor_mor(identity_table(x), _ints(mu(y)), x, ty))
-            rhs = tuple(map(functools.partial(monad.bind_at, theta_xy, xy), monad.theta(x, ty)))
+            lhs = amb.whisker(theta_xy, x, mu(y), ty)
+            rhs = tuple(map(functools.partial(monad.bind_at, theta_xy, xy), theta(x, ty)))
             violations += _mismatches("strength_iii", (x, y), lhs, rhs)
 
     for x in sizes:
         for y in sizes:
+            xy = amb.tensor(x, y)
             for z in sizes:
                 tz = monad.t_size(z)
-                tyz = monad.t_size(amb.tensor(y, z))
-                guard((x, y, z), amb.tensor(x, tyz), amb.tensor(y, tz), amb.tensor(amb.tensor(x, y), tz))
-                lhs = compose(
-                    monad.theta(x, amb.tensor(y, z)),
-                    amb.tensor_mor(identity_table(x), monad.theta(y, z), x, tyz),
-                )
-                rhs = monad.theta(amb.tensor(x, y), z)
-                violations += _mismatches("strength_i", (x, y, z), lhs, rhs)
+                yz = amb.tensor(y, z)
+                tyz = monad.t_size(yz)
+                guard((x, y, z), amb.tensor(x, tyz), amb.tensor(y, tz), amb.tensor(xy, tz))
+                lhs = amb.whisker(theta(x, yz), x, theta(y, z), tyz)
+                violations += _mismatches("strength_i", (x, y, z), lhs, theta(xy, z))
 
     return ValidationReport.from_violations(violations)
 

@@ -61,6 +61,8 @@ GOLDEN = {
     "monad strength freevec2 --max-size 2": "dca04bcd740af3d72bcd30d496bd9341ce86b245ceb8961c3d43f6d5441c1a1c",
     "monad strength freevec2 --max-size 3": "d699e23435a5d51b080a9d4e9cbb960ec667e20b961457b28a7714c48c259372",
     "monad strength freevec2 --max-size 4": "8cebac4e6406c737a071e5cbe33551ba4ee70b699110a1bfce287a91d9bb2f36",
+    # the strength size the benchmark's module-route runs, 2 358 theta requests at 225 distinct sizes
+    "monad strength exception --marks 3 --max-size 8": "6c0e2cb048e8ead636901a912d2a972da9d7d05f9018a1cc0f16e70d76c55edc",
     # the largest bounds of each builtin monad that the benchmark's em-ladder runs
     "monad check maybe --max-size 8": "5ac2944cfe62c58e10a922ce682ac87cdd0012aa2390e3ada0157114bcec9716",
     "monad check exception --marks 2 --max-size 7": "66b328a9a2234accf93372387fff033adb41c8dae6a080bb9bfea48c77bd8859",

@@ -4,6 +4,7 @@ import itertools
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -13,7 +14,7 @@ from divalg.errors import BudgetExceededError, DegenerateMonadError, StructuralE
 
 from util import (
     addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, is_associative, module_axioms_hold,
-    s3_monoid_algebra,
+    s3_monoid_algebra, written_tensor_mor,
 )
 
 
@@ -438,6 +439,40 @@ def test_compose_is_the_entrywise_composite(pair):
     for compose in (M.compose, composed):
         with pytest.raises(IndexError):
             compose(g, past)
+
+
+def as_int64(table):
+    return np.array(table, dtype=np.int64)
+
+
+@st.composite
+def tensor_pairs(draw):
+    """An ambient and f: X -> a_dst, g: Y -> b_dst, each a tuple, a list or an int64 array; X and Y may be empty."""
+    ambient = draw(st.sampled_from([M.DisjointUnion, M.CartesianProduct]))
+    a_dst, b_dst = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    f = draw(st.lists(st.integers(0, a_dst - 1), max_size=4)) if a_dst else []
+    g = draw(st.lists(st.integers(0, b_dst - 1), max_size=4)) if b_dst else []
+    form = st.sampled_from([tuple, list, as_int64])
+    return ambient, draw(form)(f), draw(form)(g), a_dst, b_dst
+
+
+@given(tensor_pairs())
+@example((M.CartesianProduct, (), (1, 0, 1), 0, 2))
+@example((M.DisjointUnion, (), [2, 0], 0, 3))
+@example((M.CartesianProduct, (1, 0), (), 2, 3))
+@example((M.DisjointUnion, [0, 2], (), 3, 1))
+@example((M.CartesianProduct, [0, 2], as_int64([3, 0, 3]), 3, 4))
+@example((M.DisjointUnion, (1,), as_int64([2, 2, 0]), 2, 3))
+def test_tensor_and_whisker_are_the_written_out_tensor(case):
+    ambient, f, g, a_dst, b_dst = case
+    got = ambient.tensor_mor(f, g, a_dst, b_dst)
+    assert type(got) is tuple and got == written_tensor_mor(ambient, f, g, a_dst, b_dst)
+    # the whisker of a table on X (x) b_dst, X = len(f), is that table after id_X (x) g, read off distinct entries
+    x = len(f)
+    table = tuple(range(100, 100 + ambient.tensor(x, b_dst)))
+    whiskered = ambient.whisker(table, x, g, b_dst)
+    assert type(whiskered) is tuple
+    assert whiskered == composed(table, written_tensor_mor(ambient, M.identity_table(x), g, x, b_dst))
 
 
 # ------------------------------------------------------ backtracking kernel
@@ -1286,7 +1321,10 @@ def test_strength_violations_are_itemized_in_order():
 
 
 def table_built_strength(monad, max_size):
-    """check_strength as it was before point evaluators: every composite built as a whole table."""
+    """check_strength as it was before point evaluators: every composite built as a whole table.
+
+    Each id_X (x) g is the written-out `written_tensor_mor`, so the oracle shares no tensor with the ambients.
+    """
     budget = M.DEFAULT_BUDGET
     amb = monad.ambient
     violations = []
@@ -1305,13 +1343,13 @@ def table_built_strength(monad, max_size):
             ty = monad.t_size(y)
             xy = amb.tensor(x, y)
             guard((x, y), amb.tensor(x, ty), xy)
-            lhs = composed(monad.theta(x, y), amb.tensor_mor(M.identity_table(x), monad.eta(y), x, ty))
+            lhs = composed(monad.theta(x, y), written_tensor_mor(amb, M.identity_table(x), monad.eta(y), x, ty))
             violations += M._mismatches("strength_iv", (x, y), lhs, monad.eta(xy))
             tty = M._table_size(monad, ty, budget)
             txy = monad.t_size(xy)
             guard((x, y), tty, amb.tensor(x, tty), M._table_size(monad, txy, budget))
             guard((x, y), monad.t_size(amb.tensor(x, ty)))
-            lhs = composed(monad.theta(x, y), amb.tensor_mor(M.identity_table(x), monad.mu(y), x, ty))
+            lhs = composed(monad.theta(x, y), written_tensor_mor(amb, M.identity_table(x), monad.mu(y), x, ty))
             rhs = composed(monad.mu(xy), composed(monad.t_mor(monad.theta(x, y), txy), monad.theta(x, ty)))
             violations += M._mismatches("strength_iii", (x, y), lhs, rhs)
     for x in sizes:
@@ -1322,10 +1360,21 @@ def table_built_strength(monad, max_size):
                 guard((x, y, z), amb.tensor(x, tyz), amb.tensor(y, tz), amb.tensor(amb.tensor(x, y), tz))
                 lhs = composed(
                     monad.theta(x, amb.tensor(y, z)),
-                    amb.tensor_mor(M.identity_table(x), monad.theta(y, z), x, tyz),
+                    written_tensor_mor(amb, M.identity_table(x), monad.theta(y, z), x, tyz),
                 )
                 violations += M._mismatches("strength_i", (x, y, z), lhs, monad.theta(amb.tensor(x, y), z))
     return violations
+
+
+class LastRowFlip(d.FreeVectorF2):
+    """theta(x, y) with bit 0 of its last entry flipped for x >= 2 and y >= 1: a wrong entry in its last row.
+
+    At y = 0 the entry is the one mask of T(0), which has no other value to take.
+    """
+
+    def theta(self, x, y):
+        table = super().theta(x, y)
+        return table[:-1] + (table[-1] ^ 1,) if x >= 2 and y >= 1 else table
 
 
 @pytest.mark.parametrize("monad,size", [
@@ -1336,9 +1385,38 @@ def table_built_strength(monad, max_size):
     (MarkSwap(2), 3),
     (FirstLastSwap(1), 2),
     (XorSlip(), 2),
+    # the oracle builds mu(X (x) Y), which at (2, 3) has 2^64 entries, so freevec2 stops at size 2
+    (LastRowFlip(), 2),
 ], ids=monad_id)
 def test_strength_matches_the_table_built_oracle(monad, size):
     assert list(d.check_strength(monad, size).violations) == table_built_strength(monad, size)
+
+
+def test_the_cartesian_mutant_fails_every_whiskered_law():
+    # the flipped row is gathered row by row into the left sides of strength_iv, strength_iii and strength_i
+    assert {v.axiom for v in d.check_strength(LastRowFlip(), 2).violations} == {
+        "strength_i", "strength_iii", "strength_iv",
+    }
+
+
+class CountingTheta(d.CoproductException):
+    """exception(marks) that counts its theta tables by (x, y)."""
+
+    def __init__(self, marks):
+        super().__init__(marks)
+        self.theta_calls = collections.Counter()
+
+    def theta(self, x, y):
+        self.theta_calls[x, y] += 1
+        return super().theta(x, y)
+
+
+def test_strength_builds_each_theta_table_once():
+    # at size 8 the four axioms ask for theta 9 + 2 * 81 + 3 * 729 = 2 358 times, at 225 distinct (x, y)
+    monad = CountingTheta(3)
+    assert d.check_strength(monad, 8).passed
+    assert len(monad.theta_calls) == 225
+    assert set(monad.theta_calls.values()) == {1}
 
 
 def test_missing_strength_raises():

@@ -28,6 +28,26 @@ def doubling_mu(n: int) -> list[int]:
     return out
 
 
+def written_tensor_mor(ambient, f, g, a_dst: int, b_dst: int) -> tuple:
+    """f (x) g: X (x) Y -> a_dst (x) b_dst, one entry at a time: the oracle for the ambients' tensor_mor and whisker.
+
+    Disjoint union: the entries of f, then those of g offset by a_dst.  Cartesian product: for each x and
+    then each y, the row-major position f[x] * b_dst + g[y] of the pair (f[x], g[y]).
+    """
+    out = []
+    if ambient.kind == "disjoint_union":
+        for v in f:
+            out.append(v)
+        for v in g:
+            out.append(a_dst + v)
+    else:
+        for x in range(len(f)):
+            base = f[x] * b_dst
+            for y in range(len(g)):
+                out.append(base + g[y])
+    return tuple(out)
+
+
 def module_axioms_hold(algebra, carrier: int, action) -> bool:
     """The right-module law of an action Y (x) A -> Y, written out table by table: the oracle for the module route.
 
@@ -36,11 +56,11 @@ def module_axioms_hold(algebra, carrier: int, action) -> bool:
     """
     amb, a = algebra.ambient, algebra.carrier
     ident_y, ident_a = tuple(range(carrier)), tuple(range(a))
-    unit_inc = amb.tensor_mor(ident_y, algebra.unit, carrier, a)
+    unit_inc = written_tensor_mor(amb, ident_y, algebra.unit, carrier, a)
     if tuple(action[p] for p in unit_inc) != ident_y:
         return False
-    lhs = tuple(action[p] for p in amb.tensor_mor(action, ident_a, carrier, a))
-    rhs = tuple(action[p] for p in amb.tensor_mor(ident_y, algebra.mult, carrier, a))
+    lhs = tuple(action[p] for p in written_tensor_mor(amb, action, ident_a, carrier, a))
+    rhs = tuple(action[p] for p in written_tensor_mor(amb, ident_y, algebra.mult, carrier, a))
     return lhs == rhs
 
 
