@@ -1,18 +1,26 @@
 """Builtin fixture rings: worked examples plus negative controls.
 
-Names accepted by :func:`builtin_ring`:
+Each builtin is its product rule, given to one builder, `_ring`, which sets
+N_ij^k = 1 for each k in the rule's product of i and j.  Names accepted by
+:func:`builtin_ring`, with their rules:
 
-* ``fib`` -- rank 2, golden-ratio rule tau (x) tau = 1 + tau
-* ``ising`` -- rank 3, sigma (x) sigma = 1 + eps
-* ``rep_s3`` -- character ring of the symmetric group on three letters
-* ``vec_cyclic(n)`` -- group ring of Z/n, 1 <= n <= 12
-* ``matrix_multifusion(n)`` -- n x n matrix-unit ring with decomposable unit,
-  1 <= n <= 3
+* ``fib`` -- rank 2: tau (x) tau = 1 + tau
+* ``ising`` -- rank 3: eps (x) eps = 1, eps (x) sigma = sigma, sigma (x) sigma = 1 + eps
+* ``rep_s3`` -- characters of the symmetric group on three letters, rank 3:
+  sgn (x) sgn = 1, sgn (x) V = V, V (x) V = 1 + sgn + V
+* ``vec_cyclic(n)`` -- group ring of Z/n, 1 <= n <= 12: g_i (x) g_j = g_(i+j mod n),
+  with dual g_(-i)
+* ``matrix_multifusion(n)`` -- n x n matrix units, 1 <= n <= 3:
+  e_ab (x) e_cd = delta_bc e_ad, with decomposable unit e_11 + ... + e_nn and dual e_ba
+
+In the first three the unit 1 is simple, every simple is self-dual and the
+product commutes, so each states only its products of non-unit simples.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -34,76 +42,56 @@ class CatalogEntry:
     note: str
 
 
-def _fib() -> FusionRing:
-    fusion = np.zeros((2, 2, 2), dtype=np.int64)
-    fusion[0, 0, 0] = 1
-    fusion[0, 1, 1] = 1
-    fusion[1, 0, 1] = 1
-    fusion[1, 1, 0] = 1
-    fusion[1, 1, 1] = 1
-    return FusionRing(labels=("1", "tau"), unit=[1, 0], dual=(0, 1), fusion=fusion)
+def _ring(labels, product, unit, dual) -> FusionRing:
+    """The ring on labels with N_ij^k = 1 for each k in product(i, j), else 0; unit lists the simples of 1."""
+    rank = len(labels)
+    fusion = np.zeros((rank, rank, rank), dtype=np.int64)
+    for i, j in itertools.product(range(rank), repeat=2):
+        for k in product(i, j):
+            fusion[i, j, k] = 1
+    return FusionRing(labels=tuple(labels), unit=[int(i in unit) for i in range(rank)], dual=tuple(dual), fusion=fusion)
 
 
-def _ising() -> FusionRing:
-    fusion = np.zeros((3, 3, 3), dtype=np.int64)
-    for i in range(3):
-        fusion[0, i, i] = 1
-        fusion[i, 0, i] = 1
-    fusion[1, 1, 0] = 1  # eps (x) eps = 1
-    fusion[1, 2, 2] = 1
-    fusion[2, 1, 2] = 1
-    fusion[2, 2, 0] = 1  # sigma (x) sigma = 1 + eps
-    fusion[2, 2, 1] = 1
-    return FusionRing(labels=("1", "eps", "sigma"), unit=[1, 0, 0], dual=(0, 1, 2), fusion=fusion)
+def _self_dual(labels: str, rules: dict[str, str]) -> FusionRing:
+    """The commutative ring on labels with simple unit labels[0] and every simple self-dual.
 
+    rules["a b"] names the simples of a (x) b for non-unit a and b, a listed no later than b.
+    """
+    labels = labels.split()
 
-def _rep_s3() -> FusionRing:
-    fusion = np.zeros((3, 3, 3), dtype=np.int64)
-    for i in range(3):
-        fusion[0, i, i] = 1
-        fusion[i, 0, i] = 1
-    fusion[1, 1, 0] = 1  # sgn (x) sgn = 1
-    fusion[1, 2, 2] = 1
-    fusion[2, 1, 2] = 1
-    fusion[2, 2, 0] = 1  # V (x) V = 1 + sgn + V
-    fusion[2, 2, 1] = 1
-    fusion[2, 2, 2] = 1
-    return FusionRing(labels=("1", "sgn", "V"), unit=[1, 0, 0], dual=(0, 1, 2), fusion=fusion)
+    def product(i, j):
+        if i == 0 or j == 0:
+            return (i + j,)
+        return [labels.index(k) for k in rules[f"{labels[min(i, j)]} {labels[max(i, j)]}"].split()]
+
+    return _ring(labels, product, unit=(0,), dual=range(len(labels)))
 
 
 def _vec_cyclic(n: int) -> FusionRing:
-    fusion = np.zeros((n, n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            fusion[i, j, (i + j) % n] = 1
-    unit = [0] * n
-    unit[0] = 1
-    dual = tuple((-i) % n for i in range(n))
-    labels = tuple(f"g{i}" for i in range(n))
-    return FusionRing(labels=labels, unit=unit, dual=dual, fusion=fusion)
+    return _ring([f"g{i}" for i in range(n)], lambda i, j: ((i + j) % n,), unit=(0,), dual=[-i % n for i in range(n)])
 
 
 def _matrix_multifusion(n: int) -> FusionRing:
-    index = {(a, b): a * n + b for a in range(n) for b in range(n)}
-    rank = n * n
-    fusion = np.zeros((rank, rank, rank), dtype=np.int64)
-    for (a, b), i in index.items():
-        for (c, d), j in index.items():
-            if b == c:
-                fusion[i, j, index[(a, d)]] = 1
-    unit = [0] * rank
-    for a in range(n):
-        unit[index[(a, a)]] = 1
-    dual = tuple(index[(b, a)] for (a, b), _ in sorted(index.items(), key=lambda kv: kv[1]))
-    labels = tuple(f"e{a + 1}{b + 1}" for (a, b), _ in sorted(index.items(), key=lambda kv: kv[1]))
-    return FusionRing(labels=labels, unit=unit, dual=dual, fusion=fusion)
+    def product(i, j):  # e_ab sits at a * n + b
+        (a, b), (c, d) = divmod(i, n), divmod(j, n)
+        return (a * n + d,) if b == c else ()
+
+    labels = [f"e{a + 1}{b + 1}" for a in range(n) for b in range(n)]
+    dual = [b * n + a for a in range(n) for b in range(n)]
+    return _ring(labels, product, unit=[a * n + a for a in range(n)], dual=dual)
 
 
 # name -> (builder, note), in catalog listing order
 _REGISTRY = {
-    "fib": (_fib, "rank-2 ring with tau (x) tau = 1 + tau"),
-    "ising": (_ising, "rank-3 self-dual ring with sigma (x) sigma = 1 + eps"),
-    "rep_s3": (_rep_s3, "character ring of the symmetric group on 3 letters"),
+    "fib": (functools.partial(_self_dual, "1 tau", {"tau tau": "1 tau"}), "rank-2 ring with tau (x) tau = 1 + tau"),
+    "ising": (
+        functools.partial(_self_dual, "1 eps sigma", {"eps eps": "1", "eps sigma": "sigma", "sigma sigma": "1 eps"}),
+        "rank-3 self-dual ring with sigma (x) sigma = 1 + eps",
+    ),
+    "rep_s3": (
+        functools.partial(_self_dual, "1 sgn V", {"sgn sgn": "1", "sgn V": "V", "V V": "1 sgn V"}),
+        "character ring of the symmetric group on 3 letters",
+    ),
     **{
         f"vec_cyclic({n})": (functools.partial(_vec_cyclic, n), f"group ring of Z/{n}")
         for n in range(1, VEC_CYCLIC_MAX + 1)

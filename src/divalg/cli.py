@@ -353,13 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mon_sub = mon.add_subparsers(dest="subcommand", required=True)
     mc = mon_sub.add_parser("check", help="monad laws plus the adjunction-triviality verdict")
-    mc.add_argument("name", choices=["maybe", "identity", "exception", "freevec2"])
+    mc.add_argument("name", choices=list(monads.BUILTIN_MONADS))
     mc.add_argument("--marks", type=int, help="mark count for the exception monad")
     mc.add_argument("--max-size", type=_nonnegative, default=4, dest="max_size")
     mc.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
     mc.set_defaults(func=_cmd_monad_check)
     ms = mon_sub.add_parser("strength", help="left-strength axioms and the induced algebra")
-    ms.add_argument("name", choices=["maybe", "identity", "exception", "freevec2"])
+    ms.add_argument("name", choices=list(monads.BUILTIN_MONADS))
     ms.add_argument("--marks", type=int, help="mark count for the exception monad")
     ms.add_argument("--max-size", type=_nonnegative, default=3, dest="max_size")
     ms.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)

@@ -444,20 +444,26 @@ def identity_monad() -> CoproductException:
     return CoproductException(0, name="identity")
 
 
+# name -> constructor of every builtin monad, in the order the command line lists them; exception alone takes marks
+BUILTIN_MONADS = {
+    "maybe": maybe_monad, "identity": identity_monad, "exception": CoproductException, "freevec2": FreeVectorF2
+}
+
+
 def builtin_monad(name: str, marks: Optional[int] = None) -> FiniteMonad:
-    if marks is not None and name != "exception":
+    """The builtin monad `name` from `BUILTIN_MONADS`, given its marks when it is the exception monad.
+
+    Marks given to any other name are refused first, then an unknown name,
+    then the exception monad without marks, each as a structural error.
+    """
+    make = BUILTIN_MONADS.get(name)
+    if marks is not None and make is not CoproductException:
         raise StructuralError(f"marks apply to the exception monad only, not to {name!r}")
-    if name == "maybe":
-        return maybe_monad()
-    if name == "identity":
-        return identity_monad()
-    if name == "exception":
-        if marks is None:
-            raise StructuralError("exception monad needs a number of marks")
-        return CoproductException(marks)
-    if name == "freevec2":
-        return FreeVectorF2()
-    raise StructuralError(f"unknown builtin monad {name!r}")
+    if make is None:
+        raise StructuralError(f"unknown builtin monad {name!r}")
+    if make is CoproductException and marks is None:
+        raise StructuralError("exception monad needs a number of marks")
+    return make() if marks is None else make(marks)
 
 
 def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDGET) -> ValidationReport:

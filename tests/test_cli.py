@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import divalg as d
-from divalg import cli
+from divalg import cli, monads
 from divalg.cli import RunReport, export_report, run
 
 from util import WIDE_NIMREP, WRAPPING_RING, vec_direct_sum
@@ -700,6 +700,15 @@ def test_marks_on_a_monad_without_marks_exits_two(capsys, verb, name):
     assert code == 2
     assert out == ""
     assert "marks" in err
+
+
+@pytest.mark.parametrize("verb", ["check", "strength"])
+def test_monad_verbs_list_the_builtin_table(verb):
+    # both verbs take their names from the one table builtin_monad reads, in its order
+    monad = next(a for a in cli._build_parser()._actions if a.dest == "command").choices["monad"]
+    parser = next(a for a in monad._actions if a.dest == "subcommand").choices[verb]
+    assert next(a for a in parser._actions if a.dest == "name").choices == list(monads.BUILTIN_MONADS)
+    assert list(monads.BUILTIN_MONADS) == ["maybe", "identity", "exception", "freevec2"]
 
 
 @pytest.mark.parametrize("verb,key,default", [("check", "bound", 4), ("strength", "max_size", 3)])

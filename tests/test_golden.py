@@ -119,6 +119,10 @@ GOLDEN_VIOLATIONS = {
     "nimrep classify --ring fib.json --nimrep broken_nimrep.json --object a": "d54c36417fb7aa8e71e177edacf4229001f80581d60f2381ae7ba427accce067",
 }
 
+# `catalog export --name <entry>` of every catalog entry to stdout, in `entries()` order, hashed as the
+# concatenated stdout: the labels, unit, dual and whole fusion tensor of each builtin
+EXPORT_SWEEP = "81bc4c5cd95d3528cd2e55c850ccbff071444ebc43e9cb93dcc7d2f82e14057e"
+
 FPDIM_COMMAND = "ring classify --builtin rep_s3 --object V --side right --fpdim"
 FPDIM_REST = "bf4309ca92bd57b50fd5b8d91e968802641f8ca3a4fbca605ff874c106ffc801"
 
@@ -191,6 +195,15 @@ def test_fpdim_example(capsys):
     report = json.loads(out)
     assert abs(report["payload"].pop("fp_dimension") - 2.0) < 1e-12
     assert sha256(json.dumps(report, sort_keys=True, indent=2) + "\n") == FPDIM_REST
+
+
+def test_export_sweep_digest(capsys):
+    digest = hashlib.sha256()
+    for entry in d.entries():
+        code, out = run_quiet(capsys, ["catalog", "export", "--name", entry.name])
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == EXPORT_SWEEP
 
 
 def test_classify_sweep_digest(capsys):

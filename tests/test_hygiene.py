@@ -31,6 +31,11 @@ and `check_mon_ess_agreement` bridge the routes and are left out.
 The command line reads the environment; the library relies on its arguments
 alone, so `DIVALG_BUDGET` reaches a monad verdict only through `cli`.
 
+Each builtin is declared once.  Every catalog ring is a product rule given to
+one builder, so `catalog` constructs a `FusionRing` in `_ring` alone, and the
+builtin monad names are the keys of `monads.BUILTIN_MONADS`, which the command
+line reads and never writes out.
+
 The package's `__all__` is assembled from the layer modules' own lists, so
 each public name is written once, in the module that defines it.
 """
@@ -244,6 +249,25 @@ def test_the_two_monad_routes_read_nothing_of_each_other():
         for read in sorted(read_names(functions[name]) & forbidden)
     ]
     assert crossings == []
+
+
+def test_each_builtin_is_declared_once():
+    def called(node):
+        return isinstance(node, ast.Call) and (getattr(node.func, "attr", None) or getattr(node.func, "id", None))
+
+    builders = [
+        getattr(top, "name", f"line {top.lineno}")
+        for top in parse(PACKAGE / "catalog.py").body
+        if any(called(node) == "FusionRing" for node in ast.walk(top))
+    ]
+    assert builders == ["_ring"]
+    literals = {
+        node.value
+        for node in ast.walk(parse(PACKAGE / "cli.py"))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert len(monads.BUILTIN_MONADS) == 4
+    assert literals & set(monads.BUILTIN_MONADS) == set()
 
 
 # every name the package exported while its `__all__` was written out by hand

@@ -1862,13 +1862,18 @@ def test_builtin_monad_factory():
     assert d.builtin_monad("identity").marks == 0
     assert d.builtin_monad("exception", marks=3).marks == 3
     assert isinstance(d.builtin_monad("freevec2"), d.FreeVectorF2)
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="^exception monad needs a number of marks$"):
         d.builtin_monad("exception")
-    with pytest.raises(StructuralError):
-        d.builtin_monad("state")
-    for name in ("maybe", "identity", "freevec2"):
-        with pytest.raises(StructuralError):
+    for name in ("state", "nope"):
+        with pytest.raises(StructuralError, match=f"^unknown builtin monad '{name}'$"):
+            d.builtin_monad(name)
+    # marks are refused before the name is looked up, so an unknown name with marks is refused for its marks
+    for name in ("maybe", "identity", "freevec2", "nope"):
+        with pytest.raises(StructuralError, match=f"^marks apply to the exception monad only, not to '{name}'$"):
             d.builtin_monad(name, marks=1)
+    # each table key names its monad, and only the exception monad's name carries its marks
+    names = {name: d.builtin_monad(name, marks=3 if name == "exception" else None).name for name in M.BUILTIN_MONADS}
+    assert names == {"maybe": "maybe", "identity": "identity", "exception": "exception(3)", "freevec2": "freevec2"}
 
 
 def test_negative_marks_rejected():
