@@ -15,6 +15,11 @@ N_ij^k = 1 for each k in the rule's product of i and j.  Names accepted by
 
 In the first three the unit 1 is simple, every simple is self-dual and the
 product commutes, so each states only its products of non-unit simples.
+
+The catalog keeps rings, not reports: it builds and validates each builtin
+once per process, and a builtin that failed would raise there, so every
+builtin :func:`builtin_ring` returns has passed validation.  The command line
+reads builtins through :func:`builtin_ring` too.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CatalogError
-from .rings import FusionRing, ValidationReport, validate_ring
+from .rings import FusionRing, validate_ring
 
 __all__ = ["CatalogEntry", "builtin_ring", "entries"]
 
@@ -109,18 +114,17 @@ _PARAM_RE = re.compile(r"^(?P<family>[a-z_0-9]+)\((?P<param>-?\d+)\)$")
 
 
 @functools.cache
-def _validated(name: str) -> tuple[FusionRing, ValidationReport]:
-    # builtins are immutable, so each is built and validated once per process; the report is kept
-    # so that `ring validate --builtin` need not validate again
+def _validated(name: str) -> FusionRing:
+    # builtins are immutable, so each is built and validated once per process, and one that fails raises
     ring = _REGISTRY[name][0]()
     report = validate_ring(ring)
     if not report.passed:
         raise AssertionError(f"builtin ring {name} fails validation: {report.violations[:3]}")
-    return ring, report
+    return ring
 
 
-def _builtin(name: str) -> tuple[FusionRing, ValidationReport]:
-    """A builtin ring by name, with the report of its one validation."""
+def builtin_ring(name: str) -> FusionRing:
+    """Return a validated builtin ring by name, e.g. 'fib' or 'vec_cyclic(3)'."""
     base = name.strip()
     match = _PARAM_RE.match(base)
     if match:  # 'vec_cyclic(03)' names the same ring as 'vec_cyclic(3)'
@@ -130,13 +134,8 @@ def _builtin(name: str) -> tuple[FusionRing, ValidationReport]:
     return _validated(base)
 
 
-def builtin_ring(name: str) -> FusionRing:
-    """Return a validated builtin ring by name, e.g. 'fib' or 'vec_cyclic(3)'."""
-    return _builtin(name)[0]
-
-
 def entries() -> tuple[CatalogEntry, ...]:
     """Every builtin ring at every supported parameter, all validated."""
     return tuple(
-        CatalogEntry(name, _validated(name)[0], note) for name, (_, note) in _REGISTRY.items()
+        CatalogEntry(name, _validated(name), note) for name, (_, note) in _REGISTRY.items()
     )

@@ -126,20 +126,20 @@ def _load_json(path: str) -> tuple[dict, str]:
 def _resolve_ring(args) -> tuple[rings.FusionRing, dict, rings.ValidationReport]:
     """The ring, its inputs and its validation report.
 
-    A builtin's report is the one the catalog kept when it validated the ring once per process; a ring
-    file is validated here, once per command.
+    A builtin is read through `catalog.builtin_ring`; it passed validation when the catalog built it, so
+    its report is the passing, empty one.  A ring file is validated here, once per command.
     """
-    path = getattr(args, "ring", None) or getattr(args, "source", None)
     if args.builtin:
-        if path:
+        if args.ring:
             raise StructuralError("give either --builtin or a ring file, not both")
-        ring, report = catalog._builtin(args.builtin)
-        return ring, {"builtin": args.builtin, "ring": _builtin_digest(args.builtin)}, report
-    if not path:
+        ring = catalog.builtin_ring(args.builtin)
+        inputs = {"builtin": args.builtin, "ring": _builtin_digest(args.builtin)}
+        return ring, inputs, rings.ValidationReport.from_violations(())
+    if not args.ring:
         raise StructuralError("either --builtin or a ring file is required")
-    payload, digest = _load_json(path)
+    payload, digest = _load_json(args.ring)
     ring = rings.FusionRing.from_payload(payload)
-    return ring, {"ring_file": path, "ring": digest}, rings.validate_ring(ring)
+    return ring, {"ring_file": args.ring, "ring": digest}, rings.validate_ring(ring)
 
 
 def _parse_object(text: str, labels: Sequence[str]) -> str | list[int]:
@@ -255,10 +255,6 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _monad_from_args(args) -> monads.FiniteMonad:
-    return monads.builtin_monad(args.name, marks=getattr(args, "marks", None))
-
-
 def _budget(args) -> int:
     """--budget, else DIVALG_BUDGET, else monads.DEFAULT_BUDGET; the one place the variable is read."""
     if args.budget is not None:
@@ -272,7 +268,7 @@ def _budget(args) -> int:
 
 
 def _cmd_monad_check(args) -> tuple[dict, dict, int]:
-    monad = _monad_from_args(args)
+    monad = monads.builtin_monad(args.name, marks=args.marks)
     budget = _budget(args)
     laws = monads.validate_monad(monad, args.max_size, budget=budget)
     if not laws.passed:
@@ -284,7 +280,7 @@ def _cmd_monad_check(args) -> tuple[dict, dict, int]:
 
 
 def _cmd_monad_strength(args) -> tuple[dict, dict, int]:
-    monad = _monad_from_args(args)
+    monad = monads.builtin_monad(args.name, marks=args.marks)
     report = monads.check_strength(monad, args.max_size, budget=_budget(args))
     very = monads.is_very_strong(monad, args.max_size)
     algebra = monads.algebra_from_strength(monad)
@@ -308,7 +304,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=["json", "markdown"], default="json")
     sub = parser.add_subparsers(dest="command", required=True)
     # the inputs of the ring and NIM-rep verbs, declared once: argparse parents share their Action objects,
-    # so an option whose default differs between verbs, as --max-size does, stays on each verb
+    # so the monad verbs, whose --max-size defaults differ, declare theirs in a loop instead
     ring_input = argparse.ArgumentParser(add_help=False)
     ring_input.add_argument("--builtin", help="builtin ring name")
     ring_input.add_argument("--ring", help="ring JSON file")
@@ -319,7 +315,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ring = sub.add_parser("ring", help="fusion ring operations")
     ring_sub = ring.add_subparsers(dest="subcommand", required=True)
     rv = ring_sub.add_parser("validate", help="check the ring axioms")
-    rv.add_argument("source", nargs="?", help="ring JSON file")
+    rv.add_argument("ring", nargs="?", metavar="source", help="ring JSON file")
     rv.add_argument("--builtin", help="builtin ring name")
     rv.set_defaults(func=_cmd_ring_validate)
     rc = ring_sub.add_parser("classify", parents=[ring_input], help="division-algebra verdicts for an object")
@@ -352,18 +348,16 @@ def _build_parser() -> argparse.ArgumentParser:
         f"search leaves (default: DIVALG_BUDGET, else {monads.DEFAULT_BUDGET})"
     )
     mon_sub = mon.add_subparsers(dest="subcommand", required=True)
-    mc = mon_sub.add_parser("check", help="monad laws plus the adjunction-triviality verdict")
-    mc.add_argument("name", choices=list(monads.BUILTIN_MONADS))
-    mc.add_argument("--marks", type=int, help="mark count for the exception monad")
-    mc.add_argument("--max-size", type=_nonnegative, default=4, dest="max_size")
-    mc.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
-    mc.set_defaults(func=_cmd_monad_check)
-    ms = mon_sub.add_parser("strength", help="left-strength axioms and the induced algebra")
-    ms.add_argument("name", choices=list(monads.BUILTIN_MONADS))
-    ms.add_argument("--marks", type=int, help="mark count for the exception monad")
-    ms.add_argument("--max-size", type=_nonnegative, default=3, dest="max_size")
-    ms.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
-    ms.set_defaults(func=_cmd_monad_strength)
+    for verb, help_text, max_size, func in (
+        ("check", "monad laws plus the adjunction-triviality verdict", 4, _cmd_monad_check),
+        ("strength", "left-strength axioms and the induced algebra", 3, _cmd_monad_strength),
+    ):
+        mv = mon_sub.add_parser(verb, help=help_text)
+        mv.add_argument("name", choices=list(monads.BUILTIN_MONADS))
+        mv.add_argument("--marks", type=int, help="mark count for the exception monad")
+        mv.add_argument("--max-size", type=_nonnegative, default=max_size, dest="max_size")
+        mv.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
+        mv.set_defaults(func=func)
 
     return parser
 

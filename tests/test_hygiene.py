@@ -38,6 +38,11 @@ line reads and never writes out.
 
 The package's `__all__` is assembled from the layer modules' own lists, so
 each public name is written once, in the module that defines it.
+
+A module's underscore names are its own: no module of the package reads one
+of another's, so each layer is reached through its public functions alone.
+The one sharing is the integer kernels of `rings`, which `nimreps` imports by
+name because the NIM-rep laws are the ring laws read on a module.
 """
 
 import ast
@@ -268,6 +273,44 @@ def test_each_builtin_is_declared_once():
     }
     assert len(monads.BUILTIN_MONADS) == 4
     assert literals & set(monads.BUILTIN_MONADS) == set()
+
+
+# the rings kernels nimreps imports by name, the one sharing of underscore names between modules
+SHARED_PRIVATE = {
+    ("nimreps", "rings"): {
+        "_as_int_array", "_freeze", "_labels", "_matmul", "_record", "_require_nonzero", "_row_products",
+        "_total", "_vector",
+    },
+}
+
+
+def test_no_module_reads_another_modules_underscore_names():
+    layers = {path.stem for path in PACKAGE.glob("*.py")}
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        # the package modules this one binds by name, as `from . import catalog` does
+        bound = {
+            alias.asname or alias.name: alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+            if alias.name in layers
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in layers:
+                reads += [(path.stem, node.module, alias.name) for alias in node.names if private(alias.name)]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+                if private(node.attr):
+                    reads.append((path.stem, bound[node.value.id], node.attr))
+    allowed = {(reader, owner, name) for (reader, owner), names in SHARED_PRIVATE.items() for name in names}
+    assert sorted(f"{reader} reads {owner}.{name}" for reader, owner, name in set(reads) - allowed) == []
+    # and the list names no kernel that nimreps has stopped reading
+    assert set(reads) == allowed
 
 
 # every name the package exported while its `__all__` was written out by hand
