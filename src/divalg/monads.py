@@ -1069,13 +1069,18 @@ def check_comparison_fully_faithful(
 ) -> bool:
     """Hom-sets into T(Y) versus algebra morphisms between free algebras.
 
-    For every pair of sizes, transports each map g: X -> T(Y) to its Kleisli
-    extension g* = mu_Y . T(g) and checks that this lands bijectively on the
-    algebra morphisms from the free algebra on X to the free algebra on Y.
-    The maps X -> T(Y) are held to the budget; the algebra morphisms come
-    from a backtracking search that checks each point of the law as soon as
-    it can and counts every point it evaluates and every leaf it reaches
-    against the budget.  Both read mu and T(f) only through bind_at.
+    For every pair of sizes, the Kleisli extensions g* = mu_Y . T(g) of the
+    maps g: X -> T(Y), sorted, must equal the list of algebra morphisms from
+    the free algebra on X to the free algebra on Y.  The search yields each
+    such morphism once and in lexicographic order, so the lists are equal
+    exactly when g -> g* is injective and onto the algebra morphisms.  The
+    maps X -> T(Y) are held to the budget and transported first; the
+    algebra morphisms come from a backtracking search that checks each point
+    of the law as soon as it can and counts every point it evaluates and
+    every leaf it reaches against the budget.  Both read mu and T(f) only
+    through bind_at.  The search always runs to its end, so a lawless monad
+    whose search finds a morphism outside the image and then runs past the
+    budget raises BudgetExceededError rather than returning False.
     """
     for x in range(max_size + 1):
         morphisms = _em_morphisms(monad, x, budget)
@@ -1084,15 +1089,6 @@ def check_comparison_fully_faithful(
             ty = monad.t_size(y)
             _guard(ty ** x, budget, f"morphism enumeration at sizes ({x}, {y})")
             maps = itertools.product(range(ty), repeat=x)
-            transported = {tuple(monad.bind_at(g, y, p) for p in points) for g in maps}
-            if len(transported) != ty ** x:
-                return False
-            # every algebra morphism is a transported map and there are as many of each, so the sets are equal
-            count = 0
-            for f in morphisms(y):
-                if f not in transported:
-                    return False
-                count += 1
-            if count != len(transported):
+            if sorted(tuple(monad.bind_at(g, y, p) for p in points) for g in maps) != list(morphisms(y)):
                 return False
     return True

@@ -11,7 +11,7 @@ import divalg as d
 from divalg import cli, monads
 from divalg.cli import RunReport, export_report, run
 
-from util import WIDE_NIMREP, WRAPPING_RING, vec_direct_sum
+from util import WIDE_NIMREP, WRAPPING_RING, XorSlip, vec_direct_sum
 
 
 def run_cli(capsys, *argv):
@@ -576,6 +576,18 @@ def test_monad_check_maybe(capsys):
     payload = payload_of(out)
     assert payload["trivial_up_to_bound"] is True
     assert payload["laws_passed"] is True
+
+
+def test_lawless_monad_exits_one_with_its_violations(capsys, monkeypatch):
+    # freevec2 with one bit of mu_2 flipped: its laws first fail at carrier 2, and no adjunction verdict follows
+    monkeypatch.setattr(monads, "builtin_monad", lambda name, marks=None: XorSlip())
+    code, out, _ = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "1")
+    assert code == 0 and payload_of(out)["laws_passed"] is True
+    code, out, _ = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "2")
+    assert code == 1
+    payload = payload_of(out)
+    assert sorted(payload) == ["passed", "violations"]
+    assert payload["passed"] is False and len(payload["violations"]) == 31744
 
 
 def test_monad_check_exception_negative(capsys):

@@ -13,8 +13,8 @@ from divalg import monads as M
 from divalg.errors import BudgetExceededError, DegenerateMonadError, StructuralError
 
 from util import (
-    addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, is_associative, module_axioms_hold,
-    s3_monoid_algebra, written_tensor_mor,
+    XorSlip, addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, is_associative,
+    module_axioms_hold, s3_monoid_algebra, written_tensor_mor,
 )
 
 
@@ -179,20 +179,6 @@ def test_monad_violations_come_law_by_law_within_each_carrier():
     assert as_tuples(d.validate_monad(SwapFold(2), 1)) == grouped
 
 
-class XorSlip(d.FreeVectorF2):
-    """mu with one bit of the fold of the masks {00, 10} flipped at carrier 2."""
-
-    def mu(self, n):
-        table = list(super().mu(n))
-        if n == 2:
-            table[0b101] ^= 1
-        return tuple(table)
-
-    def bind_at(self, f, dst, p):
-        # mu_2 . T(f) reads the flipped entry where T(f) sends p to 0b101; T(f) is not built past dst 2
-        return super().bind_at(f, dst, p) ^ (dst == 2 and int(self.t_mor(f, 4)[p]) == 0b101)
-
-
 class Involution(d.FiniteMonad):
     """The writer monad Z/2 x - on (FinSet, cartesian product); its algebras are sets with an involution.
 
@@ -233,6 +219,21 @@ class RectangularBand(d.FiniteMonad):
     def bind_at(self, f, dst, p):
         a, b = divmod(p, len(f))
         return f[a] // dst * dst + f[b] % dst
+
+
+class ConstBind(d.FiniteMonad):
+    """T(X) = X + 1 with every Kleisli extension constant at the added point, so g -> g* is not injective."""
+
+    name = "const_bind"
+
+    def t_size(self, n):
+        return n + 1
+
+    def eta(self, n):
+        return tuple(range(n))
+
+    def bind_at(self, f, dst, p):
+        return dst
 
 
 def test_broken_free_vector_multiplication_is_reported():
@@ -953,6 +954,9 @@ def test_payloads_hold_python_ints_only():
     freevec = d.FreeVectorF2()
     payloads = [report.to_payload(), d.algebra_from_strength(freevec).to_payload()]
     payloads += [d.free_algebra(freevec, n).to_payload() for n in range(5)]
+    modules = d.enumerate_modules(d.algebra_from_strength(d.CoproductException(2)), 3)
+    assert modules
+    payloads += [module.to_payload() for module in modules]
     for payload in payloads:
         json.dumps(payload)
         assert {type(leaf) for leaf in payload_leaves(payload)} <= {int, bool, str, type(None)}
@@ -1455,6 +1459,22 @@ def test_freevec_is_not_very_strong(freevec):
     assert lhs == verdict.domain and rhs == verdict.codomain and lhs != rhs
 
 
+class ConstantStrength(d.CoproductException):
+    """The exception monad with every strength component constant at 0: same sizes, never a bijection."""
+
+    def theta(self, x, y):
+        return (0,) * self.ambient.tensor(x, self.t_size(y))
+
+
+@pytest.mark.parametrize("marks,sizes", [(2, (0, 0)), (1, (0, 1))])
+def test_same_size_strength_that_is_not_a_bijection_is_named(marks, sizes):
+    # one mark gives |T(0)| = 1, where the constant table is a bijection, so the witness comes at (0, 1)
+    verdict = d.is_very_strong(ConstantStrength(marks), 2)
+    assert verdict.to_payload()["witness"] == {
+        "x_size": sizes[0], "y_size": sizes[1], "domain": 2, "codomain": 2, "reason": "not_bijective",
+    }
+
+
 def test_freevec_cardinality_gap_at_three_one(freevec):
     # 3 * 2^1 = 6 maps versus 2^(3*1) = 8 masks
     assert freevec.ambient.tensor(3, freevec.t_size(1)) == 6
@@ -1775,6 +1795,7 @@ def brute_fully_faithful(monad, max_size):
     (SwapFold(2), 2),
     (Involution(), 2),
     (RectangularBand(), 2),
+    (ConstBind(), 2),
 ], ids=monad_id)
 def test_morphism_search_matches_the_brute_force_scan(monad, size):
     for x in range(size + 1):
@@ -1788,6 +1809,8 @@ def test_broken_multiplication_is_not_fully_faithful():
     # at sizes (0, 0) the one transported map (1, 0) is not the one algebra morphism (0, 1)
     assert list(M._em_morphisms(SwapFold(2), 0, M.DEFAULT_BUDGET)(0)) == [(0, 1)]
     assert not d.check_comparison_fully_faithful(SwapFold(2), 0)
+    # from sizes (1, 1) on, the two maps 1 -> T(1) extend to the same constant table
+    assert [d.check_comparison_fully_faithful(ConstBind(), n) for n in range(3)] == [True, False, False]
 
 
 def test_morphism_search_charges_every_leaf_and_every_point(freevec, monkeypatch):

@@ -28,6 +28,20 @@ def doubling_mu(n: int) -> list[int]:
     return out
 
 
+class XorSlip(d.FreeVectorF2):
+    """mu with one bit of the fold of the masks {00, 10} flipped at carrier 2."""
+
+    def mu(self, n):
+        table = list(super().mu(n))
+        if n == 2:
+            table[0b101] ^= 1
+        return tuple(table)
+
+    def bind_at(self, f, dst, p):
+        # mu_2 . T(f) reads the flipped entry where T(f) sends p to 0b101; T(f) is not built past dst 2
+        return super().bind_at(f, dst, p) ^ (dst == 2 and int(self.t_mor(f, 4)[p]) == 0b101)
+
+
 def written_tensor_mor(ambient, f, g, a_dst: int, b_dst: int) -> tuple:
     """f (x) g: X (x) Y -> a_dst (x) b_dst, one entry at a time: the oracle for the ambients' tensor_mor and whisker.
 
