@@ -121,6 +121,8 @@ def _load_json(path: str) -> tuple[dict, str]:
         return json.loads(raw), _digest(raw)
     except json.JSONDecodeError as exc:
         raise StructuralError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise StructuralError(f"{path} is nested too deeply to parse") from None
 
 
 def _resolve_ring(args) -> tuple[rings.FusionRing, dict, rings.ValidationReport]:

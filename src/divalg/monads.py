@@ -8,9 +8,11 @@ its object map, its unit and one point evaluator `bind_at`, which computes
 f*(p) = mu_dst(T(f)(p)) for f: X -> T(dst) without building a table, plus an
 optional left strength table.  The tables of T(f) = (eta . f)* and of
 mu = id* are derived from `bind`, the table of f*, which a monad may give
-itself, as freevec2 does.  The EM law, which at the free algebra
-(T(n), mu_n) is monad associativity at n and is checked once per monad
-object, and each relabeling step compare or build composed whole tables.
+itself, as freevec2 does.  The EM law is a function of the carrier Y and
+the structure table alone: it builds the mu_Y table it reads, is answered
+once per monad object, and at the free algebra (T(n), mu_n) is monad
+associativity at n.  It and each relabeling step compare or build composed
+whole tables.
 Tuples are composed by one C-level gather, `compose`; a monad may give its
 tables as int64 arrays instead, as freevec2 does, and the EM law then gathers
 both of its sides by numpy fancy indexing and compares them in numpy.  The
@@ -275,21 +277,21 @@ class FiniteMonad:
     def _em_law_verdicts(self) -> dict[tuple[int, tuple[int, ...]], bool]:
         return {}  # (carrier, structure) -> the verdict of _em_law_holds on this monad object
 
-    def _em_law_sides(self, carrier: int, structure, mu):
-        """s . T(s) and s . mu_Y on all of T(T(Y)), for Y = carrier, s = structure and mu() = mu(Y).
+    def _em_law_sides(self, carrier: int, structure):
+        """s . T(s) and s . mu_Y on all of T(T(Y)), for Y = carrier and s = structure; mu_Y is built here.
 
         Where the monad gives T(s) or mu_Y as an int64 array, both sides are
         int64 arrays gathered by fancy indexing; every entry is a position of
         T(Y), and |T(Y)| <= |T(T(Y))| is within the budget, so they are exact.
         Tables given as tuples are gathered by `compose`.
         """
-        t_s, mu_y = self.t_mor(structure, carrier), mu()
+        t_s, mu_y = self.t_mor(structure, carrier), self.mu(carrier)
         if isinstance(t_s, np.ndarray) or isinstance(mu_y, np.ndarray):
             s = np.asarray(structure, dtype=np.int64)
             return s[np.asarray(t_s, dtype=np.int64)], s[np.asarray(mu_y, dtype=np.int64)]
         return compose(structure, t_s), compose(structure, mu_y)
 
-    def _em_law_holds(self, carrier: int, structure, mu) -> bool:
+    def _em_law_holds(self, carrier: int, structure) -> bool:
         """Whether the EM law's two `_em_law_sides` agree, computed once per monad object.
 
         At s = mu_n on Y = T(n) it is associativity at n, so validate_monad and the EM enumeration share it.
@@ -299,7 +301,7 @@ class FiniteMonad:
         """
         key = (carrier, _ints(structure))
         if key not in self._em_law_verdicts:
-            lhs, rhs = self._em_law_sides(carrier, structure, mu)
+            lhs, rhs = self._em_law_sides(carrier, structure)
             self._em_law_verdicts[key] = np.array_equal(lhs, rhs) if isinstance(lhs, np.ndarray) else lhs == rhs
         return self._em_law_verdicts[key]
 
@@ -474,14 +476,14 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     is therefore checked on small carriers only.  The unit laws read
     mu_n . T(eta_n) = eta_n* and mu_n . eta_{T(n)} = id* . eta_{T(n)} at the
     |T(n)| points of T(n) through bind_at, so a mu(n) table is built only
-    where associativity is checked, and at most once per call: mu_n at n and
-    mu_{T(n)} share one cache.  Associativity at n is the EM law of the free
-    algebra (T(n), mu_n), checked once per monad object, here or by the EM
-    enumeration.  The walk over carriers stops at the first carrier n >= 1
-    whose T(T(n)) is past the budget.
+    where associativity is checked.  Associativity at n is the EM law of the
+    free algebra (T(n), mu_n), checked once per monad object, here or by the
+    EM enumeration: mu_n is built for its key at each carrier checked, and
+    the law builds mu_{T(n)} only when it has not answered that key yet.
+    The walk over carriers stops at the first carrier n >= 1 whose T(T(n))
+    is past the budget.
     """
     violations: list[Violation] = []
-    mu = functools.cache(monad.mu)
     for n in range(max_size + 1):
         tn = monad.t_size(n)
         ttn = _table_size(monad, tn, budget)
@@ -497,9 +499,9 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
         violations += _mismatches("monad_unit_right", (n,), unit_right, ident)
         if _table_size(monad, ttn, budget) > budget:
             continue
-        mu_n, mu_tn = mu(n), functools.partial(mu, tn)
-        if not monad._em_law_holds(tn, mu_n, mu_tn):
-            violations += _mismatches("monad_associativity", (n,), *map(_ints, monad._em_law_sides(tn, mu_n, mu_tn)))
+        mu_n = monad.mu(n)
+        if not monad._em_law_holds(tn, mu_n):
+            violations += _mismatches("monad_associativity", (n,), *map(_ints, monad._em_law_sides(tn, mu_n)))
     return ValidationReport.from_violations(violations)
 
 
@@ -596,10 +598,10 @@ def _em_route(monad: FiniteMonad, carrier: int, budget: int):
     law(s) guards the T(T(Y)) table against the budget, then holds when s . eta_Y = id_Y and
     s . T(s) = s . mu_Y.  The EM law is answered once per monad object (`_em_law_holds`), so a free
     algebra (T(n), mu_n) whose law validate_monad checked as associativity at n is not checked again,
-    and the mu_Y table is built at most once per route.  The route reads the monad's evaluators only.
+    and the law builds the mu_Y table it reads only for a structure it has not answered yet.  The route
+    reads the monad's evaluators only.
     """
     ttsize = _table_size(monad, monad.t_size(carrier), budget)
-    mu = functools.cache(functools.partial(monad.mu, carrier))
     eta = monad.eta(carrier)
 
     def move(perm) -> tuple[int, ...]:
@@ -609,7 +611,7 @@ def _em_route(monad: FiniteMonad, carrier: int, budget: int):
         _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
         if any(structure[eta[x]] != x for x in range(carrier)):
             return False
-        return monad._em_law_holds(carrier, structure, mu)
+        return monad._em_law_holds(carrier, structure)
 
     return move, law
 

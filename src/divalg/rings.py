@@ -44,10 +44,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_int_array(data, shape_name: str) -> np.ndarray:
-    # object dtype keeps each entry's own type, so 1.7, True and "1" are rejected, never cast
+    # object dtype keeps each entry's own type, so 1.7, True and "1" are rejected, never cast; ravel, since
+    # arr.flat refuses arrays of more than 32 dimensions
     arr = np.asarray(data, dtype=None if isinstance(data, np.ndarray) else object)
     if arr.dtype.kind not in "iu" and not all(
-        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.flat
+        isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in arr.ravel()
     ):
         raise StructuralError(f"{shape_name} has an entry that is not an integer")
     try:

@@ -11,7 +11,7 @@ import divalg as d
 from divalg import cli, monads
 from divalg.cli import RunReport, export_report, run
 
-from util import WIDE_NIMREP, WRAPPING_RING, XorSlip, vec_direct_sum
+from util import WIDE_NIMREP, WRAPPING_RING, XorSlip, nested, vec_direct_sum
 
 
 def run_cli(capsys, *argv):
@@ -326,6 +326,46 @@ def test_module_labels_not_an_array_of_strings_exit_two(capsys, tmp_path, labels
     assert code == 2
     assert out == ""
     assert "array of strings" in err
+
+
+@pytest.mark.parametrize("command", [["ring", "validate"], ["nimrep", "validate", "--builtin", "fib", "--nimrep"]])
+def test_json_nested_too_deeply_to_parse_exits_two(capsys, tmp_path, command):
+    # json.loads raises RecursionError, not JSONDecodeError, on this file
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code, out, err = run_cli(capsys, *command, str(path))
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply to parse" in err
+
+
+# an array of depth 40 holds only integers but has the wrong shape; from depth 65 on, numpy keeps 64
+# dimensions and leaves lists as entries; both are past the 32 dimensions numpy's arr.flat iterates
+DEEP_ARRAYS = [(40, "shape"), (70, "not an integer"), (900, "not an integer")]
+
+
+@pytest.mark.parametrize("depth,message", DEEP_ARRAYS)
+def test_ring_fusion_nested_past_32_dimensions_exits_two(capsys, tmp_path, depth, message):
+    data = d.builtin_ring("fib").to_payload()
+    data["fusion"] = nested(1, depth)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "ring", "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize("depth,message", DEEP_ARRAYS)
+def test_nimrep_actions_nested_past_32_dimensions_exit_two(capsys, tmp_path, depth, message):
+    data = d.regular_nimrep(d.builtin_ring("fib")).to_payload()
+    data["actions"] = nested(0, depth)
+    path = tmp_path / "nimrep.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "nimrep", "validate", "--builtin", "fib", "--nimrep", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_malformed_json_exits_two(capsys, tmp_path):

@@ -236,6 +236,21 @@ class ConstBind(d.FiniteMonad):
         return dst
 
 
+class ConstTwo(d.FiniteMonad):
+    """T(X) = 2 with every Kleisli extension the identity, so g -> g* is onto the algebra morphisms but not injective."""
+
+    name = "const_two"
+
+    def t_size(self, n):
+        return 2
+
+    def eta(self, n):
+        return (0,) * n
+
+    def bind_at(self, f, dst, p):
+        return p
+
+
 def test_broken_free_vector_multiplication_is_reported():
     # both checks read the broken entry through XorSlip.bind_at, which flips the same bit as its mu table
     assert not d.validate_monad(XorSlip(), 2).passed
@@ -308,15 +323,16 @@ class CountingMaybeMu(d.CoproductException):
 
 
 def test_unit_laws_build_no_mu_table():
-    # associativity is checked at carriers 0 to 2 only, where it reads mu(n) and mu(T(n)) = mu(2^n); the
-    # mu(T(n)) of one carrier is the mu(n) of the next, and each table is built once per call
+    # associativity is checked at carriers 0 to 2 only, where it reads mu(n) as the law's key and, inside the
+    # law, mu(T(n)) = mu(2^n); the mu(T(n)) of one carrier is the mu(n) of the next, so mu(1) and mu(2) are
+    # each built twice
     monad = CountingMu()
     assert d.validate_monad(monad, 4).passed
-    assert monad.mu_calls == {0: 1, 1: 1, 2: 1, 4: 1}
+    assert monad.mu_calls == {0: 1, 1: 2, 2: 2, 4: 1}
     # maybe checks associativity at carriers 0 to 5, reading mu(n) and mu(n + 1)
     maybe = CountingMaybeMu()
     assert d.validate_monad(maybe, 5).passed
-    assert maybe.mu_calls == dict.fromkeys(range(7), 1)
+    assert maybe.mu_calls == {0: 1, **dict.fromkeys(range(1, 6), 2), 6: 1}
     # the unit laws on whole tables also built mu(3), and mu(4) a second time
     oracle = CountingMu()
     assert table_built_monad_laws(oracle, 4) == []
@@ -856,6 +872,16 @@ def test_free_algebra_law_is_checked_once_per_monad():
     assert (monad.mu_four, monad.t_structure) == (1, 1)
     assert d.check_adjunction_trivial(monad, 4).trivial_up_to_bound is True
     assert (monad.mu_four, monad.t_structure) == (1, 1)
+
+
+def test_em_route_law_checks_the_unit_law_before_the_em_law():
+    # the constant structure on maybe's carrier 2 satisfies s . T(s) = s . mu_2 but sends eta(1) to 0, not 1
+    monad = d.maybe_monad()
+    _, law = M._em_route(monad, 2, M.DEFAULT_BUDGET)
+    assert law((0, 0, 0)) is False
+    assert monad._em_law_verdicts == {}
+    assert monad._em_law_holds(2, (0, 0, 0)) is True
+    assert law((0, 1, 0)) is True
 
 
 # (monad factory, validate_monad bound, EM enumeration bound); a factory, so that every run starts with no verdicts
@@ -1796,6 +1822,7 @@ def brute_fully_faithful(monad, max_size):
     (Involution(), 2),
     (RectangularBand(), 2),
     (ConstBind(), 2),
+    (ConstTwo(), 2),
 ], ids=monad_id)
 def test_morphism_search_matches_the_brute_force_scan(monad, size):
     for x in range(size + 1):
@@ -1811,6 +1838,9 @@ def test_broken_multiplication_is_not_fully_faithful():
     assert not d.check_comparison_fully_faithful(SwapFold(2), 0)
     # from sizes (1, 1) on, the two maps 1 -> T(1) extend to the same constant table
     assert [d.check_comparison_fully_faithful(ConstBind(), n) for n in range(3)] == [True, False, False]
+    # every g* is the identity of T(y) = 2, the one algebra morphism, so from sizes (1, 0) on g -> g* is onto
+    # but sends the 2^x maps x -> T(y) to one table: only the count of the sorted comparison tells
+    assert [d.check_comparison_fully_faithful(ConstTwo(), n) for n in range(3)] == [True, False, False]
 
 
 def test_morphism_search_charges_every_leaf_and_every_point(freevec, monkeypatch):

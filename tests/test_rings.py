@@ -10,7 +10,7 @@ import divalg as d
 from divalg import rings as R
 from divalg.errors import StructuralError, ZeroObjectError
 
-from util import WRAPPING_RING, candidates_by_total, deligne, relabeled, vec_direct_sum
+from util import WRAPPING_RING, candidates_by_total, deligne, nested, relabeled, vec_direct_sum
 
 
 def _mutated(ring, index, value):
@@ -300,6 +300,12 @@ def test_tensor_rejects_wrong_length(fib):
 def test_vector_rejects_an_unknown_label(fib):
     with pytest.raises(StructuralError, match="unknown object label 'sigma'"):
         fib.vector("sigma")
+
+
+@pytest.mark.parametrize("depth,message", [(40, "object vector has shape"), (70, "not an integer")])
+def test_vector_nested_past_32_dimensions_is_structural(fib, depth, message):
+    with pytest.raises(StructuralError, match=message):
+        fib.vector(nested(1, depth))
 
 
 # ----------------------------------------------------------- length, simple

@@ -234,6 +234,13 @@ def deligne(*names):
     return ring
 
 
+def nested(value, depth: int):
+    """value inside depth singleton lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def vec_direct_sum(n: int):
     """Direct sum of n copies of Vec: n orthogonal idempotent simples whose sum is the unit."""
     fusion = np.zeros((n, n, n), dtype=np.int64)
