@@ -23,9 +23,10 @@ table that leaves the module is a tuple of Python ints.  The unit laws, the
 EM fill, the strength_iii right side, the algebra-morphism search and the
 comparison check read single entries of mu, T(f) and their composite f* only
 through `bind_at`, at the points they quantify over.  Structure maps, module
-actions and algebra morphisms are all listed by one backtracking search, `_backtrack`,
-which knows no law: each caller passes the values an entry may take and its
-own check.  Every monad has one structure-map fill,
+actions and algebra morphisms are all listed by one depth-first fill, `_fill`,
+which knows no law: each caller passes the carrier its values lie below, the
+unit its entries must extend (none for a morphism) and its own check.  Every
+monad has one structure-map fill,
 `FiniteMonad.em_structure_candidates`, which checks the EM law at the points
 of support 1 and 2 and so needs no theory of the monad's algebras.  The two
 routes that check each other state their relabeling move and law once per
@@ -103,33 +104,35 @@ def _table_size(monad: FiniteMonad, n: int, budget: int) -> int:
     return n if n > budget else monad.t_size(n)
 
 
-def _backtrack(size: int, choices, holds, budget: int, what: str) -> Iterator[tuple[int, ...]]:
-    """Every table t of length size with each t[i] in choices(t, i) and holds(t, i) true, depth first.
+def _fill(size: int, unit, carrier: int, budget: int, what: str, holds=None) -> Iterator[tuple[int, ...]]:
+    """Every table t of size values below carrier with t[unit[x]] = x for each x and holds(t, i) true, depth first.
 
-    Entries are filled in index order; choices(t, i) is a sequence that may
-    read t[:i], and holds(t, i) may read t[:i + 1].  Tables come in the
-    lexicographic order of the choices.  Every leaf below the root counts
-    against the budget: a value that completes the table, one that holds
-    rejects, and one that leaves the next entry with no choice.  For a fill
-    with no law that is the number of tables.
+    Entry i takes its values from a list fixed before the search: every value
+    below carrier, the one value the unit puts there, or none when two unit
+    points collide.  Entries are filled in index order, so tables come in
+    lexicographic order, and holds(t, i), when given, may read t[:i + 1].
+    Every leaf below the root counts against the budget: a value that
+    completes the table, one that holds rejects, and one that leaves the next
+    entry with no value.  For a fill with no law that is the number of tables.
     """
+    allowed: list = [range(carrier)] * size
+    for x, p in enumerate(unit):
+        allowed[p] = [x] if x in allowed[p] else []
     if not size:
         yield ()
         return
     t = [0] * size
     last = size - 1
     leaves = 0
-    stack = [iter(choices(t, 0))]  # stack[i]: the values left to try at entry i
+    stack = [iter(allowed[0])]  # stack[i]: the values left to try at entry i
     while stack:
         i = len(stack) - 1
         for value in stack[i]:
             t[i] = value
-            kept = holds(t, i)
-            if kept and i < last:
-                following = choices(t, i + 1)
-                if following:
-                    stack.append(iter(following))
-                    break
+            kept = holds is None or holds(t, i)
+            if kept and i < last and allowed[i + 1]:
+                stack.append(iter(allowed[i + 1]))
+                break
             leaves += 1
             if leaves > budget:
                 _guard(leaves, budget, what)
@@ -137,14 +140,6 @@ def _backtrack(size: int, choices, holds, budget: int, what: str) -> Iterator[tu
                 yield tuple(t)
         else:
             stack.pop()
-
-
-def _unit_fills(size: int, unit, carrier: int, budget: int, what: str, holds=None) -> Iterator[tuple[int, ...]]:
-    """Every table of size values below carrier with table[unit[x]] = x for each x and holds(t, i), lexicographically."""
-    allowed: list = [range(carrier)] * size
-    for x, p in enumerate(unit):
-        allowed[p] = [x] if x in allowed[p] else []
-    return _backtrack(size, lambda t, i: allowed[i], holds or (lambda t, i: True), budget, what)
 
 
 def _mismatches(axiom: str, key: tuple[int, ...], lhs, rhs) -> list[Violation]:
@@ -321,7 +316,7 @@ class FiniteMonad:
         what = f"structure-map enumeration at carrier {carrier}"
         tsize, eta, shapes = self.t_size(carrier), self.eta(carrier), self._law_shapes
         if not shapes:
-            return _unit_fills(tsize, eta, carrier, budget, what)
+            return _fill(tsize, eta, carrier, budget, what)
         points = sum((math.comb if symmetric else math.perm)(tsize, k) for k, _, symmetric in shapes)
         _guard(points, budget, f"EM law points at carrier {carrier}")
         # the T(g) tables of the maps g: k -> Y, k <= 2, whose images are the positions of support <= 2
@@ -356,7 +351,7 @@ class FiniteMonad:
             return True
 
         # in fill order, the unit puts x at step rank[eta[x]]
-        return (compose(t, rank) for t in _unit_fills(tsize, compose(rank, eta), carrier, budget, what, holds))
+        return (compose(t, rank) for t in _fill(tsize, compose(rank, eta), carrier, budget, what, holds))
 
 
 class CoproductException(FiniteMonad):
@@ -966,7 +961,7 @@ def _module_isoclasses(algebra: MonoidAlgebra, max_carrier: int, budget: int) ->
     for carrier in range(max_carrier + 1):
         unit_inc, _, move, law = _module_route(algebra, carrier)
         dom = algebra.ambient.tensor(carrier, algebra.carrier)
-        actions = _unit_fills(dom, unit_inc, carrier, budget, f"module enumeration at carrier {carrier}")
+        actions = _fill(dom, unit_inc, carrier, budget, f"module enumeration at carrier {carrier}")
         classes[carrier] = _isoclasses(actions, carrier, move, budget, law)
     return classes
 
@@ -1024,16 +1019,21 @@ def check_mon_ess_agreement(
 def _em_morphisms(monad: FiniteMonad, x: int, budget: int) -> Callable[[int], Iterator[tuple[int, ...]]]:
     """The search for the algebra morphisms f: T(x) -> T(y) between free algebras, as a function of y.
 
-    It yields every such f in lexicographic order by backtracking over f[0],
-    f[1], ...: the law f(mu_x(p)) = mu_y(T(f)(p)) at a point p of T(T(x)) is
-    checked once f[mu_x(p)] and every entry of f that T(f)(p) depends on have
-    a value; its right side mu_y(T(f)(p)) is f*(p), read through bind_at.  If
+    It yields every such f in lexicographic order, as a `_fill` of f[0],
+    f[1], ... with no unit whose check is the law: f(mu_x(p)) = mu_y(T(f)(p))
+    at a point p of T(T(x)) is checked once f[mu_x(p)] and every entry of f
+    that T(f)(p) depends on have a value; its right side mu_y(T(f)(p)) is
+    f*(p), read through bind_at.  If
     p = T(incl)(q) for the inclusion incl of 0..k-1, then
     T(f)(p) = T(f . incl)(q) as T is a functor, so it depends on f below the
     least such k only.  That schedule, read off the small T(incl) tables, and
     mu_x = id*, read through bind_at, are built once, for every y, after mu_x
     is sized against the budget.  Every leaf of a search, and every point of
     the law it evaluates, counts against the budget, each count on its own.
+    For a lawful monad the leaf count never binds first: the point
+    p = eta_{T(x)}(i) has mu_x(p) = i and lies in the image of T(incl_{i+1}),
+    so every value set at f[i] evaluates at least one point, and it is
+    charged before the leaf it may end in.
     """
     tx = monad.t_size(x)
     ttx = _table_size(monad, tx, budget)
@@ -1060,8 +1060,7 @@ def _em_morphisms(monad: FiniteMonad, x: int, budget: int) -> Callable[[int], It
                     return False
             return True
 
-        values = range(monad.t_size(y))
-        return _backtrack(tx, lambda f, i: values, holds, budget, f"morphism search at sizes ({x}, {y})")
+        return _fill(tx, (), monad.t_size(y), budget, f"morphism search at sizes ({x}, {y})", holds)
 
     return search
 

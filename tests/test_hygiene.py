@@ -15,7 +15,9 @@ Kleisli extension f* = mu . T(f) at a point: the laws read single entries of
 mu, T(f) and f* only through it, and no class has a point evaluator of mu
 or of T(f) alone besides it.  A monad that redefines a table (`bind`, `mu` or
 `t_mor`) redefines `bind_at` with it, unless the table is the inherited one.
-No builtin monad redefines the EM fill, so there is one.
+No builtin monad redefines the EM fill, so there is one.  Structure maps,
+module actions and algebra morphisms are all listed by one generator,
+`monads._fill`, and no other function of `monads` yields.
 
 The essential and monadic verdicts are checked against each other by two
 routes, and those stay independent.  Each states its definition once per
@@ -86,17 +88,21 @@ def module_level_names(tree: ast.Module) -> set[str]:
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
-def own_stores(scope: ast.AST) -> set[str]:
-    """Names that scope's own body binds, leaving out those bound in nested scopes."""
-    stores = set()
+def own_nodes(scope: ast.AST) -> list[ast.AST]:
+    """The nodes of scope's own body, leaving out those of nested scopes."""
+    nodes = []
     pending = list(ast.iter_child_nodes(scope))
     while pending:
         node = pending.pop()
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            stores.add(node.id)
+        nodes.append(node)
         if not isinstance(node, SCOPES):
             pending.extend(ast.iter_child_nodes(node))
-    return stores
+    return nodes
+
+
+def own_stores(scope: ast.AST) -> set[str]:
+    """Names that scope's own body binds, leaving out those bound in nested scopes."""
+    return {node.id for node in own_nodes(scope) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
 
 
 def test_every_module_level_name_is_read_somewhere():
@@ -230,6 +236,15 @@ def test_one_em_fill():
     classes = monad_classes(PACKAGE)
     assert {node.name for _, node in classes} >= {"CoproductException", "FreeVectorF2"}
     assert [node.name for _, node in classes if "em_structure_candidates" in methods_of(node)] == []
+
+
+def test_one_fill():
+    # every table monads lists comes from _fill: the EM fill, the module fill and the algebra-morphism search
+    functions = [node for node in ast.walk(parse(PACKAGE / "monads.py")) if isinstance(node, ast.FunctionDef)]
+    generators = [f.name for f in functions if any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes(f))]
+    assert generators == ["_fill"]
+    callers = ("em_structure_candidates", "_module_isoclasses", "_em_morphisms")
+    assert {f.name: "_fill" in read_names(f) for f in functions if f.name in callers} == dict.fromkeys(callers, True)
 
 
 MODULE_ROUTE = ("_module_route", "_module_isoclasses", "enumerate_modules", "free_module", "module_isomorphic")

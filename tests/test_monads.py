@@ -1,3 +1,4 @@
+import ast
 import collections
 import functools
 import itertools
@@ -419,9 +420,32 @@ def test_bind_at_reads_the_same_entries_whatever_their_values(monad):
             assert reads[0] == reads[1], (src, p)
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_library_block_runs_as_printed():
+    # the Library section's first block, one statement at a time, each expression's value kept for its comment
+    library = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    source = library.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, results = {}, []
+    for statement in ast.parse(source).body:
+        if isinstance(statement, ast.Expr):
+            results.append(eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace))
+        else:
+            exec(compile(ast.Module([statement], type_ignores=[]), "README.md", "exec"), namespace)
+    product, report, agree, inverse, adjunction, strength_passed, algebra, agreement = results
+    assert repr(product) == "array([1, 1])"
+    assert report.simplistic and not report.essential
+    assert agree is True and inverse is None
+    assert adjunction.trivial_up_to_bound and adjunction.bound == 7
+    assert strength_passed is True
+    assert algebra.carrier == 1
+    assert agreement is True
+
+
 def test_readme_writer_monad_needs_only_its_kleisli_triple():
     # the Library section's subclass of FiniteMonad, run as printed
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     source = next(block.split("```")[0] for block in readme.split("```python\n") if "(d.FiniteMonad)" in block)
     namespace = {"d": d}
     exec(source, namespace)
@@ -492,57 +516,57 @@ def test_tensor_and_whisker_are_the_written_out_tensor(case):
     assert whiskered == composed(table, written_tensor_mor(ambient, M.identity_table(x), g, x, b_dst))
 
 
-# ------------------------------------------------------ backtracking kernel
-
-VALUES = range(4)
-
+# ---------------------------------------------------------- the one fill
 
 @st.composite
-def searches(draw):
-    """A size, per-entry choices that may be empty or depend on earlier entries, and a holds reading t[:i + 1]."""
-    size = draw(st.integers(0, 5))
-    base = [sorted(draw(st.sets(st.sampled_from(VALUES)))) for _ in range(size)]
-    shift, modulus = draw(st.integers(0, 3)), draw(st.integers(2, 5))
+def fills(draw):
+    """A size, a carrier, a unit whose positions may collide, and a holds reading t[:i + 1] or no law at all."""
+    size, carrier = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    unit = draw(st.lists(st.integers(0, size - 1), max_size=carrier)) if size else []
     step, rejected = draw(st.integers(0, 3)), draw(st.integers(0, 4))
-
-    def choices(t, i):
-        return [v for v in base[i] if (v + shift * sum(t[:i])) % modulus]
 
     def holds(t, i):
         return (sum(t[: i + 1]) + step * i) % 5 != rejected
 
-    return size, choices, holds
+    return size, unit, carrier, draw(st.sampled_from([holds, None]))
 
 
-def product_then_filter(size, choices, holds):
-    """The tables of the search from every product of values, and the leaves of its tree, counted prefix by prefix."""
+def product_then_filter(size, unit, carrier, holds):
+    """The tables of the fill from every product of values, and the leaves of its tree, counted prefix by prefix."""
+    law = holds or (lambda t, i: True)
+    values = range(carrier)
+
+    def fits(i, v):
+        # the unit puts x at unit[x], so an entry where two points collide takes no value
+        return all(v == x for x, p in enumerate(unit) if p == i)
+
     def inside(prefix):
         t = list(prefix)
-        return all(t[i] in choices(t, i) for i in range(len(t))) and all(holds(t, i) for i in range(len(t) - 1))
+        return all(fits(i, v) for i, v in enumerate(t)) and all(law(t, i) for i in range(len(t) - 1))
 
-    tables = [p for p in itertools.product(VALUES, repeat=size) if inside(p) and (not size or holds(list(p), size - 1))]
+    tables = [p for p in itertools.product(values, repeat=size) if inside(p) and (not size or law(list(p), size - 1))]
     leaves = sum(
         1
         for n in range(1, size + 1)
-        for p in itertools.product(VALUES, repeat=n)
-        if inside(p) and (not holds(list(p), n - 1) or n == size or not choices(list(p), n))
+        for p in itertools.product(values, repeat=n)
+        if inside(p) and (not law(list(p), n - 1) or n == size or not any(fits(n, v) for v in values))
     )
     return tables, leaves
 
 
-@given(searches())
+@given(fills())
 @settings(max_examples=200, deadline=None)
-def test_backtrack_matches_product_then_filter(search):
-    size, choices, holds = search
-    tables, leaves = product_then_filter(size, choices, holds)
-    assert list(M._backtrack(size, choices, holds, leaves, "test search")) == tables
+def test_fill_matches_product_then_filter(fill):
+    size, unit, carrier, holds = fill
+    tables, leaves = product_then_filter(size, unit, carrier, holds)
+    assert list(M._fill(size, unit, carrier, leaves, "test fill", holds)) == tables
     if leaves:
-        with pytest.raises(BudgetExceededError, match=f"test search needs {leaves} entries, budget is {leaves - 1}"):
-            list(M._backtrack(size, choices, holds, leaves - 1, "test search"))
+        with pytest.raises(BudgetExceededError, match=f"test fill needs {leaves} entries, budget is {leaves - 1}"):
+            list(M._fill(size, unit, carrier, leaves - 1, "test fill", holds))
 
 
 def product_fill(size, unit, carrier):
-    """The unit-template fill before it ran on _backtrack: a template, then every product of its free entries."""
+    """The unit-template fill as a product: a template, then every product of its free entries."""
     if carrier == 0:
         return [()] if size == 0 else []
     template = [-1] * size
@@ -568,7 +592,7 @@ def test_unit_fills_match_the_product_fill(monad):
         dom = carrier + algebra.carrier
         unit_inc = M.DisjointUnion.tensor_mor(range(carrier), algebra.unit, carrier, algebra.carrier)
         em_fill = functools.partial(d.FiniteMonad.em_structure_candidates, monad, carrier)
-        module_fill = functools.partial(M._unit_fills, dom, unit_inc, carrier, what="module fill")
+        module_fill = functools.partial(M._fill, dom, unit_inc, carrier, what="module fill")
         for size, unit, fill in [(monad.t_size(carrier), monad.eta(carrier), em_fill), (dom, unit_inc, module_fill)]:
             tables = product_fill(size, unit, carrier)
             assert list(fill(budget=len(tables))) == tables
@@ -580,7 +604,7 @@ def test_unit_fills_match_the_product_fill(monad):
 
 def test_a_unit_that_merges_points_leaves_no_fill():
     assert product_fill(3, (0, 0), 2) == []
-    assert list(M._unit_fills(3, (0, 0), 2, M.DEFAULT_BUDGET, "fill")) == []
+    assert list(M._fill(3, (0, 0), 2, M.DEFAULT_BUDGET, "fill")) == []
 
 
 def test_module_fill_frontier():
@@ -644,7 +668,7 @@ def test_freevec_raw_structure_count_at_carrier_four(freevec):
 
 def unit_axiom_algebras(monad, carrier):
     """The oracle of the pruned fill: every unit-compatible table, then the full axiom check."""
-    unit_axiom_only = M._unit_fills(monad.t_size(carrier), monad.eta(carrier), carrier, M.DEFAULT_BUDGET, "unit fill")
+    unit_axiom_only = M._fill(monad.t_size(carrier), monad.eta(carrier), carrier, M.DEFAULT_BUDGET, "unit fill")
     return em_algebras_among(monad, carrier, unit_axiom_only)
 
 
@@ -676,7 +700,7 @@ PRUNED_FILL_MONADS = [
 def test_pruned_fill_keeps_the_algebras_of_the_unit_axiom_generator(monad, lawful, carrier):
     assert d.validate_monad(monad, 2).passed == lawful
     pruned = list(monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET))
-    unit_fill = M._unit_fills(monad.t_size(carrier), monad.eta(carrier), carrier, M.DEFAULT_BUDGET, "unit fill")
+    unit_fill = M._fill(monad.t_size(carrier), monad.eta(carrier), carrier, M.DEFAULT_BUDGET, "unit fill")
     assert set(pruned) <= set(unit_fill)
     # the points checked are points of the law, so no algebra is lost, broken monads included;
     # for these lawful monads the points of support 1 and 2 leave nothing else
@@ -698,6 +722,16 @@ FREEVEC_CARRIER_FOUR = [
 
 def test_freevec_candidates_at_carrier_four_match_the_product_generator(freevec):
     assert list(freevec.em_structure_candidates(4, M.DEFAULT_BUDGET)) == FREEVEC_CARRIER_FOUR
+
+
+@pytest.mark.parametrize("carrier,leaves,tables", [(4, 148, FREEVEC_CARRIER_FOUR), (7, 12_505, [])])
+def test_freevec_fill_frontier(freevec, carrier, leaves, tables):
+    # the leaves of the support-first fill; a fill order that prunes later passes these budgets.  At carriers
+    # 5 and 6 the law points (496 and 2016) are held to the budget first, so no leaf count shows there
+    assert list(freevec.em_structure_candidates(carrier, leaves)) == tables
+    what = f"structure-map enumeration at carrier {carrier} needs {leaves} entries, budget is {leaves - 1}"
+    with pytest.raises(BudgetExceededError, match=what):
+        list(freevec.em_structure_candidates(carrier, leaves - 1))
 
 
 def is_f2_sum_table(table, carrier):
@@ -739,20 +773,20 @@ def test_addition_law_search_charges_every_leaf(freevec, monkeypatch):
     # Zero 1: mask 5 rejects all three below mask 3 = 0, then mask 3 rejects 1 and 2 (5).
     # Zero 2: mask 3 rejects 0 and 1, then mask 5 rejects all three below mask 3 = 2 (5).
     searches = []
-    backtrack = M._backtrack
-    monkeypatch.setattr(M, "_backtrack", lambda *search: searches.append(search) or backtrack(*search))
+    fill = M._fill
+    monkeypatch.setattr(M, "_fill", lambda *search: searches.append(search) or fill(*search))
     assert list(freevec.em_structure_candidates(3, M.DEFAULT_BUDGET)) == []
-    size, choices, holds, _, what = searches[0]
-    assert list(backtrack(size, choices, holds, 17, what)) == []
+    size, unit, carrier, _, what, holds = searches[0]
+    assert list(fill(size, unit, carrier, 17, what, holds)) == []
     with pytest.raises(BudgetExceededError, match="structure-map enumeration at carrier 3 needs 17 entries, budget is 16"):
-        list(backtrack(size, choices, holds, 16, what))
+        list(fill(size, unit, carrier, 16, what, holds))
     # the law points, one per pair of masks of T(3), are held to the budget before the search starts
     with pytest.raises(BudgetExceededError, match="EM law points at carrier 3 needs 28 entries, budget is 27"):
         freevec.em_structure_candidates(3, 27)
 
 
 def placed_value_addition_laws(carrier, budget):
-    """The addition-law search before it ran on _backtrack: an explicit stack, every placed value charged."""
+    """A second addition-law search, over bit masks with an explicit stack: every placed value charged."""
     full = (1 << carrier) - 1
     what = f"addition-law search at carrier {carrier}"
     nodes = 0
@@ -1850,11 +1884,11 @@ def test_morphism_search_charges_every_leaf_and_every_point(freevec, monkeypatch
         d.check_comparison_fully_faithful(freevec, 2, budget=252)
     # it ends in 67 leaves: the 16 linear maps of F2^2 and 51 values the law rejects; every leaf evaluates a
     # point, so the leaves are held to a budget of their own here, with the points' budget left at the default
-    backtrack = M._backtrack
+    fill = M._fill
 
     def search_with_leaf_budget(leaves):
-        monkeypatch.setattr(M, "_backtrack", lambda size, choices, holds, budget, what:
-                            backtrack(size, choices, holds, leaves, what))
+        monkeypatch.setattr(M, "_fill", lambda size, unit, carrier, budget, what, holds:
+                            fill(size, unit, carrier, leaves, what, holds))
         return list(M._em_morphisms(freevec, 2, M.DEFAULT_BUDGET)(2))
 
     assert len(search_with_leaf_budget(67)) == 16

@@ -177,8 +177,26 @@ def addition_laws(carrier: int, budget: int) -> list[tuple[int, list[list[int]]]
     def holds(t: list[int], i: int) -> bool:
         return i < size - 1 or is_associative(square(t))
 
+    # depth first over the entries, each leaf charged: a value that completes the table, one that
+    # holds rejects, and one that leaves the next entry with no choice
     what = f"addition-law search at carrier {carrier}"
-    return [(t[0], square(t)) for t in M._backtrack(size, choices, holds, budget, what)]
+    t, laws, leaves = [0] * size, [], 0
+
+    def search(i: int) -> None:
+        nonlocal leaves
+        for value in choices(t, i):
+            t[i] = value
+            kept = holds(t, i)
+            if kept and i < size - 1 and choices(t, i + 1):
+                search(i + 1)
+                continue
+            leaves += 1
+            M._guard(leaves, budget, what)
+            if kept and i == size - 1:
+                laws.append((t[0], square(t)))
+
+    search(0)
+    return laws
 
 
 def is_associative(add: list[list[int]]) -> bool:
