@@ -29,9 +29,13 @@ unit its entries must extend (none for a morphism) and its own check.  Every
 monad has one structure-map fill,
 `FiniteMonad.em_structure_candidates`, which checks the EM law at the points
 of support 1 and 2 and so needs no theory of the monad's algebras.  The two
-routes that check each other state their relabeling move and law once per
-carrier: `_em_route` through the monad's evaluators, `_module_route` through
-the tables of the algebra T(1), and neither reads the other's.  All
+routes that check each other are each one function of the carrier that
+states its fill, relabeling move and law once per carrier: `_em_route`
+through the monad's evaluators, `_module_route` through the tables of the
+algebra T(1), and neither reads the other's.  They share only the classifier
+(`_isoclasses`, which classifies either route's fill per carrier, and
+`_isomorphic`, which looks one table up in another's orbit), the orbit, the
+free-object lookup and `_fill`.  All
 verdicts quantify over carriers up to a stated bound; table sizes, points
 evaluated and search leaves are held under the budget each call is given.
 """
@@ -548,36 +552,55 @@ def _orbit(table, carrier: int, move, budget: int) -> dict[tuple[int, ...], tupl
     return orbit
 
 
-def _isoclasses(tables, carrier: int, move, budget: int, accept) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Each member of the relabeling orbits met among the accepted tables, mapped to its orbit's least table.
+def _isoclasses(route, carriers: range, budget: int) -> dict[int, dict]:
+    """Per carrier, each member of the orbits met among the route's lawful tables, mapped to its orbit's least table.
 
-    move(perm) is D(perm).  accept(table) is only asked about tables outside
-    the orbits found so far: a relabeling of an accepted table can only add
-    its isoclass again.  The orbits are kept, so a later isomorphism test
-    against a found isoclass is one lookup.
+    route(carrier) is (fill, move, law, ...) on the carrier: fill(budget) lists the candidate tables and
+    move(perm) is D(perm).  law(table) is only asked about tables outside the orbits found so far: a
+    relabeling of a lawful table can only add its isoclass again.  The orbits are kept, so a later
+    isomorphism test against a found isoclass is one lookup.  This is the one classification loop of both
+    routes, and it reads neither route's definition.
     """
-    members: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for table in tables:
-        if table not in members and accept(table):
-            orbit = _orbit(table, carrier, move, budget)
-            members.update(dict.fromkeys(orbit, min(orbit)))
-    return members
+    classes = {}
+    for carrier in carriers:
+        fill, move, law, *_ = route(carrier)
+        members = classes[carrier] = {}
+        for table in fill(budget):
+            if table not in members and law(table):
+                orbit = _orbit(table, carrier, move, budget)
+                members.update(dict.fromkeys(orbit, min(orbit)))
+    return classes
 
 
-def _representatives(members: dict[tuple[int, ...], tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The least table of each isoclass in an _isoclasses map, sorted."""
-    return sorted(set(members.values()))
+def _representatives(classes: dict[int, dict]) -> list[tuple[int, tuple[int, ...]]]:
+    """(carrier, least table) for each isoclass of an _isoclasses map, by carrier, then by table."""
+    return [(carrier, canon) for carrier, members in classes.items() for canon in sorted(set(members.values()))]
+
+
+def _isomorphic(route, domain, a: tuple, b: tuple, budget: int) -> Optional[tuple[int, ...]]:
+    """A bijection of the carrier that relabels the table of a into the table of b, or None if there is none.
+
+    a and b are (carrier, table) pairs.  route(carrier) is (fill, move, law, ...) on the carrier, and its
+    fill is never entered.  Each table must have domain(carrier) entries, all below its carrier, else
+    StructuralError.  The witness is found in the relabeling orbit of a.
+    """
+    for carrier, table in (a, b):
+        if len(table) != domain(carrier) or not set(table) <= set(range(carrier)):
+            raise StructuralError(f"a table on carrier {carrier} needs {domain(carrier)} entries below {carrier}")
+    if a[0] != b[0]:
+        return None
+    return _orbit(a[1], a[0], route(a[0])[1], budget).get(tuple(b[1]))
 
 
 def _free_generators(classes: dict[int, dict], free_size, free_table) -> dict[tuple[int, ...], int]:
     """The least table of each isoclass in classes that holds a free object, mapped to the least such n.
 
-    classes maps each carrier to its _isoclasses map; the free object on n has carrier free_size(n) and
-    table free_table(n).  An isoclass holds it exactly when that table lies in the isoclass's orbit, which
-    the map already holds, so each free table is built once per (carrier, n), for n up to carrier + 1 and
-    only at a carrier with an isoclass, and matched by one lookup.  A table of an isoclass names its
-    carrier too, as the unit law makes it onto 0..carrier-1.  Both routes ask this with their own free
-    objects, so they share the lookup only, as they share `_isoclasses`.
+    classes is an _isoclasses map, each carrier to its orbit members; the free object on n has carrier
+    free_size(n) and table free_table(n).  An isoclass holds it exactly when that table lies in the
+    isoclass's orbit, which the map already holds, so each free table is built once per (carrier, n), for
+    n up to carrier + 1 and only at a carrier with an isoclass, and matched by one lookup.  A table of an
+    isoclass names its carrier too, as the unit law makes it onto 0..carrier-1.  Both routes ask this
+    with their own free objects, so they share the lookup only, as they share `_isoclasses`.
     """
     free: dict[tuple[int, ...], int] = {}
     for carrier, members in classes.items():
@@ -588,9 +611,10 @@ def _free_generators(classes: dict[int, dict], free_size, free_table) -> dict[tu
 
 
 def _em_route(monad: FiniteMonad, carrier: int, budget: int):
-    """The EM route on the carrier Y: its relabeling move perm -> T(perm) and its law, as (move, law).
+    """The EM route on the carrier Y as (fill, move, law): its EM fill, relabeling move perm -> T(perm) and law.
 
-    law(s) guards the T(T(Y)) table against the budget, then holds when s . eta_Y = id_Y and
+    fill(budget) is the monad's EM fill on Y, `em_structure_candidates`, looked up here and entered only
+    when called.  law(s) guards the T(T(Y)) table against the budget, then holds when s . eta_Y = id_Y and
     s . T(s) = s . mu_Y.  The EM law is answered once per monad object (`_em_law_holds`), so a free
     algebra (T(n), mu_n) whose law validate_monad checked as associativity at n is not checked again,
     and the law builds the mu_Y table it reads only for a structure it has not answered yet.  The route
@@ -608,27 +632,11 @@ def _em_route(monad: FiniteMonad, carrier: int, budget: int):
             return False
         return monad._em_law_holds(carrier, structure)
 
-    return move, law
-
-
-def _em_isoclasses(monad: FiniteMonad, carriers: range, budget: int) -> dict[int, dict]:
-    """Per carrier in carriers, the _isoclasses map of the Eilenberg-Moore algebras on it.
-
-    Only a candidate of the EM fill pays for the route's law (`_em_route`) and its T(T(Y)) guard.
-    """
-    classes = {}
-    for carrier in carriers:
-        move, law = _em_route(monad, carrier, budget)
-        classes[carrier] = _isoclasses(monad.em_structure_candidates(carrier, budget), carrier, move, budget, law)
-    return classes
+    return functools.partial(monad.em_structure_candidates, carrier), move, law
 
 
 def _em_algebras(monad: FiniteMonad, classes: dict[int, dict]) -> list[EmAlgebra]:
-    return [
-        EmAlgebra(monad.name, carrier, canon)
-        for carrier, members in classes.items()
-        for canon in _representatives(members)
-    ]
+    return [EmAlgebra(monad.name, carrier, canon) for carrier, canon in _representatives(classes)]
 
 
 def enumerate_em_algebras(
@@ -647,11 +655,14 @@ def enumerate_em_algebras(
     candidate needs, or an orbit, larger than the budget raises
     BudgetExceededError.
     """
-    return _em_algebras(monad, _em_isoclasses(monad, range(max_carrier + 1), budget))
+    route = functools.partial(_em_route, monad, budget=budget)
+    return _em_algebras(monad, _isoclasses(route, range(max_carrier + 1), budget))
 
 
 def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
-    """Free algebra on an n-element set: carrier T(n), structure map mu."""
+    """Free algebra on an n-element set: carrier T(n), structure map mu.  A negative n raises StructuralError."""
+    if n < 0:
+        raise StructuralError(f"a free algebra needs a nonnegative number of generators, not {n}")
     return EmAlgebra(monad.name, monad.t_size(n), _ints(monad.mu(n)))
 
 
@@ -661,13 +672,12 @@ def em_isomorphic(
     """A carrier bijection commuting with the structure maps, or None if there is none.
 
     The witness is a bijection found in the relabeling orbit of a, not
-    necessarily the lexicographically first one.  An orbit larger than
-    budget raises BudgetExceededError.
+    necessarily the lexicographically first one.  A structure table that
+    does not map T(Y) into its carrier Y raises StructuralError, and an
+    orbit larger than budget raises BudgetExceededError.
     """
-    if a.carrier != b.carrier:
-        return None
-    move, _ = _em_route(monad, a.carrier, budget)
-    return _orbit(a.structure, a.carrier, move, budget).get(tuple(b.structure))
+    route = functools.partial(_em_route, monad, budget=budget)
+    return _isomorphic(route, monad.t_size, (a.carrier, a.structure), (b.carrier, b.structure), budget)
 
 
 @dataclass(frozen=True)
@@ -724,13 +734,14 @@ def check_adjunction_trivial(
     each mu(n) is built once (`_free_generators`).  The witness of an algebra
     is the least such n; the counterexample is the first algebra with none.
     """
-    classes = _em_isoclasses(monad, range(max_carrier + 1), budget)
+    route = functools.partial(_em_route, monad, budget=budget)
+    classes = _isoclasses(route, range(max_carrier + 1), budget)
     algebras = _em_algebras(monad, classes)
     applicable = len(algebras) >= 2
     if not applicable:
         beyond = range(max_carrier + 1, max_carrier + 1 + STAR_PROBE_EXTRA)
         try:
-            extra = len(_em_algebras(monad, _em_isoclasses(monad, beyond, budget)))
+            extra = len(_representatives(_isoclasses(route, beyond, budget)))
         except BudgetExceededError:
             extra = 0
         applicable = len(algebras) + extra >= 2
@@ -893,7 +904,7 @@ def algebra_from_strength(monad: FiniteMonad) -> MonoidAlgebra:
         mult=mult,
         unit=unit,
     )
-    *_, law = _module_route(algebra, carrier)
+    _, _, law, _ = _module_route(algebra, carrier)
     ident = identity_table(carrier)
     if not law(mult) or compose(mult, amb.tensor_mor(unit, ident, carrier, carrier)) != ident:
         raise StructuralError(f"strength of {monad.name} induces a product that is not associative and unital")
@@ -912,10 +923,11 @@ class AlgebraModule:
 
 
 def _module_route(algebra: MonoidAlgebra, carrier: int):
-    """The module route on the carrier Y: (unit inclusion, free action, move, law), its tables built once.
+    """The module route on the carrier Y as (fill, move, law, free action), its tables built once.
 
-    The unit inclusion is id_Y (x) unit: Y -> Y (x) A, and the free action id_Y (x) mult is the action of
-    the free module when Y is a set of generators.  move(f) is f (x) id_A, the relabeling move at a
+    fill(budget) lists, with no law, the action tables Y (x) A -> Y that extend the unit inclusion
+    id_Y (x) unit: Y -> Y (x) A, and is entered only when called.  The free action id_Y (x) mult is the
+    action of the free module when Y is a set of generators.  move(f) is f (x) id_A, the relabeling move at a
     bijection f of Y and the left side's inner map at an action f.  law(action) is the right-module law:
     action . (id_Y (x) unit) = id_Y, and (y.a).b = y.(ab), that is
     action . (action (x) id_A) = action . (id_Y (x) mult).  The route reads the algebra's tables only.
@@ -928,10 +940,13 @@ def _module_route(algebra: MonoidAlgebra, carrier: int):
     def move(f) -> tuple[int, ...]:
         return amb.tensor_mor(f, ident_a, carrier, a)
 
+    def fill(budget: int) -> Iterator[tuple[int, ...]]:
+        return _fill(amb.tensor(carrier, a), unit_inc, carrier, budget, f"module enumeration at carrier {carrier}")
+
     def law(action) -> bool:
         return compose(action, unit_inc) == ident and compose(action, move(action)) == compose(action, free)
 
-    return unit_inc, free, move, law
+    return fill, move, law, free
 
 
 def enumerate_modules(
@@ -940,36 +955,24 @@ def enumerate_modules(
     """All right modules over the algebra, one per isoclass, carriers <= bound.
 
     This is the module-theoretic counterpart of the Eilenberg-Moore
-    enumeration but runs entirely through the algebra's own tables, as
-    `_module_route` states them, so the two routes share no verdict logic,
-    only the relabeling step that keeps the least action table of each
-    isoclass's orbit.  That orbit is built once per isoclass, at a cost
+    enumeration but runs entirely through the algebra's own fill, move and
+    law, as `_module_route` states them, so the two routes share no verdict
+    logic, only the classifier `_isoclasses` that keeps the least action table
+    of each isoclass's orbit.  That orbit is built once per isoclass, at a cost
     proportional to its size rather than carrier!.
     """
-    classes = _module_isoclasses(algebra, max_carrier, budget)
-    return [
-        AlgebraModule(carrier, canon) for carrier, members in classes.items() for canon in _representatives(members)
-    ]
-
-
-def _module_isoclasses(algebra: MonoidAlgebra, max_carrier: int, budget: int) -> dict[int, dict]:
-    """Per carrier up to max_carrier, the _isoclasses map of the right modules on it.
-
-    The fills of the route's unit inclusion, listed with no law, that pass the route's law (`_module_route`).
-    """
-    classes = {}
-    for carrier in range(max_carrier + 1):
-        unit_inc, _, move, law = _module_route(algebra, carrier)
-        dom = algebra.ambient.tensor(carrier, algebra.carrier)
-        actions = _fill(dom, unit_inc, carrier, budget, f"module enumeration at carrier {carrier}")
-        classes[carrier] = _isoclasses(actions, carrier, move, budget, law)
-    return classes
+    classes = _isoclasses(functools.partial(_module_route, algebra), range(max_carrier + 1), budget)
+    return [AlgebraModule(carrier, canon) for carrier, canon in _representatives(classes)]
 
 
 def free_module(algebra: MonoidAlgebra, n: int) -> AlgebraModule:
-    """Free right module on an n-element set: carrier n (x) A, action id (x) mult."""
-    _, action, _, _ = _module_route(algebra, n)
-    return AlgebraModule(algebra.ambient.tensor(n, algebra.carrier), action)
+    """Free right module on an n-element set: carrier n (x) A, action id (x) mult, the free action of its route.
+
+    A negative n raises StructuralError.
+    """
+    if n < 0:
+        raise StructuralError(f"a free module needs a nonnegative number of generators, not {n}")
+    return AlgebraModule(algebra.ambient.tensor(n, algebra.carrier), _module_route(algebra, n)[-1])
 
 
 def module_isomorphic(
@@ -978,13 +981,13 @@ def module_isomorphic(
     """A carrier bijection perm with perm . m1 = m2 . (perm (x) id_A), or None if there is none.
 
     The witness is a bijection found in the relabeling orbit of m1, not
-    necessarily the lexicographically first one.  An orbit larger than
-    budget raises BudgetExceededError.
+    necessarily the lexicographically first one.  An action table that
+    does not map Y (x) A into its carrier Y raises StructuralError, and an
+    orbit larger than budget raises BudgetExceededError.
     """
-    if m1.carrier != m2.carrier:
-        return None
-    _, _, move, _ = _module_route(algebra, m1.carrier)
-    return _orbit(m1.action, m1.carrier, move, budget).get(tuple(m2.action))
+    route = functools.partial(_module_route, algebra)
+    domain = functools.partial(algebra.ambient.tensor, b=algebra.carrier)
+    return _isomorphic(route, domain, (m1.carrier, m1.action), (m2.carrier, m2.action), budget)
 
 
 def check_mon_ess_agreement(
@@ -1009,7 +1012,7 @@ def check_mon_ess_agreement(
             f"{monad.name}: fewer than two algebra isoclasses within bound {max_carrier}"
         )
     algebra = algebra_from_strength(monad)
-    classes = _module_isoclasses(algebra, max_carrier, budget)
+    classes = _isoclasses(functools.partial(_module_route, algebra), range(max_carrier + 1), budget)
     amb = algebra.ambient
     free = _free_generators(classes, lambda n: amb.tensor(n, algebra.carrier), lambda n: free_module(algebra, n).action)
     essential = all(canon in free for members in classes.values() for canon in members.values())

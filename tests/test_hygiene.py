@@ -20,15 +20,19 @@ module actions and algebra morphisms are all listed by one generator,
 `monads._fill`, and no other function of `monads` yields.
 
 The essential and monadic verdicts are checked against each other by two
-routes, and those stay independent.  Each states its definition once per
-carrier in `monads`: the EM route in `_em_route` (its move perm -> T(perm)
-and its law, read through the monad's evaluators) and the module route over
-T(1) in `_module_route` (its unit inclusion, free action, move
-perm (x) id_A and module law, read off the algebra's tables).  No function
-of the module route reads a monad evaluator or the EM route, and no function
-of the EM route reads an algebra table or the module route; they share only
-the search, the orbit and the free-object lookup.  `algebra_from_strength`
-and `check_mon_ess_agreement` bridge the routes and are left out.
+routes, and those stay independent.  Each states its fill, relabeling move
+and law once per carrier in `monads`: the EM route in `_em_route` (the
+monad's EM fill, the move perm -> T(perm) and the EM law, read through the
+monad's evaluators) and the module route over T(1) in `_module_route` (the
+fill of its unit inclusion, the move perm (x) id_A, the module law and the
+free action, read off the algebra's tables).  No function of the module
+route reads a monad evaluator or the EM route, and no function of the EM
+route reads an algebra table or the module route.  They share only the
+classifier (`_isoclasses`, which classifies either route's fill per
+carrier, and `_isomorphic`, its orbit lookup), the orbit, the free-object
+lookup and `_fill`, and the classifier reads neither route's definition.
+`algebra_from_strength` and `check_mon_ess_agreement` bridge the routes and
+are left out.
 
 The command line reads the environment; the library relies on its arguments
 alone, so `DIVALG_BUDGET` reaches a monad verdict only through `cli`.
@@ -243,12 +247,14 @@ def test_one_fill():
     functions = [node for node in ast.walk(parse(PACKAGE / "monads.py")) if isinstance(node, ast.FunctionDef)]
     generators = [f.name for f in functions if any(isinstance(n, (ast.Yield, ast.YieldFrom)) for n in own_nodes(f))]
     assert generators == ["_fill"]
-    callers = ("em_structure_candidates", "_module_isoclasses", "_em_morphisms")
+    callers = ("em_structure_candidates", "_module_route", "_em_morphisms")
     assert {f.name: "_fill" in read_names(f) for f in functions if f.name in callers} == dict.fromkeys(callers, True)
 
 
-MODULE_ROUTE = ("_module_route", "_module_isoclasses", "enumerate_modules", "free_module", "module_isomorphic")
-EM_ROUTE = ("_em_route", "_em_isoclasses", "_em_algebras", "enumerate_em_algebras", "free_algebra", "em_isomorphic")
+MODULE_ROUTE = ("_module_route", "enumerate_modules", "free_module", "module_isomorphic")
+EM_ROUTE = ("_em_route", "_em_algebras", "enumerate_em_algebras", "free_algebra", "em_isomorphic")
+# what both routes run through: the one classification loop and the one orbit lookup
+SHARED_CLASSIFIER = ("_isoclasses", "_isomorphic")
 MONAD_EVALUATORS = {
     "bind_at", "bind", "t_mor", "mu", "eta", "t_size", "theta",
     "em_structure_candidates", "_em_law_holds", "_em_law_sides", "_law_shapes",
@@ -258,7 +264,7 @@ ALGEBRA_TABLES = {"mult", "unit", "tensor_mor", "ambient"}
 
 def test_the_two_monad_routes_read_nothing_of_each_other():
     functions = {node.name: node for node in parse(PACKAGE / "monads.py").body if isinstance(node, ast.FunctionDef)}
-    assert set(MODULE_ROUTE + EM_ROUTE) <= set(functions)
+    assert set(MODULE_ROUTE + EM_ROUTE + SHARED_CLASSIFIER) <= set(functions)
     crossings = [
         f"{name} reads {read}"
         for route, forbidden in (
@@ -269,6 +275,10 @@ def test_the_two_monad_routes_read_nothing_of_each_other():
         for read in sorted(read_names(functions[name]) & forbidden)
     ]
     assert crossings == []
+    # the shared classifier runs whichever route it is given, and reads neither route's definition
+    definitions = MONAD_EVALUATORS | ALGEBRA_TABLES | set(EM_ROUTE + MODULE_ROUTE)
+    shared = {name: sorted(read_names(functions[name]) & definitions) for name in SHARED_CLASSIFIER}
+    assert shared == dict.fromkeys(SHARED_CLASSIFIER, [])
 
 
 def test_each_builtin_is_declared_once():

@@ -843,15 +843,13 @@ def test_pruned_fill_finds_the_addition_laws(freevec, carrier):
 
 def filter_then_dedupe(monad, bound):
     """The EM enumeration that checks every candidate and then drops relabelings."""
-    found = []
-    for carrier in range(bound + 1):
-        candidates = monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET)
-        valid = em_algebras_among(monad, carrier, candidates)
-        canon = M._representatives(
-            M._isoclasses(valid, carrier, em_move(monad, carrier), M.DEFAULT_BUDGET, lambda table: True)
-        )
-        found += [(carrier, s) for s in canon]
-    return found
+    def route(carrier):
+        def fill(budget):
+            return em_algebras_among(monad, carrier, monad.em_structure_candidates(carrier, budget))
+
+        return fill, em_move(monad, carrier), lambda table: True
+
+    return M._representatives(M._isoclasses(route, range(bound + 1), M.DEFAULT_BUDGET))
 
 
 @pytest.mark.parametrize("monad,bound", [
@@ -911,7 +909,7 @@ def test_free_algebra_law_is_checked_once_per_monad():
 def test_em_route_law_checks_the_unit_law_before_the_em_law():
     # the constant structure on maybe's carrier 2 satisfies s . T(s) = s . mu_2 but sends eta(1) to 0, not 1
     monad = d.maybe_monad()
-    _, law = M._em_route(monad, 2, M.DEFAULT_BUDGET)
+    _, _, law = M._em_route(monad, 2, M.DEFAULT_BUDGET)
     assert law((0, 0, 0)) is False
     assert monad._em_law_verdicts == {}
     assert monad._em_law_holds(2, (0, 0, 0)) is True
@@ -1037,6 +1035,18 @@ def test_free_algebras(maybe, identity, freevec):
     assert d.free_algebra(maybe, 0) == d.EmAlgebra("maybe", 1, (0, 0))
     assert d.free_algebra(identity, 3).structure == (0, 1, 2)
     assert d.free_algebra(freevec, 1) == d.EmAlgebra("freevec2", 2, (0, 0, 1, 1))
+
+
+@pytest.mark.parametrize("name", list(M.BUILTIN_MONADS))
+def test_free_objects_refuse_a_negative_number_of_generators(name):
+    monad = d.builtin_monad(name, marks=2 if name == "exception" else None)
+    algebra = d.algebra_from_strength(monad)
+    with pytest.raises(StructuralError, match="free algebra needs a nonnegative number of generators, not -1"):
+        d.free_algebra(monad, -1)
+    with pytest.raises(StructuralError, match="free module needs a nonnegative number of generators, not -1"):
+        d.free_module(algebra, -1)
+    assert d.free_algebra(monad, 0).carrier == monad.t_size(0)
+    assert d.free_module(algebra, 0).carrier == algebra.ambient.tensor(0, algebra.carrier)
 
 
 def test_free_algebras_appear_in_enumeration(maybe, identity, exc2, freevec):
@@ -1205,6 +1215,46 @@ def test_pointed_set_isomorphic_to_free(maybe):
     free = d.free_algebra(maybe, 1)
     perm = d.em_isomorphic(maybe, other_mark, free)
     assert perm is not None
+
+
+def test_isomorphism_tests_refuse_malformed_tables(maybe):
+    # on maybe's carrier 2 a structure map has |T(2)| = 3 entries and an action of T(1) has |2 + 1| = 3,
+    # each below 2; the first malformed table has 4 entries, all of them in range
+    algebra = d.algebra_from_strength(maybe)
+    lawful = (0, 1, 0)
+    malformed = [(0, 1, 0, 1), (0, 1), (0, 1, 5), (0, 7, 1)]
+    for good, bad in itertools.product([lawful, *malformed], malformed):
+        for a, b in ((good, bad), (bad, good)):
+            with pytest.raises(StructuralError, match="a table on carrier 2 needs 3 entries below 2"):
+                d.em_isomorphic(maybe, d.EmAlgebra(maybe.name, 2, a), d.EmAlgebra(maybe.name, 2, b))
+            with pytest.raises(StructuralError, match="a table on carrier 2 needs 3 entries below 2"):
+                d.module_isomorphic(algebra, d.AlgebraModule(2, a), d.AlgebraModule(2, b))
+    # a malformed table is refused even where the carriers differ
+    with pytest.raises(StructuralError, match="a table on carrier 1 needs 2 entries below 1"):
+        d.em_isomorphic(maybe, d.EmAlgebra(maybe.name, 2, lawful), d.EmAlgebra(maybe.name, 1, (0, 1)))
+    assert d.em_isomorphic(maybe, d.EmAlgebra(maybe.name, 2, lawful), d.EmAlgebra(maybe.name, 2, lawful)) == (0, 1)
+    assert d.module_isomorphic(algebra, d.AlgebraModule(2, lawful), d.AlgebraModule(2, lawful)) == (0, 1)
+
+
+def test_isomorphism_tests_never_enter_a_fill(monkeypatch):
+    # the free freevec2 algebra on 3 generators has an orbit of 8! / |GL(3, F2)| = 240 tables, while the
+    # carrier-8 EM fill would first guard its 32 640 law points
+    freevec = d.FreeVectorF2()
+    free = d.free_algebra(freevec, 3)
+    assert sorted(d.em_isomorphic(freevec, free, free, budget=240)) == list(range(8))
+    with pytest.raises(BudgetExceededError, match="relabeling orbit at carrier 8 needs 240 entries"):
+        d.em_isomorphic(freevec, free, free, budget=239)
+
+    def entered(*args):
+        raise AssertionError(f"a fill was entered with {args[1:]}")
+
+    monkeypatch.setattr(M.FiniteMonad, "em_structure_candidates", entered)
+    monkeypatch.setattr(M, "_fill", entered)
+    for monad in (d.maybe_monad(), d.CoproductException(2), freevec):
+        algebra = d.algebra_from_strength(monad)
+        module = d.free_module(algebra, 2)
+        assert d.module_isomorphic(algebra, module, module) is not None
+        assert d.em_isomorphic(monad, d.free_algebra(monad, 2), d.free_algebra(monad, 2)) is not None
 
 
 def test_size_mismatch_has_no_isomorphism(exc2):
@@ -1703,7 +1753,7 @@ LAW_ALGEBRAS = {
 def test_module_route_law_is_the_module_axioms(name, carrier):
     # every action table Y (x) A -> Y, unit-compatible or not: 4 096 of them for S3 at carrier 2
     algebra = LAW_ALGEBRAS[name]()
-    *_, law = M._module_route(algebra, carrier)
+    _, _, law, _ = M._module_route(algebra, carrier)
     for action in itertools.product(range(carrier), repeat=algebra.ambient.tensor(carrier, algebra.carrier)):
         assert law(action) is module_axioms_hold(algebra, carrier, action), action
 
@@ -1712,7 +1762,7 @@ def test_s3_acts_on_itself_on_the_right_only():
     # y.a := ya is a right module; y.a := ay is not, as S3 is not commutative, so a law that swaps the product
     # of the algebra would pass the left action and fail the right one
     s3 = s3_monoid_algebra()
-    *_, law = M._module_route(s3, 6)
+    _, _, law, _ = M._module_route(s3, 6)
     left = tuple(s3.mult[a * 6 + y] for y in range(6) for a in range(6))
     assert left != s3.mult
     assert (module_axioms_hold(s3, 6, s3.mult), module_axioms_hold(s3, 6, left)) == (True, False)
