@@ -14,8 +14,10 @@ once per monad object, and at the free algebra (T(n), mu_n) is monad
 associativity at n.  It and each relabeling step compare or build composed
 whole tables.
 Tuples are composed by one C-level gather, `compose`; a monad may give its
-tables as int64 arrays instead, as freevec2 does, and the EM law then gathers
-both of its sides by numpy fancy indexing and compares them in numpy.  The
+tables as numpy arrays instead, as freevec2 does in the narrowest unsigned
+dtype that holds its masks, and the EM law then gathers both of its sides
+with `take` from the structure held in the narrowest unsigned dtype that
+holds a position of the carrier, and compares them in numpy.  The
 ambients' tensor of morphisms, `tensor_mor`, is a C-level map, and a table
 after id_X (x) g, the left side of three strength axioms, is gathered by the
 ambient's `whisker` without building id_X (x) g.  Every
@@ -279,15 +281,17 @@ class FiniteMonad:
     def _em_law_sides(self, carrier: int, structure):
         """s . T(s) and s . mu_Y on all of T(T(Y)), for Y = carrier and s = structure; mu_Y is built here.
 
-        Where the monad gives T(s) or mu_Y as an int64 array, both sides are
-        int64 arrays gathered by fancy indexing; every entry is a position of
-        T(Y), and |T(Y)| <= |T(T(Y))| is within the budget, so they are exact.
-        Tables given as tuples are gathered by `compose`.
+        Where the monad gives T(s) or mu_Y as a numpy array, both sides are
+        gathered by `take` from s held in the narrowest unsigned dtype that
+        holds carrier - 1: every gathered entry is a value of s, a position
+        below the carrier (T(s) reads eta_Y at each value of s, so a value
+        past it raises there), so the sides are exact.  Tables given as
+        tuples are gathered by `compose`.
         """
         t_s, mu_y = self.t_mor(structure, carrier), self.mu(carrier)
         if isinstance(t_s, np.ndarray) or isinstance(mu_y, np.ndarray):
-            s = np.asarray(structure, dtype=np.int64)
-            return s[np.asarray(t_s, dtype=np.int64)], s[np.asarray(mu_y, dtype=np.int64)]
+            s = np.asarray(structure, dtype=np.min_scalar_type(carrier - 1))
+            return s.take(t_s), s.take(mu_y)
         return compose(structure, t_s), compose(structure, mu_y)
 
     def _em_law_holds(self, carrier: int, structure) -> bool:
@@ -383,6 +387,10 @@ class CoproductException(FiniteMonad):
         # f* is f on X and sends each mark of T(X) to the same mark of T(dst)
         return tuple(f) + tuple(dst + j for j in range(self.marks))
 
+    def t_mor(self, f, dst: int) -> tuple[int, ...]:
+        # eta is the identity, so T(f) = (eta . f)* is f*
+        return self.bind(f, dst)
+
     def bind_at(self, f, dst: int, p: int) -> int:
         return f[p] if p < len(f) else dst + p - len(f)
 
@@ -398,10 +406,13 @@ class FreeVectorF2(FiniteMonad):
     and f*(p) is the XOR of the masks f[x] over the set bits x of p, so the
     multiplication XOR-folds a set of masks.  The canonical strength shifts a
     mask into the block of its first coordinate.  The f* table, and with it
-    the mu and T(f) tables, is an int64 array, built by doubling with numpy
-    slice XORs.  A mask of T(dst) lies below 2^dst, so f* into dst > 62 is an
-    array of exact Python ints instead; mu(n) has 2^(2^n) entries, so it is
-    only ever built at small n, where its masks are far below 2^63.
+    the mu and T(f) tables, is built by doubling with numpy slice XORs.  Each
+    entry is an XOR of masks of T(dst), all below 2^dst, so the table is held
+    in the narrowest unsigned dtype that holds 2^dst - 1 (uint8 up to dst 8),
+    and f* into dst > 62 is an array of exact Python ints instead; mu(n) has
+    2^(2^n) entries, so it is only ever built at small n, where its masks are
+    far below 2^63.  An f whose entry is not a mask of T(dst) is refused with
+    StructuralError, never truncated.
     """
 
     ambient = CartesianProduct
@@ -415,9 +426,11 @@ class FreeVectorF2(FiniteMonad):
 
     def bind(self, f, dst: int):
         # doubling: the masks that contain x are those without it, XORed with f[x]
-        table = np.zeros(1 << len(f), dtype=np.int64 if dst <= 62 else object)
-        for x in range(len(f)):
-            table[1 << x:2 << x] = table[:1 << x] ^ f[x]
+        table = np.zeros(1 << len(f), dtype=np.min_scalar_type((1 << dst) - 1) if dst <= 62 else object)
+        for x, mask in enumerate(map(operator.index, f)):
+            if not 0 <= mask < 1 << dst:
+                raise StructuralError(f"f* into T({dst}) needs masks below 2^{dst}, and f[{x}] is {mask}")
+            table[1 << x:2 << x] = table[:1 << x] ^ mask
         return table
 
     def bind_at(self, f, dst: int, p: int) -> int:
@@ -659,11 +672,17 @@ def enumerate_em_algebras(
     return _em_algebras(monad, _isoclasses(route, range(max_carrier + 1), budget))
 
 
-def free_algebra(monad: FiniteMonad, n: int) -> EmAlgebra:
-    """Free algebra on an n-element set: carrier T(n), structure map mu.  A negative n raises StructuralError."""
+def free_algebra(monad: FiniteMonad, n: int, budget: int = DEFAULT_BUDGET) -> EmAlgebra:
+    """Free algebra on an n-element set: carrier T(n), structure map mu.
+
+    A negative n raises StructuralError, and a mu(n) table of more than budget
+    entries raises BudgetExceededError before it is built.
+    """
     if n < 0:
         raise StructuralError(f"a free algebra needs a nonnegative number of generators, not {n}")
-    return EmAlgebra(monad.name, monad.t_size(n), _ints(monad.mu(n)))
+    tn = monad.t_size(n)
+    _guard(_table_size(monad, tn, budget), budget, f"free algebra on {n} generators")
+    return EmAlgebra(monad.name, tn, _ints(monad.mu(n)))
 
 
 def em_isomorphic(
@@ -745,7 +764,7 @@ def check_adjunction_trivial(
         except BudgetExceededError:
             extra = 0
         applicable = len(algebras) + extra >= 2
-    free = _free_generators(classes, monad.t_size, lambda n: free_algebra(monad, n).structure)
+    free = _free_generators(classes, monad.t_size, lambda n: free_algebra(monad, n, budget).structure)
     counterexample = next((alg for alg in algebras if alg.structure not in free), None)
     return AdjunctionVerdict(
         monad_name=monad.name,

@@ -3,6 +3,7 @@ import collections
 import functools
 import itertools
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -997,6 +998,93 @@ def test_t_mor_matches_the_python_int_doubling(freevec, dst):
                 assert all(type(v) is int for v in table)
 
 
+# the last destinations of uint8, uint16 and uint32 doubling tables, the first past each, and the last
+# destination before the exact Python-int table
+NARROW_DOUBLING_DSTS = (7, 8, 9, 15, 16, 17, 31, 32, 33, 62)
+
+
+@pytest.mark.parametrize("dst", NARROW_DOUBLING_DSTS)
+def test_narrow_doubling_table_matches_the_python_int_loops(freevec, dst):
+    # every f: k -> dst for k <= 4 with images at both ends of range(dst), so the top bit of the dtype is set
+    for k in range(5):
+        for f in itertools.product((0, 1, dst - 2, dst - 1), repeat=k):
+            assert freevec.t_mor(f, dst).tolist() == doubling_t_mor(f) == list(low_bit_t_mor(f))
+
+
+@pytest.mark.parametrize("dst", [*range(7), *NARROW_DOUBLING_DSTS])
+def test_doubling_table_has_the_narrowest_unsigned_dtype(freevec, dst):
+    top = (1 << dst) - 1
+    table = freevec.bind((top,), dst)
+    assert table.dtype.kind == "u"
+    assert table.dtype.itemsize == (1 if dst <= 8 else 2 if dst <= 16 else 4 if dst <= 32 else 8)
+    assert table.tolist() == [0, top]
+
+
+def test_em_law_sides_of_the_free_algebra_on_two_are_bytes(freevec):
+    # associativity at 2 reads 65 536 points of T(T(4)); each side holds positions of the carrier 4
+    lhs, rhs = freevec._em_law_sides(4, freevec.mu(2))
+    assert lhs.dtype == rhs.dtype == np.uint8
+    assert lhs.shape == rhs.shape == (1 << 16,)
+    assert lhs.tolist() == rhs.tolist()
+
+
+cached_low_bit_mu = functools.cache(low_bit_mu)
+
+
+@st.composite
+def unit_compatible_structures(draw):
+    """A carrier Y in 1..4 and a structure T(Y) -> Y that sends each delta mask 1 << x to x.
+
+    Half are sums in an F2-vector space on Y, lawful algebras, the rest are drawn entry by entry and are mostly
+    lawless.  Carrier 0 has no structure: T(0) holds the empty mask, and no position lies below 0.
+    """
+    if draw(st.booleans()):
+        vectors = draw(st.permutations(range(1 << draw(st.integers(0, 2)))))  # vectors[x]: the vector of x
+        point = sorted(range(len(vectors)), key=vectors.__getitem__)  # point[v]: the x whose vector is v
+
+        def total(mask):
+            return functools.reduce(operator.xor, (v for x, v in enumerate(vectors) if mask >> x & 1), 0)
+
+        return len(vectors), tuple(point[total(mask)] for mask in range(1 << len(vectors)))
+    carrier = draw(st.integers(1, 4))
+    structure = draw(st.lists(st.integers(0, carrier - 1), min_size=1 << carrier, max_size=1 << carrier))
+    for x in range(carrier):
+        structure[1 << x] = x
+    return carrier, tuple(structure)
+
+
+@settings(max_examples=40, deadline=None)
+@given(unit_compatible_structures())
+@example((4, low_bit_mu(2)))
+@example((3, (0, 0, 1, 0, 2, 0, 0, 0)))
+def test_em_law_matches_the_python_int_whole_table_law(drawn):
+    carrier, structure = drawn
+    t_s = low_bit_t_mor(structure)
+    expected = [structure[v] for v in t_s] == [structure[v] for v in cached_low_bit_mu(carrier)]
+    assert d.FreeVectorF2()._em_law_holds(carrier, structure) == expected
+
+
+@pytest.mark.parametrize("dst", (0, 1, 7, 8, 9, 16, 62, 63, 64))
+def test_bind_refuses_an_entry_that_is_no_mask_of_its_destination(freevec, dst):
+    # 2^dst is the least entry past the masks of T(dst); a table of the narrowest dtype would keep its low bits
+    for f in ((1 << dst,), (0, 1 << dst), ((1 << dst) - 1, 1 << (dst + 8)), (-1,)):
+        with pytest.raises(StructuralError, match=f"f\\* into T\\({dst}\\) needs masks below 2\\^{dst}"):
+            freevec.bind(f, dst)
+    if dst <= 62:
+        with pytest.raises(StructuralError, match=f"f\\[0\\] is {1 << dst}"):
+            freevec.bind(np.array([1 << dst], dtype=np.int64), dst)
+
+
+@pytest.mark.parametrize("marks", range(4))
+def test_exception_t_mor_is_the_derived_t_mor(marks):
+    # eta is the identity, so T(f) is f*; the derived T(f) = (eta . f)* is the oracle
+    monad = d.CoproductException(marks)
+    assert type(monad).t_mor is not M.FiniteMonad.t_mor
+    for n, dst in itertools.product(range(4), repeat=2):
+        for f in itertools.product(range(dst), repeat=n):
+            assert monad.t_mor(f, dst) == M.FiniteMonad.t_mor(monad, f, dst)
+
+
 def payload_leaves(value):
     if isinstance(value, dict):
         value = list(value.values())
@@ -1035,6 +1123,30 @@ def test_free_algebras(maybe, identity, freevec):
     assert d.free_algebra(maybe, 0) == d.EmAlgebra("maybe", 1, (0, 0))
     assert d.free_algebra(identity, 3).structure == (0, 1, 2)
     assert d.free_algebra(freevec, 1) == d.EmAlgebra("freevec2", 2, (0, 0, 1, 1))
+
+
+def test_free_algebra_guards_its_mu_table_before_building_it():
+    # mu(5) of freevec2 would have 2^32 entries; the guard on |T(T(n))| raises before a mu table is built
+    monad = CountingMu()
+    with pytest.raises(BudgetExceededError, match=f"free algebra on 5 generators needs {2**32} entries"):
+        d.free_algebra(monad, 5)
+    with pytest.raises(BudgetExceededError, match="free algebra on 2 generators needs 16 entries, budget is 15"):
+        d.free_algebra(monad, 2, budget=15)
+    assert not monad.mu_calls
+    assert d.free_algebra(monad, 2, budget=16) == d.free_algebra(d.FreeVectorF2(), 2)
+
+
+def test_adjunction_check_passes_its_budget_to_the_free_algebras(monkeypatch):
+    budgets = []
+    free_algebra = M.free_algebra
+
+    def spy(monad, n, budget):
+        budgets.append(budget)
+        return free_algebra(monad, n, budget)
+
+    monkeypatch.setattr(M, "free_algebra", spy)
+    d.check_adjunction_trivial(d.FreeVectorF2(), 4, budget=70_000)
+    assert budgets and set(budgets) == {70_000}
 
 
 @pytest.mark.parametrize("name", list(M.BUILTIN_MONADS))
@@ -1774,7 +1886,7 @@ def test_adjunction_check_builds_each_free_algebra_once(monkeypatch):
     # algebras on them are those on 0 to 3 generators
     built = []
     free_algebra = M.free_algebra
-    monkeypatch.setattr(M, "free_algebra", lambda monad, n: built.append(n) or free_algebra(monad, n))
+    monkeypatch.setattr(M, "free_algebra", lambda monad, n, *budget: built.append(n) or free_algebra(monad, n, *budget))
     verdict = d.check_adjunction_trivial(d.CoproductException(3), 6)
     assert collections.Counter(alg.carrier for alg in d.enumerate_em_algebras(d.CoproductException(3), 6)) == {
         1: 1, 2: 4, 3: 5, 4: 5, 5: 5, 6: 5,
