@@ -37,14 +37,20 @@ through the monad's evaluators, `_module_route` through the tables of the
 algebra T(1), and neither reads the other's.  They share only the classifier
 (`_isoclasses`, which classifies either route's fill per carrier, and
 `_isomorphic`, which looks one table up in another's orbit), the orbit, the
-free-object lookup and `_fill`.  All
+free-object lookup and `_fill`.  An orbit maps each member to its
+breadth-first parent and the generator that relabels the parent into it, so
+a witness is the walk back to the start; an isomorphism test first compares
+the two tables' sorted preimage sizes, which every relabeling keeps, and
+builds no orbit when they differ.  All
 verdicts quantify over carriers up to a stated bound; table sizes, points
-evaluated and search leaves are held under the budget each call is given.
+evaluated, orbit members and search leaves are held under the budget each
+call is given, counted where that work is done.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import functools
 import itertools
 import math
@@ -175,6 +181,17 @@ def compose(g, f) -> tuple[int, ...]:
     return operator.itemgetter(*f)(g)
 
 
+def _refuse_images_past(f, size: int, what: str, dst: int):
+    """StructuralError naming the first entry of the table f outside 0..size-1, if there is one.
+
+    what is the map built from f into T(dst).  Checked before f indexes a table, where Python would read a
+    negative entry from the end.
+    """
+    if len(f) and not 0 <= min(f) <= max(f) < size:
+        x = next(x for x, v in enumerate(f) if not 0 <= v < size)
+        raise StructuralError(f"{what} into T({dst}) needs images below {size}, and f[{x}] is {f[x]}")
+
+
 class DisjointUnion:
     """(FinSet, disjoint union, empty set) on ordinals via block concatenation."""
 
@@ -250,7 +267,8 @@ class FiniteMonad:
         return tuple(self.bind_at(f, dst, p) for p in range(self.t_size(len(f))))
 
     def t_mor(self, f, dst: int) -> tuple[int, ...]:
-        """The table of T(f): T(X) -> T(dst) for f: X -> dst."""
+        """The table of T(f): T(X) -> T(dst) for f: X -> dst; an image outside 0..dst-1 raises StructuralError."""
+        _refuse_images_past(f, dst, "T(f)", dst)
         return self.bind(compose(self.eta(dst), f), dst)
 
     def mu(self, n: int) -> tuple[int, ...]:
@@ -385,11 +403,13 @@ class CoproductException(FiniteMonad):
 
     def bind(self, f, dst: int) -> tuple[int, ...]:
         # f* is f on X and sends each mark of T(X) to the same mark of T(dst)
-        return tuple(f) + tuple(dst + j for j in range(self.marks))
+        _refuse_images_past(f, self.t_size(dst), "f*", dst)
+        return tuple(f) + tuple(range(dst, dst + self.marks))
 
     def t_mor(self, f, dst: int) -> tuple[int, ...]:
-        # eta is the identity, so T(f) = (eta . f)* is f*
-        return self.bind(f, dst)
+        # eta is the identity, so T(f) = (eta . f)* is f*, on images below dst
+        _refuse_images_past(f, dst, "T(f)", dst)
+        return tuple(f) + tuple(range(dst, dst + self.marks))
 
     def bind_at(self, f, dst: int, p: int) -> int:
         return f[p] if p < len(f) else dst + p - len(f)
@@ -532,35 +552,42 @@ class EmAlgebra:
         }
 
 
-def _orbit(table, carrier: int, move, budget: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """The relabeling orbit of table, each member mapped to a bijection of the carrier that produces it.
+def _orbit(table, carrier: int, move, budget: int) -> dict[tuple[int, ...], Optional[tuple]]:
+    """The relabeling orbit of table, each member mapped to its breadth-first (parent, generator), the start to None.
 
     Relabeling a table t: D(Y) -> Y along a bijection perm gives
-    perm . t . move(perm)^-1, two table compositions.  The orbit is closed
+    perm . t . move(perm)^-1, two table gathers.  The orbit is closed
     breadth-first under the transposition (0 1) and the cycle i -> i+1 mod
     carrier, which generate the symmetric group; each generator's move is
-    inverted once per orbit.  Since move is a functor, relabeling a member
-    reached by perm along gen gives the member reached by gen . perm, so the
-    work is proportional to the orbit, not carrier!.
+    inverted, and its position gather built, once per orbit, and the swap is
+    not applied to a member the swap produced, which would give back its
+    parent.  Since move is a functor, relabeling a member reached by perm
+    along gen gives the member reached by gen . perm, so the work is
+    proportional to the orbit, not carrier!, and walking a member's parents
+    composes the bijection that produces it (`_isomorphic`).
     """
     start = tuple(table)
-    orbit = {start: identity_table(carrier)}
+    orbit: dict[tuple[int, ...], Optional[tuple]] = {start: None}
     if carrier < 2:
         return orbit
+    # gather(*f)(g) is compose(g, f); itemgetter of fewer than two indices does not return a tuple
+    gather = operator.itemgetter if len(start) > 1 else lambda *f: functools.partial(compose, f=f)
     swap = (1, 0) + tuple(range(2, carrier))
     cycle = tuple(range(1, carrier)) + (0,)
     generators = []
     for gen in (swap, cycle):
         moved = move(gen)
-        generators.append((gen, sorted(range(len(moved)), key=moved.__getitem__)))  # the inverse of moved
+        generators.append((gen, gather(*sorted(range(len(moved)), key=moved.__getitem__))))  # moved^-1
+    after_swap = generators[1:]
     queue = [start]
     for current in queue:
-        perm = orbit[current]
-        for gen, back in generators:
-            image = compose(gen, compose(current, back))
+        link = orbit[current]
+        for gen, back in after_swap if link is not None and link[1] is swap else generators:
+            image = gather(*back(current))(gen)
             if image not in orbit:
-                orbit[image] = compose(gen, perm)
-                _guard(len(orbit), budget, f"relabeling orbit at carrier {carrier}")
+                orbit[image] = (current, gen)
+                if len(orbit) > budget:
+                    _guard(len(orbit), budget, f"relabeling orbit at carrier {carrier}")
                 queue.append(image)
     return orbit
 
@@ -570,9 +597,10 @@ def _isoclasses(route, carriers: range, budget: int) -> dict[int, dict]:
 
     route(carrier) is (fill, move, law, ...) on the carrier: fill(budget) lists the candidate tables and
     move(perm) is D(perm).  law(table) is only asked about tables outside the orbits found so far: a
-    relabeling of a lawful table can only add its isoclass again.  The orbits are kept, so a later
-    isomorphism test against a found isoclass is one lookup.  This is the one classification loop of both
-    routes, and it reads neither route's definition.
+    relabeling of a lawful table can only add its isoclass again.  Only the members of each `_orbit` are
+    read, not their parents.  The orbits are kept, so a later isomorphism test against a found isoclass is
+    one lookup.  This is the one classification loop of both routes, and it reads neither route's
+    definition.
     """
     classes = {}
     for carrier in carriers:
@@ -595,14 +623,25 @@ def _isomorphic(route, domain, a: tuple, b: tuple, budget: int) -> Optional[tupl
 
     a and b are (carrier, table) pairs.  route(carrier) is (fill, move, law, ...) on the carrier, and its
     fill is never entered.  Each table must have domain(carrier) entries, all below its carrier, else
-    StructuralError.  The witness is found in the relabeling orbit of a.
+    StructuralError.  Tables on different carriers, or whose sorted preimage sizes differ, are answered None
+    before any orbit is built: a relabeling moves the preimage of y onto the preimage of perm(y) along the
+    bijection move(perm), so it keeps that multiset.  Otherwise the witness is the composite of the
+    generators on the path of parents from b back to a in the relabeling orbit of a.
     """
     for carrier, table in (a, b):
         if len(table) != domain(carrier) or not set(table) <= set(range(carrier)):
             raise StructuralError(f"a table on carrier {carrier} needs {domain(carrier)} entries below {carrier}")
-    if a[0] != b[0]:
+    sizes_a, sizes_b = (sorted(collections.Counter(table).values()) for _, table in (a, b))
+    if a[0] != b[0] or sizes_a != sizes_b:
         return None
-    return _orbit(a[1], a[0], route(a[0])[1], budget).get(tuple(b[1]))
+    orbit, member = _orbit(a[1], a[0], route(a[0])[1], budget), tuple(b[1])
+    if member not in orbit:
+        return None
+    perm = identity_table(a[0])
+    while orbit[member] is not None:
+        member, gen = orbit[member]
+        perm = compose(perm, gen)
+    return perm
 
 
 def _free_generators(classes: dict[int, dict], free_size, free_table) -> dict[tuple[int, ...], int]:
@@ -690,10 +729,13 @@ def em_isomorphic(
 ) -> Optional[tuple[int, ...]]:
     """A carrier bijection commuting with the structure maps, or None if there is none.
 
-    The witness is a bijection found in the relabeling orbit of a, not
-    necessarily the lexicographically first one.  A structure table that
-    does not map T(Y) into its carrier Y raises StructuralError, and an
-    orbit larger than budget raises BudgetExceededError.
+    Algebras whose structure maps have different sorted preimage sizes are
+    answered None before any orbit is built.  Otherwise the witness is the
+    bijection on the path of parents from b back to a in the relabeling
+    orbit of a, not necessarily the lexicographically first one.  A
+    structure table that does not map T(Y) into its carrier Y raises
+    StructuralError, and an orbit, when one is built, larger than budget
+    raises BudgetExceededError.
     """
     route = functools.partial(_em_route, monad, budget=budget)
     return _isomorphic(route, monad.t_size, (a.carrier, a.structure), (b.carrier, b.structure), budget)
@@ -999,10 +1041,12 @@ def module_isomorphic(
 ) -> Optional[tuple[int, ...]]:
     """A carrier bijection perm with perm . m1 = m2 . (perm (x) id_A), or None if there is none.
 
-    The witness is a bijection found in the relabeling orbit of m1, not
-    necessarily the lexicographically first one.  An action table that
+    Modules whose actions have different sorted preimage sizes are answered
+    None before any orbit is built.  Otherwise the witness is the bijection
+    on the path of parents from m2 back to m1 in the relabeling orbit of m1,
+    not necessarily the lexicographically first one.  An action table that
     does not map Y (x) A into its carrier Y raises StructuralError, and an
-    orbit larger than budget raises BudgetExceededError.
+    orbit, when one is built, larger than budget raises BudgetExceededError.
     """
     route = functools.partial(_module_route, algebra)
     domain = functools.partial(algebra.ambient.tensor, b=algebra.carrier)

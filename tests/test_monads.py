@@ -1085,6 +1085,24 @@ def test_exception_t_mor_is_the_derived_t_mor(marks):
             assert monad.t_mor(f, dst) == M.FiniteMonad.t_mor(monad, f, dst)
 
 
+@pytest.mark.parametrize("monad", [
+    d.maybe_monad(), d.identity_monad(), *[d.CoproductException(marks) for marks in range(4)], d.FreeVectorF2(),
+], ids=monad_id)
+@pytest.mark.parametrize("dst", (0, 1, 2, 5))
+def test_t_mor_and_bind_refuse_an_image_outside_their_destination(monad, dst):
+    # -1 would be read from the end of eta or passed through unchanged, and an image past dst indexed
+    # past eta or passed through: each is refused, and the message names the first such entry
+    for bad in (-1, dst, dst + 3):
+        for f in ((bad,), (0,) * min(dst, 1) + (bad,)):
+            message = f"T\\(f\\) into T\\({dst}\\) needs images below {dst}, and f\\[{len(f) - 1}\\] is {bad}$"
+            for t_mor in (monad.t_mor, functools.partial(M.FiniteMonad.t_mor, monad)):
+                with pytest.raises(StructuralError, match=message):
+                    t_mor(f, dst)
+    for bad in (-1, monad.t_size(dst)):
+        with pytest.raises(StructuralError, match=f"f\\* into T\\({dst}\\) needs"):
+            monad.bind((bad,), dst)
+
+
 def payload_leaves(value):
     if isinstance(value, dict):
         value = list(value.values())
@@ -1249,11 +1267,24 @@ def test_orbit_is_every_relabeling_with_a_producing_bijection():
         orbit = M._orbit(table, carrier, move, M.DEFAULT_BUDGET)
         perms = itertools.permutations(range(carrier))
         assert set(orbit) == {relabeled(table, perm, move(perm)) for perm in perms}, table
-        for member, perm in orbit.items():
+        assert orbit[tuple(table)] is None
+        for member, link in orbit.items():
+            if link is not None:
+                # each member is one generator's relabeling of its parent
+                parent, gen = link
+                assert relabeled(parent, gen, move(gen)) == member
+            # walking the parents back to the start composes a bijection that relabels the start into member
+            perm, step = tuple(range(carrier)), member
+            while orbit[step] is not None:
+                step, gen = orbit[step]
+                perm = composed(perm, gen)
             assert sorted(perm) == list(range(carrier))
             assert relabeled(table, perm, move(perm)) == member
         sizes[table] = len(orbit)
     assert sizes[RIGID] == 120
+    # a domain of fewer than two entries is gathered one index at a time
+    assert M._orbit((), 3, lambda perm: (), M.DEFAULT_BUDGET) == {(): None}
+    assert M._orbit((0,), 2, lambda perm: (0,), M.DEFAULT_BUDGET) == {(0,): None, (1,): ((0,), (1, 0))}
 
 
 def test_orbit_past_the_budget_raises():
@@ -1264,6 +1295,22 @@ def test_orbit_past_the_budget_raises():
     assert d.em_isomorphic(monad, a, b) is not None
     with pytest.raises(BudgetExceededError):
         d.em_isomorphic(monad, a, b, budget=100)
+
+
+def test_differing_preimage_sizes_are_refused_before_any_orbit(monkeypatch):
+    # a takes each of 0..4 twice and 5 once, b takes 0 three times: no relabeling moves one onto the other,
+    # so neither test builds the orbit of 720 tables that budget 100 could not hold
+    calls = counting_orbits(monkeypatch)
+    monad = d.CoproductException(5)
+    a = d.EmAlgebra(monad.name, 6, (0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4))
+    b = d.EmAlgebra(monad.name, 6, (0, 1, 2, 3, 4, 5, 0, 0, 1, 2, 3))
+    assert d.em_isomorphic(monad, a, b, budget=100) is None
+    assert d.em_isomorphic(monad, b, a, budget=100) is None
+    algebra = d.algebra_from_strength(d.CoproductException(2))
+    free = d.free_module(algebra, 3)
+    constant = d.AlgebraModule(free.carrier, (0,) * len(free.action))
+    assert d.module_isomorphic(algebra, free, constant, budget=1) is None
+    assert calls == []
 
 
 def test_a_given_budget_overrides_the_environment(monkeypatch):
@@ -1320,6 +1367,55 @@ def test_module_isomorphic_matches_brute_force(marks):
         return d.module_isomorphic(algebra, d.AlgebraModule(carrier, a), d.AlgebraModule(carrier, b))
 
     assert_isomorphism_matches_brute_force(isomorphic, groups, lambda carrier: module_move(algebra, carrier))
+
+
+ISOMORPHISM_ROUTES = [
+    *(("em", monad) for monad in (d.maybe_monad(), d.CoproductException(2), d.FreeVectorF2())),
+    *(("module", d.algebra_from_strength(monad)) for monad in (d.CoproductException(2), d.FreeVectorF2())),
+]
+
+
+@st.composite
+def well_shaped_pairs(draw):
+    """A route, a carrier of 1 to 4, its move and two tables of its domain below the carrier, lawful or not.
+
+    b is drawn on its own, as a shuffle of a (the same preimage sizes) or as a relabeling of a.
+    """
+    kind, target = draw(st.sampled_from(ISOMORPHISM_ROUTES))
+    carrier = draw(st.integers(1, 4))
+    if kind == "em":
+        size, move = target.t_size(carrier), em_move(target, carrier)
+    else:
+        amb, ident_a = target.ambient, tuple(range(target.carrier))
+        size = amb.tensor(carrier, target.carrier)
+
+        def move(perm):
+            return written_tensor_mor(amb, perm, ident_a, carrier, target.carrier)
+
+    table = st.lists(st.integers(0, carrier - 1), min_size=size, max_size=size).map(tuple)
+    a = draw(table)
+    how = draw(st.sampled_from(["drawn", "shuffled", "relabeled"]))
+    if how == "drawn":
+        b = draw(table)
+    elif how == "shuffled":
+        b = tuple(draw(st.permutations(a)))
+    else:
+        perm = tuple(draw(st.permutations(range(carrier))))
+        b = relabeled(a, perm, move(perm))
+    return kind, target, carrier, move, a, b
+
+
+@given(well_shaped_pairs())
+@settings(max_examples=300, deadline=None)
+def test_isomorphism_tests_match_brute_force_on_well_shaped_tables(drawn):
+    kind, target, carrier, move, a, b = drawn
+    if kind == "em":
+        perm = d.em_isomorphic(target, d.EmAlgebra(target.name, carrier, a), d.EmAlgebra(target.name, carrier, b))
+    else:
+        perm = d.module_isomorphic(target, d.AlgebraModule(carrier, a), d.AlgebraModule(carrier, b))
+    assert (perm is not None) == brute_isomorphic(a, b, carrier, move), (a, b)
+    if perm is not None:
+        assert commutes(perm, a, b, move(perm))
 
 
 def test_pointed_set_isomorphic_to_free(maybe):
