@@ -3,8 +3,9 @@
 Exit codes: 0 a verdict was computed (whatever its polarity), 1 the input
 data fails validation or a classifier precondition, 2 parse, structural or
 usage errors, 3 a search or table budget was exceeded.  Reports are
-deterministic: identical inputs give byte-identical stdout; timing goes to
-stderr.
+deterministic: identical command lines and input files give byte-identical
+stdout; timing goes to stderr.  Nothing reads the environment, so the
+budget of a monad verb is its --budget alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import argparse
 import functools
 import hashlib
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -257,25 +257,12 @@ def _nonnegative(text: str) -> int:
     return value
 
 
-def _budget(args) -> int:
-    """--budget, else DIVALG_BUDGET, else monads.DEFAULT_BUDGET; the one place the variable is read."""
-    if args.budget is not None:
-        return args.budget
-    value = os.environ.get("DIVALG_BUDGET")
-    if value is None:
-        return monads.DEFAULT_BUDGET
-    if not value.strip().isdecimal():
-        raise StructuralError(f"DIVALG_BUDGET must be a nonnegative integer, got {value!r}")
-    return int(value)
-
-
 def _cmd_monad_check(args) -> tuple[dict, dict, int]:
     monad = monads.builtin_monad(args.name, marks=args.marks)
-    budget = _budget(args)
-    laws = monads.validate_monad(monad, args.max_size, budget=budget)
+    laws = monads.validate_monad(monad, args.max_size, budget=args.budget)
     if not laws.passed:
         return laws.to_payload(), {"monad": monad.name}, EXIT_INVALID_DATA
-    verdict = monads.check_adjunction_trivial(monad, args.max_size, budget=budget)
+    verdict = monads.check_adjunction_trivial(monad, args.max_size, budget=args.budget)
     payload = verdict.to_payload()
     payload["laws_passed"] = True
     return payload, {"monad": monad.name}, EXIT_OK
@@ -283,7 +270,7 @@ def _cmd_monad_check(args) -> tuple[dict, dict, int]:
 
 def _cmd_monad_strength(args) -> tuple[dict, dict, int]:
     monad = monads.builtin_monad(args.name, marks=args.marks)
-    report = monads.check_strength(monad, args.max_size, budget=_budget(args))
+    report = monads.check_strength(monad, args.max_size, budget=args.budget)
     very = monads.is_very_strong(monad, args.max_size)
     algebra = monads.algebra_from_strength(monad)
     payload = {
@@ -347,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mon = sub.add_parser("monad", help="finite monad verdicts")
     budget_help = (
         "cap held by each count on its own: table entries, points evaluated, orbit members, "
-        f"search leaves (default: DIVALG_BUDGET, else {monads.DEFAULT_BUDGET})"
+        "search leaves (default: %(default)s)"
     )
     mon_sub = mon.add_subparsers(dest="subcommand", required=True)
     for verb, help_text, max_size, func in (
@@ -358,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         mv.add_argument("name", choices=list(monads.BUILTIN_MONADS))
         mv.add_argument("--marks", type=int, help="mark count for the exception monad")
         mv.add_argument("--max-size", type=_nonnegative, default=max_size, dest="max_size")
-        mv.add_argument("--budget", type=_nonnegative, default=None, help=budget_help)
+        mv.add_argument("--budget", type=_nonnegative, default=monads.DEFAULT_BUDGET, help=budget_help)
         mv.set_defaults(func=func)
 
     return parser

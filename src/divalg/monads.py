@@ -385,15 +385,20 @@ class CoproductException(FiniteMonad):
 
     Multiplication folds the two copies of S together and the unit is the
     inclusion.  marks=1 is the maybe monad, marks=0 the identity monad.
+    marks must be a nonnegative integer, else StructuralError: a bool or a
+    float is refused, as in a ring file, and a numpy integer is held, and
+    names the monad, as a Python int.
     """
 
     ambient = DisjointUnion
 
     def __init__(self, marks: int, name: Optional[str] = None):
+        if isinstance(marks, bool) or not isinstance(marks, (int, np.integer)):
+            raise StructuralError(f"marks must be an integer, not {marks!r}")
         if marks < 0:
             raise StructuralError("marks must be nonnegative")
-        self.marks = marks
-        self.name = name if name is not None else f"exception({marks})"
+        self.marks = int(marks)
+        self.name = name if name is not None else f"exception({self.marks})"
 
     def t_size(self, n: int) -> int:
         return n + self.marks
@@ -622,13 +627,16 @@ def _isomorphic(route, domain, a: tuple, b: tuple, budget: int) -> Optional[tupl
     """A bijection of the carrier that relabels the table of a into the table of b, or None if there is none.
 
     a and b are (carrier, table) pairs.  route(carrier) is (fill, move, law, ...) on the carrier, and its
-    fill is never entered.  Each table must have domain(carrier) entries, all below its carrier, else
-    StructuralError.  Tables on different carriers, or whose sorted preimage sizes differ, are answered None
-    before any orbit is built: a relabeling moves the preimage of y onto the preimage of perm(y) along the
-    bijection move(perm), so it keeps that multiset.  Otherwise the witness is the composite of the
+    fill is never entered.  Each carrier must be nonnegative, checked before domain sizes it, and each
+    table must have domain(carrier) entries, all below its carrier, else StructuralError.  Tables on
+    different carriers, or whose sorted preimage sizes differ, are answered None before any orbit is
+    built: a relabeling moves the preimage of y onto the preimage of perm(y) along the bijection
+    move(perm), so it keeps that multiset.  Otherwise the witness is the composite of the
     generators on the path of parents from b back to a in the relabeling orbit of a.
     """
     for carrier, table in (a, b):
+        if carrier < 0:
+            raise StructuralError(f"a table needs a nonnegative carrier, not {carrier}")
         if len(table) != domain(carrier) or not set(table) <= set(range(carrier)):
             raise StructuralError(f"a table on carrier {carrier} needs {domain(carrier)} entries below {carrier}")
     sizes_a, sizes_b = (sorted(collections.Counter(table).values()) for _, table in (a, b))
@@ -733,9 +741,9 @@ def em_isomorphic(
     answered None before any orbit is built.  Otherwise the witness is the
     bijection on the path of parents from b back to a in the relabeling
     orbit of a, not necessarily the lexicographically first one.  A
-    structure table that does not map T(Y) into its carrier Y raises
-    StructuralError, and an orbit, when one is built, larger than budget
-    raises BudgetExceededError.
+    negative carrier, or a structure table that does not map T(Y) into its
+    carrier Y, raises StructuralError, and an orbit, when one is built,
+    larger than budget raises BudgetExceededError.
     """
     route = functools.partial(_em_route, monad, budget=budget)
     return _isomorphic(route, monad.t_size, (a.carrier, a.structure), (b.carrier, b.structure), budget)
@@ -1044,9 +1052,10 @@ def module_isomorphic(
     Modules whose actions have different sorted preimage sizes are answered
     None before any orbit is built.  Otherwise the witness is the bijection
     on the path of parents from m2 back to m1 in the relabeling orbit of m1,
-    not necessarily the lexicographically first one.  An action table that
-    does not map Y (x) A into its carrier Y raises StructuralError, and an
-    orbit, when one is built, larger than budget raises BudgetExceededError.
+    not necessarily the lexicographically first one.  A negative carrier,
+    or an action table that does not map Y (x) A into its carrier Y, raises
+    StructuralError, and an orbit, when one is built, larger than budget
+    raises BudgetExceededError.
     """
     route = functools.partial(_module_route, algebra)
     domain = functools.partial(algebra.ambient.tensor, b=algebra.carrier)

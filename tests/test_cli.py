@@ -695,18 +695,36 @@ def test_monad_strength_guards_every_table(capsys, argv, where):
     assert f"budget exceeded: {where} needs" in err
 
 
+def without_and_with_the_env_var(capsys, monkeypatch, value, *argv):
+    """(exit code, stdout) of argv with DIVALG_BUDGET unset, then set to value."""
+    monkeypatch.delenv("DIVALG_BUDGET", raising=False)
+    unset = run_cli(capsys, *argv)[:2]
+    monkeypatch.setenv("DIVALG_BUDGET", value)
+    return unset, run_cli(capsys, *argv)[:2]
+
+
 def test_budget_env_var(capsys, monkeypatch):
-    monkeypatch.setenv("DIVALG_BUDGET", "10")
-    code, _, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "2")
-    assert code == 3
+    # nothing reads the variable: 10 is below the carrier-2 search of freevec2, which the default budget holds
+    argv = ("monad", "check", "freevec2", "--max-size", "2")
+    unset, given = without_and_with_the_env_var(capsys, monkeypatch, "10", *argv)
+    assert unset[0] == 0
+    assert given == unset
 
 
 def test_budget_option_overrides_the_env_var(capsys, monkeypatch):
     argv = ("monad", "check", "maybe", "--max-size", "4", "--budget", "100000")
-    code, plain, _ = run_cli(capsys, *argv)
-    assert code == 0
-    monkeypatch.setenv("DIVALG_BUDGET", "3")
-    assert run_cli(capsys, *argv)[:2] == (0, plain)
+    unset, given = without_and_with_the_env_var(capsys, monkeypatch, "3", *argv)
+    assert unset[0] == 0
+    assert given == unset
+
+
+def test_zero_budget_env_var_leaves_the_report_unchanged(capsys, monkeypatch):
+    # "--budget 0" makes this report "applicable": false; a variable the command field does not show must not
+    argv = ("monad", "check", "identity", "--max-size", "0")
+    unset, given = without_and_with_the_env_var(capsys, monkeypatch, "0", *argv)
+    assert unset[0] == 0
+    assert payload_of(unset[1])["applicable"] is True
+    assert given == unset
 
 
 @pytest.mark.parametrize("verb", ["check", "strength"])
@@ -749,12 +767,11 @@ def test_negative_budget_option_exits_two(capsys, verb):
 
 
 @pytest.mark.parametrize("value", ["abc", "-5", "1.5", ""])
-def test_bad_budget_env_var_exits_two(capsys, monkeypatch, value):
-    monkeypatch.setenv("DIVALG_BUDGET", value)
-    code, out, err = run_cli(capsys, "monad", "check", "maybe", "--max-size", "2")
-    assert code == 2
-    assert out == ""
-    assert "nonnegative integer" in err
+def test_bad_budget_env_var_is_ignored(capsys, monkeypatch, value):
+    argv = ("monad", "check", "maybe", "--max-size", "2")
+    unset, given = without_and_with_the_env_var(capsys, monkeypatch, value, *argv)
+    assert unset[0] == 0
+    assert given == unset
 
 
 @pytest.mark.parametrize("command", [

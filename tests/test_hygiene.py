@@ -34,8 +34,10 @@ lookup and `_fill`, and the classifier reads neither route's definition.
 `algebra_from_strength` and `check_mon_ess_agreement` bridge the routes and
 are left out.
 
-The command line reads the environment; the library relies on its arguments
-alone, so `DIVALG_BUDGET` reaches a monad verdict only through `cli`.
+Nothing reads the environment, the command line included: a verdict depends
+on its arguments alone, so a command's stdout depends on its command line and
+the files it names, and a monad verb's budget is its `--budget` or the
+library default.
 
 Each builtin is declared once.  Every catalog ring is a product rule given to
 one builder, so `catalog` constructs a `FusionRing` in `_ring` alone, and the
@@ -159,12 +161,8 @@ def test_ring_layers_have_no_budget():
     assert stray == []
 
 
-def test_only_the_command_line_reads_the_environment():
-    readers = [
-        path.stem
-        for path in sorted(PACKAGE.glob("*.py"))
-        if path.stem != "cli" and {"environ", "getenv"} & read_names(parse(path))
-    ]
+def test_nothing_reads_the_environment():
+    readers = [path.stem for path in sorted(PACKAGE.glob("*.py")) if {"environ", "getenv"} & read_names(parse(path))]
     assert readers == []
 
 

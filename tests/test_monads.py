@@ -4,6 +4,7 @@ import functools
 import itertools
 import json
 import operator
+import re
 from pathlib import Path
 
 import numpy as np
@@ -1444,6 +1445,22 @@ def test_isomorphism_tests_refuse_malformed_tables(maybe):
     assert d.module_isomorphic(algebra, d.AlgebraModule(2, lawful), d.AlgebraModule(2, lawful)) == (0, 1)
 
 
+@pytest.mark.parametrize("monad", [d.maybe_monad(), d.CoproductException(2), d.FreeVectorF2()], ids=lambda m: m.name)
+@pytest.mark.parametrize("carrier", [-1, -2])
+def test_isomorphism_tests_refuse_a_negative_carrier(monad, carrier):
+    # refused before the carrier is sized: |T(-1)| of maybe is 0, which an empty table matches, and
+    # freevec2 would size 2^-1 by a negative shift
+    algebra = d.algebra_from_strength(monad)
+    empty, lawful = d.EmAlgebra(monad.name, carrier, ()), d.free_algebra(monad, 1)
+    for a, b in ((empty, empty), (empty, lawful), (lawful, empty)):
+        with pytest.raises(StructuralError, match=f"^a table needs a nonnegative carrier, not {carrier}$"):
+            d.em_isomorphic(monad, a, b)
+    free, module = d.free_module(algebra, 1), d.AlgebraModule(carrier, ())
+    for m1, m2 in ((module, module), (module, free), (free, module)):
+        with pytest.raises(StructuralError, match=f"^a table needs a nonnegative carrier, not {carrier}$"):
+            d.module_isomorphic(algebra, m1, m2)
+
+
 def test_isomorphism_tests_never_enter_a_fill(monkeypatch):
     # the free freevec2 algebra on 3 generators has an orbit of 8! / |GL(3, F2)| = 240 tables, while the
     # carrier-8 EM fill would first guard its 32 640 law points
@@ -2224,3 +2241,17 @@ def test_builtin_monad_factory():
 def test_negative_marks_rejected():
     with pytest.raises(StructuralError):
         d.CoproductException(-1)
+
+
+@pytest.mark.parametrize("marks", [True, False, 1.5, 2.0, "2", None])
+def test_marks_that_are_not_an_integer_are_rejected(marks):
+    with pytest.raises(StructuralError, match=f"^marks must be an integer, not {re.escape(repr(marks))}$"):
+        d.CoproductException(marks)
+
+
+def test_numpy_integer_marks_name_the_monad_by_a_python_int():
+    monad = d.CoproductException(np.int64(2))
+    assert (monad.name, type(monad.marks)) == ("exception(2)", int)
+    assert d.validate_monad(monad, 2).passed
+    with pytest.raises(StructuralError, match="^marks must be nonnegative$"):
+        d.CoproductException(np.int8(-1))
