@@ -30,7 +30,13 @@ which knows no law: each caller passes the carrier its values lie below, the
 unit its entries must extend (none for a morphism) and its own check.  Every
 monad has one structure-map fill,
 `FiniteMonad.em_structure_candidates`, which checks the EM law at the points
-of support 1 and 2 and so needs no theory of the monad's algebras.  The two
+of support 1 and 2 and so needs no theory of the monad's algebras.  A class
+that declares `em_law_support`, as both builtin classes do with a proof in
+their docstrings, has its EM law decided by those points and the unit law:
+its EM route sizes and builds no T(T(Y)) table and holds the structure table
+to the budget instead.  The whole-table law stays for every other monad,
+subclasses of the builtin classes included, and for validate_monad's
+associativity.  The two
 routes that check each other are each one function of the carrier that
 states its fill, relabeling move and law once per carrier: `_em_route`
 through the monad's evaluators, `_module_route` through the tables of the
@@ -104,6 +110,12 @@ BOUNDED_NOTE = "verdict quantifies over algebras with carrier size <= bound only
 def _guard(size: int, budget: int, what: str):
     if size > budget:
         raise BudgetExceededError(f"{what} needs {size} entries, budget is {budget}")
+
+
+def _refuse_a_negative_bound(bound: int):
+    """StructuralError for a bound below 0, checked by every verdict that takes one before any work."""
+    if bound < 0:
+        raise StructuralError(f"a bound must be nonnegative, not {bound}")
 
 
 def _table_size(monad: FiniteMonad, n: int, budget: int) -> int:
@@ -247,6 +259,12 @@ class FiniteMonad:
     tables follow from bind_at: bind(f, dst) is the table of f*, which a
     subclass may give faster, T(f) = (eta . f)* and mu = id*.  The laws read
     single entries of mu, T(f) and f* only through bind_at.
+
+    A class may declare `em_law_support = k`, for k at most 2, when the EM
+    law s . T(s) = s . mu_Y at the points of T(T(Y)) of support <= k, with
+    the unit law, implies it everywhere; its docstring holds the proof.
+    The EM fill checks the law at the points of support 1 and 2, so the EM
+    route then checks the unit law only (`_em_law_support`).
     """
 
     name: str
@@ -336,8 +354,9 @@ class FiniteMonad:
         first, each group in index order, and a point is checked at the step
         that sets the last entry it reads.  freevec2's points are the pairs
         of masks, whose law is addition; maybe, identity and exception have
-        none and get every unit-compatible table.  Survivors still get the
-        full axiom check by the enumerator.
+        none and get every unit-compatible table.  Survivors get the
+        whole-table law from the EM route unless the monad's class declares
+        its `em_law_support`, which makes these points decide it.
         """
         what = f"structure-map enumeration at carrier {carrier}"
         tsize, eta, shapes = self.t_size(carrier), self.eta(carrier), self._law_shapes
@@ -388,9 +407,17 @@ class CoproductException(FiniteMonad):
     marks must be a nonnegative integer, else StructuralError: a bool or a
     float is refused, as in a ring file, and a numpy integer is held, and
     names the monad, as a Python int.
+
+    Its EM law is decided at support 1: T(T(Y)) = T(Y) + S, where a point p
+    of T(Y) is eta_{T(Y)}(p), of support 1, and a mark has support 0.  At p,
+    T(s)(p) = eta_Y(s(p)) and mu_Y(p) = p, so both sides of the law
+    s . T(s) = s . mu_Y are s(p) once s . eta_Y = id_Y; at a mark, T(s) and
+    mu_Y give the same mark of T(Y).  So every unit-compatible table is an
+    algebra.
     """
 
     ambient = DisjointUnion
+    em_law_support = 1
 
     def __init__(self, marks: int, name: Optional[str] = None):
         if isinstance(marks, bool) or not isinstance(marks, (int, np.integer)):
@@ -438,10 +465,22 @@ class FreeVectorF2(FiniteMonad):
     2^(2^n) entries, so it is only ever built at small n, where its masks are
     far below 2^63.  An f whose entry is not a mask of T(dst) is refused with
     StructuralError, never truncated.
+
+    Its EM law is decided at support 2.  Write P in T(T(Y)) as a set
+    {p_1, ..., p_m} of masks; the law is s(+{s(p_i)}) = s(+p_i), with + the
+    XOR and {y} the delta mask of y.  At m = 0 both sides are s(0), and at
+    m = 1 the law is the unit law s({s(p)}) = s(p).  For m >= 3, put
+    q = p_1 + ... + p_{m-1} and r = {s(p_1)} + ... + {s(p_{m-1})}; by
+    induction s(q) = s(r).  The law at the point {q, p_m} of support 2 gives
+    s(q + p_m) = s({s(q)} + {s(p_m)}), and since s(q) = s(r) and
+    s({s(p_m)}) = s(p_m), the law at {r, {s(p_m)}} turns that into
+    s(r + {s(p_m)}), the left side at P.  Where the two masks of such a pair
+    coincide, both sides are s(0).
     """
 
     ambient = CartesianProduct
     name = "freevec2"
+    em_law_support = 2
 
     def t_size(self, n: int) -> int:
         return 1 << n
@@ -518,8 +557,9 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     EM enumeration: mu_n is built for its key at each carrier checked, and
     the law builds mu_{T(n)} only when it has not answered that key yet.
     The walk over carriers stops at the first carrier n >= 1 whose T(T(n))
-    is past the budget.
+    is past the budget.  A negative max_size raises StructuralError.
     """
+    _refuse_a_negative_bound(max_size)
     violations: list[Violation] = []
     for n in range(max_size + 1):
         tn = monad.t_size(n)
@@ -670,27 +710,45 @@ def _free_generators(classes: dict[int, dict], free_size, free_table) -> dict[tu
     return free
 
 
+def _em_law_support(monad: FiniteMonad) -> Optional[int]:
+    """The `em_law_support` that the monad's own class declares, or None.
+
+    It is read from the class's own namespace, never inherited: a subclass that overrides an evaluator
+    may break the proof, so it keeps the whole-table law unless it declares one itself.  A declaration
+    past 2, the support of the EM fill's points, raises StructuralError.
+    """
+    support = vars(type(monad)).get("em_law_support")
+    if support is not None and not 0 <= support <= 2:
+        raise StructuralError(f"{type(monad).__name__}.em_law_support is {support}, past the EM fill's support 2")
+    return support
+
+
 def _em_route(monad: FiniteMonad, carrier: int, budget: int):
     """The EM route on the carrier Y as (fill, move, law): its EM fill, relabeling move perm -> T(perm) and law.
 
     fill(budget) is the monad's EM fill on Y, `em_structure_candidates`, looked up here and entered only
-    when called.  law(s) guards the T(T(Y)) table against the budget, then holds when s . eta_Y = id_Y and
-    s . T(s) = s . mu_Y.  The EM law is answered once per monad object (`_em_law_holds`), so a free
-    algebra (T(n), mu_n) whose law validate_monad checked as associativity at n is not checked again,
-    and the law builds the mu_Y table it reads only for a structure it has not answered yet.  The route
-    reads the monad's evaluators only.
+    when called.  Where the monad's class declares its `em_law_support`, the fill's points and the unit
+    law decide the EM law, so law(s) guards the |T(Y)| entries of s, the table the fill and the orbit
+    hold, against the budget and holds when s . eta_Y = id_Y; no T(T(Y)) table is sized or built.
+    Otherwise law(s) guards the T(T(Y)) table, then holds when s . eta_Y = id_Y and s . T(s) = s . mu_Y.
+    That whole-table law is answered once per monad object (`_em_law_holds`), so a free algebra
+    (T(n), mu_n) whose law validate_monad checked as associativity at n is not checked again, and the
+    law builds the mu_Y table it reads only for a structure it has not answered yet.  The route reads the
+    monad's evaluators only.
     """
-    ttsize = _table_size(monad, monad.t_size(carrier), budget)
+    decided = _em_law_support(monad) is not None
+    tsize = monad.t_size(carrier)
+    held = tsize if decided else _table_size(monad, tsize, budget)
     eta = monad.eta(carrier)
 
     def move(perm) -> tuple[int, ...]:
         return monad.t_mor(perm, carrier)
 
     def law(structure) -> bool:
-        _guard(ttsize, budget, f"algebra axiom tables at carrier {carrier}")
+        _guard(held, budget, f"algebra axiom tables at carrier {carrier}")
         if any(structure[eta[x]] != x for x in range(carrier)):
             return False
-        return monad._em_law_holds(carrier, structure)
+        return decided or monad._em_law_holds(carrier, structure)
 
     return functools.partial(monad.em_structure_candidates, carrier), move, law
 
@@ -708,13 +766,17 @@ def enumerate_em_algebras(
     is built once, from two generators of the symmetric group, so its cost is
     proportional to the orbit's size rather than carrier!.  The representative
     is the orbit's least structure table.  A candidate of the monad's EM fill
-    in the orbit of an algebra already found is skipped before its T(T(Y))
-    table is built, since it could only add that algebra again.  The EM law
-    of a free algebra (T(n), mu_n), monad associativity at n, is checked
-    once per monad object, here or by validate_monad.  A T(T(Y)) table a
-    candidate needs, or an orbit, larger than the budget raises
-    BudgetExceededError.
+    in the orbit of an algebra already found is skipped before its law is
+    asked, since it could only add that algebra again.  A monad whose class
+    declares its `em_law_support` has its EM law decided by the fill's
+    points and the unit law; any other has it checked on the whole T(T(Y))
+    table, and the EM law of a free algebra (T(n), mu_n), monad
+    associativity at n, once per monad object, here or by validate_monad.
+    The table the law is asked to hold, T(Y) where the law is declared and
+    T(T(Y)) otherwise, or an orbit, larger than the budget raises
+    BudgetExceededError, and a negative max_carrier raises StructuralError.
     """
+    _refuse_a_negative_bound(max_carrier)
     route = functools.partial(_em_route, monad, budget=budget)
     return _em_algebras(monad, _isoclasses(route, range(max_carrier + 1), budget))
 
@@ -802,18 +864,24 @@ def check_adjunction_trivial(
     exactly when mu(n) lies in that orbit: one lookup, no second orbit, and
     each mu(n) is built once (`_free_generators`).  The witness of an algebra
     is the least such n; the counterexample is the first algebra with none.
+    Where the monad's declared `em_law_support` decided an isoclass on a
+    carrier whose T(T(Y)) is past the budget, the note gains a sentence that
+    says so (`_reduction_note`).  A negative max_carrier raises
+    StructuralError.
     """
+    _refuse_a_negative_bound(max_carrier)
     route = functools.partial(_em_route, monad, budget=budget)
     classes = _isoclasses(route, range(max_carrier + 1), budget)
     algebras = _em_algebras(monad, classes)
     applicable = len(algebras) >= 2
+    probed: dict[int, dict] = {}
     if not applicable:
         beyond = range(max_carrier + 1, max_carrier + 1 + STAR_PROBE_EXTRA)
         try:
-            extra = len(_representatives(_isoclasses(route, beyond, budget)))
+            probed = _isoclasses(route, beyond, budget)
         except BudgetExceededError:
-            extra = 0
-        applicable = len(algebras) + extra >= 2
+            pass
+        applicable = len(algebras) + len(_representatives(probed)) >= 2
     free = _free_generators(classes, monad.t_size, lambda n: free_algebra(monad, n, budget).structure)
     counterexample = next((alg for alg in algebras if alg.structure not in free), None)
     return AdjunctionVerdict(
@@ -824,7 +892,29 @@ def check_adjunction_trivial(
         trivial_up_to_bound=counterexample is None if applicable else None,
         counterexample=counterexample,
         free_witnesses=tuple((alg, free[alg.structure]) for alg in algebras if alg.structure in free),
+        note=_reduction_note(monad, classes | probed, budget),
     )
+
+
+def _reduction_note(monad: FiniteMonad, classes: dict[int, dict], budget: int) -> str:
+    """BOUNDED_NOTE, plus a sentence naming the carriers with an isoclass of classes whose EM law the
+    monad's declared `em_law_support` decided where the whole T(T(Y)) table is past the budget.
+
+    Only there does the verdict rest on the reduction alone: at any other carrier the whole-table law
+    could have been checked.  validate_monad checks associativity only where T(T(T(n))) fits the
+    budget, so the sentence says that too.
+    """
+    support = _em_law_support(monad)
+    if support is None:
+        return BOUNDED_NOTE
+    carriers = [str(carrier) for carrier, members in classes.items()
+                if members and _table_size(monad, monad.t_size(carrier), budget) > budget]
+    if not carriers:
+        return BOUNDED_NOTE
+    return (f"{BOUNDED_NOTE}. At carrier{'s' * (len(carriers) > 1)} {', '.join(carriers)}, whose T(T(Y)) is past "
+            f"the budget, the EM law was decided by the unit law and the law at the points of support <= {support} "
+            f"({type(monad).__name__}.em_law_support), and validate_monad checks monad associativity only at sizes "
+            "n whose T(T(T(n))) fits the budget")
 
 
 def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDGET) -> ValidationReport:
@@ -840,8 +930,9 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     is evaluated one point of X (x) T(T(Y)) at a time through bind_at, so
     neither the mu(X (x) Y) nor the T(theta) table is built.  The budget
     holds the number of points of each law and the size of every table that
-    is built, before it is built.
+    is built, before it is built.  A negative max_size raises StructuralError.
     """
+    _refuse_a_negative_bound(max_size)
     amb = monad.ambient
     violations: list[Violation] = []
     sizes = range(max_size + 1)
@@ -916,8 +1007,10 @@ def is_very_strong(monad: FiniteMonad, max_size: int) -> StrengthIsoVerdict:
     """True when every strength component on sizes <= max_size is a bijection.
 
     On failure the witness is a cardinality mismatch between X (x) T(Y) and
-    T(X (x) Y), or a same-size component that is not bijective.
+    T(X (x) Y), or a same-size component that is not bijective.  A negative
+    max_size raises StructuralError.
     """
+    _refuse_a_negative_bound(max_size)
     amb = monad.ambient
     for x in range(max_size + 1):
         for y in range(max_size + 1):
@@ -1028,8 +1121,10 @@ def enumerate_modules(
     law, as `_module_route` states them, so the two routes share no verdict
     logic, only the classifier `_isoclasses` that keeps the least action table
     of each isoclass's orbit.  That orbit is built once per isoclass, at a cost
-    proportional to its size rather than carrier!.
+    proportional to its size rather than carrier!.  A negative max_carrier
+    raises StructuralError.
     """
+    _refuse_a_negative_bound(max_carrier)
     classes = _isoclasses(functools.partial(_module_route, algebra), range(max_carrier + 1), budget)
     return [AlgebraModule(carrier, canon) for carrier, canon in _representatives(classes)]
 
@@ -1074,8 +1169,10 @@ def check_mon_ess_agreement(
     its own free objects by lookup in the orbits of its own enumeration
     (`_free_generators`).  The monad must be very strong on sizes up to
     max_carrier, else StructuralError, and must have two algebra isoclasses
-    in reach of check_adjunction_trivial, else DegenerateMonadError.
+    in reach of check_adjunction_trivial, else DegenerateMonadError.  A
+    negative max_carrier raises StructuralError.
     """
+    _refuse_a_negative_bound(max_carrier)
     if not is_very_strong(monad, max_carrier).very_strong:
         raise StructuralError(f"the agreement check needs a very strong monad, and {monad.name} is not one")
     verdict = check_adjunction_trivial(monad, max_carrier, budget)
@@ -1156,8 +1253,10 @@ def check_comparison_fully_faithful(
     every leaf it reaches against the budget.  Both read mu and T(f) only
     through bind_at.  The search always runs to its end, so a lawless monad
     whose search finds a morphism outside the image and then runs past the
-    budget raises BudgetExceededError rather than returning False.
+    budget raises BudgetExceededError rather than returning False.  A
+    negative max_size raises StructuralError.
     """
+    _refuse_a_negative_bound(max_size)
     for x in range(max_size + 1):
         morphisms = _em_morphisms(monad, x, budget)
         points = range(monad.t_size(x))

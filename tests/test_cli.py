@@ -641,10 +641,35 @@ def test_monad_check_exception_negative(capsys):
 
 
 def test_monad_check_budget_exit(capsys):
-    # carriers 5 to 7 have no candidate; the first of carrier 8's 240 needs a 2^256-entry axiom table
-    code, _, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "8")
+    # the wall is carrier 9's fill: carrier 8's ends in 549 655 leaves, and carrier 9's runs past 600 000
+    code, out, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "9", "--budget", "600000")
+    assert (code, out) == (3, "")
+    assert "budget exceeded: structure-map enumeration at carrier 9 needs 600001 entries" in err
+
+
+def test_monad_check_decides_freevec2_at_eight_from_the_fill_points(capsys):
+    # carrier 8's 240 candidates are F2^3 and need no 2^256-entry T(T(8)): the support-2 points decide them
+    code, out, _ = run_cli(capsys, "monad", "check", "freevec2", "--max-size", "8")
+    assert code == 0
+    payload = payload_of(out)
+    assert (payload["isoclass_count"], payload["trivial_up_to_bound"], payload["laws_passed"]) == (4, True, True)
+    assert [(w["algebra"]["carrier"], w["generator_size"]) for w in payload["free_witnesses"]] == [
+        (1, 0), (2, 1), (4, 2), (8, 3)]
+    assert payload["note"].startswith(monads.BOUNDED_NOTE + ". At carrier 8, whose T(T(Y)) is past the budget,")
+    assert "points of support <= 2 (FreeVectorF2.em_law_support)" in payload["note"]
+    assert "validate_monad checks monad associativity only at sizes n whose T(T(T(n))) fits" in payload["note"]
+
+
+def test_small_budget_maybe_check_is_decided_from_the_structure_table(capsys):
+    # |T(3)| = 4 fits the budget and |T(T(3))| = 5 does not: the unit law decides maybe's law at carrier 3
+    code, out, _ = run_cli(capsys, "monad", "check", "maybe", "--max-size", "3", "--budget", "4")
+    assert code == 0
+    payload = payload_of(out)
+    assert (payload["isoclass_count"], payload["trivial_up_to_bound"]) == (3, True)
+    assert payload["note"].startswith(monads.BOUNDED_NOTE + ". At carrier 3, whose T(T(Y)) is past the budget,")
+    code, _, err = run_cli(capsys, "monad", "check", "maybe", "--max-size", "4", "--budget", "4")
     assert code == 3
-    assert "budget" in err
+    assert "algebra axiom tables at carrier 4 needs 5 entries, budget is 4" in err
 
 
 def test_monad_check_decides_freevec2_up_to_seven(capsys):
@@ -669,17 +694,18 @@ def test_monad_check_builds_mu_four_once_per_run(capsys, monkeypatch):
 
 
 def test_monad_check_far_past_the_budget_sizes_no_huge_table(capsys):
-    # freevec2 at bound 29 used to size T(T(29)) as the number 2^(2^29) just to compare it
+    # freevec2 at bound 29 used to size T(T(29)) as the number 2^(2^29) just to compare it; at budget 20 000
+    # bounds 8 and 60 both stop at carrier 8's 32 640 law points, so neither sizes anything past carrier 8
     peaks, errors = [], []
     for bound in ("8", "60"):
         tracemalloc.start()
-        code, out, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", bound)
+        code, out, err = run_cli(capsys, "monad", "check", "freevec2", "--max-size", bound, "--budget", "20000")
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
         assert (code, out) == (3, "")
         errors.append(err)
     assert errors[0] == errors[1]
-    assert "algebra axiom tables at carrier 8" in errors[0]
+    assert "EM law points at carrier 8 needs 32640 entries, budget is 20000" in errors[0]
     assert peaks[1] < peaks[0] + 2**20
 
 
@@ -704,7 +730,8 @@ def without_and_with_the_env_var(capsys, monkeypatch, value, *argv):
 
 
 def test_budget_env_var(capsys, monkeypatch):
-    # nothing reads the variable: 10 is below the carrier-2 search of freevec2, which the default budget holds
+    # nothing reads the variable: at budget 10 the report would say that carrier 2's law, whose T(T(2)) has 16
+    # entries, was decided by the support-2 points, and at the default budget it does not
     argv = ("monad", "check", "freevec2", "--max-size", "2")
     unset, given = without_and_with_the_env_var(capsys, monkeypatch, "10", *argv)
     assert unset[0] == 0

@@ -302,6 +302,14 @@ def test_monad_laws_match_the_table_built_oracle(monad, size):
     assert list(d.validate_monad(monad, size).violations) == table_built_monad_laws(monad, size)
 
 
+class WholeTableException(d.CoproductException):
+    """The exception monad as a subclass, which inherits no `em_law_support`: its EM route checks the whole table."""
+
+
+class WholeTableFreeVector(d.FreeVectorF2):
+    """freevec2 as a subclass, which inherits no `em_law_support`: its EM route checks the whole table."""
+
+
 class CountingMu(d.FreeVectorF2):
     """freevec2 that counts its mu tables by carrier."""
 
@@ -909,8 +917,9 @@ def test_free_algebra_law_is_checked_once_per_monad():
 
 
 def test_em_route_law_checks_the_unit_law_before_the_em_law():
-    # the constant structure on maybe's carrier 2 satisfies s . T(s) = s . mu_2 but sends eta(1) to 0, not 1
-    monad = d.maybe_monad()
+    # the constant structure on maybe's carrier 2 satisfies s . T(s) = s . mu_2 but sends eta(1) to 0, not 1;
+    # maybe's own class declares its law decided by the unit law, so an undeclared subclass asks the whole table
+    monad = WholeTableException(1, name="maybe")
     _, _, law = M._em_route(monad, 2, M.DEFAULT_BUDGET)
     assert law((0, 0, 0)) is False
     assert monad._em_law_verdicts == {}
@@ -1065,6 +1074,181 @@ def test_em_law_matches_the_python_int_whole_table_law(drawn):
     assert d.FreeVectorF2()._em_law_holds(carrier, structure) == expected
 
 
+# ------------------------------------------- the EM law decided by the fill's points
+# CoproductException (maybe, identity, exception) declares its EM law decided at support 1 and FreeVectorF2 at
+# support 2; the whole-table law of an undeclared subclass is the oracle wherever T(T(Y)) fits.
+
+def support_two_points_hold(structure, carrier):
+    """freevec2's EM law at every point {a, b} of support 2 of T(T(Y)), written out: s({s(a)} + {s(b)}) = s(a + b)."""
+    return all(structure[(1 << structure[a]) ^ (1 << structure[b])] == structure[a ^ b]
+               for a, b in itertools.combinations(range(1 << carrier), 2))
+
+
+def unit_tables(monad, carrier):
+    """Every unit-compatible structure table on the carrier, by the product of the free entries."""
+    eta = monad.eta(carrier)
+    free = [p for p in range(monad.t_size(carrier)) if p not in eta]
+    for values in itertools.product(range(carrier), repeat=len(free)):
+        table = [0] * monad.t_size(carrier)
+        for x, p in enumerate(eta):
+            table[p] = x
+        for p, v in zip(free, values):
+            table[p] = v
+        yield tuple(table)
+
+
+@functools.cache
+def fill_survivors(monad, carrier):
+    return frozenset(monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET))
+
+
+def reduced_law(monad, carrier, structure):
+    """A declared monad's EM law: the points its EM fill checks, then the route's law, which is the unit law."""
+    return structure in fill_survivors(monad, carrier) and M._em_route(monad, carrier, M.DEFAULT_BUDGET)[2](structure)
+
+
+# (declared monad, its undeclared twin, the last carrier whose T(T(Y)) the oracle reads)
+DECLARED_MONADS = [
+    (d.maybe_monad(), WholeTableException(1, name="maybe"), 6),
+    (d.CoproductException(2), WholeTableException(2), 6),
+    (d.CoproductException(3), WholeTableException(3), 6),
+    (d.FreeVectorF2(), WholeTableFreeVector(), 4),
+]
+
+
+@st.composite
+def declared_law_cases(draw):
+    """A declared monad, its undeclared twin, a carrier and a unit-compatible table drawn entry by entry.
+
+    freevec2 tables are F2-vector space sums half the time, as the entry-by-entry ones are mostly lawless.
+    """
+    monad, twin, top = draw(st.sampled_from(DECLARED_MONADS))
+    if isinstance(monad, d.FreeVectorF2):
+        return (monad, twin, *draw(unit_compatible_structures()))
+    carrier = draw(st.integers(1, top))  # carrier 0 has no table: its marks have no value below 0
+    marks = draw(st.lists(st.integers(0, carrier - 1), min_size=monad.marks, max_size=monad.marks))
+    return monad, twin, carrier, tuple(range(carrier)) + tuple(marks)
+
+
+@settings(max_examples=200, deadline=None)
+@given(declared_law_cases())
+@example((d.FreeVectorF2(), WholeTableFreeVector(), 3, (0, 0, 1, 0, 2, 0, 0, 0)))
+@example((d.FreeVectorF2(), WholeTableFreeVector(), 4, low_bit_mu(2)))
+def test_declared_law_is_the_whole_table_law_on_drawn_tables(case):
+    # Every unit-compatible exception table is lawful, and a freevec2 table that passes the support-2 points
+    # passes the whole law.  No test monad here fails its law only at support 3: its points of support 3
+    # would need an operation of three arguments that no composite of binary ones gives, as the median of
+    # median algebras, and their free algebra on 4 generators has 12 elements, whose T(12) is the set of
+    # self-dual monotone Boolean functions of 12 variables, far past any table, so the whole-table oracle
+    # could not be read where such a law first fails.  A monad of that kind declares nothing and keeps it.
+    monad, twin, carrier, structure = case
+    whole = twin._em_law_holds(carrier, structure)
+    assert reduced_law(monad, carrier, structure) == whole
+    if isinstance(monad, d.FreeVectorF2):
+        assert support_two_points_hold(structure, carrier) == whole
+    else:
+        assert whole
+
+
+# every carrier of the exception monads' oracle, with at most 3^6 tables; freevec2 has 4^12 at carrier 4
+@pytest.mark.parametrize("monad,twin,carrier", [
+    (monad, twin, carrier) for monad, twin, top in DECLARED_MONADS
+    for carrier in range((3 if isinstance(monad, d.FreeVectorF2) else top) + 1)
+], ids=monad_id)
+def test_declared_law_is_the_whole_table_law_on_every_unit_table(monad, twin, carrier):
+    # the EM fill keeps exactly the freevec2 tables that pass the written-out support-2 points, and those are
+    # exactly the tables that pass the whole-table law
+    for structure in unit_tables(monad, carrier):
+        whole = twin._em_law_holds(carrier, structure)
+        assert reduced_law(monad, carrier, structure) == whole, structure
+        if isinstance(monad, d.FreeVectorF2):
+            assert support_two_points_hold(structure, carrier) == whole, structure
+
+
+class PointLog(d.FreeVectorF2):
+    """freevec2 that logs the maps h of its bind_at calls by destination: the EM fill makes one per law point."""
+
+    def __init__(self):
+        self.calls = collections.defaultdict(list)
+
+    def bind_at(self, f, dst, p):
+        self.calls[dst].append(tuple(f))
+        return super().bind_at(f, dst, p)
+
+
+@pytest.mark.parametrize("carrier", range(2, 6))
+def test_freevec_fill_states_every_support_two_point(carrier):
+    # The declared law rests on these points, yet no table of carriers 2 or 3 fails exactly one of them, so a
+    # fill that drops any one of their 34 points keeps every survivor and no test of survivors can tell.  So
+    # the fill is asked for its points: the pair {a, b} of masks is stated once, through bind_at at h = (a, b)
+    monad = PointLog()
+    list(monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET))
+    assert monad.calls[carrier] == list(itertools.combinations(range(1 << carrier), 2))
+
+
+@pytest.mark.parametrize("carrier", [2, 3])
+def test_freevec_fill_checks_are_the_support_two_points_on_every_table(freevec, carrier, monkeypatch):
+    # the fill's checks, run on every table of the carrier, unit-compatible or not, keep exactly the tables
+    # that pass every written-out support-2 point
+    def every_table(size, unit, carrier, budget, what, holds):
+        for table in itertools.product(range(carrier), repeat=size):
+            if all(holds(list(table), i) for i in range(size)):
+                yield table
+
+    monkeypatch.setattr(M, "_fill", every_table)
+    kept = set(freevec.em_structure_candidates(carrier, M.DEFAULT_BUDGET))
+    tables = itertools.product(range(carrier), repeat=1 << carrier)
+    assert kept == {table for table in tables if support_two_points_hold(table, carrier)}
+
+
+@pytest.mark.parametrize("monad,twin,top", DECLARED_MONADS, ids=monad_id)
+def test_declared_enumeration_matches_the_whole_table_enumeration(monad, twin, top):
+    assert d.enumerate_em_algebras(monad, top) == d.enumerate_em_algebras(twin, top)
+    assert d.check_adjunction_trivial(monad, top) == d.check_adjunction_trivial(twin, top)
+
+
+def test_a_subclass_inherits_no_em_law_declaration():
+    # a subclass that overrides an evaluator may break the proof, so only a class's own namespace declares
+    assert [M._em_law_support(m) for m in (d.maybe_monad(), d.identity_monad(), d.CoproductException(4))] == [1, 1, 1]
+    assert M._em_law_support(d.FreeVectorF2()) == 2
+    for monad in (WholeTableException(1), WholeTableFreeVector(), BadFold(2), SwapFold(2), XorSlip(), CountingMu(),
+                  CountingMaybeMu(), Involution()):
+        assert M._em_law_support(monad) is None, monad_id(monad)
+    # two of SwapFold(2)'s four unit-compatible tables on carrier 2 fail its whole-table law, which its route
+    # still asks; with exception(2)'s declaration inherited, the route took all four
+    _, _, law = M._em_route(SwapFold(2), 2, M.DEFAULT_BUDGET)
+    assert [law(s) for s in unit_tables(SwapFold(2), 2)] == [True, False, False, True]
+    _, _, law = M._em_route(d.CoproductException(2), 2, M.DEFAULT_BUDGET)
+    assert [law(s) for s in unit_tables(d.CoproductException(2), 2)] == [True] * 4
+
+
+def test_a_declaration_past_the_fill_support_is_refused():
+    class ThreeDeep(d.CoproductException):
+        em_law_support = 3
+
+    with pytest.raises(StructuralError, match="ThreeDeep.em_law_support is 3, past the EM fill's support 2"):
+        d.enumerate_em_algebras(ThreeDeep(1), 1)
+
+
+def test_a_declared_law_guards_the_structure_table():
+    # no T(T(Y)) is sized, but the 31 entries of a structure table on carrier 1 of exception(30) are
+    with pytest.raises(BudgetExceededError, match="algebra axiom tables at carrier 1 needs 31 entries, budget is 20"):
+        d.check_adjunction_trivial(d.CoproductException(30), 1, budget=20)
+    assert d.check_adjunction_trivial(d.CoproductException(30), 1, budget=31).isoclass_count == 1
+
+
+def test_the_note_names_the_carriers_decided_past_the_whole_table():
+    # maybe's T(T(Y)) has Y + 2 entries: at budget 4 carriers 0 to 2 fit, and carrier 3 rests on the reduction
+    assert d.check_adjunction_trivial(d.maybe_monad(), 3).note == M.BOUNDED_NOTE
+    assert d.check_adjunction_trivial(d.maybe_monad(), 2, budget=4).note == M.BOUNDED_NOTE
+    note = d.check_adjunction_trivial(d.maybe_monad(), 3, budget=4).note
+    assert note == (f"{M.BOUNDED_NOTE}. At carrier 3, whose T(T(Y)) is past the budget, the EM law was decided by "
+                    "the unit law and the law at the points of support <= 1 (CoproductException.em_law_support), and "
+                    "validate_monad checks monad associativity only at sizes n whose T(T(T(n))) fits the budget")
+    # exception(2) at budget 4: |T(Y)| = Y + 2 fits and |T(T(Y))| = Y + 4 does not at carriers 1 and 2
+    assert "At carriers 1, 2, whose" in d.check_adjunction_trivial(d.CoproductException(2), 2, budget=4).note
+
+
 @pytest.mark.parametrize("dst", (0, 1, 7, 8, 9, 16, 62, 63, 64))
 def test_bind_refuses_an_entry_that_is_no_mask_of_its_destination(freevec, dst):
     # 2^dst is the least entry past the masks of T(dst); a table of the narrowest dtype would keep its low bits
@@ -1131,11 +1315,15 @@ def test_payloads_hold_python_ints_only():
 
 
 def test_enumeration_budget(freevec):
-    # carriers 5 to 7 have no candidate, so no axiom table is sized there; carrier 8 has 240, and the
-    # first one needs the 2^256-entry T(T(8)) of the whole-table check
+    # carriers 5 to 7 have no candidate; carrier 8 has 240, which the support-2 points decide without the
+    # 2^256-entry T(T(8)) of the whole-table law.  Carrier 9's fill is the wall, and an undeclared subclass
+    # still sizes T(T(8)) for its first candidate
     assert [a.carrier for a in d.enumerate_em_algebras(freevec, 7)] == [1, 2, 4]
+    assert [a.carrier for a in d.enumerate_em_algebras(freevec, 8)] == [1, 2, 4, 8]
+    with pytest.raises(BudgetExceededError, match="structure-map enumeration at carrier 9 needs 600001 entries"):
+        d.enumerate_em_algebras(freevec, 9, budget=600_000)
     with pytest.raises(BudgetExceededError, match=f"algebra axiom tables at carrier 8 needs {2**256} entries"):
-        d.enumerate_em_algebras(freevec, 8)
+        d.enumerate_em_algebras(WholeTableFreeVector(), 8)
 
 
 def test_free_algebras(maybe, identity, freevec):
@@ -1178,6 +1366,42 @@ def test_free_objects_refuse_a_negative_number_of_generators(name):
         d.free_module(algebra, -1)
     assert d.free_algebra(monad, 0).carrier == monad.t_size(0)
     assert d.free_module(algebra, 0).carrier == algebra.ambient.tensor(0, algebra.carrier)
+
+
+class Untouched(d.FiniteMonad):
+    """A monad whose evaluators fail the test when read: a verdict refused before any work reads none of them."""
+
+    name = "untouched"
+
+    def t_size(self, n):
+        raise AssertionError("t_size read")
+
+    def eta(self, n):
+        raise AssertionError("eta read")
+
+    def bind_at(self, f, dst, p):
+        raise AssertionError("bind_at read")
+
+
+# every public monad verdict that takes a bound, asked at -1 of the untouched monad or of an algebra with no tables
+NEGATIVE_BOUND_VERDICTS = {
+    "validate_monad": lambda: d.validate_monad(Untouched(), -1),
+    "check_strength": lambda: d.check_strength(Untouched(), -1),
+    "is_very_strong": lambda: d.is_very_strong(Untouched(), -1),
+    "enumerate_em_algebras": lambda: d.enumerate_em_algebras(Untouched(), -1),
+    "check_adjunction_trivial": lambda: d.check_adjunction_trivial(Untouched(), -1),
+    "enumerate_modules": lambda: d.enumerate_modules(d.MonoidAlgebra("none", M.DisjointUnion, 0, (), ()), -1),
+    "check_comparison_fully_faithful": lambda: d.check_comparison_fully_faithful(Untouched(), -1),
+    "check_mon_ess_agreement": lambda: d.check_mon_ess_agreement(Untouched(), -1),
+}
+
+
+@pytest.mark.parametrize("verdict", NEGATIVE_BOUND_VERDICTS.values(), ids=NEGATIVE_BOUND_VERDICTS)
+def test_a_negative_bound_is_refused_before_any_work(verdict):
+    # validate_monad(maybe, -1) and check_strength(freevec2, -1) passed, and enumerate_em_algebras(maybe, -1)
+    # listed no algebra, as if the bound were a verdict
+    with pytest.raises(StructuralError, match="a bound must be nonnegative, not -1"):
+        verdict()
 
 
 def test_free_algebras_appear_in_enumeration(maybe, identity, exc2, freevec):
