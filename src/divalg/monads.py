@@ -22,9 +22,10 @@ ambients' tensor of morphisms, `tensor_mor`, is a C-level map, and a table
 after id_X (x) g, the left side of three strength axioms, is gathered by the
 ambient's `whisker` without building id_X (x) g.  Every
 table that leaves the module is a tuple of Python ints.  The unit laws, the
-EM fill, the strength_iii right side, the algebra-morphism search and the
-comparison check read single entries of mu, T(f) and their composite f* only
-through `bind_at`, at the points they quantify over.  Structure maps, module
+EM fill, the algebra-morphism search and the comparison check read single
+entries of mu, T(f) and their composite f* through `bind_at`, at the points
+they quantify over; the strength_iii right side reads f* at every point of a
+theta table in one `bind_points` call, which a class may batch.  Structure maps, module
 actions and algebra morphisms are all listed by one depth-first fill, `_fill`,
 which knows no law: each caller passes the carrier its values lie below, the
 unit its entries must extend (none for a morphism) and its own check.  Every
@@ -55,8 +56,10 @@ call is given, counted where that work is done.
 
 from __future__ import annotations
 
+import array
 import bisect
 import collections
+import contextlib
 import functools
 import itertools
 import math
@@ -167,8 +170,17 @@ def _fill(size: int, unit, carrier: int, budget: int, what: str, holds=None) -> 
 
 
 def _mismatches(axiom: str, key: tuple[int, ...], lhs, rhs) -> list[Violation]:
-    """A Violation at key + (p,) for every position p where the tables lhs and rhs differ."""
-    if lhs == rhs:
+    """A Violation at key + (p,) for every position p where the tables lhs and rhs differ.
+
+    rhs may be a numpy array whose dtype holds every entry of lhs: lhs is then held in it, compared in numpy,
+    and itemized as Python ints.
+    """
+    if isinstance(rhs, np.ndarray):
+        lhs = np.fromiter(lhs, dtype=rhs.dtype, count=len(lhs))
+        if np.array_equal(lhs, rhs):
+            return []
+        lhs, rhs = _ints(lhs), _ints(rhs)
+    elif lhs == rhs:
         return []
     return [Violation(axiom, key + (p,), a, b) for p, (a, b) in enumerate(zip(lhs, rhs, strict=True)) if a != b]
 
@@ -191,6 +203,11 @@ def compose(g, f) -> tuple[int, ...]:
     if len(f) < 2:
         return tuple(g[v] for v in f)
     return operator.itemgetter(*f)(g)
+
+
+def _gather(f) -> Callable:
+    """compose(-, f) as one callable, built once for every table it is applied to."""
+    return operator.itemgetter(*f) if len(f) > 1 else functools.partial(compose, f=tuple(f))
 
 
 def _refuse_images_past(f, size: int, what: str, dst: int):
@@ -222,9 +239,9 @@ class DisjointUnion:
     def whisker(table, x: int, g, b_dst: int) -> tuple[int, ...]:
         """The tuple table after id_x (x) g, without building id_x (x) g.
 
-        Its first x entries, then the rest gathered by g.
+        Its first x entries, then the rest gathered by g, which may be given as its `_gather`.
         """
-        return table[:x] + compose(table[x:], g)
+        return tuple(table[:x]) + (g if callable(g) else _gather(g))(table[x:])
 
 
 class CartesianProduct:
@@ -245,9 +262,10 @@ class CartesianProduct:
     def whisker(table, x: int, g, b_dst: int) -> tuple[int, ...]:
         """The tuple table after id_x (x) g, without building id_x (x) g.
 
-        Each of its x rows of b_dst entries, gathered by g.
+        Each of its x rows of b_dst entries, gathered by g, which may be given as its `_gather`.
         """
-        return tuple(itertools.chain.from_iterable(compose(table[a * b_dst:(a + 1) * b_dst], g) for a in range(x)))
+        rows = (table[a * b_dst:(a + 1) * b_dst] for a in range(x))
+        return tuple(itertools.chain.from_iterable(map(g if callable(g) else _gather(g), rows)))
 
 
 class FiniteMonad:
@@ -257,8 +275,14 @@ class FiniteMonad:
     which computes f*(p) = mu_dst(T(f)(p)) for f: X -> T(dst) without
     building a table, and the theta table when it has a strength.  The
     tables follow from bind_at: bind(f, dst) is the table of f*, which a
-    subclass may give faster, T(f) = (eta . f)* and mu = id*.  The laws read
-    single entries of mu, T(f) and f* only through bind_at.
+    subclass may give faster, T(f) = (eta . f)* and mu = id*, and
+    bind_points(f, dst, points) is f* at every point of a table, the bind_at
+    loop unless a subclass batches it.  The laws read single entries of mu,
+    T(f) and f* through bind_at, apart from the strength_iii right side,
+    which reads f* at every point of a theta table through bind_points, and
+    only where the class that defines the monad's bind_at defines
+    bind_points too (`_points_evaluator`): a subclass that overrides bind_at
+    alone keeps the loop.
 
     A class may declare `em_law_support = k`, for k at most 2, when the EM
     law s . T(s) = s . mu_Y at the points of T(T(Y)) of support <= k, with
@@ -283,6 +307,14 @@ class FiniteMonad:
     def bind(self, f, dst: int) -> tuple[int, ...]:
         """The table of f*: T(X) -> T(dst) for f: X -> T(dst)."""
         return tuple(self.bind_at(f, dst, p) for p in range(self.t_size(len(f))))
+
+    def bind_points(self, f, dst: int, points) -> tuple[int, ...]:
+        """f* at each entry of the table points, for f: X -> T(dst): the bind_at loop.
+
+        A subclass may batch it, as both builtin classes do, and must then answer, or raise, as this loop does
+        at every point.
+        """
+        return tuple(map(functools.partial(self.bind_at, f, dst), points))
 
     def t_mor(self, f, dst: int) -> tuple[int, ...]:
         """The table of T(f): T(X) -> T(dst) for f: X -> dst; an image outside 0..dst-1 raises StructuralError."""
@@ -446,6 +478,14 @@ class CoproductException(FiniteMonad):
     def bind_at(self, f, dst: int, p: int) -> int:
         return f[p] if p < len(f) else dst + p - len(f)
 
+    def bind_points(self, f, dst: int, points) -> tuple[int, ...]:
+        # one gather from f followed by the marks of T(dst), which is the f* table, continued as far as the points
+        # reach, since bind_at reads a point p past X as dst + p - len(f) even past S; a negative point, which
+        # bind_at reads from the end of f, is left to the loop
+        if not len(points) or min(points) < 0:
+            return super().bind_points(f, dst, points)
+        return compose(tuple(f) + tuple(range(dst, dst + max(points) + 1 - len(f))), points)
+
     def theta(self, x: int, y: int) -> tuple[int, ...]:
         # X + (Y + S) and (X + Y) + S coincide position by position
         return identity_table(x + y + self.marks)
@@ -458,7 +498,9 @@ class FreeVectorF2(FiniteMonad):
     and f*(p) is the XOR of the masks f[x] over the set bits x of p, so the
     multiplication XOR-folds a set of masks.  The canonical strength shifts a
     mask into the block of its first coordinate.  The f* table, and with it
-    the mu and T(f) tables, is built by doubling with numpy slice XORs.  Each
+    the mu and T(f) tables, is built by doubling with numpy slice XORs, and
+    f* at a table of points XORs one lookup in such a table per 8-bit chunk
+    of the points (`bind_points`).  Each
     entry is an XOR of masks of T(dst), all below 2^dst, so the table is held
     in the narrowest unsigned dtype that holds 2^dst - 1 (uint8 up to dst 8),
     and f* into dst > 62 is an array of exact Python ints instead; mu(n) has
@@ -505,13 +547,35 @@ class FreeVectorF2(FiniteMonad):
             p ^= low
         return out
 
+    def bind_points(self, f, dst: int, points):
+        # f*(p) XORs, over the 8-bit chunks of p, the f* table of the chunk's 8 masks read at the chunk's bits.
+        # Each table comes from bind, so its entries stay exact past 2^64, and so do the points, held as Python
+        # ints past len(f) = 64.  A mask of f outside T(dst) or a point outside T(X) is left to the loop, which
+        # answers or raises there as bind_at does.
+        n = len(f)
+        try:  # a negative point, or one past 2^64 while n <= 64, lies outside T(X)
+            held = np.asarray(points, dtype="<u8") if n <= 64 else np.fromiter(points, dtype=object, count=len(points))
+        except OverflowError:
+            return super().bind_points(f, dst, points)
+        masks_inside = not n or min(f) >= 0 and operator.index(max(f)) >> dst == 0
+        if not masks_inside or len(held) and (int(held.min()) < 0 or int(held.max()) >> n):
+            return super().bind_points(f, dst, points)
+        if n <= 64:  # byte c of a little-endian uint64 is its bits 8c to 8c + 7
+            chunks = held.view(np.uint8).reshape(-1, 8).T
+        else:
+            chunks = (((held >> low) & 255).astype(np.intp) for low in range(0, n, 8))
+        out = self.bind((), dst).take(np.zeros(len(held), dtype=np.intp))  # f*(0) = 0, in the dtype of bind's tables
+        for low, chunk in zip(range(0, n, 8), chunks):
+            out ^= self.bind(f[low:low + 8], dst).take(chunk)
+        return out
+
     def theta(self, x: int, y: int) -> tuple[int, ...]:
-        ty = 1 << y
-        out = []
-        for a in range(x):
-            for v in range(ty):
-                out.append(v << (a * y))
-        return tuple(out)
+        # row a is the masks of T(y) shifted into block a, in one pass: uint64 while x * y <= 64, else Python ints
+        if not x:
+            return ()
+        dtype = np.uint64 if x * y <= 64 else object
+        rows = np.arange(1 << y, dtype=dtype) << (np.arange(x, dtype=dtype)[:, None] * y)
+        return tuple(rows.ravel().tolist())
 
 
 def maybe_monad() -> CoproductException:
@@ -875,13 +939,13 @@ def check_adjunction_trivial(
     algebras = _em_algebras(monad, classes)
     applicable = len(algebras) >= 2
     probed: dict[int, dict] = {}
-    if not applicable:
-        beyond = range(max_carrier + 1, max_carrier + 1 + STAR_PROBE_EXTRA)
+    for carrier in range(max_carrier + 1, max_carrier + 1 + STAR_PROBE_EXTRA) if not applicable else ():
+        # one carrier at a time, so the isoclasses of the carriers probed before a budget error are kept
         try:
-            probed = _isoclasses(route, beyond, budget)
+            probed |= _isoclasses(route, range(carrier, carrier + 1), budget)
         except BudgetExceededError:
-            pass
-        applicable = len(algebras) + len(_representatives(probed)) >= 2
+            break
+    applicable = len(algebras) + len(_representatives(probed)) >= 2
     free = _free_generators(classes, monad.t_size, lambda n: free_algebra(monad, n, budget).structure)
     counterexample = next((alg for alg in algebras if alg.structure not in free), None)
     return AdjunctionVerdict(
@@ -917,6 +981,16 @@ def _reduction_note(monad: FiniteMonad, classes: dict[int, dict], budget: int) -
             "n whose T(T(T(n))) fits the budget")
 
 
+def _points_evaluator(monad: FiniteMonad) -> Callable:
+    """monad.bind_points where the class that defines its bind_at defines bind_points too, else the bind_at loop.
+
+    A subclass that overrides bind_at alone, such as a mutant or a logging monad, would inherit a batched
+    evaluator that never reads its bind_at, so it keeps the loop of `FiniteMonad.bind_points`.
+    """
+    owner = next(cls for cls in type(monad).__mro__ if "bind_at" in vars(cls))
+    return monad.bind_points if "bind_points" in vars(owner) else functools.partial(FiniteMonad.bind_points, monad)
+
+
 def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDGET) -> ValidationReport:
     """Pointwise check of the four left-strength axioms on sizes <= max_size.
 
@@ -925,56 +999,83 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     strength_iii left side.  The left sides of strength_iv, strength_iii and
     strength_i are theta . (id_X (x) g) for g = eta_Y, mu_Y and theta_{Y,Z}:
     each is gathered as a whole table by the ambient's `whisker`, which
-    never builds id_X (x) g.  The strength_iii right side
+    never builds id_X (x) g, through the gather of g, built once for every X.
+    The strength_iii right side
     mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} = theta_{X,Y}* . theta_{X,T(Y)}
-    is evaluated one point of X (x) T(T(Y)) at a time through bind_at, so
-    neither the mu(X (x) Y) nor the T(theta) table is built.  The budget
-    holds the number of points of each law and the size of every table that
-    is built, before it is built.  A negative max_size raises StructuralError.
+    is f* for f = theta_{X,Y} at every point of the theta_{X,T(Y)} table, one
+    `bind_points` call (`_points_evaluator`), so neither the mu(X (x) Y) nor
+    the T(theta) table is built.  The budget holds the number of points of
+    each law and the size of every table that is built, before it is built.
+    A negative max_size raises StructuralError.
     """
     _refuse_a_negative_bound(max_size)
     amb = monad.ambient
     violations: list[Violation] = []
     sizes = range(max_size + 1)
-    mu = functools.cache(lambda n: _ints(monad.mu(n)))
-    theta = functools.cache(monad.theta)
+    t_size = functools.cache(monad.t_size)
+
+    @functools.cache
+    def theta(a: int, b: int):
+        # theta(a, B) with B past max_size is read only as strength_iii's points and strength_i's whisker source,
+        # which read an array of 8-byte unsigned ints as they read a tuple: past 4 096 entries, some 180 KB as
+        # Python ints, it is held in one where its entries fit
+        table = monad.theta(a, b)
+        if b > max_size and len(table) > 1 << 12:
+            with contextlib.suppress(OverflowError):  # a negative entry, or one past 2^64, keeps the tuple
+                table = array.array("Q", table)
+        return table
+
+    bind_points = _points_evaluator(monad)
+    # the gathers of eta_Y, mu_Y and theta_{Y,Z}, each built once and applied for every X
+    eta = functools.cache(monad.eta)
+    eta_gather = functools.cache(lambda y: _gather(eta(y)))
+    mu_gather = functools.cache(lambda y: _gather(_ints(monad.mu(y))))
+    theta_gather = functools.cache(lambda y, z: _gather(theta(y, z)))
 
     def guard(key: tuple[int, ...], *table_sizes: int):
-        for size in table_sizes:
-            if size > budget:
-                _guard(size, budget, f"strength tables at sizes ({', '.join(map(str, key))})")
+        size = next(size for size in table_sizes if size > budget)
+        _guard(size, budget, f"strength tables at sizes ({', '.join(map(str, key))})")
 
     for x in sizes:
         # theta at the unit object must be the identity on T(x)
-        guard((x,), amb.tensor(amb.unit_size, monad.t_size(x)))
+        if (unit_tx := amb.tensor(amb.unit_size, t_size(x))) > budget:
+            guard((x,), unit_tx)
         table = theta(amb.unit_size, x)
         violations += _mismatches("strength_ii", (x,), table, identity_table(len(table)))
 
     for x in sizes:
         for y in sizes:
-            ty = monad.t_size(y)
-            xy = amb.tensor(x, y)
-            guard((x, y), amb.tensor(x, ty), xy)
+            ty, xy = t_size(y), amb.tensor(x, y)
+            if max(x_ty := amb.tensor(x, ty), xy) > budget:
+                guard((x, y), x_ty, xy)
             theta_xy = theta(x, y)
-            violations += _mismatches("strength_iv", (x, y), amb.whisker(theta_xy, x, monad.eta(y), ty), monad.eta(xy))
+            lhs, rhs = amb.whisker(theta_xy, x, eta_gather(y), ty), eta(xy)
+            if lhs != rhs:
+                violations += _mismatches("strength_iv", (x, y), lhs, rhs)
 
             # the mu(Y) table, and the points of X (x) T(T(Y)) with the theta table over them
             tty = _table_size(monad, ty, budget)
-            guard((x, y), tty, amb.tensor(x, tty))
-            lhs = amb.whisker(theta_xy, x, mu(y), ty)
-            rhs = tuple(map(functools.partial(monad.bind_at, theta_xy, xy), theta(x, ty)))
-            violations += _mismatches("strength_iii", (x, y), lhs, rhs)
+            if max(tty, x_tty := amb.tensor(x, tty)) > budget:
+                guard((x, y), tty, x_tty)
+            lhs = amb.whisker(theta_xy, x, mu_gather(y), ty)
+            # a batched right side is f* of masks of T(X (x) Y) in bind's dtype, which holds every entry of lhs
+            violations += _mismatches("strength_iii", (x, y), lhs, bind_points(theta_xy, xy, theta(x, ty)))
 
+    def shape(y: int, z: int) -> tuple[int, ...]:
+        yz, tz = amb.tensor(y, z), t_size(z)
+        return z, yz, tz, t_size(yz), amb.tensor(y, tz)
+
+    # per (y, z), found once for every x: z, y (x) z, |T(z)|, |T(y (x) z)| and |y (x) T(z)|
+    shapes = [[shape(y, z) for z in sizes] for y in sizes]
     for x in sizes:
         for y in sizes:
             xy = amb.tensor(x, y)
-            for z in sizes:
-                tz = monad.t_size(z)
-                yz = amb.tensor(y, z)
-                tyz = monad.t_size(yz)
-                guard((x, y, z), amb.tensor(x, tyz), amb.tensor(y, tz), amb.tensor(xy, tz))
-                lhs = amb.whisker(theta(x, yz), x, theta(y, z), tyz)
-                violations += _mismatches("strength_i", (x, y, z), lhs, theta(xy, z))
+            for z, yz, tz, tyz, y_tz in shapes[y]:
+                if max(x_tyz := amb.tensor(x, tyz), y_tz, xy_tz := amb.tensor(xy, tz)) > budget:
+                    guard((x, y, z), x_tyz, y_tz, xy_tz)
+                lhs, rhs = amb.whisker(theta(x, yz), x, theta_gather(y, z), tyz), theta(xy, z)
+                if lhs != rhs:
+                    violations += _mismatches("strength_i", (x, y, z), lhs, rhs)
 
     return ValidationReport.from_violations(violations)
 

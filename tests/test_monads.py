@@ -430,6 +430,93 @@ def test_bind_at_reads_the_same_entries_whatever_their_values(monad):
             assert reads[0] == reads[1], (src, p)
 
 
+def outcome(evaluate, f, dst, points):
+    """The Python ints evaluate(f, dst, points) answers, or the type of the exception it raises."""
+    try:
+        return M._ints(evaluate(f, dst, points))
+    except Exception as exc:  # a batched evaluator must raise where the loop raises, and the same type
+        return type(exc)
+
+
+def the_loop(monad):
+    return functools.partial(d.FiniteMonad.bind_points, monad)
+
+
+@st.composite
+def freevec_points(draw):
+    """f: X -> T(dst) and points for freevec2: X on both sides of 64, dst on both sides of 62, points past T(X)."""
+    n = draw(st.sampled_from([0, 8, 9, 64, 65]) | st.integers(0, 72))
+    dst = draw(st.sampled_from([0, 8, 62, 63]) | st.integers(0, 70))
+    # now and then a mask outside T(dst), which bind refuses and bind_at XORs all the same
+    mask = st.integers(0, (1 << dst) - 1) | st.sampled_from([-1, 1 << dst])
+    f = draw(st.lists(mask, min_size=n, max_size=n))
+    points = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=6)) + [(1 << n) - 1]
+    if draw(st.booleans()):  # a point past T(X), or a negative one, where bind_at raises IndexError
+        points.insert(draw(st.integers(0, len(points))), draw(st.integers(1 << n, 1 << (n + 3)) | st.just(-1)))
+    return tuple(f), dst, tuple(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(freevec_points())
+# one chunk, the last chunk partial, and the uint64 and Python-int sides of the points and of the tables
+@example(((1, 2, 4, 8, 16, 32, 64, 128), 8, (0, 1, 255, 170)))
+@example((tuple(range(1, 10)), 4, (256, 511, 257)))
+@example((tuple(1 << (x % 62) for x in range(64)), 62, ((1 << 64) - 1, 1 << 63, 5)))
+@example((tuple(1 << (x % 63) for x in range(65)), 63, ((1 << 65) - 1, 1 << 64, 1 << 63)))
+@example(((3, 5), 3, (3, 4)))
+def test_freevec_bind_points_is_the_bind_at_loop(case):
+    monad = d.FreeVectorF2()
+    assert outcome(monad.bind_points, *case) == outcome(the_loop(monad), *case)
+
+
+@st.composite
+def exception_points(draw):
+    """f: X -> T(dst) for exception(marks) and points of T(X), on its marks, past T(X) and below 0."""
+    marks, n, dst = draw(st.integers(0, 4)), draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    f = draw(st.lists(st.integers(0, dst + marks + 1), min_size=n, max_size=n))
+    points = draw(st.lists(st.integers(-n - 2, n + marks + 3), max_size=8))
+    return marks, tuple(f), dst, tuple(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(exception_points())
+@example((3, (2, 0), 1, (0, 1, 2, 3, 4)))  # f, then the three marks of T(1)
+@example((2, (0,), 0, (1, 2, 3, 7)))  # the marks, then points past them
+def test_exception_bind_points_is_the_bind_at_loop(case):
+    marks, *rest = case
+    monad = d.CoproductException(marks)
+    assert outcome(monad.bind_points, *rest) == outcome(the_loop(monad), *rest)
+
+
+class PointCount(d.FreeVectorF2):
+    """freevec2 that counts its bind_at calls; it overrides bind_at alone, so strength_iii keeps the point loop."""
+
+    def __init__(self):
+        self.points = 0
+
+    def bind_at(self, f, dst, p):
+        self.points += 1
+        return super().bind_at(f, dst, p)
+
+
+class BatchedPointCount(PointCount):
+    """PointCount whose class gives bind_points next to its own bind_at, so strength_iii takes the batched evaluator."""
+
+    def bind_at(self, f, dst, p):
+        return super().bind_at(f, dst, p)
+
+    def bind_points(self, f, dst, points):
+        return d.FreeVectorF2.bind_points(self, f, dst, points)
+
+
+def test_strength_batches_only_where_the_class_of_bind_at_gives_bind_points():
+    # strength_iii reads 1 668 points over the sizes up to 3, one bind_at call each where bind_at is
+    # overridden alone, and none where the same class gives the batched evaluator
+    loop, batched = PointCount(), BatchedPointCount()
+    assert d.check_strength(loop, 3) == d.check_strength(batched, 3) == d.check_strength(d.FreeVectorF2(), 3)
+    assert (loop.points, batched.points) == (1668, 0)
+
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -2159,6 +2246,14 @@ def test_agreement_on_a_degenerate_monad_raises(maybe):
     assert not d.check_adjunction_trivial(maybe, 0, budget=2).applicable
     with pytest.raises(DegenerateMonadError, match="fewer than two algebra isoclasses within bound 0"):
         d.check_mon_ess_agreement(maybe, 0, budget=2)
+
+
+def test_the_probe_keeps_the_isoclasses_found_before_a_budget_error(maybe):
+    # bound 1 holds one isoclass and the probe finds carrier 2's within budget 3; carrier 3's structure table
+    # of 4 entries is then past it, and the two isoclasses in hand make the verdict applicable
+    verdict = d.check_adjunction_trivial(maybe, 1, budget=3)
+    assert (verdict.applicable, verdict.isoclass_count, verdict.trivial_up_to_bound) == (True, 1, True)
+    assert "At carrier 2," in verdict.note
 
 
 class UnitSlip(d.CoproductException):
