@@ -9,8 +9,8 @@ f*(p) = mu_dst(T(f)(p)) for f: X -> T(dst) without building a table, plus an
 optional left strength table.  The tables of T(f) = (eta . f)* and of
 mu = id* are derived from `bind`, the table of f*, which a monad may give
 itself, as freevec2 does.  The EM law is a function of the carrier Y and
-the structure table alone: it builds the mu_Y table it reads, is answered
-once per monad object, and at the free algebra (T(n), mu_n) is monad
+the structure table alone: it builds the mu_Y table it reads, compares its
+two sides and keeps nothing, and at the free algebra (T(n), mu_n) is monad
 associativity at n.  It and each relabeling step compare or build composed
 whole tables.
 Tuples are composed by one C-level gather, `compose`; a monad may give its
@@ -172,11 +172,12 @@ def _fill(size: int, unit, carrier: int, budget: int, what: str, holds=None) -> 
 def _mismatches(axiom: str, key: tuple[int, ...], lhs, rhs) -> list[Violation]:
     """A Violation at key + (p,) for every position p where the tables lhs and rhs differ.
 
-    rhs may be a numpy array whose dtype holds every entry of lhs: lhs is then held in it, compared in numpy,
-    and itemized as Python ints.
+    rhs may be a numpy array whose dtype holds every entry of lhs: lhs is then held in it unless it is an
+    array already, compared in numpy, and itemized as Python ints.
     """
     if isinstance(rhs, np.ndarray):
-        lhs = np.fromiter(lhs, dtype=rhs.dtype, count=len(lhs))
+        if not isinstance(lhs, np.ndarray):
+            lhs = np.fromiter(lhs, dtype=rhs.dtype, count=len(lhs))
         if np.array_equal(lhs, rhs):
             return []
         lhs, rhs = _ints(lhs), _ints(rhs)
@@ -342,10 +343,6 @@ class FiniteMonad:
                        if q not in lower and (k, q) != (1, self.eta(1)[0])]
         return shapes
 
-    @functools.cached_property
-    def _em_law_verdicts(self) -> dict[tuple[int, tuple[int, ...]], bool]:
-        return {}  # (carrier, structure) -> the verdict of _em_law_holds on this monad object
-
     def _em_law_sides(self, carrier: int, structure):
         """s . T(s) and s . mu_Y on all of T(T(Y)), for Y = carrier and s = structure; mu_Y is built here.
 
@@ -363,18 +360,9 @@ class FiniteMonad:
         return compose(structure, t_s), compose(structure, mu_y)
 
     def _em_law_holds(self, carrier: int, structure) -> bool:
-        """Whether the EM law's two `_em_law_sides` agree, computed once per monad object.
-
-        At s = mu_n on Y = T(n) it is associativity at n, so validate_monad and the EM enumeration share it.
-        The sides are dropped, but each verdict is kept under its (carrier, structure) key, which holds the
-        whole structure table: at the free algebras that is mu_n, so validate_monad(maybe, N) keeps O(N^2)
-        entries on the monad object.
-        """
-        key = (carrier, _ints(structure))
-        if key not in self._em_law_verdicts:
-            lhs, rhs = self._em_law_sides(carrier, structure)
-            self._em_law_verdicts[key] = np.array_equal(lhs, rhs) if isinstance(lhs, np.ndarray) else lhs == rhs
-        return self._em_law_verdicts[key]
+        """Whether the EM law's two `_em_law_sides` agree; at s = mu_n on Y = T(n) it is associativity at n."""
+        lhs, rhs = self._em_law_sides(carrier, structure)
+        return np.array_equal(lhs, rhs) if isinstance(lhs, np.ndarray) else lhs == rhs
 
     def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
         """Every unit-compatible structure table s with s(T(s)(P)) = s(mu(P)) at the points P of support 1 and 2.
@@ -617,9 +605,9 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     mu_n . T(eta_n) = eta_n* and mu_n . eta_{T(n)} = id* . eta_{T(n)} at the
     |T(n)| points of T(n) through bind_at, so a mu(n) table is built only
     where associativity is checked.  Associativity at n is the EM law of the
-    free algebra (T(n), mu_n), checked once per monad object, here or by the
-    EM enumeration: mu_n is built for its key at each carrier checked, and
-    the law builds mu_{T(n)} only when it has not answered that key yet.
+    free algebra (T(n), mu_n): its two sides, which read mu_n and
+    mu_{T(n)}, are evaluated once at each carrier checked, and its
+    violations are itemized from that evaluation.
     The walk over carriers stops at the first carrier n >= 1 whose T(T(n))
     is past the budget.  A negative max_size raises StructuralError.
     """
@@ -640,9 +628,7 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
         violations += _mismatches("monad_unit_right", (n,), unit_right, ident)
         if _table_size(monad, ttn, budget) > budget:
             continue
-        mu_n = monad.mu(n)
-        if not monad._em_law_holds(tn, mu_n):
-            violations += _mismatches("monad_associativity", (n,), *map(_ints, monad._em_law_sides(tn, mu_n)))
+        violations += _mismatches("monad_associativity", (n,), *monad._em_law_sides(tn, monad.mu(n)))
     return ValidationReport.from_violations(violations)
 
 
@@ -794,11 +780,9 @@ def _em_route(monad: FiniteMonad, carrier: int, budget: int):
     when called.  Where the monad's class declares its `em_law_support`, the fill's points and the unit
     law decide the EM law, so law(s) guards the |T(Y)| entries of s, the table the fill and the orbit
     hold, against the budget and holds when s . eta_Y = id_Y; no T(T(Y)) table is sized or built.
-    Otherwise law(s) guards the T(T(Y)) table, then holds when s . eta_Y = id_Y and s . T(s) = s . mu_Y.
-    That whole-table law is answered once per monad object (`_em_law_holds`), so a free algebra
-    (T(n), mu_n) whose law validate_monad checked as associativity at n is not checked again, and the
-    law builds the mu_Y table it reads only for a structure it has not answered yet.  The route reads the
-    monad's evaluators only.
+    Otherwise law(s) guards the T(T(Y)) table, then holds when s . eta_Y = id_Y and s . T(s) = s . mu_Y,
+    a plain comparison of the two whole tables (`_em_law_holds`), which builds the mu_Y table it reads.
+    The route reads the monad's evaluators only.
     """
     decided = _em_law_support(monad) is not None
     tsize = monad.t_size(carrier)
@@ -833,9 +817,8 @@ def enumerate_em_algebras(
     in the orbit of an algebra already found is skipped before its law is
     asked, since it could only add that algebra again.  A monad whose class
     declares its `em_law_support` has its EM law decided by the fill's
-    points and the unit law; any other has it checked on the whole T(T(Y))
-    table, and the EM law of a free algebra (T(n), mu_n), monad
-    associativity at n, once per monad object, here or by validate_monad.
+    points and the unit law; any other has it checked by comparing its two
+    sides on the whole T(T(Y)) table, for every candidate that reaches it.
     The table the law is asked to hold, T(Y) where the law is declared and
     T(T(Y)) otherwise, or an orbit, larger than the budget raises
     BudgetExceededError, and a negative max_carrier raises StructuralError.

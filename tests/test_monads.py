@@ -182,6 +182,23 @@ def test_monad_violations_come_law_by_law_within_each_carrier():
     assert as_tuples(d.validate_monad(SwapFold(2), 1)) == grouped
 
 
+def test_associativity_is_evaluated_once_per_checked_carrier():
+    # a failing carrier's violations are itemized from the one evaluation that found them
+    monad = CountingSwapFold(2)
+    violations = [v for v in as_tuples(d.validate_monad(monad, 1)) if v[0] == "monad_associativity"]
+    assert monad.sides_calls == 2
+    assert violations == [v for v in SWAP_FOLD_INTERLEAVED if v[0] == "monad_associativity"]
+
+
+def test_associativity_is_checked_when_its_table_fits_the_budget_exactly():
+    # with two marks T(T(T(0))) has 6 entries: associativity at carrier 0 is checked at budget 6, skipped at 5
+    def axioms(budget):
+        return sorted({v.axiom for v in d.validate_monad(SwapFold(2), 0, budget=budget).violations})
+
+    assert axioms(6) == ["monad_associativity", "monad_unit_left", "monad_unit_right"]
+    assert axioms(5) == ["monad_unit_left", "monad_unit_right"]
+
+
 class Involution(d.FiniteMonad):
     """The writer monad Z/2 x - on (FinSet, cartesian product); its algebras are sets with an involution.
 
@@ -334,8 +351,8 @@ class CountingMaybeMu(d.CoproductException):
 
 
 def test_unit_laws_build_no_mu_table():
-    # associativity is checked at carriers 0 to 2 only, where it reads mu(n) as the law's key and, inside the
-    # law, mu(T(n)) = mu(2^n); the mu(T(n)) of one carrier is the mu(n) of the next, so mu(1) and mu(2) are
+    # associativity is checked at carriers 0 to 2 only, where the law's two sides read mu(n) and
+    # mu(T(n)) = mu(2^n); the mu(T(n)) of one carrier is the mu(n) of the next, so mu(1) and mu(2) are
     # each built twice
     monad = CountingMu()
     assert d.validate_monad(monad, 4).passed
@@ -979,42 +996,45 @@ def test_axiom_table_is_built_once_per_orbit():
     assert got == d.enumerate_em_algebras(d.FreeVectorF2(), 4)
 
 
-class CountingLaw(d.FreeVectorF2):
-    """freevec2 that counts its mu(4) tables and the T(s) tables of 16-entry structures s on carrier 4."""
-
-    def __init__(self):
-        self.mu_four = self.t_structure = 0
-
-    def mu(self, n):
-        self.mu_four += n == 4
-        return super().mu(n)
-
-    def t_mor(self, f, dst):
-        self.t_structure += dst == 4 and len(f) == 16
-        return super().t_mor(f, dst)
-
-
-def test_free_algebra_law_is_checked_once_per_monad():
-    # associativity at 2 is the EM law of the free algebra (T(2), mu_2), the one algebra accepted at carrier 4
-    monad = CountingLaw()
-    assert d.validate_monad(monad, 4).passed
-    assert (monad.mu_four, monad.t_structure) == (1, 1)
+def test_the_em_law_keeps_nothing_on_the_monad():
+    # at each carrier validate_monad checks the law of the free algebra (T(n), mu_n), and keeps none of its tables
+    monad = d.maybe_monad()
+    assert d.validate_monad(monad, 200).passed
     assert d.check_adjunction_trivial(monad, 4).trivial_up_to_bound is True
-    assert (monad.mu_four, monad.t_structure) == (1, 1)
+    assert sorted(vars(monad)) == ["_law_shapes", "marks", "name"]
+
+
+class CountingSides:
+    """Mixin for a monad class that counts the evaluations of its EM law, its `_em_law_sides` calls."""
+
+    sides_calls = 0
+
+    def _em_law_sides(self, carrier, structure):
+        self.sides_calls += 1
+        return super()._em_law_sides(carrier, structure)
+
+
+class CountingWholeTableException(CountingSides, WholeTableException):
+    pass
+
+
+class CountingSwapFold(CountingSides, SwapFold):
+    pass
 
 
 def test_em_route_law_checks_the_unit_law_before_the_em_law():
     # the constant structure on maybe's carrier 2 satisfies s . T(s) = s . mu_2 but sends eta(1) to 0, not 1;
     # maybe's own class declares its law decided by the unit law, so an undeclared subclass asks the whole table
-    monad = WholeTableException(1, name="maybe")
+    monad = CountingWholeTableException(1, name="maybe")
     _, _, law = M._em_route(monad, 2, M.DEFAULT_BUDGET)
     assert law((0, 0, 0)) is False
-    assert monad._em_law_verdicts == {}
+    assert monad.sides_calls == 0
     assert monad._em_law_holds(2, (0, 0, 0)) is True
     assert law((0, 1, 0)) is True
 
 
-# (monad factory, validate_monad bound, EM enumeration bound); a factory, so that every run starts with no verdicts
+# (monad factory, validate_monad bound, EM enumeration bound); a factory, so that every step is also asked of a
+# monad object that was asked nothing before
 LAW_MEMO_CASES = [
     (d.identity_monad, 5, 5),
     (d.maybe_monad, 5, 5),
@@ -1040,7 +1060,8 @@ def test_law_memo_never_changes_a_verdict(make, size, bound, validate_first):
     }
     order = ["laws", "algebras", "verdict"] if validate_first else ["algebras", "verdict", "laws"]
     got = {step: steps[step]() for step in order}
-    # the second validate_monad reads every associativity verdict from the memo and itemizes the same violations
+    # the laws, the algebras and the verdict do not depend on the order they are asked in, nor on what the
+    # monad object was asked before
     assert got["laws"] == steps["laws"]() == table_built_monad_laws(make(), size)
     assert got["algebras"] == d.enumerate_em_algebras(make(), bound)
     assert got["verdict"] == d.check_adjunction_trivial(make(), bound)
@@ -1396,9 +1417,6 @@ def test_payloads_hold_python_ints_only():
     for payload in payloads:
         json.dumps(payload)
         assert {type(leaf) for leaf in payload_leaves(payload)} <= {int, bool, str, type(None)}
-    # so do the memo keys, the structures of validate_monad's mu_n among them
-    assert d.validate_monad(freevec, 4).passed and d.check_adjunction_trivial(freevec, 4).trivial_up_to_bound
-    assert {type(v) for key in freevec._em_law_verdicts for v in key[1]} == {int}
 
 
 def test_enumeration_budget(freevec):
