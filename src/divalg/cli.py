@@ -6,6 +6,12 @@ usage errors, 3 a search or table budget was exceeded.  Reports are
 deterministic: identical command lines and input files give byte-identical
 stdout; timing goes to stderr.  Nothing reads the environment, so the
 budget of a monad verb is its --budget alone.
+
+Each command line is parsed once.  One that starts with a noun and one of
+its verbs (`ring classify ...`) is parsed by that verb's parser alone; any
+other (a leading --format or -h, an unknown noun or verb) by the whole
+argparse tree, root to noun to verb.  Both give the same namespace; an
+argument the verb does not know is reported with the verb's usage line.
 """
 
 from __future__ import annotations
@@ -285,7 +291,11 @@ def _cmd_monad_strength(args) -> tuple[dict, dict, int]:
 
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argparse tree, built on first use and shared by every `run` in the process."""
+    """The argparse tree (root, noun, verb), built on first use and shared by every `run` in the process.
+
+    It is the one declaration of every verb, option and default.  `_verb_parsers` reads its verb parsers
+    out of it, and its whole parse is the reference the verb parsers are tested against.
+    """
     parser = argparse.ArgumentParser(
         prog="divalg",
         description="Division-algebra verdicts for fusion rings, NIM-reps, and finite monads.",
@@ -351,11 +361,51 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> argparse._SubParsersAction:
+    return next(action for action in parser._actions if isinstance(action, argparse._SubParsersAction))
+
+
+@functools.cache
+def _verb_parsers() -> dict[tuple[str, str], tuple[argparse.ArgumentParser, dict]]:
+    """Each (noun, verb) of the tree mapped to its verb's parser and the namespace the levels above it set.
+
+    That namespace is the root's defaults plus the noun and verb under the tree's two subcommand dests,
+    as the whole parse leaves them before the verb parser reads its own arguments.
+    """
+    root = _build_parser()
+    defaults = {
+        action.dest: action.default
+        for action in root._actions
+        if argparse.SUPPRESS not in (action.dest, action.default)
+    }
+    nouns = _subcommands(root)
+    table = {}
+    for noun, noun_parser in nouns.choices.items():
+        verbs = _subcommands(noun_parser)
+        for verb, verb_parser in verbs.choices.items():
+            table[noun, verb] = verb_parser, {**defaults, nouns.dest: noun, verbs.dest: verb}
+    return table
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace of a command line; SystemExit, as argparse raises it, for help or a usage error.
+
+    A command line that starts with a noun and one of its verbs is parsed once, by that verb's parser;
+    the whole tree would run a parse at each of its three levels over the same tokens.  Any other
+    command line (a leading option such as --format or -h, an unknown noun or verb) takes the whole
+    tree's parse, the only one that reads a root option or reports an unknown noun or verb.
+    """
+    entry = _verb_parsers().get(tuple(argv[:2]))
+    if entry is None:
+        return _build_parser().parse_args(argv)
+    parser, above = entry
+    return parser.parse_args(argv[2:], argparse.Namespace(**above))
+
+
 def run(argv: Sequence[str]) -> int:
-    """Dispatch a command line; print the report to stdout; return the exit code."""
-    parser = _build_parser()
+    """Dispatch a command line, parsed once by `_parse`; print the report to stdout; return the exit code."""
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_STRUCTURAL
 

@@ -11,10 +11,12 @@ import divalg as d
 from divalg import cli, monads
 from divalg.cli import RunReport, export_report, run
 
-from util import WIDE_NIMREP, WRAPPING_RING, XorSlip, nested, vec_direct_sum
+from util import WIDE_NIMREP, WRAPPING_RING, XorSlip, assert_parse_matches_the_whole_tree, nested, vec_direct_sum
 
 
 def run_cli(capsys, *argv):
+    # each command line run through here is also an oracle test of the verb parsers
+    assert_parse_matches_the_whole_tree(argv)
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -890,6 +892,64 @@ def test_no_option_leaks_into_the_next_run(capsys, first, first_code):
     code, out, _ = run_cli(capsys, *FIB_TAU)
     assert code == 0
     assert out == fresh_process_stdout(FIB_TAU)
+
+
+@pytest.mark.parametrize("argv", [
+    # abbreviations, resolved by the verb's parser alone
+    "ring classify --builtin fib --obj tau",
+    "monad check maybe --max 3",
+    "monad strength maybe --max 2 --bud 100",
+    # -- ends the options, and -h after the verb prints the verb's help
+    "ring classify -- --builtin fib",
+    "ring validate -- fib.json",
+    "ring classify --builtin fib --object tau -h",
+    "monad check --help",
+    # root options after the verb: --f is --fpdim's abbreviation, --format is no option of the verb
+    "ring classify --builtin fib --object tau --f",
+    "ring classify --builtin fib --object tau --format markdown",
+    "monad check maybe --format=markdown",
+    "monad check maybe --f markdown",
+    # a missing required option or positional
+    "ring classify --builtin fib",
+    "catalog export",
+    "monad check",
+    # negative values, bad types and bad choices
+    "monad check maybe --max-size -1",
+    "monad strength freevec2 --budget -5",
+    "monad strength exception --marks -2",
+    "ring classify --builtin fib --object -1,2",
+    "ring classify --builtin fib --object=-1,2",
+    "monad check maybe --max-size x",
+    "ring classify --builtin fib --object tau --side up",
+    "monad check nosuch",
+    # an extra positional, and an option given twice
+    "ring classify --builtin fib --object tau extra",
+    "ring validate a.json b.json",
+    "catalog list extra",
+    "nimrep classify --builtin fib --builtin ising --regular --object 0,1",
+])
+def test_the_verb_parser_matches_the_whole_tree(argv):
+    argv = argv.split()
+    assert tuple(argv[:2]) in cli._verb_parsers()
+    assert_parse_matches_the_whole_tree(argv)
+
+
+def test_a_noun_verb_command_line_never_enters_the_root_parse(capsys, monkeypatch):
+    root = cli._build_parser()
+    entered = []
+    parse_known_args = root.parse_known_args
+
+    def spy(*args, **kwargs):
+        entered.append(args)
+        return parse_known_args(*args, **kwargs)
+
+    monkeypatch.setattr(root, "parse_known_args", spy)
+    assert run(FIB_TAU) == 0
+    assert entered == []
+    # a leading --format reaches the verb only through the whole tree
+    assert run(["--format", "markdown", *FIB_TAU]) == 0
+    assert len(entered) == 1
+    capsys.readouterr()
 
 
 def test_timing_goes_to_stderr_only(capsys):

@@ -7,7 +7,8 @@ files run in a directory holding `fib.json` and `my_ring.json` (written by
 order in which the validators itemize them.  The Perron dimension printed by
 `--fpdim` is checked by value, or rounded to nine digits in the composite
 sweep, since its last digits depend on the LAPACK build; the rest of those
-reports is pinned.
+reports is pinned.  Every command line run here is also parsed by the whole
+argparse tree, which must agree with the CLI's own parse.
 """
 
 import hashlib
@@ -18,7 +19,7 @@ import pytest
 import divalg as d
 from divalg.cli import run
 
-from util import BROKEN_NIMREP
+from util import BROKEN_NIMREP, assert_parse_matches_the_whole_tree
 
 GOLDEN = {
     # README examples
@@ -156,6 +157,7 @@ COMPOSITE_SWEEPS = {
 
 
 def run_quiet(capsys, argv):
+    assert_parse_matches_the_whole_tree(argv)
     code = run(argv)
     return code, capsys.readouterr().out
 

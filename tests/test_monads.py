@@ -1330,12 +1330,13 @@ def test_a_subclass_inherits_no_em_law_declaration():
     assert [law(s) for s in unit_tables(d.CoproductException(2), 2)] == [True] * 4
 
 
-def test_a_declaration_past_the_fill_support_is_refused():
-    class ThreeDeep(d.CoproductException):
-        em_law_support = 3
+@pytest.mark.parametrize("support", [3, -1])
+def test_a_declaration_past_the_fill_support_is_refused(support):
+    class Declared(d.CoproductException):
+        em_law_support = support
 
-    with pytest.raises(StructuralError, match="ThreeDeep.em_law_support is 3, past the EM fill's support 2"):
-        d.enumerate_em_algebras(ThreeDeep(1), 1)
+    with pytest.raises(StructuralError, match=f"^Declared.em_law_support is {support}, past the EM fill's support 2$"):
+        d.enumerate_em_algebras(Declared(1), 1)
 
 
 def test_a_declared_law_guards_the_structure_table():
@@ -1625,6 +1626,18 @@ def test_orbit_past_the_budget_raises():
     assert d.em_isomorphic(monad, a, b) is not None
     with pytest.raises(BudgetExceededError):
         d.em_isomorphic(monad, a, b, budget=100)
+
+
+def test_orbit_holds_at_a_budget_of_its_size_and_raises_one_below():
+    for carrier, table, move in _orbit_cases():
+        orbit = M._orbit(table, carrier, move, M.DEFAULT_BUDGET)
+        size = len(orbit)
+        if size < 2:
+            continue  # the start alone is never held against the budget
+        assert M._orbit(table, carrier, move, size) == orbit
+        message = f"^relabeling orbit at carrier {carrier} needs {size} entries, budget is {size - 1}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            M._orbit(table, carrier, move, size - 1)
 
 
 def test_differing_preimage_sizes_are_refused_before_any_orbit(monkeypatch):
@@ -1937,6 +1950,18 @@ def test_freevec_strength_axioms(freevec):
 def test_freevec_strength_budget(freevec):
     # strength_iii reads 1 668 points over the sizes up to 3; the mu(6) table at (2, 3) alone has 2^64 entries
     assert d.check_strength(freevec, 3).passed
+
+
+# at size 0 of exception(2), strength_iv's X (x) T(Y) table at (0, 0) has 2 entries and strength_iii's T(T(0)),
+# the largest table, 4: a budget of exactly 2 holds the first and a budget of exactly 4 holds both
+@pytest.mark.parametrize("budget", [2, 3, 4])
+def test_strength_guards_hold_a_table_of_exactly_the_budget(budget):
+    if budget == 4:
+        assert d.check_strength(d.CoproductException(2), 0, budget=budget).passed
+    else:
+        message = f"^strength tables at sizes \\(0, 0\\) needs 4 entries, budget is {budget}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            d.check_strength(d.CoproductException(2), 0, budget=budget)
 
 
 class MarkSwap(d.CoproductException):

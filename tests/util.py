@@ -1,10 +1,13 @@
 """Shared helpers for the test suite."""
 
+import contextlib
+import io
 import itertools
 
 import numpy as np
 
 import divalg as d
+from divalg import cli
 from divalg import monads as M
 
 # a NIM-rep of fib failing all three module laws (unit action, multiplicativity, dual compatibility)
@@ -283,3 +286,31 @@ WRAPPING_RING = {
 
 # a NIM-rep of fib whose action entries are 2^32, so a product of two action matrices reaches 2^64
 WIDE_NIMREP = {"module_labels": ["a", "b"], "actions": [[[1, 0], [0, 1]], [[2**32, 0], [0, 2**32]]]}
+
+
+def _parsed(parse, argv):
+    """vars() of parse(argv)'s namespace or None, its exit code or None, and what it printed to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            found, code = vars(parse(list(argv))), None
+        except SystemExit as exc:
+            found, code = None, exc.code
+    return found, code, out.getvalue(), err.getvalue()
+
+
+def assert_parse_matches_the_whole_tree(argv):
+    """cli's parse of argv gives the namespace, exit code and output of the whole argparse tree's parse.
+
+    The one allowed difference: an argument the verb does not know is reported by the verb's parser,
+    with its usage line and program name, where the whole tree reports it with the root's.
+    """
+    root = cli._build_parser()
+    found, code, out, err = _parsed(cli._parse, argv)
+    whole_found, whole_code, whole_out, whole_err = _parsed(root.parse_args, argv)
+    assert (found, code, out) == (whole_found, whole_code, whole_out), argv
+    if err != whole_err:
+        parser = cli._verb_parsers()[argv[0], argv[1]][0]
+        message = whole_err.removeprefix(root.format_usage())
+        assert message.startswith("divalg: error: unrecognized arguments: "), argv
+        assert err == parser.format_usage() + message.replace("divalg", parser.prog, 1), argv
