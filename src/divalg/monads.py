@@ -237,12 +237,12 @@ class DisjointUnion:
         return tuple(f) + tuple(map(operator.add, itertools.repeat(a_dst), g))
 
     @staticmethod
-    def whisker(table, x: int, g, b_dst: int) -> tuple[int, ...]:
-        """The tuple table after id_x (x) g, without building id_x (x) g.
+    def whisker(table, x: int, g: Callable, b_dst: int) -> tuple[int, ...]:
+        """The tuple table after id_x (x) g, without building id_x (x) g, for g given as its `_gather`.
 
-        Its first x entries, then the rest gathered by g, which may be given as its `_gather`.
+        Its first x entries, then the rest gathered by g.
         """
-        return tuple(table[:x]) + (g if callable(g) else _gather(g))(table[x:])
+        return tuple(table[:x]) + g(table[x:])
 
 
 class CartesianProduct:
@@ -260,13 +260,13 @@ class CartesianProduct:
         return tuple(itertools.chain.from_iterable(map(operator.add, itertools.repeat(v * b_dst), g) for v in f))
 
     @staticmethod
-    def whisker(table, x: int, g, b_dst: int) -> tuple[int, ...]:
-        """The tuple table after id_x (x) g, without building id_x (x) g.
+    def whisker(table, x: int, g: Callable, b_dst: int) -> tuple[int, ...]:
+        """The tuple table after id_x (x) g, without building id_x (x) g, for g given as its `_gather`.
 
-        Each of its x rows of b_dst entries, gathered by g, which may be given as its `_gather`.
+        Each of its x rows of b_dst entries, gathered by g.
         """
         rows = (table[a * b_dst:(a + 1) * b_dst] for a in range(x))
-        return tuple(itertools.chain.from_iterable(map(g if callable(g) else _gather(g), rows)))
+        return tuple(itertools.chain.from_iterable(map(g, rows)))
 
 
 class FiniteMonad:
@@ -488,7 +488,9 @@ class FreeVectorF2(FiniteMonad):
     mask into the block of its first coordinate.  The f* table, and with it
     the mu and T(f) tables, is built by doubling with numpy slice XORs, and
     f* at a table of points XORs one lookup in such a table per 8-bit chunk
-    of the points (`bind_points`).  Each
+    of the points (`bind_points`) where len(f) <= 64; a longer f, which
+    check_strength asks for only past a 2^32-entry mu(5) table, takes the
+    bind_at loop.  Each
     entry is an XOR of masks of T(dst), all below 2^dst, so the table is held
     in the narrowest unsigned dtype that holds 2^dst - 1 (uint8 up to dst 8),
     and f* into dst > 62 is an array of exact Python ints instead; mu(n) has
@@ -536,24 +538,23 @@ class FreeVectorF2(FiniteMonad):
         return out
 
     def bind_points(self, f, dst: int, points):
-        # f*(p) XORs, over the 8-bit chunks of p, the f* table of the chunk's 8 masks read at the chunk's bits.
-        # Each table comes from bind, so its entries stay exact past 2^64, and so do the points, held as Python
-        # ints past len(f) = 64.  A mask of f outside T(dst) or a point outside T(X) is left to the loop, which
-        # answers or raises there as bind_at does.
+        """f* at each entry of the table points, batched where len(f) <= 64; a longer f takes the bind_at loop.
+
+        f*(p) XORs, over the 8-bit chunks of p, held as a little-endian uint64 whose byte c is its bits 8c to
+        8c + 7, the f* table of the chunk's 8 masks read at the chunk's bits.  Each table comes from bind, so
+        its entries stay exact past 2^64.  A mask of f outside T(dst) or a point outside T(X) is left to the
+        loop too, which answers or raises there as bind_at does.
+        """
         n = len(f)
-        try:  # a negative point, or one past 2^64 while n <= 64, lies outside T(X)
-            held = np.asarray(points, dtype="<u8") if n <= 64 else np.fromiter(points, dtype=object, count=len(points))
+        try:  # a negative point, or one past 2^64, lies outside T(X) for n <= 64
+            held = np.asarray(points, dtype="<u8")
         except OverflowError:
             return super().bind_points(f, dst, points)
         masks_inside = not n or min(f) >= 0 and operator.index(max(f)) >> dst == 0
-        if not masks_inside or len(held) and (int(held.min()) < 0 or int(held.max()) >> n):
+        if n > 64 or not masks_inside or len(held) and int(held.max()) >> n:
             return super().bind_points(f, dst, points)
-        if n <= 64:  # byte c of a little-endian uint64 is its bits 8c to 8c + 7
-            chunks = held.view(np.uint8).reshape(-1, 8).T
-        else:
-            chunks = (((held >> low) & 255).astype(np.intp) for low in range(0, n, 8))
         out = self.bind((), dst).take(np.zeros(len(held), dtype=np.intp))  # f*(0) = 0, in the dtype of bind's tables
-        for low, chunk in zip(range(0, n, 8), chunks):
+        for low, chunk in zip(range(0, n, 8), held.view(np.uint8).reshape(-1, 8).T):
             out ^= self.bind(f[low:low + 8], dst).take(chunk)
         return out
 
@@ -765,11 +766,11 @@ def _em_law_support(monad: FiniteMonad) -> Optional[int]:
 
     It is read from the class's own namespace, never inherited: a subclass that overrides an evaluator
     may break the proof, so it keeps the whole-table law unless it declares one itself.  A declaration
-    past 2, the support of the EM fill's points, raises StructuralError.
+    outside 0 to 2, the supports of the EM fill's points, raises StructuralError.
     """
     support = vars(type(monad)).get("em_law_support")
     if support is not None and not 0 <= support <= 2:
-        raise StructuralError(f"{type(monad).__name__}.em_law_support is {support}, past the EM fill's support 2")
+        raise StructuralError(f"{type(monad).__name__}.em_law_support is {support}, outside 0 to 2")
     return support
 
 
@@ -987,22 +988,31 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     mu_{X(x)Y} . T(theta_{X,Y}) . theta_{X,T(Y)} = theta_{X,Y}* . theta_{X,T(Y)}
     is f* for f = theta_{X,Y} at every point of the theta_{X,T(Y)} table, one
     `bind_points` call (`_points_evaluator`), so neither the mu(X (x) Y) nor
-    the T(theta) table is built.  The budget holds the number of points of
-    each law and the size of every table that is built, before it is built.
-    A negative max_size raises StructuralError.
+    the T(theta) table is built.  Each table is guarded where it is built:
+    a theta, mu(Y) or eta(X (x) Y) table larger than the budget raises
+    BudgetExceededError before it is built, naming the sizes of the first
+    law that asks for it.  The points of each law are the entries of a
+    theta table, so they are held to the budget too.  A negative max_size
+    raises StructuralError.
     """
     _refuse_a_negative_bound(max_size)
     amb = monad.ambient
     violations: list[Violation] = []
     sizes = range(max_size + 1)
-    t_size = functools.cache(monad.t_size)
+    key: tuple[int, ...] = ()  # the sizes of the law being checked, which `held` names
+
+    def held(size: int, build: Callable, *args):
+        """build(*args), a table of size entries, once size is found within the budget."""
+        if size > budget:
+            _guard(size, budget, f"strength tables at sizes ({', '.join(map(str, key))})")
+        return build(*args)
 
     @functools.cache
     def theta(a: int, b: int):
         # theta(a, B) with B past max_size is read only as strength_iii's points and strength_i's whisker source,
         # which read an array of 8-byte unsigned ints as they read a tuple: past 4 096 entries, some 180 KB as
         # Python ints, it is held in one where its entries fit
-        table = monad.theta(a, b)
+        table = held(amb.tensor(a, monad.t_size(b)), monad.theta, a, b)
         if b > max_size and len(table) > 1 << 12:
             with contextlib.suppress(OverflowError):  # a negative entry, or one past 2^64, keeps the tuple
                 table = array.array("Q", table)
@@ -1010,55 +1020,44 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
 
     bind_points = _points_evaluator(monad)
     # the gathers of eta_Y, mu_Y and theta_{Y,Z}, each built once and applied for every X
-    eta = functools.cache(monad.eta)
-    eta_gather = functools.cache(lambda y: _gather(eta(y)))
-    mu_gather = functools.cache(lambda y: _gather(_ints(monad.mu(y))))
+    eta_gather = functools.cache(lambda y: _gather(monad.eta(y)))
+    mu_gather = functools.cache(
+        lambda y: _gather(_ints(held(_table_size(monad, monad.t_size(y), budget), monad.mu, y))))
     theta_gather = functools.cache(lambda y, z: _gather(theta(y, z)))
 
-    def guard(key: tuple[int, ...], *table_sizes: int):
-        size = next(size for size in table_sizes if size > budget)
-        _guard(size, budget, f"strength tables at sizes ({', '.join(map(str, key))})")
-
     for x in sizes:
+        key = (x,)
         # theta at the unit object must be the identity on T(x)
-        if (unit_tx := amb.tensor(amb.unit_size, t_size(x))) > budget:
-            guard((x,), unit_tx)
         table = theta(amb.unit_size, x)
-        violations += _mismatches("strength_ii", (x,), table, identity_table(len(table)))
+        violations += _mismatches("strength_ii", key, table, identity_table(len(table)))
 
     for x in sizes:
         for y in sizes:
-            ty, xy = t_size(y), amb.tensor(x, y)
-            if max(x_ty := amb.tensor(x, ty), xy) > budget:
-                guard((x, y), x_ty, xy)
+            key, ty, xy = (x, y), monad.t_size(y), amb.tensor(x, y)
             theta_xy = theta(x, y)
-            lhs, rhs = amb.whisker(theta_xy, x, eta_gather(y), ty), eta(xy)
+            lhs, rhs = amb.whisker(theta_xy, x, eta_gather(y), ty), held(xy, monad.eta, xy)
             if lhs != rhs:
-                violations += _mismatches("strength_iv", (x, y), lhs, rhs)
+                violations += _mismatches("strength_iv", key, lhs, rhs)
 
-            # the mu(Y) table, and the points of X (x) T(T(Y)) with the theta table over them
-            tty = _table_size(monad, ty, budget)
-            if max(tty, x_tty := amb.tensor(x, tty)) > budget:
-                guard((x, y), tty, x_tty)
+            # the mu(Y) table, then the points of X (x) T(T(Y)) with the theta table over them
             lhs = amb.whisker(theta_xy, x, mu_gather(y), ty)
             # a batched right side is f* of masks of T(X (x) Y) in bind's dtype, which holds every entry of lhs
-            violations += _mismatches("strength_iii", (x, y), lhs, bind_points(theta_xy, xy, theta(x, ty)))
+            violations += _mismatches("strength_iii", key, lhs, bind_points(theta_xy, xy, theta(x, ty)))
 
-    def shape(y: int, z: int) -> tuple[int, ...]:
-        yz, tz = amb.tensor(y, z), t_size(z)
-        return z, yz, tz, t_size(yz), amb.tensor(y, tz)
+    def shape(y: int, z: int) -> tuple[int, int, int]:
+        yz = amb.tensor(y, z)
+        return z, yz, monad.t_size(yz)
 
-    # per (y, z), found once for every x: z, y (x) z, |T(z)|, |T(y (x) z)| and |y (x) T(z)|
+    # per (y, z), found once for every x: z, y (x) z and |T(y (x) z)|
     shapes = [[shape(y, z) for z in sizes] for y in sizes]
     for x in sizes:
         for y in sizes:
             xy = amb.tensor(x, y)
-            for z, yz, tz, tyz, y_tz in shapes[y]:
-                if max(x_tyz := amb.tensor(x, tyz), y_tz, xy_tz := amb.tensor(xy, tz)) > budget:
-                    guard((x, y, z), x_tyz, y_tz, xy_tz)
+            for z, yz, tyz in shapes[y]:
+                key = (x, y, z)
                 lhs, rhs = amb.whisker(theta(x, yz), x, theta_gather(y, z), tyz), theta(xy, z)
                 if lhs != rhs:
-                    violations += _mismatches("strength_i", (x, y, z), lhs, rhs)
+                    violations += _mismatches("strength_i", key, lhs, rhs)
 
     return ValidationReport.from_violations(violations)
 

@@ -711,16 +711,16 @@ def test_monad_check_far_past_the_budget_sizes_no_huge_table(capsys):
     assert peaks[1] < peaks[0] + 2**20
 
 
-@pytest.mark.parametrize("argv,where", [
-    # theta(1, 7) has 2^7 entries; mu(5) has 2^32; strength_iii at (2, 3) has 2 * 2^8 points
-    (["--max-size", "16", "--budget", "100"], "strength tables at sizes (7)"),
-    (["--max-size", "5"], "strength tables at sizes (0, 5)"),
-    (["--max-size", "3", "--budget", "511"], "strength tables at sizes (2, 3)"),
+@pytest.mark.parametrize("argv,line", [
+    # theta(1, 7) has 2^7 entries; mu(5) has 2^32, past the default budget; strength_iii at (2, 3) has 2 * 2^8 points
+    (["--max-size", "16", "--budget", "100"], "strength tables at sizes (7) needs 128 entries, budget is 100"),
+    (["--max-size", "5"], "strength tables at sizes (0, 5) needs 4294967296 entries, budget is 2000000"),
+    (["--max-size", "3", "--budget", "511"], "strength tables at sizes (2, 3) needs 512 entries, budget is 511"),
 ])
-def test_monad_strength_guards_every_table(capsys, argv, where):
+def test_monad_strength_guards_every_table(capsys, argv, line):
     code, out, err = run_cli(capsys, "monad", "strength", "freevec2", *argv)
     assert (code, out) == (3, "")
-    assert f"budget exceeded: {where} needs" in err
+    assert f"divalg: budget exceeded: {line}" in err.splitlines()
 
 
 def without_and_with_the_env_var(capsys, monkeypatch, value, *argv):

@@ -475,7 +475,8 @@ def freevec_points(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(freevec_points())
-# one chunk, the last chunk partial, and the uint64 and Python-int sides of the points and of the tables
+# one chunk, the last chunk partial, the uint64 side of the points and both sides of the tables, and
+# len(f) = 65, past the uint64 points, which takes the bind_at loop
 @example(((1, 2, 4, 8, 16, 32, 64, 128), 8, (0, 1, 255, 170)))
 @example((tuple(range(1, 10)), 4, (256, 511, 257)))
 @example((tuple(1 << (x % 62) for x in range(64)), 62, ((1 << 64) - 1, 1 << 63, 5)))
@@ -625,7 +626,7 @@ def test_tensor_and_whisker_are_the_written_out_tensor(case):
     # the whisker of a table on X (x) b_dst, X = len(f), is that table after id_X (x) g, read off distinct entries
     x = len(f)
     table = tuple(range(100, 100 + ambient.tensor(x, b_dst)))
-    whiskered = ambient.whisker(table, x, g, b_dst)
+    whiskered = ambient.whisker(table, x, M._gather(g), b_dst)
     assert type(whiskered) is tuple
     assert whiskered == composed(table, written_tensor_mor(ambient, M.identity_table(x), g, x, b_dst))
 
@@ -1335,7 +1336,7 @@ def test_a_declaration_past_the_fill_support_is_refused(support):
     class Declared(d.CoproductException):
         em_law_support = support
 
-    with pytest.raises(StructuralError, match=f"^Declared.em_law_support is {support}, past the EM fill's support 2$"):
+    with pytest.raises(StructuralError, match=f"^Declared.em_law_support is {support}, outside 0 to 2$"):
         d.enumerate_em_algebras(Declared(1), 1)
 
 
@@ -2011,6 +2012,79 @@ def test_strength_violations_are_itemized_in_order():
         ("strength_i", (1, 1, 1, 1), 0, 1),
         ("strength_i", (1, 1, 1, 3), 1, 0),
     ]
+
+
+def strength_size_lists(monad, max_size, budget):
+    """(key, sizes) for each law check_strength asks, in order, with the sizes of the tables it reads, in order.
+
+    The size lists that check_strength once held ahead of each law, before each table was guarded in the
+    builder that makes it: a table too large for the budget named the first law that listed it.
+    """
+    amb = monad.ambient
+    sizes = range(max_size + 1)
+    laws = [((x,), [amb.tensor(amb.unit_size, monad.t_size(x))]) for x in sizes]
+    for x in sizes:
+        for y in sizes:
+            ty = monad.t_size(y)
+            tty = M._table_size(monad, ty, budget)
+            laws += [((x, y), [amb.tensor(x, ty), amb.tensor(x, y)]), ((x, y), [tty, amb.tensor(x, tty)])]
+    for x in sizes:
+        for y in sizes:
+            for z in sizes:
+                tz, tyz = monad.t_size(z), monad.t_size(amb.tensor(y, z))
+                laws.append(((x, y, z), [amb.tensor(x, tyz), amb.tensor(y, tz), amb.tensor(amb.tensor(x, y), tz)]))
+    return laws
+
+
+def strength_budget_error(monad, max_size, budget):
+    """The message of the budget error that `strength_size_lists` gives at budget, or None where every table fits."""
+    for key, table_sizes in strength_size_lists(monad, max_size, budget):
+        for size in table_sizes:
+            if size > budget:
+                return f"strength tables at sizes ({', '.join(map(str, key))}) needs {size} entries, budget is {budget}"
+    return None
+
+
+class StrongTerminal(d.FiniteMonad):
+    """T(X) = 1 with its one strength: its eta(X + Y) table, of X + Y entries, outgrows theta(X, Y), of X + 1.
+
+    So strength_iv's eta(X + Y) is the first table past a budget, which no builtin monad's ever is.
+    """
+
+    name = "terminal"
+    ambient = M.DisjointUnion
+
+    def t_size(self, n):
+        return 1
+
+    def eta(self, n):
+        return (0,) * n
+
+    def bind_at(self, f, dst, p):
+        return 0
+
+    def theta(self, x, y):
+        return (0,) * (x + 1)
+
+
+@pytest.mark.parametrize("monad", [
+    d.maybe_monad(), d.identity_monad(), *map(d.CoproductException, (1, 2, 3)), d.FreeVectorF2(),
+    MarkSwap(2), FirstLastSwap(1), StrongTerminal(),
+], ids=monad_id)
+def test_strength_raises_at_each_table_boundary_as_its_size_lists_did(monad):
+    # at every budget equal to the size of a table, or one below it, check_strength raises the error its size
+    # lists gave, or gives the report of the default budget where they held every table
+    for max_size in range(4 if isinstance(monad, d.FreeVectorF2) else 5):
+        report = d.check_strength(monad, max_size)
+        tables = {size for _, table_sizes in strength_size_lists(monad, max_size, M.DEFAULT_BUDGET)
+                  for size in table_sizes}
+        for budget in sorted({b for size in tables for b in (size - 1, size) if b >= 0}):
+            want = strength_budget_error(monad, max_size, budget)
+            try:
+                got = d.check_strength(monad, max_size, budget=budget)
+            except BudgetExceededError as exc:
+                got = str(exc)
+            assert got == (report if want is None else want), (max_size, budget)
 
 
 def table_built_strength(monad, max_size):
