@@ -30,12 +30,14 @@ actions and algebra morphisms are all listed by one depth-first fill, `_fill`,
 which knows no law: each caller passes the carrier its values lie below, the
 unit its entries must extend (none for a morphism) and its own check.  Every
 monad has one structure-map fill,
-`FiniteMonad.em_structure_candidates`, which checks the EM law at the points
-of support 1 and 2 and so needs no theory of the monad's algebras.  A class
-that declares `em_law_support`, as both builtin classes do with a proof in
-their docstrings, has its EM law decided by those points and the unit law:
-its EM route sizes and builds no T(T(Y)) table and holds the structure table
-to the budget instead.  The whole-table law stays for every other monad,
+`FiniteMonad.em_structure_candidates`, the one owner of the structure table:
+it holds the table's |T(Y)| entries to the budget before it builds anything,
+yields only tables that fix every unit point, and checks the EM law at the
+points of support 1 and 2, so it needs no theory of the monad's algebras.  A
+class that declares `em_law_support`, as both builtin classes do with a proof
+in their docstrings, has its EM law decided by those points and the unit
+law: its EM route's law does no work, and no T(T(Y)) table is sized or
+built.  The whole-table law, and only it, stays for every other monad,
 subclasses of the builtin classes included, and for validate_monad's
 associativity.  The two
 routes that check each other are each one function of the carrier that
@@ -288,8 +290,9 @@ class FiniteMonad:
     A class may declare `em_law_support = k`, for k at most 2, when the EM
     law s . T(s) = s . mu_Y at the points of T(T(Y)) of support <= k, with
     the unit law, implies it everywhere; its docstring holds the proof.
-    The EM fill checks the law at the points of support 1 and 2, so the EM
-    route then checks the unit law only (`_em_law_support`).
+    The EM fill fixes every unit point and checks the law at the points of
+    support 1 and 2, so the EM route then checks nothing more
+    (`_em_law_support`).
     """
 
     name: str
@@ -361,8 +364,7 @@ class FiniteMonad:
 
     def _em_law_holds(self, carrier: int, structure) -> bool:
         """Whether the EM law's two `_em_law_sides` agree; at s = mu_n on Y = T(n) it is associativity at n."""
-        lhs, rhs = self._em_law_sides(carrier, structure)
-        return np.array_equal(lhs, rhs) if isinstance(lhs, np.ndarray) else lhs == rhs
+        return not _mismatches("em_law", (carrier,), *self._em_law_sides(carrier, structure))
 
     def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
         """Every unit-compatible structure table s with s(T(s)(P)) = s(mu(P)) at the points P of support 1 and 2.
@@ -376,10 +378,15 @@ class FiniteMonad:
         of masks, whose law is addition; maybe, identity and exception have
         none and get every unit-compatible table.  Survivors get the
         whole-table law from the EM route unless the monad's class declares
-        its `em_law_support`, which makes these points decide it.
+        its `em_law_support`, which makes these points decide it.  The |T(Y)|
+        entries of the table are held to the budget first, under this fill's
+        own message, before the law points are read or any table is built,
+        so a carrier with no candidate is charged for its table too.
         """
         what = f"structure-map enumeration at carrier {carrier}"
-        tsize, eta, shapes = self.t_size(carrier), self.eta(carrier), self._law_shapes
+        tsize = self.t_size(carrier)
+        _guard(tsize, budget, what)
+        eta, shapes = self.eta(carrier), self._law_shapes
         if not shapes:
             return _fill(tsize, eta, carrier, budget, what)
         points = sum((math.comb if symmetric else math.perm)(tsize, k) for k, _, symmetric in shapes)
@@ -488,9 +495,9 @@ class FreeVectorF2(FiniteMonad):
     mask into the block of its first coordinate.  The f* table, and with it
     the mu and T(f) tables, is built by doubling with numpy slice XORs, and
     f* at a table of points XORs one lookup in such a table per 8-bit chunk
-    of the points (`bind_points`) where len(f) <= 64; a longer f, which
-    check_strength asks for only past a 2^32-entry mu(5) table, takes the
-    bind_at loop.  Each
+    of the points (`bind_points`) where len(f) <= 64 and there are at least
+    64 points; fewer points, or a longer f, which check_strength asks for
+    only past a 2^32-entry mu(5) table, take the bind_at loop.  Each
     entry is an XOR of masks of T(dst), all below 2^dst, so the table is held
     in the narrowest unsigned dtype that holds 2^dst - 1 (uint8 up to dst 8),
     and f* into dst > 62 is an array of exact Python ints instead; mu(n) has
@@ -538,12 +545,13 @@ class FreeVectorF2(FiniteMonad):
         return out
 
     def bind_points(self, f, dst: int, points):
-        """f* at each entry of the table points, batched where len(f) <= 64; a longer f takes the bind_at loop.
+        """f* at each entry of the table points, batched where len(f) <= 64 and there are 64 points or more.
 
         f*(p) XORs, over the 8-bit chunks of p, held as a little-endian uint64 whose byte c is its bits 8c to
         8c + 7, the f* table of the chunk's 8 masks read at the chunk's bits.  Each table comes from bind, so
-        its entries stay exact past 2^64.  A mask of f outside T(dst) or a point outside T(X) is left to the
-        loop too, which answers or raises there as bind_at does.
+        its entries stay exact past 2^64.  Fewer than 64 points, where numpy's fixed cost per call outweighs
+        the bind_at calls it saves, a longer f, a mask of f outside T(dst) or a point outside T(X) is left to
+        the bind_at loop, which answers or raises there as bind_at does.
         """
         n = len(f)
         try:  # a negative point, or one past 2^64, lies outside T(X) for n <= 64
@@ -551,7 +559,7 @@ class FreeVectorF2(FiniteMonad):
         except OverflowError:
             return super().bind_points(f, dst, points)
         masks_inside = not n or min(f) >= 0 and operator.index(max(f)) >> dst == 0
-        if n > 64 or not masks_inside or len(held) and int(held.max()) >> n:
+        if n > 64 or len(held) < 64 or not masks_inside or int(held.max()) >> n:
             return super().bind_points(f, dst, points)
         out = self.bind((), dst).take(np.zeros(len(held), dtype=np.intp))  # f*(0) = 0, in the dtype of bind's tables
         for low, chunk in zip(range(0, n, 8), held.view(np.uint8).reshape(-1, 8).T):
@@ -778,28 +786,26 @@ def _em_route(monad: FiniteMonad, carrier: int, budget: int):
     """The EM route on the carrier Y as (fill, move, law): its EM fill, relabeling move perm -> T(perm) and law.
 
     fill(budget) is the monad's EM fill on Y, `em_structure_candidates`, looked up here and entered only
-    when called.  Where the monad's class declares its `em_law_support`, the fill's points and the unit
-    law decide the EM law, so law(s) guards the |T(Y)| entries of s, the table the fill and the orbit
-    hold, against the budget and holds when s . eta_Y = id_Y; no T(T(Y)) table is sized or built.
-    Otherwise law(s) guards the T(T(Y)) table, then holds when s . eta_Y = id_Y and s . T(s) = s . mu_Y,
-    a plain comparison of the two whole tables (`_em_law_holds`), which builds the mu_Y table it reads.
-    The route reads the monad's evaluators only.
+    when called; it holds the |T(Y)| entries of its structure tables to the budget, and every table it
+    yields fixes each unit point, s . eta_Y = id_Y.  Where the monad's class declares its
+    `em_law_support`, the fill's points and the unit law decide the EM law, so law(s) holds and does no
+    work; no T(T(Y)) table is sized or built.  Otherwise law(s) guards the T(T(Y)) table, then holds when
+    s . T(s) = s . mu_Y, a plain comparison of the two whole tables (`_em_law_holds`), which builds the
+    mu_Y table it reads.  The route reads the monad's evaluators only.
     """
-    decided = _em_law_support(monad) is not None
-    tsize = monad.t_size(carrier)
-    held = tsize if decided else _table_size(monad, tsize, budget)
-    eta = monad.eta(carrier)
-
     def move(perm) -> tuple[int, ...]:
         return monad.t_mor(perm, carrier)
 
+    fill = functools.partial(monad.em_structure_candidates, carrier)
+    if _em_law_support(monad) is not None:
+        return fill, move, lambda structure: True
+    held = _table_size(monad, monad.t_size(carrier), budget)
+
     def law(structure) -> bool:
         _guard(held, budget, f"algebra axiom tables at carrier {carrier}")
-        if any(structure[eta[x]] != x for x in range(carrier)):
-            return False
-        return decided or monad._em_law_holds(carrier, structure)
+        return monad._em_law_holds(carrier, structure)
 
-    return functools.partial(monad.em_structure_candidates, carrier), move, law
+    return fill, move, law
 
 
 def _em_algebras(monad: FiniteMonad, classes: dict[int, dict]) -> list[EmAlgebra]:
@@ -820,9 +826,10 @@ def enumerate_em_algebras(
     declares its `em_law_support` has its EM law decided by the fill's
     points and the unit law; any other has it checked by comparing its two
     sides on the whole T(T(Y)) table, for every candidate that reaches it.
-    The table the law is asked to hold, T(Y) where the law is declared and
-    T(T(Y)) otherwise, or an orbit, larger than the budget raises
-    BudgetExceededError, and a negative max_carrier raises StructuralError.
+    A structure table T(Y), which the fill holds to the budget before it
+    fills the carrier, an undeclared monad's T(T(Y)) table, or an orbit,
+    larger than the budget raises BudgetExceededError, and a negative
+    max_carrier raises StructuralError.
     """
     _refuse_a_negative_bound(max_carrier)
     route = functools.partial(_em_route, monad, budget=budget)

@@ -54,8 +54,9 @@ GOLDEN = {
     "ring validate --builtin matrix_multifusion(1)": "eff44d368151a2e69c975a3af187bb2ee27a72fa5ee7b5d91ba851da32745fb0",
     "ring validate --builtin matrix_multifusion(2)": "8e8c8a6a3357c7c08b7dcac2c96c1e88f034f958cdab953224f4fc67953d5822",
     "ring validate --builtin matrix_multifusion(3)": "3e9bc7f761af76063deae3a28f2daec89d661da17f76f1a897fca7f49dfcedc2",
-    # every builtin monad; freevec2 strength at size 4 reads its 658 140 strength_iii points in 25 batched
-    # bind_points calls, about 0.12 s in all, and at size 5 it needs a 2^32-entry mu table
+    # every builtin monad; freevec2 strength at size 4 reads its 658 140 strength_iii points in 25 bind_points
+    # calls, 9 of them batched and 16 of fewer than 64 points through the bind_at loop, about 0.12 s in all,
+    # and at size 5 it needs a 2^32-entry mu table
     "monad check identity --max-size 7": "ed70cc470d90bcf034f83ba0be3c4d55e4430af435ef698768ebf8484a84230c",
     "monad strength identity --max-size 3": "44adf98e90337db0bacf3eac5ce91ddde650d8a2b3dc3301485be323e1604325",
     "monad strength exception --marks 2 --max-size 3": "9b2a048cc207b2e038b5c05c9e6937b9bc1206450bbb9711b2e8acd24afb3dae",

@@ -483,8 +483,11 @@ def freevec_points(draw):
 @example((tuple(1 << (x % 63) for x in range(65)), 63, ((1 << 65) - 1, 1 << 64, 1 << 63)))
 @example(((3, 5), 3, (3, 4)))
 def test_freevec_bind_points_is_the_bind_at_loop(case):
+    # fewer than 64 points take the loop itself, so the points are asked once as drawn and once 64 times over
     monad = d.FreeVectorF2()
-    assert outcome(monad.bind_points, *case) == outcome(the_loop(monad), *case)
+    f, dst, points = case
+    for asked in (points, points * 64):
+        assert outcome(monad.bind_points, f, dst, asked) == outcome(the_loop(monad), f, dst, asked)
 
 
 @st.composite
@@ -527,12 +530,23 @@ class BatchedPointCount(PointCount):
         return d.FreeVectorF2.bind_points(self, f, dst, points)
 
 
+def test_freevec_bind_points_batches_from_64_points():
+    # below 64 points numpy's fixed cost per call outweighs the bind_at calls it saves
+    monad = PointCount()
+    f, points = (1, 2, 4, 8), tuple(range(16)) * 4
+    assert M._ints(d.FreeVectorF2.bind_points(monad, f, 4, points[:63])) == points[:63]
+    assert monad.points == 63
+    assert M._ints(d.FreeVectorF2.bind_points(monad, f, 4, points)) == points
+    assert monad.points == 63
+
+
 def test_strength_batches_only_where_the_class_of_bind_at_gives_bind_points():
     # strength_iii reads 1 668 points over the sizes up to 3, one bind_at call each where bind_at is
-    # overridden alone, and none where the same class gives the batched evaluator
+    # overridden alone; where the same class gives the batched evaluator, only the 132 points of the theta
+    # tables of fewer than 64 entries take the loop, and the 1 536 of theta(x, 8), x = 1..3, are batched
     loop, batched = PointCount(), BatchedPointCount()
     assert d.check_strength(loop, 3) == d.check_strength(batched, 3) == d.check_strength(d.FreeVectorF2(), 3)
-    assert (loop.points, batched.points) == (1668, 0)
+    assert (loop.points, batched.points) == (1668, 132)
 
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -706,15 +720,39 @@ def test_unit_fills_match_the_product_fill(monad):
         # the monads here live on (FinSet, disjoint union), so a module action is a table on Y + A
         dom = carrier + algebra.carrier
         unit_inc = M.DisjointUnion.tensor_mor(range(carrier), algebra.unit, carrier, algebra.carrier)
-        em_fill = functools.partial(d.FiniteMonad.em_structure_candidates, monad, carrier)
+        tsize, eta = monad.t_size(carrier), monad.eta(carrier)
+        em_unit_fill = functools.partial(M._fill, tsize, eta, carrier, what="EM unit fill")
         module_fill = functools.partial(M._fill, dom, unit_inc, carrier, what="module fill")
-        for size, unit, fill in [(monad.t_size(carrier), monad.eta(carrier), em_fill), (dom, unit_inc, module_fill)]:
+        for size, unit, fill in [(tsize, eta, em_unit_fill), (dom, unit_inc, module_fill)]:
             tables = product_fill(size, unit, carrier)
             assert list(fill(budget=len(tables))) == tables
             # a fill past its first entry charges exactly its number of tables
             if size and tables:
                 with pytest.raises(BudgetExceededError, match=f"needs {len(tables)} entries"):
                     list(fill(budget=len(tables) - 1))
+        # these monads have no law point, so their EM fill is the EM unit fill, once its table fits the budget
+        tables = product_fill(tsize, eta, carrier)
+        assert list(monad.em_structure_candidates(carrier, max(len(tables), tsize))) == tables
+
+
+@pytest.mark.parametrize("make", [d.identity_monad, d.maybe_monad, functools.partial(d.CoproductException, 2),
+                                  d.FreeVectorF2, Involution, RectangularBand])
+def test_the_em_fill_holds_its_structure_table_to_the_budget(make):
+    # the fill raises when it is called, before it reads its law points or builds any table, whatever the
+    # carrier has in candidates: at carrier 0 maybe, exception(2) and freevec2 have none
+    for carrier in range(4):
+        monad = make()
+        tsize = monad.t_size(carrier)
+        if tsize:
+            message = f"^structure-map enumeration at carrier {carrier} needs {tsize} entries, budget is {tsize - 1}$"
+            with pytest.raises(BudgetExceededError, match=message):
+                monad.em_structure_candidates(carrier, tsize - 1)
+            assert "_law_shapes" not in vars(monad)
+        # at budget |T(Y)| the fill is entered; a law point or a leaf past the budget may still stop it
+        try:
+            list(monad.em_structure_candidates(carrier, tsize))
+        except BudgetExceededError as exc:
+            assert f"at carrier {carrier} needs {tsize} entries" not in str(exc)
 
 
 def test_a_unit_that_merges_points_leaves_no_fill():
@@ -1023,15 +1061,40 @@ class CountingSwapFold(CountingSides, SwapFold):
     pass
 
 
-def test_em_route_law_checks_the_unit_law_before_the_em_law():
-    # the constant structure on maybe's carrier 2 satisfies s . T(s) = s . mu_2 but sends eta(1) to 0, not 1;
-    # maybe's own class declares its law decided by the unit law, so an undeclared subclass asks the whole table
+class CountingDeclaredException(CountingSides, d.CoproductException):
+    em_law_support = 1
+
+
+def test_em_route_law_is_the_whole_table_em_law_alone():
+    # an undeclared monad's law is s . T(s) = s . mu_Y on the whole table and reads no unit: the constant
+    # structure on maybe's carrier 2 sends eta(1) to 0, not 1, and still satisfies it
     monad = CountingWholeTableException(1, name="maybe")
     _, _, law = M._em_route(monad, 2, M.DEFAULT_BUDGET)
-    assert law((0, 0, 0)) is False
-    assert monad.sides_calls == 0
-    assert monad._em_law_holds(2, (0, 0, 0)) is True
-    assert law((0, 1, 0)) is True
+    tables = list(itertools.product(range(2), repeat=monad.t_size(2)))
+    assert [law(s) for s in tables] == [monad._em_law_holds(2, s) for s in tables]
+    assert law((0, 0, 0)) is True
+    assert monad.sides_calls == 2 * len(tables) + 1
+    # SwapFold(2) breaks the EM law on some unit-compatible tables, and its law refuses exactly those
+    swap = SwapFold(2)
+    _, _, law = M._em_route(swap, 2, M.DEFAULT_BUDGET)
+    tables = list(itertools.product(range(2), repeat=swap.t_size(2)))
+    assert [law(s) for s in tables] == [swap._em_law_holds(2, s) for s in tables]
+    assert not all(law(s) for s in unit_tables(swap, 2))
+    # the law may skip the unit because the fill never yields a table that breaks it
+    for make in (WholeTableException, SwapFold, d.CoproductException):
+        for carrier in range(4):
+            unit_fill = sorted(unit_tables(make(2), carrier))
+            assert list(make(2).em_structure_candidates(carrier, M.DEFAULT_BUDGET)) == unit_fill
+    for monad in (d.FreeVectorF2(), WholeTableFreeVector(), Involution(), RectangularBand()):
+        for carrier in range(4):
+            eta = monad.eta(carrier)
+            for s in monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET):
+                assert [s[p] for p in eta] == list(range(carrier)), (monad_id(monad), carrier, s)
+    # a declared monad's law does no work: it reads neither the table nor the monad
+    declared = CountingDeclaredException(1)
+    _, _, law = M._em_route(declared, 2, M.DEFAULT_BUDGET)
+    assert law(None) is True and law((0, 0, 0)) is True
+    assert declared.sides_calls == 0
 
 
 # (monad factory, validate_monad bound, EM enumeration bound); a factory, so that every step is also asked of a
@@ -1341,10 +1404,16 @@ def test_a_declaration_past_the_fill_support_is_refused(support):
 
 
 def test_a_declared_law_guards_the_structure_table():
-    # no T(T(Y)) is sized, but the 31 entries of a structure table on carrier 1 of exception(30) are
-    with pytest.raises(BudgetExceededError, match="algebra axiom tables at carrier 1 needs 31 entries, budget is 20"):
-        d.check_adjunction_trivial(d.CoproductException(30), 1, budget=20)
-    assert d.check_adjunction_trivial(d.CoproductException(30), 1, budget=31).isoclass_count == 1
+    # no T(T(Y)) is sized, but the EM fill holds the |T(Y)| = Y + 30 entries of its structure table to the
+    # budget, at a carrier with no candidate (0) as at one with an algebra (1)
+    for bound, tsize in ((0, 30), (1, 31)):
+        monad = d.CoproductException(30)
+        message = f"^structure-map enumeration at carrier {bound} needs {tsize} entries, budget is {tsize - 1}$"
+        with pytest.raises(BudgetExceededError, match=message):
+            d.check_adjunction_trivial(monad, bound, budget=tsize - 1)
+        # the law points' T(1) and T(2) tables are built only once T(0) fits
+        assert ("_law_shapes" in vars(monad)) == (bound == 1)
+        assert d.check_adjunction_trivial(monad, bound, budget=tsize).isoclass_count == bound
 
 
 def test_the_note_names_the_carriers_decided_past_the_whole_table():
@@ -1574,6 +1643,41 @@ def test_module_enumeration_matches_unpruned_brute_force(marks):
         expected.extend((carrier, s) for s in sorted(seen))
     got = [(m.carrier, m.action) for m in d.enumerate_modules(algebra, bound)]
     assert got == expected
+
+
+class WriterZ2(d.FiniteMonad):
+    """The writer monad - x Z/2 on (FinSet, cartesian product), with no declared `em_law_support`.
+
+    Position 2x + m of T(n) is (x, m).  Every point of T(T(Y)) has support at most 1, so its EM fill's law
+    points are those of support 1, along the point (0, 1) of T(1).
+    """
+
+    ambient = M.CartesianProduct
+    name = "writer_z2"
+
+    def t_size(self, n):
+        return 2 * n
+
+    def eta(self, n):
+        return tuple(2 * x for x in range(n))
+
+    def bind_at(self, f, dst, p):
+        return f[p >> 1] ^ (p & 1)
+
+
+def test_the_em_fill_checks_the_law_points_of_support_one():
+    monad = WriterZ2()
+    assert d.validate_monad(monad, 3).passed
+    assert monad._law_shapes == [(1, 1, True)]
+    # its candidates are its lawful unit-compatible tables, the involutions; without the support-1 points the
+    # fill would yield every unit-compatible table, 1, 1, 4 and 27 of them
+    lawful = [[s for s in unit_tables(monad, carrier) if monad._em_law_holds(carrier, s)] for carrier in range(4)]
+    assert [len(tables) for tables in lawful] == [1, 1, 2, 4]
+    assert [list(monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET)) for carrier in range(4)] == lawful
+    assert [len(list(unit_tables(monad, carrier))) for carrier in range(4)] == [1, 1, 4, 27]
+    # its algebras are the Z/2-sets, one isoclass for each number of 2-cycles
+    counts = collections.Counter(algebra.carrier for algebra in d.enumerate_em_algebras(monad, 4))
+    assert [counts[carrier] for carrier in range(5)] == [1, 1, 2, 2, 3]
 
 
 # ---------------------------------------------------------- relabeling orbits
@@ -2235,6 +2339,22 @@ def test_same_size_strength_that_is_not_a_bijection_is_named(marks, sizes):
     verdict = d.is_very_strong(ConstantStrength(marks), 2)
     assert verdict.to_payload()["witness"] == {
         "x_size": sizes[0], "y_size": sizes[1], "domain": 2, "codomain": 2, "reason": "not_bijective",
+    }
+
+
+class RepeatsAtTwo(d.CoproductException):
+    """The exception monad whose strength component repeats an entry exactly when 2 is one of its sizes."""
+
+    def theta(self, x, y):
+        table = super().theta(x, y)
+        return table[:-1] + table[-2:-1] if 2 in (x, y) else table
+
+
+def test_very_strong_reads_the_sizes_up_to_the_bound_only():
+    monad = RepeatsAtTwo(1)
+    assert d.is_very_strong(monad, 1).very_strong
+    assert d.is_very_strong(monad, 2).to_payload()["witness"] == {
+        "x_size": 0, "y_size": 2, "domain": 3, "codomain": 3, "reason": "not_bijective",
     }
 
 

@@ -299,3 +299,10 @@ def test_nimrep_payload_round_trip(fib):
     clone = d.NimRep.from_payload(nr.to_payload())
     assert clone.module_labels == nr.module_labels
     assert np.array_equal(clone.actions, nr.actions)
+
+
+def test_module_labels_given_as_a_string_are_refused():
+    # a string is iterable, and all its characters are strings, but it is no array of labels
+    payload = d.regular_nimrep(d.builtin_ring("fib")).to_payload()
+    with pytest.raises(StructuralError, match="^module_labels must be a JSON array of strings$"):
+        d.NimRep.from_payload({**payload, "module_labels": "ab"})

@@ -735,3 +735,10 @@ def test_report_witness_invariants(catalog_entries):
                 assert report.inverse_witness is not None
             else:
                 assert len(report.unreachable_targets) >= 1
+
+
+def test_labels_given_as_a_string_are_refused():
+    # a string is iterable, and all its characters are strings, but it is no array of labels
+    payload = d.builtin_ring("fib").to_payload()
+    with pytest.raises(StructuralError, match="^labels must be a JSON array of strings$"):
+        d.FusionRing.from_payload({**payload, "labels": "ab"})
