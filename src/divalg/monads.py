@@ -117,10 +117,18 @@ def _guard(size: int, budget: int, what: str):
         raise BudgetExceededError(f"{what} needs {size} entries, budget is {budget}")
 
 
-def _refuse_a_negative_bound(bound: int):
-    """StructuralError for a bound below 0, checked by every verdict that takes one before any work."""
-    if bound < 0:
-        raise StructuralError(f"a bound must be nonnegative, not {bound}")
+def _count(value, what: str, negative: str = "{what} must be nonnegative, not {value}") -> int:
+    """value, a count that names a size, as a Python int; a numpy integer is held as one.
+
+    A bool, a float or any other value that is not an integer raises StructuralError naming what, and a
+    value below 0 raises it with the message negative.  Every bounded verdict checks its bound here before
+    any work, and so do both free-object builders and CoproductException their counts.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise StructuralError(f"{what} must be an integer, not {value!r}")
+    if value < 0:
+        raise StructuralError(negative.format(what=what, value=value))
+    return int(value)
 
 
 def _table_size(monad: FiniteMonad, n: int, budget: int) -> int:
@@ -333,17 +341,18 @@ class FiniteMonad:
         raise StructuralError(f"monad {self.name} provides no strength")
 
     @functools.cached_property
-    def _law_shapes(self) -> list[tuple[int, int, bool]]:
-        """(k, q, symmetric) for each q in T(k), k = 1, 2, in no image of T(g) for g: k - 1 -> k.
+    def _law_shapes(self) -> list[tuple[int, int]]:
+        """(k, q) for each q in T(k), k = 1, 2, in no image of T(g) for g: k - 1 -> k.
 
-        Those are the points of exact support k, as T is a functor; the unit point of T(1) is left out.
-        symmetric: T of the swap of 2 fixes q, so the maps h with one image give one point.
+        Those are the points of exact support k, as T is a functor; the unit point of T(1) is left out.  With
+        q of T(2), T(swap)(q) is listed too, and T(h)(T(swap)(q)) = T(h . swap)(q) for the swap of 2, so the
+        EM fill walks only the increasing maps h: k -> T(Y) at each shape and schedules and charges each
+        point once.
         """
-        shapes, swap = [], _ints(self.t_mor((1, 0), 2))
+        shapes = []
         for k in (1, 2):
             lower = {p for g in itertools.product(range(k), repeat=k - 1) for p in self.t_mor(g, k)}
-            shapes += [(k, q, k == 1 or swap[q] == q) for q in range(self.t_size(k))
-                       if q not in lower and (k, q) != (1, self.eta(1)[0])]
+            shapes += [(k, q) for q in range(self.t_size(k)) if q not in lower and (k, q) != (1, self.eta(1)[0])]
         return shapes
 
     def _em_law_sides(self, carrier: int, structure):
@@ -362,16 +371,13 @@ class FiniteMonad:
             return s.take(t_s), s.take(mu_y)
         return compose(structure, t_s), compose(structure, mu_y)
 
-    def _em_law_holds(self, carrier: int, structure) -> bool:
-        """Whether the EM law's two `_em_law_sides` agree; at s = mu_n on Y = T(n) it is associativity at n."""
-        return not _mismatches("em_law", (carrier,), *self._em_law_sides(carrier, structure))
-
     def em_structure_candidates(self, carrier: int, budget: int) -> Iterator[tuple[int, ...]]:
         """Every unit-compatible structure table s with s(T(s)(P)) = s(mu(P)) at the points P of support 1 and 2.
 
-        P = T(h)(q) for h: k -> T(Y) injective and q of exact support k in
-        T(k), k = 1, 2 (`_law_shapes`); at the other points of support <= 2
-        the unit laws imply the law.  T(s)(P) = T(s . h)(q) reads s at h and
+        P = T(h)(q) for h: k -> T(Y) increasing and q of exact support k in
+        T(k), k = 1, 2 (`_law_shapes`), each scheduled, and charged to the
+        budget, once; at the other points of support <= 2 the unit laws
+        imply the law.  T(s)(P) = T(s . h)(q) reads s at h and
         lands on a position of support <= 2, so those positions are filled
         first, each group in index order, and a point is checked at the step
         that sets the last entry it reads.  freevec2's points are the pairs
@@ -389,7 +395,7 @@ class FiniteMonad:
         eta, shapes = self.eta(carrier), self._law_shapes
         if not shapes:
             return _fill(tsize, eta, carrier, budget, what)
-        points = sum((math.comb if symmetric else math.perm)(tsize, k) for k, _, symmetric in shapes)
+        points = sum(math.comb(tsize, k) for k, _ in shapes)
         _guard(points, budget, f"EM law points at carrier {carrier}")
         # the T(g) tables of the maps g: k -> Y, k <= 2, whose images are the positions of support <= 2
         maps = [g for k in range(3) for g in itertools.product(range(carrier), repeat=k)]
@@ -397,15 +403,13 @@ class FiniteMonad:
         low = {p for table in t_maps.values() for p in table}
         order = sorted(range(tsize), key=lambda p: p not in low)
         rank = sorted(range(tsize), key=order.__getitem__)  # the step that fills each position
-        # lands[k, q][a * carrier + b]: the step of T(g)(q) for g = (a, b)[:k]
-        lands = {(k, q): [rank[t_maps[(a, b)[:k]][q]] for a in range(carrier) for b in range(carrier)]
-                 for k, q, _ in shapes}
         ready: list[list] = [[] for _ in order]  # ready[i]: the points whose fixed reads are all set at step i
         waiting: list[list] = [[] for _ in order]  # waiting[i]: the points whose T(s)(P) may be set at step i
-        for k, q, symmetric in shapes:
-            land = lands[k, q]
+        for k, q in shapes:
+            # land[a * carrier + b]: the step of T(g)(q) for g = (a, b)[:k]
+            land = [rank[t_maps[(a, b)[:k]][q]] for a in range(carrier) for b in range(carrier)]
             targets = sorted(set(land))
-            for h in (itertools.combinations if symmetric else itertools.permutations)(range(tsize), k):
+            for h in itertools.combinations(range(tsize), k):
                 a, b, m = rank[h[0]], rank[h[-1]], rank[self.bind_at(h, carrier, q)]
                 last = max(a, b, m)
                 ready[last].append((a, b, land, m))
@@ -447,11 +451,7 @@ class CoproductException(FiniteMonad):
     em_law_support = 1
 
     def __init__(self, marks: int, name: Optional[str] = None):
-        if isinstance(marks, bool) or not isinstance(marks, (int, np.integer)):
-            raise StructuralError(f"marks must be an integer, not {marks!r}")
-        if marks < 0:
-            raise StructuralError("marks must be nonnegative")
-        self.marks = int(marks)
+        self.marks = _count(marks, "marks", "marks must be nonnegative")
         self.name = name if name is not None else f"exception({self.marks})"
 
     def t_size(self, n: int) -> int:
@@ -618,9 +618,10 @@ def validate_monad(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     mu_{T(n)}, are evaluated once at each carrier checked, and its
     violations are itemized from that evaluation.
     The walk over carriers stops at the first carrier n >= 1 whose T(T(n))
-    is past the budget.  A negative max_size raises StructuralError.
+    is past the budget.  A max_size that is not a nonnegative integer
+    raises StructuralError.
     """
-    _refuse_a_negative_bound(max_size)
+    max_size = _count(max_size, "a bound")
     violations: list[Violation] = []
     for n in range(max_size + 1):
         tn = monad.t_size(n)
@@ -774,10 +775,12 @@ def _em_law_support(monad: FiniteMonad) -> Optional[int]:
 
     It is read from the class's own namespace, never inherited: a subclass that overrides an evaluator
     may break the proof, so it keeps the whole-table law unless it declares one itself.  A declaration
-    outside 0 to 2, the supports of the EM fill's points, raises StructuralError.
+    that is not an integer from 0 to 2, the supports of the EM fill's points, a bool or a float among
+    them, raises StructuralError.
     """
     support = vars(type(monad)).get("em_law_support")
-    if support is not None and not 0 <= support <= 2:
+    if support is not None and (isinstance(support, bool) or not isinstance(support, (int, np.integer))
+                                or not 0 <= support <= 2):
         raise StructuralError(f"{type(monad).__name__}.em_law_support is {support}, outside 0 to 2")
     return support
 
@@ -790,7 +793,7 @@ def _em_route(monad: FiniteMonad, carrier: int, budget: int):
     yields fixes each unit point, s . eta_Y = id_Y.  Where the monad's class declares its
     `em_law_support`, the fill's points and the unit law decide the EM law, so law(s) holds and does no
     work; no T(T(Y)) table is sized or built.  Otherwise law(s) guards the T(T(Y)) table, then holds when
-    s . T(s) = s . mu_Y, a plain comparison of the two whole tables (`_em_law_holds`), which builds the
+    s . T(s) = s . mu_Y, a plain comparison of the two whole tables (`_em_law_sides`), which builds the
     mu_Y table it reads.  The route reads the monad's evaluators only.
     """
     def move(perm) -> tuple[int, ...]:
@@ -803,7 +806,7 @@ def _em_route(monad: FiniteMonad, carrier: int, budget: int):
 
     def law(structure) -> bool:
         _guard(held, budget, f"algebra axiom tables at carrier {carrier}")
-        return monad._em_law_holds(carrier, structure)
+        return not _mismatches("em_law", (carrier,), *monad._em_law_sides(carrier, structure))
 
     return fill, move, law
 
@@ -828,10 +831,10 @@ def enumerate_em_algebras(
     sides on the whole T(T(Y)) table, for every candidate that reaches it.
     A structure table T(Y), which the fill holds to the budget before it
     fills the carrier, an undeclared monad's T(T(Y)) table, or an orbit,
-    larger than the budget raises BudgetExceededError, and a negative
-    max_carrier raises StructuralError.
+    larger than the budget raises BudgetExceededError, and a max_carrier
+    that is not a nonnegative integer raises StructuralError.
     """
-    _refuse_a_negative_bound(max_carrier)
+    max_carrier = _count(max_carrier, "a bound")
     route = functools.partial(_em_route, monad, budget=budget)
     return _em_algebras(monad, _isoclasses(route, range(max_carrier + 1), budget))
 
@@ -839,11 +842,12 @@ def enumerate_em_algebras(
 def free_algebra(monad: FiniteMonad, n: int, budget: int = DEFAULT_BUDGET) -> EmAlgebra:
     """Free algebra on an n-element set: carrier T(n), structure map mu.
 
-    A negative n raises StructuralError, and a mu(n) table of more than budget
-    entries raises BudgetExceededError before it is built.
+    An n that is not a nonnegative integer raises StructuralError, and a
+    mu(n) table of more than budget entries raises BudgetExceededError
+    before it is built.
     """
-    if n < 0:
-        raise StructuralError(f"a free algebra needs a nonnegative number of generators, not {n}")
+    n = _count(n, "the number of generators of a free algebra",
+               "a free algebra needs a nonnegative number of generators, not {value}")
     tn = monad.t_size(n)
     _guard(_table_size(monad, tn, budget), budget, f"free algebra on {n} generators")
     return EmAlgebra(monad.name, tn, _ints(monad.mu(n)))
@@ -921,10 +925,10 @@ def check_adjunction_trivial(
     is the least such n; the counterexample is the first algebra with none.
     Where the monad's declared `em_law_support` decided an isoclass on a
     carrier whose T(T(Y)) is past the budget, the note gains a sentence that
-    says so (`_reduction_note`).  A negative max_carrier raises
-    StructuralError.
+    says so (`_reduction_note`).  A max_carrier that is not a nonnegative
+    integer raises StructuralError.
     """
-    _refuse_a_negative_bound(max_carrier)
+    max_carrier = _count(max_carrier, "a bound")
     route = functools.partial(_em_route, monad, budget=budget)
     classes = _isoclasses(route, range(max_carrier + 1), budget)
     algebras = _em_algebras(monad, classes)
@@ -999,10 +1003,10 @@ def check_strength(monad: FiniteMonad, max_size: int, budget: int = DEFAULT_BUDG
     a theta, mu(Y) or eta(X (x) Y) table larger than the budget raises
     BudgetExceededError before it is built, naming the sizes of the first
     law that asks for it.  The points of each law are the entries of a
-    theta table, so they are held to the budget too.  A negative max_size
-    raises StructuralError.
+    theta table, so they are held to the budget too.  A max_size that is
+    not a nonnegative integer raises StructuralError.
     """
-    _refuse_a_negative_bound(max_size)
+    max_size = _count(max_size, "a bound")
     amb = monad.ambient
     violations: list[Violation] = []
     sizes = range(max_size + 1)
@@ -1097,10 +1101,10 @@ def is_very_strong(monad: FiniteMonad, max_size: int) -> StrengthIsoVerdict:
     """True when every strength component on sizes <= max_size is a bijection.
 
     On failure the witness is a cardinality mismatch between X (x) T(Y) and
-    T(X (x) Y), or a same-size component that is not bijective.  A negative
-    max_size raises StructuralError.
+    T(X (x) Y), or a same-size component that is not bijective.  A
+    max_size that is not a nonnegative integer raises StructuralError.
     """
-    _refuse_a_negative_bound(max_size)
+    max_size = _count(max_size, "a bound")
     amb = monad.ambient
     for x in range(max_size + 1):
         for y in range(max_size + 1):
@@ -1211,10 +1215,10 @@ def enumerate_modules(
     law, as `_module_route` states them, so the two routes share no verdict
     logic, only the classifier `_isoclasses` that keeps the least action table
     of each isoclass's orbit.  That orbit is built once per isoclass, at a cost
-    proportional to its size rather than carrier!.  A negative max_carrier
-    raises StructuralError.
+    proportional to its size rather than carrier!.  A max_carrier that is
+    not a nonnegative integer raises StructuralError.
     """
-    _refuse_a_negative_bound(max_carrier)
+    max_carrier = _count(max_carrier, "a bound")
     classes = _isoclasses(functools.partial(_module_route, algebra), range(max_carrier + 1), budget)
     return [AlgebraModule(carrier, canon) for carrier, canon in _representatives(classes)]
 
@@ -1222,10 +1226,10 @@ def enumerate_modules(
 def free_module(algebra: MonoidAlgebra, n: int) -> AlgebraModule:
     """Free right module on an n-element set: carrier n (x) A, action id (x) mult, the free action of its route.
 
-    A negative n raises StructuralError.
+    An n that is not a nonnegative integer raises StructuralError.
     """
-    if n < 0:
-        raise StructuralError(f"a free module needs a nonnegative number of generators, not {n}")
+    n = _count(n, "the number of generators of a free module",
+               "a free module needs a nonnegative number of generators, not {value}")
     return AlgebraModule(algebra.ambient.tensor(n, algebra.carrier), _module_route(algebra, n)[-1])
 
 
@@ -1260,9 +1264,9 @@ def check_mon_ess_agreement(
     (`_free_generators`).  The monad must be very strong on sizes up to
     max_carrier, else StructuralError, and must have two algebra isoclasses
     in reach of check_adjunction_trivial, else DegenerateMonadError.  A
-    negative max_carrier raises StructuralError.
+    max_carrier that is not a nonnegative integer raises StructuralError.
     """
-    _refuse_a_negative_bound(max_carrier)
+    max_carrier = _count(max_carrier, "a bound")
     if not is_very_strong(monad, max_carrier).very_strong:
         raise StructuralError(f"the agreement check needs a very strong monad, and {monad.name} is not one")
     verdict = check_adjunction_trivial(monad, max_carrier, budget)
@@ -1344,9 +1348,9 @@ def check_comparison_fully_faithful(
     through bind_at.  The search always runs to its end, so a lawless monad
     whose search finds a morphism outside the image and then runs past the
     budget raises BudgetExceededError rather than returning False.  A
-    negative max_size raises StructuralError.
+    max_size that is not a nonnegative integer raises StructuralError.
     """
-    _refuse_a_negative_bound(max_size)
+    max_size = _count(max_size, "a bound")
     for x in range(max_size + 1):
         morphisms = _em_morphisms(monad, x, budget)
         points = range(monad.t_size(x))

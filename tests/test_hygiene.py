@@ -255,7 +255,7 @@ EM_ROUTE = ("_em_route", "_em_algebras", "enumerate_em_algebras", "free_algebra"
 SHARED_CLASSIFIER = ("_isoclasses", "_isomorphic")
 MONAD_EVALUATORS = {
     "bind_at", "bind", "t_mor", "mu", "eta", "t_size", "theta",
-    "em_structure_candidates", "_em_law_holds", "_em_law_sides", "_law_shapes",
+    "em_structure_candidates", "_em_law_sides", "_law_shapes",
 }
 ALGEBRA_TABLES = {"mult", "unit", "tensor_mor", "ambient"}
 

@@ -16,7 +16,7 @@ from divalg import monads as M
 from divalg.errors import BudgetExceededError, DegenerateMonadError, StructuralError
 
 from util import (
-    XorSlip, addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, is_associative,
+    XorSlip, addition_law_tables, addition_laws, doubling_mu, doubling_t_mor, em_law_holds, is_associative,
     module_axioms_hold, s3_monoid_algebra, written_tensor_mor,
 )
 
@@ -1071,14 +1071,14 @@ def test_em_route_law_is_the_whole_table_em_law_alone():
     monad = CountingWholeTableException(1, name="maybe")
     _, _, law = M._em_route(monad, 2, M.DEFAULT_BUDGET)
     tables = list(itertools.product(range(2), repeat=monad.t_size(2)))
-    assert [law(s) for s in tables] == [monad._em_law_holds(2, s) for s in tables]
+    assert [law(s) for s in tables] == [em_law_holds(monad, 2, s) for s in tables]
     assert law((0, 0, 0)) is True
     assert monad.sides_calls == 2 * len(tables) + 1
     # SwapFold(2) breaks the EM law on some unit-compatible tables, and its law refuses exactly those
     swap = SwapFold(2)
     _, _, law = M._em_route(swap, 2, M.DEFAULT_BUDGET)
     tables = list(itertools.product(range(2), repeat=swap.t_size(2)))
-    assert [law(s) for s in tables] == [swap._em_law_holds(2, s) for s in tables]
+    assert [law(s) for s in tables] == [em_law_holds(swap, 2, s) for s in tables]
     assert not all(law(s) for s in unit_tables(swap, 2))
     # the law may skip the unit because the fill never yields a table that breaks it
     for make in (WholeTableException, SwapFold, d.CoproductException):
@@ -1243,7 +1243,7 @@ def test_em_law_matches_the_python_int_whole_table_law(drawn):
     carrier, structure = drawn
     t_s = low_bit_t_mor(structure)
     expected = [structure[v] for v in t_s] == [structure[v] for v in cached_low_bit_mu(carrier)]
-    assert d.FreeVectorF2()._em_law_holds(carrier, structure) == expected
+    assert em_law_holds(d.FreeVectorF2(), carrier, structure) == expected
 
 
 # ------------------------------------------- the EM law decided by the fill's points
@@ -1314,7 +1314,7 @@ def test_declared_law_is_the_whole_table_law_on_drawn_tables(case):
     # self-dual monotone Boolean functions of 12 variables, far past any table, so the whole-table oracle
     # could not be read where such a law first fails.  A monad of that kind declares nothing and keeps it.
     monad, twin, carrier, structure = case
-    whole = twin._em_law_holds(carrier, structure)
+    whole = em_law_holds(twin, carrier, structure)
     assert reduced_law(monad, carrier, structure) == whole
     if isinstance(monad, d.FreeVectorF2):
         assert support_two_points_hold(structure, carrier) == whole
@@ -1331,7 +1331,7 @@ def test_declared_law_is_the_whole_table_law_on_every_unit_table(monad, twin, ca
     # the EM fill keeps exactly the freevec2 tables that pass the written-out support-2 points, and those are
     # exactly the tables that pass the whole-table law
     for structure in unit_tables(monad, carrier):
-        whole = twin._em_law_holds(carrier, structure)
+        whole = em_law_holds(twin, carrier, structure)
         assert reduced_law(monad, carrier, structure) == whole, structure
         if isinstance(monad, d.FreeVectorF2):
             assert support_two_points_hold(structure, carrier) == whole, structure
@@ -1356,6 +1356,61 @@ def test_freevec_fill_states_every_support_two_point(carrier):
     monad = PointLog()
     list(monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET))
     assert monad.calls[carrier] == list(itertools.combinations(range(1 << carrier), 2))
+
+
+class ShapeLog(RectangularBand):
+    """RectangularBand that logs (h, q) for each bind_at call of its EM fill; its tables log nothing."""
+
+    def __init__(self):
+        self.calls = []
+
+    def bind(self, f, dst):
+        return tuple(RectangularBand.bind_at(self, f, dst, p) for p in range(self.t_size(len(f))))
+
+    def bind_at(self, f, dst, p):
+        self.calls.append((tuple(f), p))
+        return super().bind_at(f, dst, p)
+
+
+@pytest.mark.parametrize("carrier,points", [(2, 12), (3, 72)])
+def test_a_shape_that_the_swap_moves_is_scheduled_once(carrier, points):
+    # RectangularBand's two shapes, (0, 1) and (1, 0) of T(2), are exchanged by T(swap), and
+    # T(h)(T(swap)(q)) = T(h . swap)(q), so the increasing maps h at both shapes reach every point of support
+    # 2 once.  Walking every ordered h at a shape the swap moves stated and charged each point twice: 24 and 144
+    monad = ShapeLog()
+    message = f"^EM law points at carrier {carrier} needs {points} entries, budget is {points - 1}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        monad.em_structure_candidates(carrier, points - 1)
+    list(monad.em_structure_candidates(carrier, points))
+    assert monad._law_shapes == [(2, 1), (2, 2)]
+    pairs = list(itertools.combinations(range(monad.t_size(carrier)), 2))
+    assert monad.calls == [(h, q) for _, q in monad._law_shapes for h in pairs]
+
+
+# (monad factory, and at carriers 0 to 3 the EM fill's candidates, its holds calls and the least budget it
+# runs under); the swap moves the law shapes of both, and ConstBind, whose T is no functor, is lawless
+FILL_COUNTS = [
+    (RectangularBand, [1, 1, 2, 2], [0, 1, 10, 97], [0, 1, 12, 72]),
+    (ConstBind, [0, 1, 2, 3], [0, 2, 6, 12], [1, 2, 6, 12]),
+]
+
+
+@pytest.mark.parametrize("make,candidates,checks,budgets", FILL_COUNTS, ids=[row[0].__name__ for row in FILL_COUNTS])
+def test_the_em_fill_counts_on_shapes_that_the_swap_moves(make, candidates, checks, budgets, monkeypatch):
+    calls = []
+
+    def counted(size, unit, carrier, budget, what, holds):
+        return fill(size, unit, carrier, budget, what, lambda t, i: calls.append(i) or holds(t, i))
+
+    fill = M._fill
+    monkeypatch.setattr(M, "_fill", counted)
+    for carrier in range(4):
+        calls.clear()
+        assert len(list(make().em_structure_candidates(carrier, budgets[carrier]))) == candidates[carrier]
+        assert len(calls) == checks[carrier]
+        if budgets[carrier]:
+            with pytest.raises(BudgetExceededError):
+                list(make().em_structure_candidates(carrier, budgets[carrier] - 1))
 
 
 @pytest.mark.parametrize("carrier", [2, 3])
@@ -1394,7 +1449,7 @@ def test_a_subclass_inherits_no_em_law_declaration():
     assert [law(s) for s in unit_tables(d.CoproductException(2), 2)] == [True] * 4
 
 
-@pytest.mark.parametrize("support", [3, -1])
+@pytest.mark.parametrize("support", [3, -1, 1.5, True])
 def test_a_declaration_past_the_fill_support_is_refused(support):
     class Declared(d.CoproductException):
         em_law_support = support
@@ -1559,16 +1614,24 @@ class Untouched(d.FiniteMonad):
         raise AssertionError("bind_at read")
 
 
-# every public monad verdict that takes a bound, asked at -1 of the untouched monad or of an algebra with no tables
+# every bounded monad verdict and both free-object builders, as a call of (monad, its algebra T(1), count)
+COUNTED = {
+    "validate_monad": lambda monad, algebra, n: d.validate_monad(monad, n),
+    "check_strength": lambda monad, algebra, n: d.check_strength(monad, n),
+    "is_very_strong": lambda monad, algebra, n: d.is_very_strong(monad, n),
+    "enumerate_em_algebras": lambda monad, algebra, n: d.enumerate_em_algebras(monad, n),
+    "check_adjunction_trivial": lambda monad, algebra, n: d.check_adjunction_trivial(monad, n).to_payload(),
+    "enumerate_modules": lambda monad, algebra, n: d.enumerate_modules(algebra, n),
+    "check_comparison_fully_faithful": lambda monad, algebra, n: d.check_comparison_fully_faithful(monad, n),
+    "check_mon_ess_agreement": lambda monad, algebra, n: d.check_mon_ess_agreement(monad, n),
+    "free_algebra": lambda monad, algebra, n: d.free_algebra(monad, n),
+    "free_module": lambda monad, algebra, n: d.free_module(algebra, n),
+}
+# the untouched monad, and an algebra with no tables
+UNTOUCHED = (Untouched(), d.MonoidAlgebra("none", M.DisjointUnion, 0, (), ()))
+# every public monad verdict that takes a bound, asked at -1 of them
 NEGATIVE_BOUND_VERDICTS = {
-    "validate_monad": lambda: d.validate_monad(Untouched(), -1),
-    "check_strength": lambda: d.check_strength(Untouched(), -1),
-    "is_very_strong": lambda: d.is_very_strong(Untouched(), -1),
-    "enumerate_em_algebras": lambda: d.enumerate_em_algebras(Untouched(), -1),
-    "check_adjunction_trivial": lambda: d.check_adjunction_trivial(Untouched(), -1),
-    "enumerate_modules": lambda: d.enumerate_modules(d.MonoidAlgebra("none", M.DisjointUnion, 0, (), ()), -1),
-    "check_comparison_fully_faithful": lambda: d.check_comparison_fully_faithful(Untouched(), -1),
-    "check_mon_ess_agreement": lambda: d.check_mon_ess_agreement(Untouched(), -1),
+    name: functools.partial(call, *UNTOUCHED, -1) for name, call in COUNTED.items() if not name.startswith("free_")
 }
 
 
@@ -1578,6 +1641,27 @@ def test_a_negative_bound_is_refused_before_any_work(verdict):
     # listed no algebra, as if the bound were a verdict
     with pytest.raises(StructuralError, match="a bound must be nonnegative, not -1"):
         verdict()
+
+
+@pytest.mark.parametrize("count", [True, False, 2.5, 2.0, "2", None])
+@pytest.mark.parametrize("call", COUNTED.values(), ids=COUNTED)
+def test_a_count_that_is_not_an_integer_is_refused_before_any_work(call, count):
+    # check_adjunction_trivial(maybe, True) reported the bound true, free_algebra(maybe, True) built the free
+    # algebra on one generator, and validate_monad(maybe, 2.5) raised a bare TypeError
+    with pytest.raises(StructuralError, match=f" must be an integer, not {re.escape(repr(count))}$"):
+        call(*UNTOUCHED, count)
+
+
+@pytest.mark.parametrize("call", COUNTED.values(), ids=COUNTED)
+def test_a_numpy_integer_count_is_held_as_a_python_int(call):
+    monad = d.maybe_monad()
+    algebra = d.algebra_from_strength(monad)
+    held = call(monad, algebra, np.int64(2))
+    assert held == call(monad, algebra, 2)
+    if isinstance(held, dict):  # the adjunction payload, whose np.int64 bound could not be written as JSON
+        assert type(held["bound"]) is int and json.dumps(held)
+    if isinstance(held, (d.EmAlgebra, d.AlgebraModule)):
+        assert type(held.carrier) is int
 
 
 def test_free_algebras_appear_in_enumeration(maybe, identity, exc2, freevec):
@@ -1668,10 +1752,10 @@ class WriterZ2(d.FiniteMonad):
 def test_the_em_fill_checks_the_law_points_of_support_one():
     monad = WriterZ2()
     assert d.validate_monad(monad, 3).passed
-    assert monad._law_shapes == [(1, 1, True)]
+    assert monad._law_shapes == [(1, 1)]
     # its candidates are its lawful unit-compatible tables, the involutions; without the support-1 points the
     # fill would yield every unit-compatible table, 1, 1, 4 and 27 of them
-    lawful = [[s for s in unit_tables(monad, carrier) if monad._em_law_holds(carrier, s)] for carrier in range(4)]
+    lawful = [[s for s in unit_tables(monad, carrier) if em_law_holds(monad, carrier, s)] for carrier in range(4)]
     assert [len(tables) for tables in lawful] == [1, 1, 2, 4]
     assert [list(monad.em_structure_candidates(carrier, M.DEFAULT_BUDGET)) for carrier in range(4)] == lawful
     assert [len(list(unit_tables(monad, carrier))) for carrier in range(4)] == [1, 1, 4, 27]

@@ -45,6 +45,12 @@ class XorSlip(d.FreeVectorF2):
         return super().bind_at(f, dst, p) ^ (dst == 2 and int(self.t_mor(f, 4)[p]) == 0b101)
 
 
+def em_law_holds(monad, carrier: int, structure) -> bool:
+    """The EM law s . T(s) = s . mu_Y on the whole table: its two `_em_law_sides`, read as Python ints, agree."""
+    lhs, rhs = monad._em_law_sides(carrier, structure)
+    return M._ints(lhs) == M._ints(rhs)
+
+
 def written_tensor_mor(ambient, f, g, a_dst: int, b_dst: int) -> tuple:
     """f (x) g: X (x) Y -> a_dst (x) b_dst, one entry at a time: the oracle for the ambients' tensor_mor and whisker.
 
